@@ -4,84 +4,16 @@
 // by default) and a human-readable summary on stdout.
 //
 //   $ ./bench_c2store [--quick] [--out FILE] [--ops N] [--threads-max N]
-//                     [--bind cached|per_op] [--keys int|string] [--key-space N]
-//                     [--sum-impl digest|scan] [--snap-impl digest|loop]
+//                     [--key-space N] [--resize-every N]
+//                     [--metrics-out FILE] [--prom-out FILE]
+//                     [--trace-out FILE] [--trace-audit-out FILE]
+//                     [--chrome-trace-out FILE]
 //
-// --quick shrinks op counts for CI smoke runs. --bind selects the ref binding
-// mode for every entry (bench names stay identical across modes), so two runs
-// give the key-bound-refs vs per-op-routing comparison that tools/bench_diff
-// gates in CI:
-//
-//   $ ./bench_c2store --keys string --bind per_op --out BENCH_perop.json
-//   $ ./bench_c2store --keys string --bind cached --out BENCH_refs.json
-//   $ tools/bench_diff.py BENCH_perop.json BENCH_refs.json
-//
-// --keys string is where bind-time caching earns its keep (FNV over every key
-// byte per op otherwise); int keys route through one ~free SplitMix64 mix, so
-// per-op routing is already competitive there. For the A/B gate use a
-// --key-space that keeps the per-thread ref tables cache-resident (e.g. 512):
-// at the default 4096, a timesliced many-thread run measures ref-TABLE
-// eviction, not routing cost — real clients bind handles for their hot keys.
-//
-// --sum-impl selects how kCounterSum ops read the aggregate: the wait-free
-// strongly-linearizable digest word (default) or the retired bounded
-// double-collect scan. Bench names stay identical across the modes, so two
-// runs give the scan-vs-digest ablation CI gates on the sum_heavy mix with a
-// NEGATIVE bench_diff threshold (digest must beat the scan):
-//
-//   $ ./bench_c2store --sum-impl scan   --out BENCH_sum_scan.json
-//   $ ./bench_c2store --sum-impl digest --out BENCH_sum_digest.json
-//   $ tools/bench_diff.py BENCH_sum_scan.json BENCH_sum_digest.json
-//         --bench-filter '^mix/sum_heavy$' --threshold=-0.10
-//         --metrics throughput_ops_per_s     (one shell line)
-//
-// --acquire selects how the mix/session_churn entry (more worker threads
-// than lanes; every op a full open->use->close cycle; latency percentiles
-// are OPEN latencies) acquires its sessions: "block" parks on the handoff
-// queue (open_session), "try" runs the retired try_open_session poll loop.
-// Two runs give the acquisition ablation CI gates on that entry (block must
-// not lose to try-poll):
-//
-//   $ ./bench_c2store --acquire try   --out BENCH_acquire_try.json
-//   $ ./bench_c2store --acquire block --out BENCH_acquire_block.json
-//   $ tools/bench_diff.py BENCH_acquire_try.json BENCH_acquire_block.json
-//         --bench-filter '^mix/session_churn$' --threshold 0.30
-//         --metrics throughput_ops_per_s,latency_ns.p50   (one shell line)
-//
-// --snap-impl selects how mix/snapshot_heavy's kSnapshot ops read the
-// multi-key aggregate: the strongly linearizable journal-replay SnapshotRef
-// ("digest", default) or the naive per-key read loop ("loop") — not even
-// linearizable as one operation (the sim layer pins the refutation); it is
-// the what-strong-linearizability-costs baseline. It costs nothing: the
-// loop pays shard_count per-key digest reads per snapshot while the
-// journal replay is one tail FAA plus the entries since the session's
-// cursor, so digest WINS (2.3x locally at 4 threads) and CI gates it as an
-// improvement requirement with a NEGATIVE threshold:
-//
-//   $ ./bench_c2store --snap-impl loop   --out BENCH_snap_loop.json
-//   $ ./bench_c2store --snap-impl digest --out BENCH_snap_digest.json
-//   $ tools/bench_diff.py BENCH_snap_loop.json BENCH_snap_digest.json
-//         --bench-filter '^mix/snapshot_heavy$' --threshold=-0.10
-//         --metrics throughput_ops_per_s   (one shell line)
-//
-// mix/transfer_audit (concurrent transfers + live conservation-checked
-// snapshots) always runs snap_impl=digest — the loop cannot conserve, which
-// is the refutation, not an ablation — so that entry is identical across
-// --snap-impl runs.
-//
-// --resize-impl selects how mix/resize_storm serves its live shard resizes
-// (worker 0 doubles the shard count every --resize-every of its ops, from 4
-// shards up to the engine cap): "inplace" is the epoch hand-off — resizes run
-// concurrently with data ops; "rebuild" is the stop-the-world baseline —
-// every data op holds a reader lock and the resizer drains the store under
-// the writer lock first. Two runs give the resize ablation CI gates on that
-// entry with a NEGATIVE threshold (in-place must win):
-//
-//   $ ./bench_c2store --resize-impl rebuild --out BENCH_resize_rebuild.json
-//   $ ./bench_c2store --resize-impl inplace --out BENCH_resize_inplace.json
-//   $ tools/bench_diff.py BENCH_resize_rebuild.json BENCH_resize_inplace.json
-//         --bench-include mix/resize_storm --threshold=-0.10
-//         --metrics throughput_ops_per_s   (one shell line)
+// --quick shrinks op counts for CI smoke runs. Every entry binds one typed
+// ref per key before its timed loop (the cached-pointer path real clients
+// use for hot keys). mix/resize_storm grows the store from 4 shards while it
+// runs: worker 0 doubles the shard count every --resize-every of its ops (0
+// picks ops/8) up to the engine cap, through the live epoch hand-off.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -105,12 +37,6 @@ struct Args {
   uint64_t ops = 5000;
   bool ops_explicit = false;  // --quick only lowers ops when --ops is absent
   int threads_max = 0;        // 0 == hardware_concurrency
-  std::string bind = "cached";
-  std::string keys = "int";
-  std::string sum_impl = "digest";
-  std::string acquire = "block";
-  std::string snap_impl = "digest";
-  std::string resize_impl = "inplace";
   /// Worker 0's resize cadence for the mix/resize_storm entry (ops between
   /// shard-count doublings); 0 picks ops/8 so every run resizes a few times
   /// regardless of --ops / --quick.
@@ -144,18 +70,6 @@ Args parse(int argc, char** argv) {
       a.ops_explicit = true;
     } else if (arg == "--threads-max" && i + 1 < argc) {
       a.threads_max = std::atoi(argv[++i]);
-    } else if (arg == "--bind" && i + 1 < argc) {
-      a.bind = argv[++i];
-    } else if (arg == "--keys" && i + 1 < argc) {
-      a.keys = argv[++i];
-    } else if (arg == "--sum-impl" && i + 1 < argc) {
-      a.sum_impl = argv[++i];
-    } else if (arg == "--acquire" && i + 1 < argc) {
-      a.acquire = argv[++i];
-    } else if (arg == "--snap-impl" && i + 1 < argc) {
-      a.snap_impl = argv[++i];
-    } else if (arg == "--resize-impl" && i + 1 < argc) {
-      a.resize_impl = argv[++i];
     } else if (arg == "--resize-every" && i + 1 < argc) {
       a.resize_every = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--key-space" && i + 1 < argc) {
@@ -173,10 +87,7 @@ Args parse(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--out FILE] [--ops N] [--threads-max N]"
-                   " [--bind cached|per_op] [--keys int|string] [--key-space N]"
-                   " [--sum-impl digest|scan] [--acquire block|try]"
-                   " [--snap-impl digest|loop]"
-                   " [--resize-impl inplace|rebuild] [--resize-every N]"
+                   " [--key-space N] [--resize-every N]"
                    " [--metrics-out FILE] [--prom-out FILE]"
                    " [--trace-out FILE] [--trace-audit-out FILE]"
                    " [--chrome-trace-out FILE]\n",
@@ -226,12 +137,6 @@ int main(int argc, char** argv) {
   w.field("suite", "bench_c2store");
   w.key("host").begin_object();
   w.field("hardware_concurrency", hw);
-  w.field("bind", args.bind);
-  w.field("keys", args.keys);
-  w.field("sum_impl", args.sum_impl);
-  w.field("acquire", args.acquire);
-  w.field("snap_impl", args.snap_impl);
-  w.field("resize_impl", args.resize_impl);
   w.field("key_space", args.key_space);
   w.end_object();
   w.key("results").begin_array();
@@ -244,9 +149,6 @@ int main(int argc, char** argv) {
     cfg.key_space = args.key_space;
     cfg.dist = "zipfian";
     cfg.mix = wl::OpMix::mixed();
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = args.sum_impl;
     cfg.store.initial_shards = 16;
     run_one(w, "sweep/threads=" + std::to_string(t), cfg);
   }
@@ -259,9 +161,6 @@ int main(int argc, char** argv) {
     cfg.key_space = args.key_space;
     cfg.dist = "zipfian";
     cfg.mix = wl::OpMix::mixed();
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = args.sum_impl;
     cfg.store.initial_shards = shards;
     run_one(w, "ablation/shards=" + std::to_string(shards), cfg);
   }
@@ -275,22 +174,14 @@ int main(int argc, char** argv) {
   const bool want_mixed_trace =
       !args.trace_out.empty() || !args.chrome_trace_out.empty();
   for (const char* mix :
-       {"read_heavy", "write_heavy", "mixed", "aggregate_scan", "sum_heavy",
-        "snapshot_heavy", "transfer_audit"}) {
+       {"read_heavy", "write_heavy", "mixed", "sum_heavy", "snapshot_heavy",
+        "transfer_audit"}) {
     wl::WorkloadConfig cfg;
     cfg.threads = max_threads;
     cfg.ops_per_thread = args.ops;
     cfg.key_space = args.key_space;
     cfg.dist = "zipfian";
     cfg.mix = wl::OpMix::by_name(mix);
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = args.sum_impl;
-    // transfer_audit pins digest: the loop cannot pass its live
-    // conservation check (that impossibility is the sim layer's pinned
-    // refutation, not an ablation axis).
-    cfg.snap_impl =
-        std::strcmp(mix, "transfer_audit") == 0 ? "digest" : args.snap_impl;
     cfg.store.initial_shards = 16;
     cfg.collect_trace =
         (std::strcmp(mix, "mixed") == 0 && want_mixed_trace) ||
@@ -302,12 +193,9 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(mix, "transfer_audit") == 0) trace_audit = std::move(r.trace);
   }
-  // --- session churn: more threads than lanes, blocking-vs-try acquisition ---
-  // The store keeps HALF the worker count in lanes, so every open contends;
-  // --acquire selects how the open waits (park on the handoff queue vs the
-  // retired try_open_session poll loop). Two runs give the ablation CI gates
-  // on this entry: block must not lose to try-poll (tools/bench_diff
-  // --bench-filter '^mix/session_churn$'). Latency percentiles here are OPEN
+  // --- session churn: more threads than lanes, blocking opens ---
+  // The store keeps HALF the worker count in lanes, so every open contends
+  // and parks on the handoff queue. Latency percentiles here are OPEN
   // latencies (see workload/op_mix.h).
   {
     wl::WorkloadConfig cfg;
@@ -316,10 +204,6 @@ int main(int argc, char** argv) {
     cfg.key_space = args.key_space;
     cfg.dist = "zipfian";
     cfg.mix = wl::OpMix::session_churn();
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = args.sum_impl;
-    cfg.acquire = args.acquire;
     cfg.store.initial_shards = 16;
     cfg.store.max_threads = std::max(1, max_threads / 2);  // lanes < threads
     run_one(w, "mix/session_churn", cfg);
@@ -327,9 +211,8 @@ int main(int argc, char** argv) {
 
   // --- resize storm: keyed traffic under live shard resizing ---
   // Worker 0 doubles the shard count on a fixed cadence while every worker
-  // keeps writing/reading; --resize-impl picks the epoch hand-off vs the
-  // stop-the-world reader/writer-lock baseline. Starts at 4 shards so the
-  // schedule gets several doublings before the engine cap. The conservation
+  // keeps writing/reading through the epoch hand-off. Starts at 4 shards so
+  // the schedule gets several doublings before the engine cap. The conservation
   // check (counter_sum == total incs across every cut) runs inside the
   // engine on this entry.
   {
@@ -339,10 +222,6 @@ int main(int argc, char** argv) {
     cfg.key_space = args.key_space;
     cfg.dist = "zipfian";
     cfg.mix = wl::OpMix::resize_storm();
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = "digest";  // post-resize slot scans over-approximate
-    cfg.resize_impl = args.resize_impl;
     cfg.resize_every =
         args.resize_every > 0 ? args.resize_every : std::max<uint64_t>(1, args.ops / 8);
     cfg.store.initial_shards = 4;
@@ -358,9 +237,6 @@ int main(int argc, char** argv) {
     cfg.key_space = args.key_space;
     cfg.dist = dist;
     cfg.mix = wl::OpMix::mixed();
-    cfg.bind = args.bind;
-    cfg.keys = args.keys;
-    cfg.sum_impl = args.sum_impl;
     cfg.store.initial_shards = 16;
     run_one(w, std::string("dist/") + dist, cfg);
   }

@@ -6,26 +6,12 @@
 // Emits BENCH_tas_family.json in the repo-wide c2sl-bench-v1 schema alongside
 // the usual console output (`--out=PATH` overrides the artifact path).
 //
-// NATIVE ABLATION (`--impl=flat|segmented`): the same binary also registers
-// real-thread benchmarks of the Thm 9 fetch&increment read path over either
-//   * flat    — the retired fixed-capacity array with the O(value) ascending
-//               scan (reference implementation kept below), or
-//   * segmented — the shipped rt::NativeFetchIncrement over doubling
-//               segments with the galloped O(log value) search.
-// Bench names are impl-agnostic ("NativeFaiRead/<value>", ...), so two runs
-// diff directly:
-//   ./bench_tas_family --impl=flat      --benchmark_filter=NativeFai --out=flat.json
-//   ./bench_tas_family --impl=segmented --benchmark_filter=NativeFai --out=seg.json
-//   tools/bench_diff.py flat.json seg.json --threshold=-0.5 --metrics throughput_ops_per_s
-// The NEGATIVE threshold turns the diff into an improvement gate: CI fails
-// unless segmented beats flat by >= 50% on every entry — the O(value) ->
-// O(log value) claim, enforced per run.
+// NATIVE F&I (`--benchmark_filter=NativeFai`): the same binary also registers
+// benchmarks of the Thm 9 fetch&increment read and increment paths of the
+// shipped rt::NativeFetchIncrement (doubling segments, galloped O(log value)
+// search) at three prefilled depths.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -195,37 +181,10 @@ void T10_Set(benchmark::State& state) {
 }
 BENCHMARK(T10_Set)->Args({2, 70})->Args({4, 70})->Args({4, 30})->Args({8, 50});
 
-// --- native flat-vs-segmented ablation (Thm 9 read path) --------------------
+// --- native F&I read/increment paths (Thm 9) ---------------------------------
 
-/// The RETIRED implementation, kept verbatim as the ablation reference: a
-/// fixed-capacity array of readable TAS cells with O(value) ascending scans.
-/// Do not use outside this benchmark — the shipped family is unbounded.
-class FlatFetchIncrement {
- public:
-  explicit FlatFetchIncrement(size_t capacity)
-      : cells_(std::make_unique<c2sl::rt::NativeReadableTAS[]>(capacity)),
-        capacity_(capacity) {}
-
-  int64_t fetch_and_increment() {
-    for (size_t i = 0;; ++i) {
-      if (i >= capacity_) std::abort();  // capacity exhausted (the old error)
-      if (cells_[i].test_and_set() == 0) return static_cast<int64_t>(i);
-    }
-  }
-  int64_t read() const {
-    for (size_t i = 0;; ++i) {
-      if (i >= capacity_) std::abort();
-      if (cells_[i].read() == 0) return static_cast<int64_t>(i);
-    }
-  }
-
- private:
-  std::unique_ptr<c2sl::rt::NativeReadableTAS[]> cells_;
-  size_t capacity_;
-};
-
-template <typename Fai>
-void run_fai_read(benchmark::State& state, Fai& fai, int64_t value) {
+void run_fai_read(benchmark::State& state, rt::NativeFetchIncrement& fai,
+                  int64_t value) {
   for (int64_t i = 0; i < value; ++i) fai.fetch_and_increment();  // untimed prefill
   uint64_t ops = 0;
   for (auto _ : state) {
@@ -236,13 +195,12 @@ void run_fai_read(benchmark::State& state, Fai& fai, int64_t value) {
       benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
 
-template <typename Fai>
-void run_fai_inc(benchmark::State& state, Fai& fai, int64_t value) {
+void run_fai_inc(benchmark::State& state, rt::NativeFetchIncrement& fai,
+                 int64_t value) {
   for (int64_t i = 0; i < value; ++i) fai.fetch_and_increment();  // untimed prefill
   uint64_t ops = 0;
   for (auto _ : state) {
-    // Flat pays the O(value) from-zero scan on EVERY increment once the array
-    // is deep; segmented starts at the galloped lower bound.
+    // Each increment starts at the galloped lower bound, not at cell 0.
     benchmark::DoNotOptimize(fai.fetch_and_increment());
     ++ops;
   }
@@ -250,48 +208,29 @@ void run_fai_inc(benchmark::State& state, Fai& fai, int64_t value) {
       benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
 
-void register_native_ablation(const std::string& impl) {
-  // Fixed iteration counts keep CI cost deterministic (no min-time hunting);
-  // the flat read at value 131072 is ~131k loads per iteration.
+void register_native_fai() {
+  // Fixed iteration counts keep run cost deterministic (no min-time hunting).
   const int64_t kValues[] = {1024, 16384, 131072};
   const int kReadIters = 2000;
   const int kIncIters = 2000;
   for (int64_t v : kValues) {
     std::string read_name = "NativeFaiRead/" + std::to_string(v);
     std::string inc_name = "NativeFaiInc/" + std::to_string(v);
-    if (impl == "flat") {
-      benchmark::RegisterBenchmark(read_name.c_str(), [v](benchmark::State& s) {
-        FlatFetchIncrement fai(static_cast<size_t>(v) + 1);
-        run_fai_read(s, fai, v);
-      })->Iterations(kReadIters);
-      benchmark::RegisterBenchmark(inc_name.c_str(), [v](benchmark::State& s) {
-        FlatFetchIncrement fai(static_cast<size_t>(v) +
-                               static_cast<size_t>(s.max_iterations) + 1);
-        run_fai_inc(s, fai, v);
-      })->Iterations(kIncIters);
-    } else {
-      benchmark::RegisterBenchmark(read_name.c_str(), [v](benchmark::State& s) {
-        c2sl::rt::NativeFetchIncrement fai;
-        run_fai_read(s, fai, v);
-      })->Iterations(kReadIters);
-      benchmark::RegisterBenchmark(inc_name.c_str(), [v](benchmark::State& s) {
-        c2sl::rt::NativeFetchIncrement fai;
-        run_fai_inc(s, fai, v);
-      })->Iterations(kIncIters);
-    }
+    benchmark::RegisterBenchmark(read_name.c_str(), [v](benchmark::State& s) {
+      rt::NativeFetchIncrement fai;
+      run_fai_read(s, fai, v);
+    })->Iterations(kReadIters);
+    benchmark::RegisterBenchmark(inc_name.c_str(), [v](benchmark::State& s) {
+      rt::NativeFetchIncrement fai;
+      run_fai_inc(s, fai, v);
+    })->Iterations(kIncIters);
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Default: segmented — the shipped implementation.
-  std::string impl = c2bench::consume_flag(&argc, argv, "--impl=", "segmented");
-  if (impl != "flat" && impl != "segmented") {
-    std::fprintf(stderr, "bench_tas_family: --impl must be flat|segmented\n");
-    return 1;
-  }
-  register_native_ablation(impl);
+  register_native_fai();
   return c2bench::run_with_schema_reporter(argc, argv, "bench_tas_family",
                                            "BENCH_tas_family.json");
 }

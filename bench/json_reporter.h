@@ -56,8 +56,8 @@ class C2SchemaReporter : public benchmark::BenchmarkReporter {
       // Benchmarks that publish a "throughput_ops_per_s" rate counter get it
       // hoisted to a top-level metric — the key tools/bench_diff.py gates on —
       // so google-benchmark suites can participate in the same A/B gates as
-      // the workload engine's artifacts (e.g. the flat-vs-segmented F&I
-      // ablation in bench_tas_family).
+      // the workload engine's artifacts (e.g. bench_tas_family's NativeFai
+      // entries).
       auto thr = run.counters.find("throughput_ops_per_s");
       if (thr != run.counters.end()) {
         writer_.field("throughput_ops_per_s", static_cast<double>(thr->second));
@@ -91,8 +91,7 @@ class C2SchemaReporter : public benchmark::BenchmarkReporter {
 
 /// Consumes every `--<prefix>value` occurrence of one suite-private flag from
 /// argv (compacting argv so google-benchmark never sees it) and returns the
-/// last value, or `fallback`. Serves `--out=` below and suite-specific flags
-/// like bench_tas_family's `--impl=`.
+/// last value, or `fallback`. Serves `--out=` below.
 inline std::string consume_flag(int* argc, char** argv, const char* prefix,
                                 const char* fallback) {
   std::string value = fallback;

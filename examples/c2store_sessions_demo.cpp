@@ -7,17 +7,14 @@
 // the registry's consensus-2 handoff queue until a leaving worker hands its
 // lane over directly (FIFO-fair, no busy-spin) — binds typed refs, hammers
 // them, and leaves (RAII close = direct lane handoff to the oldest waiter).
-// No caller-side retry loop anywhere.
-//
-// The retired poll-loop acquisition stays demoed behind --try: each join then
-// spins on try_open_session() + yield, which is exactly the caller-side
-// busy-wait the blocking API removes (and what bench_c2store --acquire=try
-// measures as the ablation baseline).
+// No caller-side retry loop anywhere. The non-waiting forms,
+// try_open_session() and open_session_for(), are probed once every lane is
+// held.
 //
 // Exits non-zero on any inconsistency, so CI can run it as a smoke test.
 //
-//   $ ./example_c2store_sessions_demo [lanes] [workers] [ops] [--try]
-//                                      [--metrics] [--trace-out FILE]
+//   $ ./example_c2store_sessions_demo [lanes] [workers] [ops] [--metrics]
+//                                      [--trace-out FILE]
 //
 // --metrics additionally prints the store's c2sl-metrics-v1 JSON snapshot and
 // Prometheus text — under oversubscription the open_wait histogram and the
@@ -53,14 +50,11 @@ void expect(bool ok, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  bool use_try_poll = false;
   bool metrics = false;
   std::string trace_out;
   std::vector<const char*> pos;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--try") == 0) {
-      use_try_poll = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+    if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
@@ -84,19 +78,9 @@ int main(int argc, char** argv) try {
 
   std::vector<std::thread> pool;
   for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&store, &cfg, w, ops, use_try_poll] {
-      // Join: waits for a lane when all are held — parked on the handoff
-      // queue (default) or busy-polling (--try, the retired pattern).
-      svc::C2Session session;
-      if (use_try_poll) {
-        for (;;) {
-          session = store.try_open_session();
-          if (session.valid()) break;
-          std::this_thread::yield();
-        }
-      } else {
-        session = store.open_session();
-      }
+    pool.emplace_back([&store, &cfg, w, ops] {
+      // Join: waits for a lane when all are held, parked on the handoff queue.
+      svc::C2Session session = store.open_session();
       svc::CounterRef requests = session.counter("svc:requests");
       svc::MaxRef high_water = session.max("svc:high_water");
       for (int i = 0; i < ops; ++i) {
@@ -158,8 +142,8 @@ int main(int argc, char** argv) try {
   }
 
   if (failures > 0) return 1;
-  std::printf("ok: %d workers shared %d lanes via %s acquisition\n", workers,
-              cfg.max_threads, use_try_poll ? "try-poll" : "blocking handoff");
+  std::printf("ok: %d workers shared %d lanes via blocking handoff\n", workers,
+              cfg.max_threads);
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

@@ -11,21 +11,7 @@ namespace c2sl::svc {
 // Runs in the init list, before any member construction: every config error
 // surfaces here with a service-level message, and ShardObjects construction
 // below can no longer throw for config reasons (only bad_alloc remains).
-// Returns a NORMALISED copy: the deprecated `shards` alias (PR 1 name) is
-// resolved into initial_shards — when set, the alias wins, so existing
-// call sites keep their meaning for the one-release deprecation window.
 C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  if (cfg.shards != C2StoreConfig::kShardsUnset) {
-    cfg.initial_shards = cfg.shards;
-    cfg.shards = C2StoreConfig::kShardsUnset;
-  }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
   C2SL_CHECK(cfg.initial_shards > 0 &&
                  (cfg.initial_shards & (cfg.initial_shards - 1)) == 0,
              "initial_shards must be a power of two");
@@ -184,9 +170,9 @@ ResizeStatus C2Store::resize_with_lane(int lane, int new_shards) {
 // Idempotent by monotonicity — write_max re-merge, counter re-add, TAS
 // set-ness re-set — so racing writers that dual-apply the same state are
 // harmless on every VALUE facet. Old slots intentionally keep their state
-// (mask nesting makes them valid lower bounds; the duplication is why
-// counter_sum_scan over-approximates after a resize while the lane-keyed
-// digests stay exact). Unmaterialised parents are skipped: nothing to move,
+// (mask nesting makes them valid lower bounds; the duplication is why a sum
+// over slots over-approximates after a resize while the lane-keyed digests
+// stay exact). Unmaterialised parents are skipped: nothing to move,
 // and the replay never materialises slots.
 void C2Store::migrate(int lane, const rt::RoutingEpoch::Claim& claim) {
   int old_count = epochs_.shards_of(claim.epoch - 1);
@@ -205,77 +191,9 @@ void C2Store::migrate(int lane, const rt::RoutingEpoch::Claim& claim) {
   }
 }
 
-// Double-collect over a monotone per-shard read. Uninitialised shards read as
-// `empty`; a shard can only transition uninitialised → initialised, and the
-// per-shard values only grow, so two identical consecutive collects certify a
-// single logical instant at which all collected values were simultaneously
-// current (the read linearizes there). Returns true when a stable pair was
-// found within `max_rounds` collects; `out` then holds the certified view.
-// An unbounded loop here can livelock under sustained writes (one landing
-// write per round is enough to invalidate every collect forever) — callers
-// fall back to their digest read when stabilisation fails, which keeps the
-// scan aggregates bounded AND linearizable (the digest step sits inside the
-// scan's interval).
-namespace {
-template <typename ReadShard>
-bool stable_collect(int shards, int64_t empty, const ReadShard& read,
-                    int max_rounds, std::vector<int64_t>& out) {
-  // Two buffers, swapped between rounds: no allocations after the first
-  // round even when write contention forces many rescans.
-  std::vector<int64_t> prev(static_cast<size_t>(shards), empty - 1);
-  std::vector<int64_t> curr(static_cast<size_t>(shards));
-  for (int round = 0; round < max_rounds; ++round) {
-    for (int s = 0; s < shards; ++s) curr[static_cast<size_t>(s)] = read(s);
-    if (curr == prev) {
-      out = std::move(curr);
-      return true;
-    }
-    std::swap(prev, curr);
-  }
-  return false;
-}
-}  // namespace
-
 int64_t C2Store::global_max() { return digest_.read_max(); }
 
 int64_t C2Store::counter_sum() { return sum_digest_.read(); }
-
-int64_t C2Store::global_max_scan() {
-  // The scanned range is the shard count read ONCE here; counts only grow, so
-  // an unchanged count after the collect certifies no epoch published
-  // mid-scan (the resize-stale guard below).
-  int shards = shard_count();
-  std::vector<int64_t> view;
-  bool stable = stable_collect(
-      shards, 0,
-      [this](int s) {
-        ShardObjects* p = peek(s);
-        return p ? p->max.read_max() : 0;
-      },
-      kScanRetryRounds, view);
-  // Fallbacks (both documented): unstable collect, or a resize published
-  // mid-scan (the collected range is stale — newer slots were never read).
-  // The digest step sits inside the scan's interval, so the scan stays
-  // linearizable either way.
-  if (!stable || shard_count() != shards) return global_max();
-  return *std::max_element(view.begin(), view.end());
-}
-
-int64_t C2Store::counter_sum_scan() {
-  int shards = shard_count();  // read once; see global_max_scan
-  std::vector<int64_t> view;
-  bool stable = stable_collect(
-      shards, 0,
-      [this](int s) {
-        ShardObjects* p = peek(s);
-        return p ? p->counter.read() : 0;
-      },
-      kScanRetryRounds, view);
-  if (!stable || shard_count() != shards) return counter_sum();
-  int64_t sum = 0;
-  for (int64_t v : view) sum += v;
-  return sum;
-}
 
 // Replays journal entries [r.cursor, tail) into the session-local per-shard
 // accumulators. Deterministic: entry content is fixed at ticket time, so every

@@ -53,7 +53,7 @@
 // mask forever (documented below).
 //
 // What survives a resize, exactly: the monotone VALUE facets — max reads,
-// counter counts (lower bounds; slot-scan sums over-approximate after a
+// counter counts (lower bounds; a sum over slots over-approximates after a
 // resize because replay duplicates in-window increments, while counter_sum()
 // stays exact), TAS set-ness — never regress across the cut, and the
 // epoch hand-off on the value facets is checker-verified strongly
@@ -89,34 +89,18 @@
 // real routing layer on full execution trees). Lane acquire/release is itself
 // strongly linearizable (tests/lane_registry_test.cpp, checker-verified).
 //
-// Aggregates come in two provably different flavours:
-//   * global_max() and counter_sum() read store-level DIGESTS that every
-//     write also updates — global_max an extra NativeMaxRegister64 (every
-//     MaxRef::write lands there too), counter_sum a CounterSumDigest (every
-//     CounterRef::inc also fetch_adds the digest word) — so each global read
-//     is a single fetch&add(0): wait-free and strongly linearizable, exactly
-//     the paper's "pack it into one FAA word" move (§3.1/§3.2). The digests
-//     are keyed by LANE, not by slot, so they are EPOCH-INDEPENDENT: a
-//     resize cannot tear them, and they stay exact across any number of
-//     migrations (the in-window slot duplication never reaches them).
-//   * global_max_scan() / counter_sum_scan() scan the per-shard read paths
-//     with a double-collect stabilisation loop (repeat until two consecutive
-//     collects of the monotone per-shard values coincide). A naive one-pass
-//     scan is not even linearizable — a reader can miss an earlier, larger
-//     write on a shard it already passed while observing a later, smaller
-//     write on a shard still ahead of it. The double-collect IS linearizable,
-//     but it is NOT strongly linearizable: the read's linearization point
-//     (the stable pair) is determined by future schedule steps, so it is not
-//     prefix-closed. The bounded model checker refutes it mechanically
-//     (tests/service_sim_test.cpp pins both refutations), which is precisely
-//     why the digests exist. The scans are kept (and benchmarked, see
-//     bench_c2store --sum-impl) as the ablation baseline; they retry at most
-//     kScanRetryRounds collects and then fall back to the corresponding
-//     digest read — still linearizable (the digest step is inside the scan's
-//     interval), and bounded instead of livelocking under sustained writes.
-//     A scan that observes a grown shard count also falls back to its digest
-//     (the collected range is stale); counter_sum_scan over-approximates
-//     after a resize (replay duplication) — the digest is the exact read.
+// Aggregates: global_max() and counter_sum() read store-level DIGESTS that
+// every write also updates — global_max an extra NativeMaxRegister64 (every
+// MaxRef::write lands there too), counter_sum a CounterSumDigest (every
+// CounterRef::inc also fetch_adds the digest word) — so each global read is a
+// single fetch&add(0): wait-free and strongly linearizable, exactly the
+// paper's "pack it into one FAA word" move (§3.1/§3.2). The digests are keyed
+// by LANE, not by slot, so they are EPOCH-INDEPENDENT: a resize cannot tear
+// them, and they stay exact across any number of migrations (the in-window
+// slot duplication never reaches them). A scan over the per-shard read paths
+// cannot replace them: even the double-collect scan is only linearizable, not
+// strongly linearizable — its sim twin's refutation is pinned in
+// tests/service_sim_test.cpp (docs/PROOFS.md works the argument).
 //
 // Between the per-key ops and the whole-store aggregates sits the MULTI-KEY
 // surface: session.snapshot(keys) returns a consistent vector over chosen
@@ -168,18 +152,7 @@ namespace c2sl::svc {
 /// traffic. The two remaining numeric bounds are 63-bit lane-PACKING limits
 /// of the fetch&add max registers (§6 width discussion), not array
 /// capacities.
-// The pragma pair suppresses -Wdeprecated-declarations INSIDE the struct
-// only: GCC attributes the implicit constructors' "use" of the deprecated
-// member's default initializer to the struct itself, so merely constructing
-// a config would otherwise warn. Call sites that touch .shards still warn.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 struct C2StoreConfig {
-  /// Sentinel for the deprecated `shards` alias below.
-  static constexpr int kShardsUnset = -1;
-
   int initial_shards = 16;  ///< power of two; a starting hint — see resize()
   int max_threads = 8;      ///< maximum CONCURRENT sessions (lane owners)
 
@@ -188,16 +161,7 @@ struct C2StoreConfig {
   /// Per-shard multi-shot TAS reset budget; max_threads * (tas_max_resets + 1)
   /// must fit in 63 bits.
   int64_t tas_max_resets = 6;
-
-  /// Deprecated PR 1 name for `initial_shards`, kept one release for source
-  /// compatibility (see README "Migrating to resizable stores"). When set
-  /// (!= kShardsUnset) it wins over initial_shards.
-  [[deprecated("use initial_shards; the count is a starting hint now")]]
-  int shards = kShardsUnset;
 };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 /// Typed outcome of TasRef::reset(). The budget gate is advisory under
 /// concurrency: callers that might consume the LAST reset generation
@@ -532,9 +496,7 @@ class C2Session {
 
   // --- aggregates, forwarded to the store ---
   inline int64_t global_max();
-  inline int64_t global_max_scan();
   inline int64_t counter_sum();
-  inline int64_t counter_sum_scan();
 
  private:
   friend class C2Store;
@@ -542,6 +504,9 @@ class C2Session {
 
   /// Lazily-created replay state shared by every SnapshotRef bound here.
   inline detail::SnapReplay& snap_state();
+  /// Both transfer overloads: one journal entry between two hashed keys.
+  inline int64_t transfer_hashed(uint64_t from_hash, uint64_t to_hash,
+                                 int64_t amount);
 
   C2Store* store_ = nullptr;
   tel::LaneTelemetry* tel_lane_ = nullptr;  ///< cached lane telemetry block
@@ -596,13 +561,6 @@ class C2Store {
   }
 
   // --- aggregates ---
-  /// Bound on double-collect retries in the *_scan aggregates: after this
-  /// many collects without two consecutive ones coinciding, the scan falls
-  /// back to the corresponding digest read (documented fallback — the scan
-  /// stays linearizable and becomes bounded instead of livelocking under
-  /// sustained writes; see tests/c2store_stress_test.cpp).
-  static constexpr int kScanRetryRounds = 64;
-
   /// Digest read: one fetch&add(0); wait-free, strongly linearizable as its
   /// own facet, and epoch-independent (lane-keyed — exact across resizes).
   /// Cross-facet caveat: MaxRef::write updates the shard register BEFORE the
@@ -621,15 +579,6 @@ class C2Store {
   /// digest, so the digest never leads any keyed counter read, and may
   /// briefly lag one (both directions pinned by tests/service_sim_test.cpp).
   int64_t counter_sum();
-  /// Double-collect scans over per-shard read paths: linearizable, NOT
-  /// strongly linearizable (pinned refutations in tests/service_sim_test).
-  /// Retained as the measured ablation baseline (bench_c2store --sum-impl);
-  /// bounded by kScanRetryRounds with a digest fallback, which also covers a
-  /// shard count grown mid-scan. counter_sum_scan over-approximates after a
-  /// resize (migration replay duplicates in-window increments across parent
-  /// and child slots); counter_sum() is the exact read.
-  int64_t global_max_scan();
-  int64_t counter_sum_scan();
 
   // --- introspection ---
   /// Shard count of the newest PUBLISHED routing epoch (grows over time).
@@ -697,9 +646,8 @@ class C2Store {
     std::atomic<bool> poisoned{false};     // claim winner threw before publishing
   };
 
-  /// Normalises the config (resolves the deprecated `shards` alias into
-  /// initial_shards) and validates it; every config error surfaces here with
-  /// a service-level message, before any member construction.
+  /// Validates the config; every config error surfaces here with a
+  /// service-level message, before any member construction.
   static C2StoreConfig validate(C2StoreConfig cfg);
 
   int route(uint64_t key) const { return router_.shard_of(key); }
@@ -873,7 +821,8 @@ inline int64_t CounterRef::inc() {
   // invariant, mirroring MaxRef::write; see C2Store::counter_sum() and
   // tests/snapshot_sim_test.cpp). The settle re-application below reaches
   // only the SLOT facet — digest and journal see exactly one increment, which
-  // is why they stay exact across resizes while slot scans over-approximate.
+  // is why they stay exact across resizes while sums over slots
+  // over-approximate.
   int64_t prev = ensure().counter.fetch_and_increment();
   store_->sum_digest_.add(lane_);
   // Witness: the journal ticket (the inc's own FAA step on the snapshot
@@ -922,12 +871,16 @@ inline ResetResult TasRef::reset() {
   tel::TraceScope tr(trc_, tel::TraceOp::kTasReset, shard_, 0);
   revalidate();
   ShardObjects& o = ensure();
-  if (o.tas.generation() >= o.tas.max_resets()) return ResetResult::kBudgetSpent;
+  if (o.tas.generation() >= o.tas.max_resets()) {
+    tr.set_result(static_cast<int64_t>(ResetResult::kBudgetSpent));
+    return ResetResult::kBudgetSpent;
+  }
   o.tas.reset(lane_);
   // No settle: a reset is not a monotone merge. A reset racing a resize may
   // be absorbed by the migration replay (the replay re-sets set-ness it read
   // before the reset) — folded under the existing "serialize resets
   // externally" advisory above.
+  tr.set_result(static_cast<int64_t>(ResetResult::kOk));
   return ResetResult::kOk;
 }
 
@@ -1041,24 +994,18 @@ inline std::vector<int64_t> C2Session::snapshot_counters(
 
 inline int64_t C2Session::transfer(uint64_t from_key, uint64_t to_key,
                                    int64_t amount) {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kTransfer, -1, amount);
-  int from = store_->journal_slot(hash_key(from_key));
-  int to = store_->journal_slot(hash_key(to_key));
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kTransfer, from, amount);
-  tr.set_key_b(static_cast<int32_t>(to));
-  int64_t ticket = store_->journal_.append(
-      rt::KeyedVersionDigest::Kind::kTransfer, from, to, amount);
-  tr.set_witness(ticket);
-  tr.set_result(ticket);
-  return ticket;
+  return transfer_hashed(hash_key(from_key), hash_key(to_key), amount);
 }
 inline int64_t C2Session::transfer(std::string_view from_key,
                                    std::string_view to_key, int64_t amount) {
+  return transfer_hashed(hash_key(from_key), hash_key(to_key), amount);
+}
+inline int64_t C2Session::transfer_hashed(uint64_t from_hash, uint64_t to_hash,
+                                          int64_t amount) {
   C2SL_CHECK(valid(), "session is closed");
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kTransfer, -1, amount);
-  int from = store_->journal_slot(hash_key(from_key));
-  int to = store_->journal_slot(hash_key(to_key));
+  int from = store_->journal_slot(from_hash);
+  int to = store_->journal_slot(to_hash);
   tel::TraceScope tr(trc_lane_, tel::TraceOp::kTransfer, from, amount);
   tr.set_key_b(static_cast<int32_t>(to));
   int64_t ticket = store_->journal_.append(
@@ -1104,17 +1051,6 @@ inline int64_t C2Session::global_max() {
   tr.set_witness(v);
   return v;
 }
-inline int64_t C2Session::global_max_scan() {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kGlobalMaxScan, -1, 0);
-  // Deliberately unwitnessed (witness = -1): the double-collect scan is NOT
-  // strongly linearizable, so it has no own-step evidence to record — the
-  // trace schema carries the refutation story.
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kGlobalMaxScan, -1, 0);
-  int64_t v = store_->global_max_scan();
-  tr.set_result(v);
-  return v;
-}
 inline int64_t C2Session::counter_sum() {
   C2SL_CHECK(valid(), "session is closed");
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kCounterSum, -1, 0);
@@ -1123,14 +1059,6 @@ inline int64_t C2Session::counter_sum() {
   // The sum digest FAA(0) value is its own witness (monotone: incs only).
   tr.set_result(v);
   tr.set_witness(v);
-  return v;
-}
-inline int64_t C2Session::counter_sum_scan() {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kCounterSumScan, -1, 0);
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kCounterSumScan, -1, 0);
-  int64_t v = store_->counter_sum_scan();
-  tr.set_result(v);
   return v;
 }
 

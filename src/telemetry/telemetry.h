@@ -63,9 +63,7 @@ enum class TelOp : int {
   kSetPut,
   kSetTake,
   kGlobalMax,
-  kGlobalMaxScan,
   kCounterSum,
-  kCounterSumScan,
   kSessionOpen,
   kSnapshot,
   kTransfer,
@@ -86,9 +84,7 @@ inline const char* to_string(TelOp op) {
     case TelOp::kSetPut: return "set_put";
     case TelOp::kSetTake: return "set_take";
     case TelOp::kGlobalMax: return "global_max";
-    case TelOp::kGlobalMaxScan: return "global_max_scan";
     case TelOp::kCounterSum: return "counter_sum";
-    case TelOp::kCounterSumScan: return "counter_sum_scan";
     case TelOp::kSessionOpen: return "session_open";
     case TelOp::kSnapshot: return "snapshot";
     case TelOp::kTransfer: return "transfer";

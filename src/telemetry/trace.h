@@ -83,9 +83,7 @@ enum class TraceOp : int {
   kSetPut,
   kSetTake,
   kGlobalMax,
-  kGlobalMaxScan,
   kCounterSum,
-  kCounterSumScan,
   kSessionOpen,
   kSnapshot,
   kTransfer,
@@ -108,9 +106,7 @@ inline const char* to_string(TraceOp op) {
     case TraceOp::kSetPut: return "set_put";
     case TraceOp::kSetTake: return "set_take";
     case TraceOp::kGlobalMax: return "global_max";
-    case TraceOp::kGlobalMaxScan: return "global_max_scan";
     case TraceOp::kCounterSum: return "counter_sum";
-    case TraceOp::kCounterSumScan: return "counter_sum_scan";
     case TraceOp::kSessionOpen: return "session_open";
     case TraceOp::kSnapshot: return "snapshot";
     case TraceOp::kTransfer: return "transfer";

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -34,43 +32,28 @@ svc::C2StoreConfig clamp_store(const WorkloadConfig& cfg) {
   return s;
 }
 
+/// Harness start barrier (not under test): every worker arrives once, then
+/// spins until all `threads` have, so timed regions start together.
+void arrive_and_wait(std::atomic<int>& gate, int threads) {
+  // c2sl-atomic: faa seq_cst — harness start barrier (not under test)
+  gate.fetch_add(1);
+  // c2sl-atomic: load seq_cst — barrier spin; must see every arrival
+  while (gate.load() < threads) {
+  }
+}
+
 }  // namespace
 
 WorkloadResult run_workload(const WorkloadConfig& cfg) {
   C2SL_CHECK(cfg.threads >= 1, "need at least one worker thread");
-  const bool cached = cfg.bind == "cached";
-  C2SL_CHECK(cached || cfg.bind == "per_op",
-             "bind mode must be \"cached\" or \"per_op\"");
-  const bool string_keys = cfg.keys == "string";
-  C2SL_CHECK(string_keys || cfg.keys == "int",
-             "key shape must be \"int\" or \"string\"");
-  const bool sum_scan = cfg.sum_impl == "scan";
-  C2SL_CHECK(sum_scan || cfg.sum_impl == "digest",
-             "sum impl must be \"digest\" or \"scan\"");
-  const bool snap_loop = cfg.snap_impl == "loop";
-  C2SL_CHECK(snap_loop || cfg.snap_impl == "digest",
-             "snap impl must be \"digest\" or \"loop\"");
   const bool audit = cfg.mix.name == "transfer_audit";
-  C2SL_CHECK(!(audit && snap_loop),
-             "transfer_audit requires snap_impl=digest: the per-key loop "
-             "cannot conserve the transferred sum under concurrency");
   const bool churn = cfg.mix.name == "session_churn";
   const bool resizing = cfg.resize_every > 0;
-  const bool rebuild = cfg.resize_impl == "rebuild";
-  C2SL_CHECK(rebuild || cfg.resize_impl == "inplace",
-             "resize impl must be \"inplace\" or \"rebuild\"");
   C2SL_CHECK(!(resizing && churn),
              "resize_every needs a stable resizer session; the session_churn "
              "mix reopens sessions every op");
-  C2SL_CHECK(!(resizing && sum_scan),
-             "resize_every requires sum_impl=digest: post-resize slot scans "
-             "over-approximate (migration replays duplicate state), only the "
-             "epoch-independent digest stays exact");
-  const bool acquire_block = cfg.acquire == "block";
-  C2SL_CHECK(acquire_block || cfg.acquire == "try",
-             "acquire mode must be \"block\" or \"try\"");
-  C2SL_CHECK((!cached && !string_keys) || cfg.key_space <= (uint64_t{1} << 20),
-             "cached refs / string keys are pre-built per key; key_space too large");
+  C2SL_CHECK(cfg.key_space <= (uint64_t{1} << 20),
+             "refs are pre-bound per key; key_space too large");
   WorkloadResult result;
   result.cfg = cfg;
   result.cfg.store = clamp_store(cfg);
@@ -101,30 +84,10 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
 
   const int threads = cfg.threads;
   const uint64_t ops = cfg.ops_per_thread;
-  // String-key shape: the key STRINGS exist up front in both bind modes (apps
-  // hold their key names either way); only the per-op ROUTING cost differs
-  // between the modes. Shared read-only across workers — names depend only on
-  // the key space, and building key_space strings per thread would not.
-  std::vector<std::string> names;
-  if (string_keys) {
-    names.reserve(cfg.key_space);
-    for (uint64_t k = 0; k < cfg.key_space; ++k) {
-      names.push_back("user:" + std::to_string(1000000 + k) + "/profile");
-    }
-  }
   std::vector<std::vector<int64_t>> lat(static_cast<size_t>(threads));
   std::vector<std::vector<uint64_t>> counts(
       static_cast<size_t>(threads), std::vector<uint64_t>(kOpKindCount, 0));
   std::atomic<int> start_gate{0};
-  // Resize machinery. In-place resizes need none of this — C2Session::resize
-  // runs concurrently with data ops by design. The rebuild arm is the
-  // stop-the-world ablation baseline: every data op holds the reader side of
-  // this lock, the resizer takes the writer side (which drains in-flight ops
-  // and blocks new ones) and only then resizes. The lock is the whole point
-  // of the arm — its per-op tax and its stall are what the CI gate charges
-  // the rebuild strategy for.
-  const bool locked_ops = resizing && rebuild;
-  std::shared_mutex resize_mu;
   int64_t resizes_done = 0;  // written by worker 0 only; read after join
   // Workers timestamp their own timed region (after the barrier, after setup
   // like session open and ref pre-binding): wall time is max(end)-min(start),
@@ -144,29 +107,14 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
       // Session-churn mode: every op is a full open -> use -> close cycle
       // against a store whose lane count was NOT raised to the thread count,
       // so opens contend for real. The recorded latency is the OPEN latency
-      // alone — exactly what the blocking-vs-try ablation measures; the one
-      // counter op inside the session keeps the cycle honest (a lane is
-      // actually used) without drowning the metric.
-      // c2sl-atomic: faa seq_cst — harness start barrier (not under test)
-      start_gate.fetch_add(1);
-      // c2sl-atomic: load seq_cst — barrier spin; must see every arrival
-      while (start_gate.load() < threads) {
-      }
+      // alone; the one counter op inside the session keeps the cycle honest
+      // (a lane is actually used) without drowning the metric.
+      arrive_and_wait(start_gate, threads);
       t_start[static_cast<size_t>(wid)] = Clock::now();
       for (uint64_t i = 0; i < ops; ++i) {
         uint64_t key = dist->next(rng, i);
         auto t0 = Clock::now();
-        svc::C2Session session;
-        if (acquire_block) {
-          session = store.open_session();  // parks on the handoff queue
-        } else {
-          // The retired caller-side poll loop the blocking API replaces.
-          for (;;) {
-            session = store.try_open_session();
-            if (session.valid()) break;
-            std::this_thread::yield();
-          }
-        }
+        svc::C2Session session = store.open_session();  // parks on the handoff queue
         auto t1 = Clock::now();
         my_lat.push_back(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -186,31 +134,21 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
         0);
 
     svc::C2Session session = store.open_session();
-    // Cached bind mode: hash-route every key ONCE, before the timed loop; the
-    // loop then runs entirely on cached slot pointers.
+    // Hash-route every key ONCE, before the timed loop; the loop then runs
+    // entirely on cached slot pointers.
     std::vector<svc::MaxRef> max_refs;
     std::vector<svc::CounterRef> ctr_refs;
     std::vector<svc::TasRef> tas_refs;
     std::vector<svc::SetRef> set_refs;
-    if (cached) {
-      max_refs.reserve(cfg.key_space);
-      ctr_refs.reserve(cfg.key_space);
-      tas_refs.reserve(cfg.key_space);
-      set_refs.reserve(cfg.key_space);
-      for (uint64_t k = 0; k < cfg.key_space; ++k) {
-        if (string_keys) {
-          std::string_view name = names[k];
-          max_refs.push_back(session.max(name));
-          ctr_refs.push_back(session.counter(name));
-          tas_refs.push_back(session.tas(name));
-          set_refs.push_back(session.set(name));
-        } else {
-          max_refs.push_back(session.max(k));
-          ctr_refs.push_back(session.counter(k));
-          tas_refs.push_back(session.tas(k));
-          set_refs.push_back(session.set(k));
-        }
-      }
+    max_refs.reserve(cfg.key_space);
+    ctr_refs.reserve(cfg.key_space);
+    tas_refs.reserve(cfg.key_space);
+    set_refs.reserve(cfg.key_space);
+    for (uint64_t k = 0; k < cfg.key_space; ++k) {
+      max_refs.push_back(session.max(k));
+      ctr_refs.push_back(session.counter(k));
+      tas_refs.push_back(session.tas(k));
+      set_refs.push_back(session.set(k));
     }
 
     // Each worker holds one SnapshotRef over the per-shard representatives:
@@ -218,127 +156,73 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
     // instead of re-replaying the whole journal every time.
     svc::SnapshotRef snap_ref = session.snapshot_ref(snap_slots);
 
-    // c2sl-atomic: faa seq_cst — harness start barrier (not under test)
-    start_gate.fetch_add(1);
-    // c2sl-atomic: load seq_cst — barrier spin; must see every arrival
-    while (start_gate.load() < threads) {
-    }
+    arrive_and_wait(start_gate, threads);
     t_start[static_cast<size_t>(wid)] = Clock::now();
 
-    // Key-name view for per_op routing under the string shape.
-    auto sv = [&names](uint64_t k) {
-      return std::string_view(names[static_cast<size_t>(k)]);
-    };
     for (uint64_t i = 0; i < ops; ++i) {
       OpKind kind = cfg.mix.pick(rng);
       uint64_t key = dist->next(rng, i);
       auto t0 = std::chrono::steady_clock::now();
-      // Rebuild arm: the reader lock is INSIDE the timed region — its
-      // acquisition cost and any stall behind a stop-the-world resize are
-      // exactly the latency that strategy charges every operation.
-      std::shared_lock<std::shared_mutex> op_guard(resize_mu, std::defer_lock);
-      if (locked_ops) op_guard.lock();
       switch (kind) {
-        case OpKind::kMaxWrite: {
-          int64_t v = rng.next_in(0, result.cfg.store.max_value);
-          if (cached) {
-            max_refs[key].write(v);
-          } else if (string_keys) {
-            session.max_write(sv(key), v);
-          } else {
-            session.max_write(key, v);
-          }
+        case OpKind::kMaxWrite:
+          max_refs[key].write(rng.next_in(0, result.cfg.store.max_value));
           break;
-        }
         case OpKind::kMaxRead:
-          cached ? max_refs[key].read()
-                 : string_keys ? session.max_read(sv(key)) : session.max_read(key);
+          max_refs[key].read();
           break;
         case OpKind::kCounterInc:
-          cached ? ctr_refs[key].inc()
-                 : string_keys ? session.counter_inc(sv(key)) : session.counter_inc(key);
+          ctr_refs[key].inc();
           break;
         case OpKind::kCounterRead:
-          cached ? ctr_refs[key].read()
-                 : string_keys ? session.counter_read(sv(key))
-                               : session.counter_read(key);
+          ctr_refs[key].read();
           break;
-        case OpKind::kSetPut: {
-          int64_t item = static_cast<int64_t>(wid) * (1 << 30) +
-                         static_cast<int64_t>(i);
-          if (cached) {
-            set_refs[key].put(item);
-          } else if (string_keys) {
-            session.set_put(sv(key), item);
-          } else {
-            session.set_put(key, item);
-          }
+        case OpKind::kSetPut:
+          set_refs[key].put(static_cast<int64_t>(wid) * (1 << 30) +
+                            static_cast<int64_t>(i));
           break;
-        }
         case OpKind::kSetTake:
-          cached ? set_refs[key].take()
-                 : string_keys ? session.set_take(sv(key)) : session.set_take(key);
+          set_refs[key].take();
           break;
         case OpKind::kTas: {
           // Worker 0 occasionally recycles the TAS within the shard budget.
-          auto run_tas = [&](svc::TasRef& tas) {
-            int s = tas.shard();
-            if (wid == 0 && tas.read() == 1 &&
-                resets_done[static_cast<size_t>(s)] <
-                    result.cfg.store.tas_max_resets) {
-              if (tas.reset() == svc::ResetResult::kOk) {
-                ++resets_done[static_cast<size_t>(s)];
-              }
+          // Operate on the vector element itself so its slot pointer warms up
+          // (a copy would re-resolve every op).
+          svc::TasRef& tas = tas_refs[key];
+          int s = tas.shard();
+          if (wid == 0 && tas.read() == 1 &&
+              resets_done[static_cast<size_t>(s)] <
+                  result.cfg.store.tas_max_resets) {
+            if (tas.reset() == svc::ResetResult::kOk) {
+              ++resets_done[static_cast<size_t>(s)];
             }
-            tas.test_and_set();
-          };
-          if (cached) {
-            // Operate on the vector element itself so its slot pointer warms
-            // up (a copy would re-resolve every op).
-            run_tas(tas_refs[key]);
-          } else {
-            svc::TasRef tas = string_keys ? session.tas(sv(key)) : session.tas(key);
-            run_tas(tas);
           }
+          tas.test_and_set();
           break;
         }
         case OpKind::kTasRead:
-          cached ? tas_refs[key].read()
-                 : string_keys ? session.tas_read(sv(key)) : session.tas_read(key);
+          tas_refs[key].read();
           break;
         // Aggregates run through the session so the telemetry layer sees
         // them (store-level calls are uninstrumented by design).
         case OpKind::kGlobalMax:
           session.global_max();
           break;
-        case OpKind::kGlobalMaxScan:
-          session.global_max_scan();
-          break;
         case OpKind::kCounterSum:
-          sum_scan ? session.counter_sum_scan() : session.counter_sum();
+          session.counter_sum();
           break;
         case OpKind::kSessionChurn:
           C2SL_CHECK(false, "kSessionChurn only runs in the session_churn mix");
           break;
         case OpKind::kSnapshot: {
-          if (snap_loop) {
-            // Naive per-key read loop: the ablation baseline. NOT
-            // linearizable as one operation — the sim layer pins its
-            // refutation — so no invariant is (or can be) asserted here.
+          std::vector<int64_t> view = snap_ref.read();
+          if (audit) {
+            // The live conservation audit: transfers are single journal
+            // entries, so EVERY cut must balance. This is the check the
+            // sanitizer CI jobs run natively under TSAN/ASAN.
             int64_t sum = 0;
-            for (uint64_t k : snap_keys) sum += session.counter_read(k);
-            (void)sum;
-          } else {
-            std::vector<int64_t> view = snap_ref.read();
-            if (audit) {
-              // The live conservation audit: transfers are single journal
-              // entries, so EVERY cut must balance. This is the check the
-              // sanitizer CI jobs run natively under TSAN/ASAN.
-              int64_t sum = 0;
-              for (int64_t v : view) sum += v;
-              C2SL_CHECK(sum == 0,
-                         "transfer_audit: snapshot observed a torn transfer");
-            }
+            for (int64_t v : view) sum += v;
+            C2SL_CHECK(sum == 0,
+                       "transfer_audit: snapshot observed a torn transfer");
           }
           break;
         }
@@ -353,32 +237,18 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
         }
       }
       auto t1 = std::chrono::steady_clock::now();
-      if (locked_ops) op_guard.unlock();
       my_lat.push_back(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
       ++my_counts[static_cast<size_t>(kind)];
       // Control-plane: worker 0 doubles the shard count on its own op
       // schedule. Deliberately OUTSIDE the latency record — a resize is not a
-      // data op; its cost shows up in the other workers' op latencies (stall
-      // under rebuild, near-nothing under the in-place epoch hand-off) and in
-      // wall-clock throughput, which is what the CI gate compares.
+      // data op; its cost shows up in the other workers' op latencies and in
+      // wall-clock throughput.
       if (resizing && wid == 0 && (i + 1) % cfg.resize_every == 0) {
         int cur = store.shard_count();
-        if (cur < kResizeShardCap) {
-          svc::ResizeStatus st;
-          if (rebuild) {
-            // Writer lock: drains every in-flight op and blocks new ones, so
-            // the store is quiescent for the duration — the stop-the-world
-            // semantics this arm models. (The resize itself still runs the
-            // epoch machinery; the BASELINE cost being measured is the
-            // exclusion, which any rebuild-into-a-bigger-store scheme pays
-            // at minimum.)
-            std::unique_lock<std::shared_mutex> g(resize_mu);
-            st = session.resize(cur * 2);
-          } else {
-            st = session.resize(cur * 2);
-          }
-          if (st == svc::ResizeStatus::kInstalled) ++resizes_done;
+        if (cur < kResizeShardCap &&
+            session.resize(cur * 2) == svc::ResizeStatus::kInstalled) {
+          ++resizes_done;
         }
       }
     }
@@ -436,10 +306,7 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
   result.resizes_done = resizes_done;
   result.final_shards = store.shard_count();
   result.final_global_max = store.global_max();
-  // Post-quiescence the scan stabilises on its first two collects and agrees
-  // with the digest exactly; read through the configured impl anyway so the
-  // ablation artifact reports the path it measured.
-  result.final_counter_sum = sum_scan ? store.counter_sum_scan() : store.counter_sum();
+  result.final_counter_sum = store.counter_sum();
   result.journal_tickets = store.journal_tickets();
   if (resizing) {
     // Conservation across every resize cut: each counter inc lands in the
@@ -515,9 +382,7 @@ void profile_primitives(tel::MetricsSnapshot& snap) {
     profile(tel::TelOp::kSetPut, [&](int i) { set.put(i); });
     profile(tel::TelOp::kSetTake, [&](int) { set.take(); });
     profile(tel::TelOp::kGlobalMax, [&](int) { s.global_max(); });
-    profile(tel::TelOp::kGlobalMaxScan, [&](int) { s.global_max_scan(); });
     profile(tel::TelOp::kCounterSum, [&](int) { s.counter_sum(); });
-    profile(tel::TelOp::kCounterSumScan, [&](int) { s.counter_sum_scan(); });
     // Snapshot steady state: the first read drains the journal entries the
     // profiles above appended; after that each read is one tail FAA plus a
     // replay of whatever landed since — nothing, here, so the profile is the
@@ -548,13 +413,7 @@ void append_result_entry(JsonWriter& w, const std::string& bench,
   w.field("key_space", r.cfg.key_space);
   w.field("dist", r.cfg.dist);
   w.field("mix", r.cfg.mix.name);
-  w.field("bind", r.cfg.bind);
-  w.field("keys", r.cfg.keys);
-  w.field("sum_impl", r.cfg.sum_impl);
-  w.field("acquire", r.cfg.acquire);
-  w.field("snap_impl", r.cfg.snap_impl);
   w.field("resize_every", r.cfg.resize_every);
-  w.field("resize_impl", r.cfg.resize_impl);
   w.field("lanes", r.cfg.store.max_threads);
   w.field("seed", r.cfg.seed);
   w.end_object();

@@ -1,9 +1,9 @@
 // Multi-threaded workload driver for C2Store.
 //
 // Spawns `threads` real threads behind a start barrier; each thread opens its
-// own C2Session (RAII lane) and runs `ops_per_thread` operations drawn from an
-// OpMix, with keys drawn from a KeyDist, against one shared C2Store. Every
-// operation's latency is recorded
+// own C2Session (RAII lane), binds one typed ref per key up front, and runs
+// `ops_per_thread` operations drawn from an OpMix, with keys drawn from a
+// KeyDist, against one shared C2Store. Every operation's latency is recorded
 // (two steady_clock reads per op) into a thread-local buffer; the driver
 // merges the buffers, computes exact percentiles, re-reads the aggregate
 // paths after quiescence, and can serialise everything as one entry of the
@@ -38,54 +38,13 @@ struct WorkloadConfig {
   double zipf_theta = 0.99;
   OpMix mix = OpMix::mixed();
   uint64_t seed = 1;
-  /// Ref binding mode: "cached" binds one typed ref per key up front and runs
-  /// every op through the cached slot pointer; "per_op" re-routes on every op
-  /// through the session's one-shot conveniences — the old flat-surface cost,
-  /// kept as the ablation baseline (bench_c2store emits both; tools/bench_diff
-  /// gates that cached is no slower).
-  std::string bind = "cached";
-  /// Key shape: "int" routes raw uint64 keys (a SplitMix64 finalizer — nearly
-  /// free, so per-op routing is competitive there); "string" formats each key
-  /// as "user:NNNNNNN/profile" once up front and routes the string (FNV over
-  /// ~20 bytes per op in per_op mode — the case bind-time caching removes).
-  std::string keys = "int";
-  /// counter_sum() implementation for kCounterSum ops: "digest" reads the
-  /// wait-free strongly-linearizable CounterSumDigest word; "scan" runs the
-  /// retired bounded double-collect (linearizable only — the ablation
-  /// baseline bench_c2store emits under --sum-impl, gated by tools/bench_diff
-  /// in CI: digest must win the sum-heavy mix).
-  std::string sum_impl = "digest";
-  /// Session acquisition for the session_churn mix: "block" parks on the
-  /// store's consensus-2 handoff queue (open_session()); "try" is the retired
-  /// caller-side poll loop over try_open_session() — the ablation baseline
-  /// bench_c2store emits under --acquire, gated by tools/bench_diff in CI:
-  /// block must not lose to try-poll at threads > lanes. Ignored by every
-  /// other mix (workers there hold one session throughout).
-  std::string acquire = "block";
-  /// session.snapshot implementation for kSnapshot ops: "digest" reads the
-  /// strongly linearizable journal-replay SnapshotRef; "loop" runs the naive
-  /// one-pass per-key read loop — NOT even linearizable as one operation
-  /// (the sim layer pins its refutation), kept as the ablation baseline
-  /// bench_c2store emits under --snap-impl, gated by tools/bench_diff in CI
-  /// on the snapshot_heavy mix. The transfer_audit mix refuses "loop": its
-  /// live conservation check is exactly what the loop cannot satisfy.
-  std::string snap_impl = "digest";
   /// Live-resize schedule: when > 0, worker 0 doubles the store's shard count
   /// after every `resize_every` of ITS OWN ops (capped at kResizeShardCap),
   /// while every worker keeps running keyed traffic — the resize_storm mix's
-  /// reason to exist. 0 disables resizing. Incompatible with session_churn
-  /// (no stable resizer session) and with sum_impl == "scan" (post-resize
-  /// slot scans over-approximate; only the digest stays exact — the engine
-  /// refuses the combination instead of reporting a wrong sum).
+  /// reason to exist. Resizes are the live epoch hand-off (C2Session::resize,
+  /// fully concurrent with data ops). 0 disables resizing. Incompatible with
+  /// session_churn (no stable resizer session).
   uint64_t resize_every = 0;
-  /// How resizes are served when resize_every > 0: "inplace" is the epoch
-  /// hand-off (C2Session::resize, fully concurrent with data ops); "rebuild"
-  /// is the stop-the-world ablation baseline — every data op holds a reader
-  /// lock and the resizer takes the writer lock, drains, and only then
-  /// resizes, so the whole store stalls for the duration. bench_c2store emits
-  /// both arms under --resize-impl; tools/bench_diff gates that inplace wins
-  /// the resize_storm mix in CI.
-  std::string resize_impl = "inplace";
   /// When true, the workload drains the store's linearization-witness trace
   /// after quiescence into WorkloadResult::trace (tel::trace_to_json /
   /// tel::trace_to_chrome ready; audited offline by tools/trace_audit.py).

@@ -24,8 +24,6 @@ const char* to_string(OpKind k) {
       return "TasRead";
     case OpKind::kGlobalMax:
       return "GlobalMax";
-    case OpKind::kGlobalMaxScan:
-      return "GlobalMaxScan";
     case OpKind::kCounterSum:
       return "CounterSum";
     case OpKind::kSessionChurn:
@@ -92,44 +90,25 @@ OpMix OpMix::mixed() {
 }
 
 OpMix OpMix::sum_heavy() {
-  // Sustained counter ingest with frequent sum queries: the worst case for
-  // the scan-based counter_sum (every landing inc invalidates a collect) and
-  // the showcase for the digest — CI's scan-vs-digest bench gate runs on
-  // this mix.
+  // Sustained counter ingest with frequent sum queries: every inc lands on
+  // the digest word that every counter_sum reads.
   return {"sum_heavy",
           {{OpKind::kCounterInc, 0.55},
            {OpKind::kCounterSum, 0.35},
            {OpKind::kCounterRead, 0.10}}};
 }
 
-OpMix OpMix::aggregate_scan() {
-  return {"aggregate_scan",
-          {{OpKind::kGlobalMax, 0.05},
-           {OpKind::kGlobalMaxScan, 0.05},
-           {OpKind::kCounterSum, 0.10},
-           {OpKind::kMaxWrite, 0.20},
-           {OpKind::kCounterInc, 0.20},
-           {OpKind::kMaxRead, 0.20},
-           {OpKind::kCounterRead, 0.20}}};
-}
-
 OpMix OpMix::session_churn() {
   // Dynamic join/leave under lane starvation: every op is a full
   // open -> use -> close cycle against a store with fewer lanes than worker
-  // threads. The blocking-vs-try-poll acquisition ablation (bench_c2store
-  // --acquire, gated by CI on mix/session_churn) runs on this mix; the
-  // recorded latency is the open latency.
+  // threads. The recorded latency is the open latency.
   return {"session_churn", {{OpKind::kSessionChurn, 1.0}}};
 }
 
 OpMix OpMix::snapshot_heavy() {
-  // Counter ingest with frequent multi-key snapshots. Deliberately NO
-  // transfers: a transfer is invisible to the naive per-key loop's result
-  // only when it happens to not tear — including them would make the A/B
-  // unfair in the loop's favour (it never pays a journal replay). With incs
-  // only, both impls answer the same query and the digest-vs-loop bench
-  // gate (bench_c2store --snap-impl, tools/bench_diff in CI) compares cost,
-  // not correctness.
+  // Counter ingest with frequent multi-key snapshots: every snapshot replays
+  // the incs journaled since its session's cursor. No transfers (those are
+  // the transfer_audit mix).
   return {"snapshot_heavy",
           {{OpKind::kCounterInc, 0.50},
            {OpKind::kSnapshot, 0.40},
@@ -140,9 +119,7 @@ OpMix OpMix::transfer_audit() {
   // The conservation suite as a workload: concurrent transfers between
   // per-shard representative keys, audited live — every snapshot asserts
   // the balances sum to zero (C2SL_CHECK in the engine, so the sanitizer CI
-  // jobs fail loudly on a torn cut). Requires snap_impl == "digest": the
-  // naive loop CANNOT conserve under concurrency, which is the point of the
-  // pinned sim refutation, not something to stress natively.
+  // jobs fail loudly on a torn cut).
   return {"transfer_audit",
           {{OpKind::kTransfer, 0.70}, {OpKind::kSnapshot, 0.30}}};
 }
@@ -152,8 +129,8 @@ OpMix OpMix::resize_storm() {
   // resize_every knob doubles the shard count on a schedule; the mix itself
   // has no resize op — resizes are control-plane events, not data ops).
   // Write-leaning so migrations always race real updates, with enough reads
-  // and aggregate queries to exercise ref revalidation and the scan-vs-digest
-  // fallback mid-migration. No transfers: counter conservation across the
+  // and aggregate queries to exercise ref revalidation and the digests
+  // mid-migration. No transfers: counter conservation across the
   // resize cut then has the exact closed form sum == #incs, which the engine
   // asserts after quiescence.
   return {"resize_storm",
@@ -169,7 +146,6 @@ OpMix OpMix::by_name(const std::string& name) {
   if (name == "read_heavy") return read_heavy();
   if (name == "write_heavy") return write_heavy();
   if (name == "mixed") return mixed();
-  if (name == "aggregate_scan") return aggregate_scan();
   if (name == "sum_heavy") return sum_heavy();
   if (name == "session_churn") return session_churn();
   if (name == "snapshot_heavy") return snapshot_heavy();

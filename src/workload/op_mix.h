@@ -2,9 +2,8 @@
 //
 // An OpMix is a named discrete distribution over the C2Store operation kinds.
 // The canonical mixes mirror the usual service workload archetypes:
-// read-heavy (cache-like), write-heavy (ingest-like), mixed, aggregate-scan
-// (analytics queries riding on an operational store), and sum-heavy (counter
-// ingest + frequent counter_sum — the scan-vs-digest ablation mix).
+// read-heavy (cache-like), write-heavy (ingest-like), mixed, and sum-heavy
+// (counter ingest + frequent counter_sum digest reads).
 #pragma once
 
 #include <cstdint>
@@ -26,27 +25,21 @@ enum class OpKind : int {
   kTas,
   kTasRead,
   kGlobalMax,
-  kGlobalMaxScan,
   kCounterSum,
-  /// One full session churn cycle: open a session against a store with fewer
-  /// lanes than worker threads (blocking or try-polling per
-  /// WorkloadConfig::acquire), run one op through it, close it. The recorded
-  /// latency is the OPEN latency alone — the metric the blocking-vs-try
-  /// acquisition ablation gates on.
+  /// One full session churn cycle: open a session (blocking on the handoff
+  /// queue) against a store with fewer lanes than worker threads, run one op
+  /// through it, close it. The recorded latency is the OPEN latency alone.
   kSessionChurn,
   /// Multi-key snapshot over one representative counter key per shard
   /// (keys collapse to shards, so per-shard representatives cover the whole
-  /// aggregate state). WorkloadConfig::snap_impl picks the implementation:
-  /// the journal-replay SnapshotRef ("digest") or the naive per-key read
-  /// loop ("loop") — the loop is the strong-linearizability ablation
-  /// baseline the CI bench gate runs against on the snapshot_heavy mix.
+  /// aggregate state), read through one journal-replay SnapshotRef.
   kSnapshot,
   /// session.transfer between two distinct per-shard representative keys:
   /// one journal entry moves the amount, so every concurrent snapshot must
   /// see the balances sum to zero (the transfer_audit conservation check).
   kTransfer,
 };
-inline constexpr int kOpKindCount = 14;
+inline constexpr int kOpKindCount = 13;
 
 const char* to_string(OpKind k);
 
@@ -65,14 +58,13 @@ struct OpMix {
   static OpMix read_heavy();
   static OpMix write_heavy();
   static OpMix mixed();
-  static OpMix aggregate_scan();
   static OpMix sum_heavy();
   static OpMix session_churn();
   static OpMix snapshot_heavy();
   static OpMix transfer_audit();
   static OpMix resize_storm();
-  /// "read_heavy" | "write_heavy" | "mixed" | "aggregate_scan" | "sum_heavy"
-  /// | "session_churn" | "snapshot_heavy" | "transfer_audit" | "resize_storm".
+  /// "read_heavy" | "write_heavy" | "mixed" | "sum_heavy" | "session_churn"
+  /// | "snapshot_heavy" | "transfer_audit" | "resize_storm".
   static OpMix by_name(const std::string& name);
 
  private:

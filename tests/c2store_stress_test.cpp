@@ -38,6 +38,23 @@ std::vector<svc::C2Session> open_sessions(svc::C2Store& store, int threads) {
   return out;
 }
 
+/// Sum of the per-shard counters at quiescence: one counter_read per shard,
+/// through the first key that routes to it (keys on one shard share its
+/// counter). Absent resizes this must equal the counter_sum() digest.
+int64_t sum_of_shard_counters(svc::C2Store& store, svc::C2Session& s) {
+  std::vector<bool> seen(static_cast<size_t>(store.shard_count()), false);
+  int64_t sum = 0;
+  int left = store.shard_count();
+  for (uint64_t k = 0; left > 0; ++k) {
+    auto shard = static_cast<size_t>(store.shard_of(k));
+    if (seen[shard]) continue;
+    seen[shard] = true;
+    --left;
+    sum += s.counter_read(k);
+  }
+  return sum;
+}
+
 // All threads race to initialise the SAME fresh shard on their very first
 // operation; the readable-TAS guard must produce exactly one object (checked
 // indirectly: fetch&increment results are globally distinct and dense).
@@ -105,8 +122,8 @@ TEST(C2StoreStress, CounterSumConservation) {
 
 // counter_sum() digest reads racing counter_add traffic: per observer thread
 // the sum must be monotone (the digest word only grows) and never exceed the
-// number of incs started; at quiescence digest, scan and per-lane components
-// must all agree. (TSAN watches the digest word and the per-lane cells.)
+// number of incs started; at quiescence the digest, the per-shard counters
+// and the per-lane components must all agree. (TSAN watches the digest word and the per-lane cells.)
 TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   const int threads = 4;
   const int per_thread = 300;
@@ -131,53 +148,13 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   });
   EXPECT_TRUE(ok.load()) << "digest read non-monotone or out of bounds";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
-  EXPECT_EQ(store.counter_sum_scan(), inc_threads * per_thread);
+  EXPECT_EQ(sum_of_shard_counters(store, sessions[0]), inc_threads * per_thread);
   int64_t lanes_total = 0;
   for (int l = 0; l < store.config().max_threads; ++l) {
     lanes_total += store.lane_counter_adds(l);
   }
   EXPECT_EQ(lanes_total, inc_threads * per_thread)
       << "per-lane components must telescope to the digest total";
-}
-
-// The bounded scans under SUSTAINED writers: before the kScanRetryRounds
-// bound, a write landing during every collect round could livelock the
-// double-collect loop forever. Scanner threads hammer counter_sum_scan() and
-// global_max_scan() while writers never pause; every scan must return (bound
-// or stabilise) and respect the global bounds. (No cross-call monotonicity
-// check here: a stabilised scan linearizes on the shard-counter facet while
-// the fallback reads the digest facet, and the documented cross-facet lag
-// makes a mixed sequence legitimately non-monotone.)
-TEST(C2StoreStress, BoundedScansUnderSustainedWriters) {
-  const int threads = 4;
-  const int per_thread = 400;
-  svc::C2Store store(stress_config(threads));
-  auto sessions = open_sessions(store, threads);
-  const int64_t max_bound = 63 / threads;
-  std::atomic<bool> ok{true};
-  std::vector<Rng> rngs;
-  for (int t = 0; t < threads; ++t) rngs.emplace_back(5300 + t);
-  const int64_t inc_threads = threads - 2;  // threads 0,1 scan; 2,3 write
-  rt::run_stress(threads, per_thread, [&](int t, int j) {
-    rt::TimedOp op;
-    if (t == 0 || (t == 1 && j % 2 == 0)) {
-      int64_t sum = store.counter_sum_scan();
-      if (sum < 0 || sum > inc_threads * per_thread) ok.store(false);
-    } else if (t == 1) {
-      int64_t m = store.global_max_scan();
-      if (m < 0 || m > max_bound) ok.store(false);
-    } else {
-      auto& session = sessions[static_cast<size_t>(t)];
-      auto& rng = rngs[static_cast<size_t>(t)];
-      session.counter_inc(rng.next_below(64));
-      session.max_write(rng.next_below(64), rng.next_in(0, max_bound));
-    }
-    return op;
-  });
-  EXPECT_TRUE(ok.load()) << "a scan returned a non-linearizable value";
-  EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
-  EXPECT_EQ(store.counter_sum_scan(), inc_threads * per_thread)
-      << "quiesced scan must stabilise on its first two collects";
 }
 
 // global_max read concurrently with writes must never exceed the largest value

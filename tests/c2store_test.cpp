@@ -1,5 +1,5 @@
 // Functional tests for the C2Store service layer: routing, lazy shard
-// initialisation, sessions and typed key-bound refs, aggregate scans, and the
+// initialisation, sessions and typed key-bound refs, aggregate digests, and the
 // grep-enforced "no CAS anywhere in service plumbing" guarantee.
 #include <gtest/gtest.h>
 
@@ -72,6 +72,23 @@ svc::C2StoreConfig small_config() {
   cfg.max_value = 10;  // 4 * 10 <= 63
   cfg.tas_max_resets = 6;
   return cfg;
+}
+
+/// Sum of the per-shard counters at quiescence: one counter_read per shard,
+/// through the first key that routes to it (keys on one shard share its
+/// counter). Absent resizes this must equal the counter_sum() digest.
+int64_t sum_of_shard_counters(svc::C2Store& store, svc::C2Session& s) {
+  std::vector<bool> seen(static_cast<size_t>(store.shard_count()), false);
+  int64_t sum = 0;
+  int left = store.shard_count();
+  for (uint64_t k = 0; left > 0; ++k) {
+    auto shard = static_cast<size_t>(store.shard_of(k));
+    if (seen[shard]) continue;
+    seen[shard] = true;
+    --left;
+    sum += s.counter_read(k);
+  }
+  return sum;
 }
 
 // Config errors must surface at construction with service-level messages —
@@ -222,23 +239,23 @@ TEST(C2Store, CounterIncrementAndSum) {
   EXPECT_EQ(ca.read(), 10);
   EXPECT_EQ(cb.read(), 5);
   EXPECT_EQ(store.counter_sum(), 15);
-  EXPECT_EQ(store.counter_sum_scan(), 15) << "scan ablation must agree at quiescence";
+  EXPECT_EQ(sum_of_shard_counters(store, s), 15)
+      << "digest must equal the shard counters at quiescence";
 }
 
 // --- counter-sum digest edge cases ------------------------------------------
 
 // The digest read must not materialise anything: a store with ZERO initialized
-// shards answers 0 from the digest word alone (and the retained scan agrees).
+// shards answers 0 from the digest word alone (and so do the shard counters).
 TEST(C2Store, CounterSumOnZeroInitializedShards) {
   svc::C2Store store(small_config());
   EXPECT_EQ(store.counter_sum(), 0);
-  EXPECT_EQ(store.counter_sum_scan(), 0);
   EXPECT_EQ(store.initialized_shards(), 0)
       << "aggregate reads must not materialise shards";
   // Same through a session, still without materialising.
   svc::C2Session s = store.open_session();
   EXPECT_EQ(s.counter_sum(), 0);
-  EXPECT_EQ(s.counter_sum_scan(), 0);
+  EXPECT_EQ(sum_of_shard_counters(store, s), 0);
   EXPECT_EQ(store.initialized_shards(), 0);
 }
 
@@ -255,7 +272,7 @@ TEST(C2Store, CounterSumOnSingleLaneStore) {
   EXPECT_EQ(s.lane(), 0);
   for (uint64_t k = 0; k < 16; ++k) s.counter(k).inc();
   EXPECT_EQ(store.counter_sum(), 16);
-  EXPECT_EQ(store.counter_sum_scan(), 16);
+  EXPECT_EQ(sum_of_shard_counters(store, s), 16);
   EXPECT_EQ(store.lane_counter_adds(0), 16)
       << "single lane carries the whole per-lane component";
 }
@@ -285,7 +302,7 @@ TEST(C2Store, CounterSumSurvivesSessionCloseReopen) {
   // And the per-key counter agrees with the digest at quiescence.
   svc::C2Session s = store.open_session();
   EXPECT_EQ(s.counter(key).read(), 8);
-  EXPECT_EQ(store.counter_sum_scan(), 8);
+  EXPECT_EQ(sum_of_shard_counters(store, s), 8);
 }
 
 // The digest never leads the per-lane components (add bumps the lane cell

@@ -1,8 +1,7 @@
 // Functional tests for online shard resizing (PR 9): the RoutingEpoch spine's
 // claim/install/publish protocol and failure contracts, C2Store::resize under
-// live sessions, typed-ref rebinding across epoch bumps, aggregate and
-// snapshot identity across migrations, and the deprecated C2StoreConfig
-// `shards` alias.
+// live sessions, typed-ref rebinding across epoch bumps, and aggregate and
+// snapshot identity across migrations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,36 +319,6 @@ TEST(C2StoreResize, TelemetryCountsClaimsPublishesAndMigratedKeys) {
       << "the invariant tools/metrics_diff.py gates";
   EXPECT_GE(delta(tel::TelEvent::kKeysMigrated), 1u)
       << "32 touched keys on 8 shards must move state";
-}
-
-// --- the deprecated config alias --------------------------------------------
-
-TEST(C2StoreConfigCompat, DeprecatedShardsAliasStillWorks) {
-  // One release of compatibility: `shards` (the pre-PR 9 name) still
-  // configures the INITIAL shard count and wins over the default when set.
-  svc::C2StoreConfig cfg;
-  cfg.max_threads = 2;
-  cfg.max_value = 10;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  cfg.shards = 4;
-#pragma GCC diagnostic pop
-  svc::C2Store store(cfg);
-  EXPECT_EQ(store.shard_count(), 4);
-  EXPECT_EQ(store.config().initial_shards, 4)
-      << "validate() must fold the alias into initial_shards";
-  // The alias is still just a STARTING hint: the store resizes past it.
-  EXPECT_EQ(store.resize(8), svc::ResizeStatus::kInstalled);
-  EXPECT_EQ(store.shard_count(), 8);
-}
-
-TEST(C2StoreConfigCompat, AliasValuesAreValidated) {
-  svc::C2StoreConfig cfg;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  cfg.shards = 12;  // not a power of two, via the alias
-#pragma GCC diagnostic pop
-  EXPECT_THROW(svc::C2Store store(cfg), PreconditionError);
 }
 
 }  // namespace

@@ -313,6 +313,36 @@ TEST(StoreTraceTest, AggregateReadsWitnessTheDigestValue) {
   }
 }
 
+// A reset refused for a spent budget must be distinguishable in the trace
+// from one that recycled the TAS: the result field carries the ResetResult.
+TEST(StoreTraceTest, TasResetRecordsCarryTheResetResult) {
+  StoreTraceFixture f;
+  f.cfg.tas_max_resets = 2;
+  svc::C2Store store(f.cfg);
+  {
+    svc::C2Session s = store.open_session();
+    svc::TasRef tas = s.tas(uint64_t{6});
+    for (int i = 0; i < 2; ++i) {
+      tas.test_and_set();
+      EXPECT_EQ(tas.reset(), svc::ResetResult::kOk);
+    }
+    tas.test_and_set();
+    EXPECT_EQ(tas.reset(), svc::ResetResult::kBudgetSpent);
+    s.close();
+  }
+  tel::TraceDump d = store.trace_dump();
+  ASSERT_EQ(d.lanes.size(), 1u);
+  std::vector<int64_t> results;
+  for (const tel::TraceRecord& r : d.lanes[0].records) {
+    if (static_cast<tel::TraceOp>(r.op) == tel::TraceOp::kTasReset) {
+      results.push_back(r.result);
+    }
+  }
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[1], 0) << "ResetResult::kOk";
+  EXPECT_EQ(results[2], 1) << "ResetResult::kBudgetSpent";
+}
+
 TEST(StoreTraceTest, ExportersEmitTheDocumentedShapes) {
   StoreTraceFixture f;
   svc::C2Store store(f.cfg);

@@ -143,7 +143,8 @@ TEST(Distributions, ZipfianMassConservationDeepTail) {
 
 TEST(OpMix, NamedMixesAreNormalisedAndPickable) {
   for (const char* name :
-       {"read_heavy", "write_heavy", "mixed", "aggregate_scan", "sum_heavy"}) {
+       {"read_heavy", "write_heavy", "mixed", "sum_heavy", "session_churn",
+        "snapshot_heavy", "transfer_audit", "resize_storm"}) {
     wl::OpMix mix = wl::OpMix::by_name(name);
     EXPECT_EQ(mix.name, name);
     EXPECT_NEAR(mix.total_weight(), 1.0, 1e-9);
@@ -302,21 +303,6 @@ TEST(Engine, SmokeRunAccountsForEveryOperation) {
                                      wl::OpKind::kCounterInc)]));
 }
 
-TEST(Engine, AggregateScanMixExercisesGlobalPaths) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 2;
-  cfg.ops_per_thread = 200;
-  cfg.key_space = 64;
-  cfg.dist = "zipfian";
-  cfg.mix = wl::OpMix::aggregate_scan();
-  cfg.seed = 4;
-  cfg.store.initial_shards = 8;
-  wl::WorkloadResult r = wl::run_workload(cfg);
-  EXPECT_GT(r.per_kind[static_cast<int>(wl::OpKind::kGlobalMax)], 0u);
-  EXPECT_GT(r.per_kind[static_cast<int>(wl::OpKind::kCounterSum)], 0u);
-  EXPECT_LE(r.final_global_max, r.cfg.store.max_value);
-}
-
 TEST(Engine, TransferAuditMixConservesUnderConcurrency) {
   // The conservation suite at engine level: the kSnapshot case itself
   // C2SL_CHECKs that every cut balances, and run_workload re-audits a full
@@ -340,27 +326,41 @@ TEST(Engine, TransferAuditMixConservesUnderConcurrency) {
   EXPECT_EQ(r.final_counter_sum, 0);
 }
 
-TEST(Engine, SnapshotHeavyMixRunsBothImplementations) {
-  for (const char* impl : {"digest", "loop"}) {
-    wl::WorkloadConfig cfg;
-    cfg.threads = 2;
-    cfg.ops_per_thread = 300;
-    cfg.key_space = 64;
-    cfg.dist = "uniform";
-    cfg.mix = wl::OpMix::snapshot_heavy();
-    cfg.snap_impl = impl;
-    cfg.seed = 13;
-    cfg.store.initial_shards = 8;
-    wl::WorkloadResult r = wl::run_workload(cfg);
-    EXPECT_GT(r.per_kind[static_cast<int>(wl::OpKind::kSnapshot)], 0u) << impl;
-    // Incs journal; snapshots do not (in either implementation).
-    EXPECT_EQ(r.journal_tickets,
-              static_cast<int64_t>(r.per_kind[static_cast<int>(wl::OpKind::kCounterInc)]))
-        << impl;
-    EXPECT_EQ(r.final_counter_sum, static_cast<int64_t>(r.per_kind[static_cast<int>(
-                                       wl::OpKind::kCounterInc)]))
-        << impl;
-  }
+TEST(Engine, SnapshotHeavyMixJournalsOnlyIncs) {
+  wl::WorkloadConfig cfg;
+  cfg.threads = 2;
+  cfg.ops_per_thread = 300;
+  cfg.key_space = 64;
+  cfg.dist = "uniform";
+  cfg.mix = wl::OpMix::snapshot_heavy();
+  cfg.seed = 13;
+  cfg.store.initial_shards = 8;
+  wl::WorkloadResult r = wl::run_workload(cfg);
+  EXPECT_GT(r.per_kind[static_cast<int>(wl::OpKind::kSnapshot)], 0u);
+  // Incs journal; snapshots do not.
+  EXPECT_EQ(r.journal_tickets,
+            static_cast<int64_t>(r.per_kind[static_cast<int>(wl::OpKind::kCounterInc)]));
+  EXPECT_EQ(r.final_counter_sum, static_cast<int64_t>(r.per_kind[static_cast<int>(
+                                     wl::OpKind::kCounterInc)]));
+}
+
+// Live resizes under keyed traffic: run_workload itself C2SL_CHECKs that the
+// sum digest equals the inc count across every migration cut.
+TEST(Engine, ResizeStormGrowsTheStoreLive) {
+  wl::WorkloadConfig cfg;
+  cfg.threads = 2;
+  cfg.ops_per_thread = 400;
+  cfg.key_space = 64;
+  cfg.dist = "zipfian";
+  cfg.mix = wl::OpMix::resize_storm();
+  cfg.resize_every = 50;
+  cfg.seed = 17;
+  cfg.store.initial_shards = 4;
+  wl::WorkloadResult r = wl::run_workload(cfg);
+  EXPECT_GT(r.resizes_done, 0);
+  EXPECT_EQ(r.final_shards, 4 << r.resizes_done);
+  EXPECT_EQ(r.final_counter_sum, static_cast<int64_t>(r.per_kind[static_cast<int>(
+                                     wl::OpKind::kCounterInc)]));
 }
 
 TEST(Engine, JsonEntryCarriesTheSchema) {
@@ -396,84 +396,12 @@ TEST(Engine, DeterministicOpSequencesAcrossRuns) {
   EXPECT_EQ(a.final_counter_sum, b.final_counter_sum);
 }
 
-// Both ref binding modes must run the SAME deterministic op/key sequences
-// (the mode changes routing cost, not semantics) and conserve counters.
-TEST(Engine, BindModesAgreeOnSemantics) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 2;
-  cfg.ops_per_thread = 300;
-  cfg.key_space = 64;
-  cfg.dist = "zipfian";
-  cfg.mix = wl::OpMix::mixed();
-  cfg.seed = 21;
-  cfg.store.initial_shards = 4;
-  cfg.bind = "cached";
-  wl::WorkloadResult cached = wl::run_workload(cfg);
-  cfg.bind = "per_op";
-  wl::WorkloadResult per_op = wl::run_workload(cfg);
-  for (int k = 0; k < wl::kOpKindCount; ++k) {
-    EXPECT_EQ(cached.per_kind[k], per_op.per_kind[k]) << "bind mode changed the op mix";
-  }
-  EXPECT_EQ(cached.final_counter_sum, per_op.final_counter_sum);
-  EXPECT_EQ(cached.final_counter_sum,
-            static_cast<int64_t>(
-                cached.per_kind[static_cast<int>(wl::OpKind::kCounterInc)]));
-  // The JSON config records which mode produced an artifact (bench_diff keys
-  // its comparison on this).
-  std::string doc = wl::result_to_json("t", "b", cached);
-  EXPECT_NE(doc.find("\"bind\":\"cached\""), std::string::npos) << doc;
-}
-
-TEST(Engine, RejectsUnknownBindMode) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 1;
-  cfg.ops_per_thread = 10;
-  cfg.bind = "telepathic";
-  EXPECT_THROW(wl::run_workload(cfg), PreconditionError);
-}
-
-// Both counter_sum implementations must run the SAME deterministic op/key
-// sequences (the impl changes the aggregate read path, not semantics) and
-// agree on the quiesced final sum; the artifact must record which one ran.
-TEST(Engine, SumImplModesAgreeOnSemantics) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 2;
-  cfg.ops_per_thread = 300;
-  cfg.key_space = 64;
-  cfg.dist = "zipfian";
-  cfg.mix = wl::OpMix::sum_heavy();
-  cfg.seed = 33;
-  cfg.store.initial_shards = 4;
-  cfg.sum_impl = "digest";
-  wl::WorkloadResult digest = wl::run_workload(cfg);
-  cfg.sum_impl = "scan";
-  wl::WorkloadResult scan = wl::run_workload(cfg);
-  for (int k = 0; k < wl::kOpKindCount; ++k) {
-    EXPECT_EQ(digest.per_kind[k], scan.per_kind[k]) << "sum impl changed the op mix";
-  }
-  EXPECT_GT(digest.per_kind[static_cast<int>(wl::OpKind::kCounterSum)], 0u);
-  EXPECT_EQ(digest.final_counter_sum, scan.final_counter_sum);
-  EXPECT_EQ(digest.final_counter_sum,
-            static_cast<int64_t>(
-                digest.per_kind[static_cast<int>(wl::OpKind::kCounterInc)]));
-  std::string doc = wl::result_to_json("t", "b", scan);
-  EXPECT_NE(doc.find("\"sum_impl\":\"scan\""), std::string::npos) << doc;
-}
-
-TEST(Engine, RejectsUnknownSumImpl) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 1;
-  cfg.ops_per_thread = 10;
-  cfg.sum_impl = "oracle";
-  EXPECT_THROW(wl::run_workload(cfg), PreconditionError);
-}
-
-// Session churn with fewer lanes than threads: both acquisition modes must
-// complete every cycle (no op lost to a blocked or failed open), count every
-// cycle under kSessionChurn, and conserve the counter traffic run through the
-// churned sessions. The engine must NOT raise the lane count to the thread
-// count in this mix — the contention is the scenario.
-TEST(Engine, SessionChurnModesAgreeOnSemantics) {
+// Session churn with fewer lanes than threads: blocking opens must complete
+// every cycle (no op lost to a parked open), count every cycle under
+// kSessionChurn, and conserve the counter traffic run through the churned
+// sessions. The engine must NOT raise the lane count to the thread count in
+// this mix — the contention is the scenario.
+TEST(Engine, SessionChurnConservesUnderLaneContention) {
   wl::WorkloadConfig cfg;
   cfg.threads = 4;
   cfg.ops_per_thread = 250;
@@ -483,30 +411,13 @@ TEST(Engine, SessionChurnModesAgreeOnSemantics) {
   cfg.seed = 7;
   cfg.store.initial_shards = 4;
   cfg.store.max_threads = 2;  // lanes < threads: every open contends
-  for (const char* mode : {"block", "try"}) {
-    cfg.acquire = mode;
-    wl::WorkloadResult r = wl::run_workload(cfg);
-    EXPECT_EQ(r.cfg.store.max_threads, 2)
-        << "churn mode must keep the configured lane count";
-    EXPECT_EQ(r.total_ops, 4u * 250u) << mode;
-    EXPECT_EQ(r.per_kind[static_cast<int>(wl::OpKind::kSessionChurn)], 4u * 250u)
-        << mode;
-    EXPECT_EQ(r.final_counter_sum, 4 * 250)
-        << mode << ": every churned session must land exactly one inc";
-    std::string doc = wl::result_to_json("t", "b", r);
-    EXPECT_NE(doc.find(std::string("\"acquire\":\"") + mode + "\""),
-              std::string::npos)
-        << doc;
-  }
-}
-
-TEST(Engine, RejectsUnknownAcquireMode) {
-  wl::WorkloadConfig cfg;
-  cfg.threads = 1;
-  cfg.ops_per_thread = 10;
-  cfg.mix = wl::OpMix::session_churn();
-  cfg.acquire = "psychic";
-  EXPECT_THROW(wl::run_workload(cfg), PreconditionError);
+  wl::WorkloadResult r = wl::run_workload(cfg);
+  EXPECT_EQ(r.cfg.store.max_threads, 2)
+      << "churn mode must keep the configured lane count";
+  EXPECT_EQ(r.total_ops, 4u * 250u);
+  EXPECT_EQ(r.per_kind[static_cast<int>(wl::OpKind::kSessionChurn)], 4u * 250u);
+  EXPECT_EQ(r.final_counter_sum, 4 * 250)
+      << "every churned session must land exactly one inc";
 }
 
 }  // namespace

@@ -23,9 +23,9 @@ host.
 Entries are matched by their "bench" name; --bench-filter restricts the
 comparison to entries whose name matches the (re.search) regex, so one
 artifact pair can be gated at different thresholds per entry family (CI's
-counter_sum scan-vs-digest gate requires improvement on '^mix/sum_heavy$'
-and mere non-regression on '^mix/mixed$' from the same two runs). A filter
-that matches no common entry is an error (exit 2), not a silent pass.
+telemetry and trace overhead gates compare only '^mix/mixed$' of two full
+suite runs). A filter that matches no common entry is an error (exit 2), not
+a silent pass.
 
 For exact-name selection prefer --bench-include / --bench-exclude: each takes
 a comma-separated list of exact bench names (no regex), includes keeping only
@@ -48,9 +48,9 @@ there.
 
 A NEGATIVE --threshold flips the gate into an IMPROVEMENT requirement: with
 --threshold=-0.5, current must beat baseline by at least 50% on every gated
-metric or the diff fails. CI uses this for the flat-vs-segmented F&I read-path
-ablation (bench_tas_family --impl=...): the O(value) -> O(log value) claim is
-enforced as "segmented at least 1.5x flat", per run, on the same host.
+metric or the diff fails. That is how a one-time A/B claim is checked, e.g.
+"the new path at least 1.5x the old one, same run, same host"; the claims
+already settled this way are listed in README "Historical gates".
 
 Exit status: 0 when no matched metric regresses beyond the threshold, 1
 otherwise (2 on malformed input). Entries present in only one artifact are
@@ -58,9 +58,15 @@ reported but do not fail the comparison (thread sweeps legitimately differ
 across hosts with different core counts).
 
 This is the ROADMAP "bench trajectory tracking" comparator; CI uses it to
-gate that the key-bound-ref path (bind=cached) is no slower than the per-op
-routing path (bind=per_op) in the same run, and to diff against a checked-in
-baseline informationally (cross-machine variance makes that advisory).
+gate that the telemetry and trace layers cost at most 3% and 5% against
+builds with them compiled out, e.g.
+
+    tools/bench_diff.py BENCH_tel_off.json BENCH_tel_on.json
+        --bench-filter '^mix/mixed$' --threshold 0.03
+        --metrics throughput_ops_per_s
+
+and to diff against a checked-in baseline informationally (cross-machine
+variance makes that advisory).
 
 No dependencies beyond the standard library.
 """

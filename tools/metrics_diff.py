@@ -48,7 +48,7 @@ import sys
 OP_KINDS = [
     "max_write", "max_read", "counter_inc", "counter_read",
     "tas_set", "tas_read", "tas_reset", "set_put", "set_take",
-    "global_max", "global_max_scan", "counter_sum", "counter_sum_scan",
+    "global_max", "counter_sum",
     "snapshot", "transfer", "session_open",
 ]
 

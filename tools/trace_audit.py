@@ -40,8 +40,7 @@ Per-lane sanity rides along: a lane is one session at a time, so its t0s
 must be non-decreasing and its journal-facet positions strictly increasing
 (snapshots may repeat a tail).
 
-Unwitnessed records (plain reads, TAS/set ops, scan-based aggregates —
-deliberately unwitnessed: the scans are not strongly linearizable) are
+Unwitnessed records (plain reads, TAS/set ops, session open/close) are
 exempt from ordering claims but still schema-checked.
 
 A trace with dropped records (ring overflow) fails the audit unless
