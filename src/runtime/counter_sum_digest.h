@@ -17,18 +17,27 @@
 // there is no per-lane width budget to configure.
 //
 // The per-lane components are still REAL and still per-lane: each lane also
-// counts its own contributions in a private FAA cell on a SegmentedArray
-// spine (cache-line padded, single-writer, published with the pinned
-// claim-TAS → init → register-write pattern — see runtime/segmented_array.h).
-// They are deliberately NOT on the sum read path — reading them one by one
-// would be exactly the collect the checker refutes. They exist because the
+// counts its own contributions in a private cell on a SegmentedArray spine
+// (cache-line padded, published with the pinned claim-TAS → init →
+// register-write pattern — see runtime/segmented_array.h). A lane has ONE
+// writer at a time (the session that owns it; lane hand-offs go through the
+// registry's seq_cst steps, which order one owner's writes before the next
+// owner's), so the cell is a plain register — a relaxed load + store, no RMW.
+// The cells are deliberately NOT on the sum read path — reading them one by
+// one would be exactly the collect the checker refutes. They exist because the
 // decomposition is useful anyway:
 //   * diagnostics/introspection (who produced the traffic), exposed upward as
 //     C2Store::lane_counter_adds();
-//   * a testable conservation invariant: add() bumps the OWN LANE CELL FIRST
-//     and the total word second, so at every instant
+//   * a testable conservation invariant: add() writes the OWN LANE CELL FIRST
+//     and the total word second, so a read() followed by a pass over the
+//     lanes sees
 //         read() <= sum over lanes of lane_contribution(lane)
-//     (the total never leads the components), with equality at quiescence;
+//     (the total never leads the components), with equality at quiescence.
+//     The relaxed cell store needs no order of its own for this: it is
+//     sequenced before the writer's seq_cst total FAA, every op on the total
+//     is an RMW (so each add heads a release sequence every later read()
+//     reads from), and read()'s FAA(0) therefore synchronizes with every add
+//     it counts — each counted add's cell store happens-before the pass;
 //   * the future shard-rebalancing item (ROADMAP) wants per-producer digests
 //     whose migration can be replayed component-wise.
 //
@@ -53,12 +62,14 @@ class CounterSumDigest {
 
   /// One contribution from `lane`. Own lane cell first, total second: the
   /// total word never leads the per-lane components. The total fetch_add is
-  /// the operation's linearization point (a fixed own-step).
+  /// the operation's linearization point (a fixed own-step). Precondition:
+  /// no other thread adds through `lane` concurrently (one owner per lane).
   void add(int lane) {
     C2SL_CHECK(lane >= 0, "lane must be non-negative");
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — lane component write; must precede the total
-    lanes_.cell(static_cast<size_t>(lane)).v.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic<int64_t>& c = lanes_.cell(static_cast<size_t>(lane)).v;
+    // c2sl-atomic: store relaxed, load relaxed — single-writer lane cell; the
+    // total FAA below releases it to every read() that counts this add
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of add (fixed own-step)
     total_.fetch_add(1, std::memory_order_seq_cst);
@@ -84,6 +95,7 @@ class CounterSumDigest {
  private:
   /// Padded so neighbouring lanes never share a cache line (each cell is
   /// single-writer; the padding keeps the write path truly uncontended).
+  /// Atomic only so the diagnostic reader is defined under TSAN.
   struct alignas(64) LaneCell {
     std::atomic<int64_t> v{0};
   };

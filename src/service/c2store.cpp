@@ -236,9 +236,8 @@ int C2Store::initialized_shards() const {
 }
 
 tel::MetricsSnapshot C2Store::metrics_snapshot() const {
-  // Telemetry core first (the strongly linearizable ops-total digest read
-  // plus the racy lane scans), then the session-layer counters the registry
-  // and handoff queue already expose.
+  // Telemetry core first (the racy lane scans), then the session-layer
+  // counters the registry and handoff queue already expose.
   tel::MetricsSnapshot s = tel_.snapshot(cfg_.max_threads, shard_count());
   s.lane_tickets = lane_tickets_issued();
   s.handoff_enqueued = lane_handoff_enqueued();

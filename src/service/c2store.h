@@ -600,7 +600,8 @@ class C2Store {
   int64_t lane_handoff_revocations() const { return lanes_.handoff_revocations(); }
   int64_t lane_handoff_enqueued() const { return lanes_.handoff_enqueued(); }
   /// Counter adds contributed through `lane` (diagnostics; the sum digest's
-  /// per-lane component — never on the counter_sum() read path).
+  /// single-writer per-lane component — never on the counter_sum() read
+  /// path; racy while the lane's owner is adding, exact at quiescence).
   int64_t lane_counter_adds(int lane) const {
     return sum_digest_.lane_contribution(lane);
   }
@@ -610,10 +611,10 @@ class C2Store {
 
   // --- telemetry (src/telemetry/; all of it compiles out under
   // --- C2SL_TELEMETRY=0) ---
-  /// Full metrics snapshot: the strongly linearizable ops-total digest read,
-  /// the racy per-lane counter/histogram scans, and the session-layer
-  /// counters above — the c2sl-metrics-v1 payload (tel::to_json /
-  /// tel::to_prometheus in telemetry/export.h).
+  /// Full metrics snapshot: the racy per-lane counter/histogram scans (exact
+  /// at quiescence) and the session-layer counters above — the
+  /// c2sl-metrics-v1 payload (tel::to_json / tel::to_prometheus in
+  /// telemetry/export.h).
   tel::MetricsSnapshot metrics_snapshot() const;
   /// The live telemetry root, for tel::dump_flight and tests. Read-only:
   /// writes belong to lane owners.
@@ -711,10 +712,10 @@ class C2Store {
   /// other segmented spines. Bucketed under the initial mask: epoch-
   /// independent.
   rt::KeyedVersionDigest journal_;
-  /// Lane-local metrics + the shared ops-total FAA digest (telemetry.h). An
-  /// empty shell under C2SL_TELEMETRY=0. Mutable: ref hot paths reach it
-  /// through const-agnostic session state, and its lane blocks are
-  /// single-writer by the session discipline.
+  /// Lane-local metrics (telemetry.h); no shared word. An empty shell under
+  /// C2SL_TELEMETRY=0. Mutable: ref hot paths reach it through const-agnostic
+  /// session state, and its lane blocks are single-writer by the session
+  /// discipline.
   mutable tel::StoreTelemetry tel_;
   /// Lane-local linearization-witness trace logs (telemetry/trace.h). An
   /// empty shell under C2SL_TRACE=0. Mutable for the same reason as tel_.

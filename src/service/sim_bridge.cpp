@@ -148,7 +148,7 @@ Val SimCounterSumDigest::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   return unit();
 }
 
-// --- SimTelemetryCounter (the telemetry ops-total digest) -------------------
+// --- SimTelemetryCounter (lane-cell op counter, digest vs scan read) --------
 
 SimTelemetryCounter::SimTelemetryCounter(sim::World& world, std::string name,
                                          int lanes, bool scan_read)
@@ -174,9 +174,9 @@ void SimTelemetryCounter::inc(sim::Ctx& ctx) {
 int64_t SimTelemetryCounter::read(sim::Ctx& ctx) {
   if (!scan_read_) return ctx.world->get(digest_).read(ctx);  // one FAA(0)
   // Negative control: naive one-pass sum over the lane cells, the read
-  // StoreTelemetry::ops_total_scan performs. Linearizable here (each cell is
-  // monotone and single-writer) but NOT strongly linearizable — the checker
-  // refutes it (tests/telemetry_test.cpp pins the verdict).
+  // StoreTelemetry::snapshot performs for ops_total. Linearizable here (each
+  // cell is monotone and single-writer) but NOT strongly linearizable — the
+  // checker refutes it (tests/telemetry_test.cpp pins the verdict).
   int64_t sum = 0;
   for (int lane = 0; lane < lanes_; ++lane) {
     Val v = ctx.world->get(cells_).read(ctx, static_cast<size_t>(lane));

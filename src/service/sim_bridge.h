@@ -167,18 +167,18 @@ class SimCounterSumDigest : public core::ConcurrentObject {
   sim::Handle<prim::FetchAddInt> digest_;
 };
 
-/// Sim twin of the telemetry ops-total counter (telemetry/telemetry.h): each
+/// Sim twin of an op counter kept in lane cells (telemetry/telemetry.h): each
 /// lane (== calling process here) keeps its running op count in a single-owner
-/// plain REGISTER cell, and every Inc also fetch&adds one shared digest word —
-/// exactly the LaneTelemetry::bump + StoreTelemetry::bump_ops_total pair. Read
-/// is a single digest FAA(0) (the verified configuration behind
-/// metrics_snapshot().ops_total) or, with `scan_read`, the naive one-pass sum
-/// over the lane cells — the pinned-REFUTED negative control: a reader that
-/// has scanned cell 0 as empty cannot commit its return value at any own step,
-/// because whether a completed Inc counts depends on cells it will only read
-/// in the future, so no prefix-closed linearization exists. This is why the
-/// native snapshot serves ops_total from the digest and exports the lane scan
-/// only as the documented-racy `ops_total_scan` diagnostic.
+/// plain REGISTER cell (LaneTelemetry::bump), and every Inc also fetch&adds
+/// one shared digest word. Read is either a single digest FAA(0) — the
+/// verified design, what a strongly linearizable op count costs: one shared
+/// RMW per op — or, with `scan_read`, the one-pass sum over the lane cells,
+/// which is how metrics_snapshot() computes ops_total. The scan read is
+/// pinned REFUTED: a reader that has scanned cell 0 as empty cannot commit its
+/// return value at any own step, because whether a completed Inc counts
+/// depends on cells it will only read in the future, so no prefix-closed
+/// linearization exists. The native layer pays for no digest word, so
+/// ops_total is a diagnostic (exact at quiescence) that nothing branches on.
 class SimTelemetryCounter : public core::ConcurrentObject {
  public:
   SimTelemetryCounter(sim::World& world, std::string name, int lanes,
@@ -195,7 +195,7 @@ class SimTelemetryCounter : public core::ConcurrentObject {
   int lanes_;
   bool scan_read_;
   sim::Handle<prim::RegArray> cells_;     ///< per-lane counts, single writer
-  sim::Handle<prim::FetchAddInt> digest_; ///< the ops-total FAA digest
+  sim::Handle<prim::FetchAddInt> digest_; ///< the shared FAA digest word
 };
 
 /// Sim twin of the write journal behind C2Session::snapshot()

@@ -40,9 +40,8 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
   w.field("source", source);
   w.field("telemetry_enabled", snap.enabled);
   w.field("lanes", snap.lanes);
-  // The exact, strongly linearizable digest read next to the racy lane-scan
-  // estimate: the pair is the PR's thesis in one snapshot (the two may
-  // legitimately differ while writers are in flight).
+  // Both totals come from the same lane scan (exact at quiescence); the pair
+  // stays so c2sl-metrics-v1 documents keep their shape.
   w.field("ops_total", snap.ops_total);
   w.field("ops_total_scan", snap.ops_total_scan);
 
@@ -127,12 +126,12 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   line("c2sl_telemetry_enabled %d", snap.enabled ? 1 : 0);
   if (!snap.enabled) return out;
 
-  line("# HELP c2sl_ops_total Exact instrumented-op count (strongly "
-       "linearizable FAA-digest read).");
+  line("# HELP c2sl_ops_total Instrumented-op count (per-lane scan; exact "
+       "at quiescence).");
   line("# TYPE c2sl_ops_total counter");
   line("c2sl_ops_total %" PRId64, snap.ops_total);
-  line("# HELP c2sl_ops_scan Racy per-lane scan estimate of the same count "
-       "(merely linearizable; see docs/PROOFS.md).");
+  line("# HELP c2sl_ops_scan The same per-lane scan count (kept for "
+       "dashboards that read it).");
   line("# TYPE c2sl_ops_scan counter");
   line("c2sl_ops_scan %" PRIu64, snap.ops_total_scan);
 

@@ -1,33 +1,29 @@
-// Lane-local telemetry with FAA-digest aggregation — the observability layer
-// built from the repo's own no-CAS toolbox.
+// Lane-local telemetry — the observability layer built from single-writer
+// plain registers only.
 //
-// Structure (mirroring the paper's §3.2 pack-into-one-FAA-word move, already
-// powering rt::CounterSumDigest):
+// Every service lane owns a LaneTelemetry block: per-op-kind counters,
+// per-shard heat cells, log-bucketed latency histograms, and a bounded flight
+// recorder. Lanes are single-owner by construction (svc::LaneRegistry hands
+// each lane to exactly one session at a time), so every write here is a plain
+// register write — relaxed load + relaxed store on a private cache line. The
+// layer adds NO shared read-modify-write to any operation: an instrumented op
+// touches no word another lane writes.
 //
-//   * Every service lane owns a LaneTelemetry block: per-op-kind counters,
-//     log-bucketed latency histograms, and a bounded flight recorder. Lanes
-//     are single-owner by construction (svc::LaneRegistry hands each lane to
-//     exactly one session at a time), so every write here is a plain register
-//     write — relaxed load + relaxed store on a private cache line, no RMW.
-//   * One shared ops-total word is bumped with fetch&add(1) per instrumented
-//     op, and read with fetch&add(0). That read's linearization point is its
-//     own FAA step — fixed, prefix-closed, STRONGLY linearizable, exactly the
-//     CounterSumDigest argument (docs/PROOFS.md). The alternative — summing
-//     the per-lane counters in a scan — is linearizable but NOT strongly
-//     linearizable; svc::SimTelemetryCounter pins both verdicts under the
-//     bounded checker (tests/telemetry_test.cpp).
-//
-// So the one telemetry datum an adaptive adversary could game (the hot op
-// counter a scheduler or test oracle might branch on) is exact and strongly
-// linearizable, while the bulk statistics (per-kind counts, histograms) are
-// deliberately racy approximations that cost the hot path nothing.
+// Every metric is therefore a lane scan: racy while ops are in flight, exact
+// once the lanes quiesce. That includes ops_total, the sum of the per-kind
+// counters. Such a scan is linearizable but NOT strongly linearizable
+// (svc::SimTelemetryCounter pins the refutation, and the verified alternative
+// — one shared FAA word bumped by every op — for comparison;
+// tests/telemetry_test.cpp). Nothing may branch on a metric; a count an
+// adaptive adversary must not be able to game belongs on a store object (a
+// CounterRef, or the counter_sum() digest), not here.
 //
 // Cost budget per instrumented op (on-flavour): two relaxed load+store pairs
-// (kind counter + lane digest cell), three relaxed stores (flight ring), one
-// seq_cst fetch&add (the digest), and a pair of clock reads on 1 of every
-// kLatencySamplePeriod ops. Under C2SL_TELEMETRY=0 every type in this header
-// collapses to an empty constexpr shell — tests/telemetry_off_test.cpp proves
-// the hot-path calls are constant-evaluable, hence free of atomics.
+// (kind counter + shard heat cell), three relaxed stores (flight ring), and a
+// pair of clock reads on 1 of every kLatencySamplePeriod ops. Under
+// C2SL_TELEMETRY=0 every type in this header collapses to an empty constexpr
+// shell — tests/telemetry_off_test.cpp proves the hot-path calls are
+// constant-evaluable, hence free of atomics.
 #pragma once
 
 #include <cstdint>
@@ -111,14 +107,15 @@ struct PrimProfile {
 
 /// Plain-data snapshot of everything telemetry knows — what the exporters
 /// (telemetry/export.h), the bench reporter, and tools/metrics_diff.py see.
-/// `ops_total` is the strongly linearizable digest read; everything else is
-/// an explicitly racy lane-scan or a relaxed counter.
+/// Every field is a racy lane scan or a relaxed counter, exact at quiescence.
 struct MetricsSnapshot {
   bool enabled = false;
   int lanes = 0;  ///< lane blocks scanned
 
-  int64_t ops_total = 0;        ///< digest fetch&add(0) — exact, strongly lin.
-  uint64_t ops_total_scan = 0;  ///< racy per-lane sum — approximate by design
+  /// Instrumented ops: the sum of op_counts, from the same lane scan.
+  int64_t ops_total = 0;
+  /// The same lane-scan total; both fields stay in c2sl-metrics-v1.
+  uint64_t ops_total_scan = 0;
 
   uint64_t op_counts[kTelOpCount] = {};
   HistogramSnapshot op_latency[kTelOpCount];  ///< sampled, see kLatencySamplePeriod
@@ -161,7 +158,7 @@ inline double shard_imbalance(const MetricsSnapshot& snap) {
 }
 
 /// 1 of every 32 ops pays the two steady_clock reads for its latency sample;
-/// the rest skip the clock entirely. Counters and the digest see every op.
+/// the rest skip the clock entirely. The counters see every op.
 inline constexpr uint64_t kLatencySamplePeriod = 32;
 
 #if C2SL_TELEMETRY
@@ -235,24 +232,13 @@ struct alignas(128) LaneTelemetry {
   LatencyHistogram open_wait;
   FlightRecorder flight;
 
-  // The per-op-kind counters double as the lane's digest cells: the lane's
-  // total ops is their sum, so the hot path pays exactly one load+store pair
-  // (the scan-side read sums kTelOpCount cells instead of one — it is the
-  // documented-racy diagnostic, not a hot path).
+  // The per-op-kind counters also give the lane's total ops (their sum), so
+  // the hot path pays exactly one load+store pair.
   void bump(TelOp op) {
     std::atomic<uint64_t>& c = op_counts[static_cast<int>(op)];
     // c2sl-atomic: store relaxed, load relaxed — single-writer plain-register
     // cell; atomic only so the racy aggregating reader is defined
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
-
-  uint64_t total_ops_cell() const {
-    uint64_t sum = 0;
-    for (int k = 0; k < kTelOpCount; ++k) {
-      // c2sl-atomic: load relaxed — documented-racy scan-side read
-      sum += op_counts[k].load(std::memory_order_relaxed);
-    }
-    return sum;
   }
 
   // Per-shard heat cells, lane-local single-writer like op_counts, segmented
@@ -275,8 +261,8 @@ struct alignas(128) LaneTelemetry {
   }
 };
 
-/// Store-wide telemetry root: the lane-block spine plus the one shared FAA
-/// word that makes ops_total() strongly linearizable.
+/// Store-wide telemetry root: the lane-block spine. It holds no shared word
+/// of its own — every write lands in some lane's block.
 class StoreTelemetry {
  public:
   StoreTelemetry() = default;
@@ -288,50 +274,20 @@ class StoreTelemetry {
     return lanes_.peek(static_cast<size_t>(i));
   }
 
-  /// The digest add — the instrumented op's fixed linearization point in the
-  /// telemetry facet. One fetch&add, seq_cst, exactly CounterSumDigest::add's
-  /// total-word half.
-  // c2sl-atomic: faa seq_cst — digest-add half; the op's telemetry-facet
-  // linearization point
-  void bump_ops_total() { ops_total_.fetch_add(1, std::memory_order_seq_cst); }
-
-  /// Strongly linearizable exact read: fetch&add(0) linearizes at its own
-  /// step (prefix-closed — the checker-verified path).
-  int64_t ops_total() {
-    // c2sl-atomic: faa seq_cst — FAA(0) exact read; linearizes at its own step
-    return ops_total_.fetch_add(0, std::memory_order_seq_cst);
-  }
-
-  /// The pinned NEGATIVE control: a one-pass sum of the per-lane cells. Racy
-  /// and merely linearizable — its linearization point depends on future
-  /// writes (refuted by the checker on the sim twin). Kept for the on-vs-off
-  /// contrast in the metrics export; never used where exactness matters.
-  uint64_t ops_total_scan(int max_lanes) const {
-    uint64_t sum = 0;
-    for (int i = 0; i < max_lanes; ++i) {
-      if (const LaneTelemetry* lt = peek_lane(i)) {
-        sum += lt->total_ops_cell();
-      }
-    }
-    return sum;
-  }
-
   void record_open_wait(LaneTelemetry* lt, int64_t ns) {
     if (lt == nullptr) return;
     lt->bump(TelOp::kSessionOpen);
     lt->open_wait.record(ns);
     lt->flight.record(TelOp::kSessionOpen, -1, ns);
-    bump_ops_total();
   }
 
-  /// Telemetry-core snapshot (lane scan + digest read). The service layer
-  /// adds its registry/handoff counters on top (C2Store::metrics_snapshot).
-  /// `shards` sizes the per-shard heat vector (0 = skip the heat scan).
+  /// Telemetry-core snapshot: one pass over the lane blocks. The service
+  /// layer adds its registry/handoff counters on top
+  /// (C2Store::metrics_snapshot). `shards` sizes the per-shard heat vector
+  /// (0 = skip the heat scan).
   MetricsSnapshot snapshot(int max_lanes, int shards = 0) const {
     MetricsSnapshot s;
     s.enabled = true;
-    s.ops_total = const_cast<StoreTelemetry*>(this)->ops_total();
-    s.ops_total_scan = ops_total_scan(max_lanes);
     s.shard_ops.assign(static_cast<size_t>(shards > 0 ? shards : 0), 0);
     for (int i = 0; i < max_lanes; ++i) {
       const LaneTelemetry* lt = peek_lane(i);
@@ -347,6 +303,8 @@ class StoreTelemetry {
       }
       s.open_wait.merge(lt->open_wait.snapshot());
     }
+    for (uint64_t c : s.op_counts) s.ops_total_scan += c;
+    s.ops_total = static_cast<int64_t>(s.ops_total_scan);
     for (int e = 0; e < kTelEventCount; ++e) {
       s.events[e] = event_count(static_cast<TelEvent>(e));
     }
@@ -355,15 +313,15 @@ class StoreTelemetry {
 
  private:
   rt::SegmentedArray<LaneTelemetry> lanes_;
-  std::atomic<int64_t> ops_total_{0};
 };
 
-/// RAII instrumentation for one service op: counters + flight + digest at
+/// RAII instrumentation for one service op: lane counters + flight record at
 /// entry, sampled latency at exit. Constructed at the top of every ref/
 /// session hot path; `lane` is the session's cached LaneTelemetry pointer.
+/// The store argument is unused: an op writes only its own lane's block.
 class OpScope {
  public:
-  OpScope(StoreTelemetry& store, LaneTelemetry* lane, TelOp op, int shard,
+  OpScope(StoreTelemetry& /*store*/, LaneTelemetry* lane, TelOp op, int shard,
           int64_t arg)
       : lane_(lane), op_(op) {
     std::atomic<uint64_t>& c = lane->op_counts[static_cast<int>(op)];
@@ -373,7 +331,6 @@ class OpScope {
     c.store(prev + 1, std::memory_order_relaxed);
     lane->bump_shard(shard);
     lane->flight.record(op, shard, arg);
-    store.bump_ops_total();
     sampled_ = (prev & (kLatencySamplePeriod - 1)) == 0;
     if (sampled_) t0_ = std::chrono::steady_clock::now();
   }
@@ -431,9 +388,6 @@ class StoreTelemetry {
  public:
   constexpr LaneTelemetry* lane(int) const { return nullptr; }
   constexpr const LaneTelemetry* peek_lane(int) const { return nullptr; }
-  constexpr void bump_ops_total() const {}
-  constexpr int64_t ops_total() const { return 0; }
-  constexpr uint64_t ops_total_scan(int) const { return 0; }
   constexpr void record_open_wait(LaneTelemetry*, int64_t) const {}
   MetricsSnapshot snapshot(int, int = 0) const { return MetricsSnapshot{}; }
 };

@@ -55,6 +55,15 @@ int64_t sum_of_shard_counters(svc::C2Store& store, svc::C2Session& s) {
   return sum;
 }
 
+/// Sum of the sum digest's per-lane components (lane_counter_adds).
+int64_t sum_of_lane_counter_adds(const svc::C2Store& store) {
+  int64_t sum = 0;
+  for (int l = 0; l < store.config().max_threads; ++l) {
+    sum += store.lane_counter_adds(l);
+  }
+  return sum;
+}
+
 // All threads race to initialise the SAME fresh shard on their very first
 // operation; the readable-TAS guard must produce exactly one object (checked
 // indirectly: fetch&increment results are globally distinct and dense).
@@ -122,8 +131,11 @@ TEST(C2StoreStress, CounterSumConservation) {
 
 // counter_sum() digest reads racing counter_add traffic: per observer thread
 // the sum must be monotone (the digest word only grows) and never exceed the
-// number of incs started; at quiescence the digest, the per-shard counters
-// and the per-lane components must all agree. (TSAN watches the digest word and the per-lane cells.)
+// number of incs started, and a pass over the per-lane components taken after
+// a digest read never trails it (the relaxed lane cells are released by the
+// total's FAA); at quiescence the digest, the per-shard counters and the
+// per-lane components must all agree. (TSAN watches the digest word and the
+// per-lane cells.)
 TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   const int threads = 4;
   const int per_thread = 300;
@@ -139,6 +151,7 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
     if (t == 0) {
       int64_t sum = store.counter_sum();
       if (sum < last_seen[0] || sum > inc_threads * per_thread) ok.store(false);
+      if (sum_of_lane_counter_adds(store) < sum) ok.store(false);
       last_seen[0] = sum;
     } else {
       sessions[static_cast<size_t>(t)].counter_inc(
@@ -146,14 +159,11 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
     }
     return op;
   });
-  EXPECT_TRUE(ok.load()) << "digest read non-monotone or out of bounds";
+  EXPECT_TRUE(ok.load())
+      << "digest read non-monotone, out of bounds, or ahead of its lanes";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
   EXPECT_EQ(sum_of_shard_counters(store, sessions[0]), inc_threads * per_thread);
-  int64_t lanes_total = 0;
-  for (int l = 0; l < store.config().max_threads; ++l) {
-    lanes_total += store.lane_counter_adds(l);
-  }
-  EXPECT_EQ(lanes_total, inc_threads * per_thread)
+  EXPECT_EQ(sum_of_lane_counter_adds(store), inc_threads * per_thread)
       << "per-lane components must telescope to the digest total";
 }
 
@@ -286,6 +296,9 @@ TEST(C2StoreStress, SessionChurnKeepsLanesExclusive) {
 // lane to the queue head). Checks: counter conservation (no op lost), lane
 // exclusivity, and the no-busy-spin bounds — every park is one enqueued
 // ticket, and tickets exceed blocking opens only by revocation retries.
+// Lanes move between threads on every open, so the per-lane sum-digest cells
+// (single-writer plain registers) must still add up exactly: a lost update
+// would mean a new owner did not see its predecessor's writes.
 TEST(C2StoreStress, BlockingOpensUnderLaneStarvation) {
   const int threads = 6;
   const int per_thread = 400;
@@ -316,6 +329,10 @@ TEST(C2StoreStress, BlockingOpensUnderLaneStarvation) {
   EXPECT_EQ(audit.counter_read(uint64_t{3}),
             static_cast<int64_t>(threads) * per_thread)
       << "every blocking open must have produced exactly one op";
+  EXPECT_EQ(store.counter_sum(), static_cast<int64_t>(threads) * per_thread);
+  EXPECT_EQ(sum_of_lane_counter_adds(store),
+            static_cast<int64_t>(threads) * per_thread)
+      << "a lane cell lost an add across an owner change";
   EXPECT_LE(store.lane_tickets_issued(), lanes);
   // No busy-spin: parks are bounded by enqueued tickets, and tickets exceed
   // the number of opens only by revocation retries (each retry is caused by

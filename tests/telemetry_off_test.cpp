@@ -10,8 +10,8 @@
 // The proof idea: atomic operations (and clock reads, and thread_local
 // access) are not usable in constant evaluation. If the entire instrumented
 // hot path — prim macros, counter bumps, flight recording, OpScope
-// construction, digest reads — can run inside a constexpr function whose
-// result feeds a static_assert, then the disabled flavour provably contains
+// construction — can run inside a constexpr function whose result feeds a
+// static_assert, then the disabled flavour provably contains
 // no atomic op, no RMW, no syscall: the compiler would have rejected the
 // static_assert otherwise. This is the "C2SL_TELEMETRY=0 adds zero atomic
 // ops" guarantee as a compile-time theorem rather than a benchmark claim
@@ -61,7 +61,6 @@ constexpr bool off_hot_path_is_constant_evaluable() {
   {
     tel::OpScope op(store, lane, tel::TelOp::kMaxWrite, /*shard=*/0, /*arg=*/7);
   }
-  store.bump_ops_total();
   tel::LaneTelemetry lt;
   lt.bump(tel::TelOp::kCounterInc);
   tel::FlightRecorder flight;
@@ -74,7 +73,6 @@ constexpr bool off_hot_path_is_constant_evaluable() {
   store.record_open_wait(lane, timer.elapsed_ns());
 
   return delta.faa == 0 && delta.tas == 0 && delta.swap == 0 &&
-         store.ops_total() == 0 && store.ops_total_scan(8) == 0 &&
          tel::event_count(tel::TelEvent::kShardInit) == 0 &&
          store.peek_lane(0) == nullptr && timer.elapsed_ns() == 0;
 }

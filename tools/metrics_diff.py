@@ -8,10 +8,9 @@ Validation checks the snapshot's structural invariants, not just its shape:
 
   * schema == "c2sl-metrics-v1", source present, telemetry_enabled boolean.
   * op_counts covers every known op kind with non-negative integers.
-  * ops_total (the strongly linearizable digest read) >= 0; on a QUIESCED
-    snapshot — every producer writes them after its workers joined — the racy
-    lane scan must agree: ops_total == ops_total_scan. --in-flight relaxes
-    that to scan <= total (writers between their lane cell and digest steps).
+  * ops_total and ops_total_scan are the same one-pass lane-scan total, so
+    on an enabled snapshot ops_total == ops_total_scan == sum of op_counts,
+    whether or not writers were live when it was taken.
   * every histogram is internally consistent: bucket uppers strictly
     increasing, counts non-negative, reported count == sum of buckets, and
     quantile upper bounds monotone in q (p50 <= p90 <= p99 <= max).
@@ -122,7 +121,7 @@ def validate_histogram(hist, where):
                  "an empty histogram must report all-zero quantiles")
 
 
-def validate(doc, path, in_flight=False):
+def validate(doc, path):
     _require(isinstance(doc, dict), path, "snapshot must be a JSON object")
     _require(doc.get("schema") == "c2sl-metrics-v1", path,
              f"schema is {doc.get('schema')!r}, want 'c2sl-metrics-v1'")
@@ -132,22 +131,9 @@ def validate(doc, path, in_flight=False):
     _require(isinstance(enabled, bool), path,
              "telemetry_enabled must be a boolean")
 
-    for key in ("lanes", "ops_total"):
+    for key in ("lanes", "ops_total", "ops_total_scan"):
         _require(_is_count(doc.get(key)), path,
                  f"{key} must be a non-negative int")
-    _require(_is_count(doc.get("ops_total_scan")), path,
-             "ops_total_scan must be a non-negative int")
-    if enabled:
-        if in_flight:
-            _require(doc["ops_total_scan"] <= doc["ops_total"], path,
-                     f"lane scan {doc['ops_total_scan']} exceeds the digest "
-                     f"read {doc['ops_total']} (the digest trails no one: "
-                     "every lane-cell write precedes its digest FAA)")
-        else:
-            _require(doc["ops_total_scan"] == doc["ops_total"], path,
-                     f"quiesced snapshot disagrees: digest {doc['ops_total']}"
-                     f" != lane scan {doc['ops_total_scan']} (pass --in-flight"
-                     " if writers were live at snapshot time)")
 
     ops = doc.get("op_counts")
     _require(isinstance(ops, dict), path, "op_counts must be an object")
@@ -155,6 +141,12 @@ def validate(doc, path, in_flight=False):
         _require(kind in ops, f"{path}:op_counts", f"missing op kind {kind!r}")
         _require(_is_count(ops[kind]), f"{path}:op_counts",
                  f"{kind} must be a non-negative int")
+    if enabled:
+        counted = sum(ops[kind] for kind in OP_KINDS)
+        _require(doc["ops_total"] == doc["ops_total_scan"] == counted, path,
+                 f"totals disagree: ops_total {doc['ops_total']}, "
+                 f"ops_total_scan {doc['ops_total_scan']}, op_counts sum "
+                 f"{counted} (all three come from one lane scan)")
 
     lat = doc.get("op_latency_ns")
     _require(isinstance(lat, dict), path, "op_latency_ns must be an object")
@@ -233,13 +225,13 @@ def validate(doc, path, in_flight=False):
                      "profiled rows must record how many ops they averaged")
 
 
-def load(path, in_flight=False):
+def load(path):
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise Invalid(f"{path}: not JSON: {e}")
-    validate(doc, path, in_flight=in_flight)
+    validate(doc, path)
     return doc
 
 
@@ -282,17 +274,14 @@ def main():
     ap.add_argument("baseline", help="snapshot to validate (and diff against)")
     ap.add_argument("current", nargs="?", default=None,
                     help="second snapshot: print current - baseline deltas")
-    ap.add_argument("--in-flight", action="store_true",
-                    help="snapshot was taken with writers live: relax the "
-                         "quiesced digest==scan check to scan<=digest")
     ap.add_argument("--gate-monotone", action="store_true",
                     help="diff mode: exit 1 if any op count went backwards "
                          "(two runs of one workload must not lose updates)")
     args = ap.parse_args()
 
     try:
-        base = load(args.baseline, in_flight=args.in_flight)
-        curr = (load(args.current, in_flight=args.in_flight)
+        base = load(args.baseline)
+        curr = (load(args.current)
                 if args.current else None)
     except (OSError, Invalid) as e:
         print(f"metrics_diff: {e}", file=sys.stderr)

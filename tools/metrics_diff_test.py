@@ -2,9 +2,8 @@
 """Unit tests for tools/metrics_diff.py (stdlib unittest; a ctest entry).
 
 Covers: structural validation (schema, op-count coverage, histogram
-consistency, the quiesced digest==scan invariant and its --in-flight
-relaxation, handoff accounting), the disabled-flavour path, and the diff
-gates (monotone op counts).
+consistency, the one-scan totals invariant, handoff accounting), the
+disabled-flavour path, and the diff gates (monotone op counts).
 """
 
 import copy
@@ -68,9 +67,9 @@ def hist(pairs):
 
 
 class ValidateTest(unittest.TestCase):
-    def assert_invalid(self, doc, fragment, in_flight=False):
+    def assert_invalid(self, doc, fragment):
         with self.assertRaises(metrics_diff.Invalid) as ctx:
-            metrics_diff.validate(doc, "t", in_flight=in_flight)
+            metrics_diff.validate(doc, "t")
         self.assertIn(fragment, str(ctx.exception))
 
     def test_valid_snapshot_passes(self):
@@ -89,17 +88,14 @@ class ValidateTest(unittest.TestCase):
         doc["op_counts"]["max_read"] = -1
         self.assert_invalid(doc, "max_read")
 
-    def test_quiesced_digest_scan_disagreement_rejected(self):
-        doc = snapshot(ops_total_scan=11)
-        self.assert_invalid(doc, "disagrees")
-        # --in-flight tolerates a trailing scan (writers between their lane
-        # cell write and digest step)...
-        metrics_diff.validate(doc, "t", in_flight=True)
-        # ...but never a LEADING scan: the digest trails no one.
-        self.assert_invalid(snapshot(ops_total_scan=13), "exceeds",
-                            in_flight=True)
+    def test_totals_must_come_from_one_scan(self):
+        # ops_total, ops_total_scan and the op_counts sum are one lane scan:
+        # any disagreement means the producer mixed two reads.
+        self.assert_invalid(snapshot(ops_total_scan=11), "disagree")
+        self.assert_invalid(snapshot(ops_total=13, ops_total_scan=13),
+                            "disagree")
 
-    def test_disabled_snapshot_skips_quiescence_check(self):
+    def test_disabled_snapshot_skips_totals_check(self):
         doc = snapshot(telemetry_enabled=False, ops_total=0, ops_total_scan=0)
         metrics_diff.validate(doc, "t")
 
