@@ -7,7 +7,7 @@
 //
 // --metrics additionally prints the workload store's c2sl-metrics-v1 JSON
 // snapshot and its Prometheus text exposition (the no-CAS telemetry layer;
-// a disabled C2SL_TELEMETRY=0 build prints telemetry_enabled=false).
+// a disabled C2SL_CAPTURE=0 build prints telemetry_enabled=false).
 // --trace-out FILE writes the workload's linearization-witness trace as
 // c2sl-trace-v1 JSON (audit it offline with tools/trace_audit.py).
 #include <cstdio>

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "telemetry/export.h"
+#include "telemetry/trace_export.h"
 #include "util/assert.h"
 
 namespace c2sl::svc {
@@ -32,13 +32,20 @@ C2Store::C2Store(const C2StoreConfig& cfg)
       initial_mask_(static_cast<uint64_t>(cfg_.initial_shards) - 1),
       lanes_(cfg_.max_threads),
       digest_(cfg_.max_threads, cfg_.max_value) {
-  // Route assert failures through this store's flight recorder (last store
-  // constructed wins the slot; a no-op under C2SL_TELEMETRY=0).
-  tel::install_flight_dump_on_assert(&tel_, &trace_, cfg_.max_threads);
+  // Route assert failures through this store's witness-trace tail (last
+  // store constructed wins the slot; the dump is a no-op under
+  // C2SL_CAPTURE=0). The context is the store itself, so concurrent
+  // constructors share no state.
+  set_failure_hook(
+      [](void* self) {
+        const auto* st = static_cast<const C2Store*>(self);
+        tel::dump_trace_tail(stderr, st->trace_, st->cfg_.max_threads);
+      },
+      this);
 }
 
 C2Store::~C2Store() {
-  tel::uninstall_flight_dump_on_assert(&tel_);
+  clear_failure_hook(this);  // never clobbers a younger store's registration
   // Sweep up to the NEWEST epoch's count, published or not: an abandoned or
   // poisoned install may have materialised slots beyond the published range.
   int total = epochs_.shards_of(rt::RoutingEpoch::newest_epoch(epochs_.stamp()));
@@ -57,29 +64,23 @@ C2Session C2Store::open_session() {
   // on the per-lane open_wait histograms this feeds).
   tel::OpenTimer timer;
   int lane = lanes_.acquire_blocking();
-  int64_t wait_ns = timer.elapsed_ns();
-  tel_.record_open_wait(tel_.lane(lane), wait_ns);
-  trace_.record_event(trace_.lane(lane), tel::TraceOp::kSessionOpen,
-                      /*key=*/-1, /*arg=*/wait_ns, /*result=*/lane,
-                      /*witness=*/-1, /*epoch=*/-1);
-  return C2Session(this, lane);
+  return begin_session(lane, timer.elapsed_ns());
 }
 
 C2Session C2Store::try_open_session() {
   int lane = lanes_.try_acquire();
   if (lane == LaneRegistry::kNone) return C2Session();
-  tel_.record_open_wait(tel_.lane(lane), 0);  // non-blocking: zero wait
-  trace_.record_event(trace_.lane(lane), tel::TraceOp::kSessionOpen,
-                      /*key=*/-1, /*arg=*/0, /*result=*/lane,
-                      /*witness=*/-1, /*epoch=*/-1);
-  return C2Session(this, lane);
+  return begin_session(lane, 0);  // non-blocking: zero wait
 }
 
 C2Session C2Store::open_session_for(std::chrono::nanoseconds timeout) {
   tel::OpenTimer timer;
   int lane = lanes_.acquire_for(timeout);
   if (lane == LaneRegistry::kNone) return C2Session();
-  int64_t wait_ns = timer.elapsed_ns();
+  return begin_session(lane, timer.elapsed_ns());
+}
+
+C2Session C2Store::begin_session(int lane, int64_t wait_ns) {
   tel_.record_open_wait(tel_.lane(lane), wait_ns);
   trace_.record_event(trace_.lane(lane), tel::TraceOp::kSessionOpen,
                       /*key=*/-1, /*arg=*/wait_ns, /*result=*/lane,

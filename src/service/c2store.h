@@ -241,10 +241,10 @@ class ShardRef {
   C2Store* store_;
   /// The owning session's lane-local telemetry block (single-writer — the
   /// session's thread), cached at bind time like the shard slot. Null only in
-  /// the C2SL_TELEMETRY=0 flavour, where tel::OpScope ignores it.
+  /// the C2SL_CAPTURE=0 flavour, where tel::OpScope ignores it.
   tel::LaneTelemetry* tel_;
   /// The owning session's lane-local trace log (single-writer, same
-  /// discipline). Null only in the C2SL_TRACE=0 flavour, where
+  /// discipline). Null only in the C2SL_CAPTURE=0 flavour, where
   /// tel::TraceScope ignores it.
   tel::LaneTrace* trc_;
   ShardObjects* objs_ = nullptr;
@@ -609,19 +609,13 @@ class C2Store {
   /// prefix while deposits are in flight — see keyed_version_digest.h).
   int64_t journal_tickets() const { return journal_.tickets_issued(); }
 
-  // --- telemetry (src/telemetry/; all of it compiles out under
-  // --- C2SL_TELEMETRY=0) ---
+  // --- capture (src/telemetry/; all of it compiles out under
+  // --- C2SL_CAPTURE=0) ---
   /// Full metrics snapshot: the racy per-lane counter/histogram scans (exact
   /// at quiescence) and the session-layer counters above — the
   /// c2sl-metrics-v1 payload (tel::to_json / tel::to_prometheus in
   /// telemetry/export.h).
   tel::MetricsSnapshot metrics_snapshot() const;
-  /// The live telemetry root, for tel::dump_flight and tests. Read-only:
-  /// writes belong to lane owners.
-  const tel::StoreTelemetry& telemetry() const { return tel_; }
-
-  // --- linearization-witness tracing (src/telemetry/trace.h; compiles out
-  // --- under C2SL_TRACE=0) ---
   /// Drains every lane's trace log into a plain-data dump for
   /// tel::trace_to_json / tel::trace_to_chrome and tools/trace_audit.py.
   /// Safe against live writers (release/acquire publication per record);
@@ -629,7 +623,8 @@ class C2Store {
   tel::TraceDump trace_dump() const {
     return trace_.dump(cfg_.max_threads, cfg_.initial_shards);
   }
-  /// The live trace root, for tel::dump_trace_tail and tests.
+  /// The live trace root, for tel::dump_trace_tail (the assert hook's
+  /// post-mortem, installed per store) and tests.
   const tel::StoreTrace& trace() const { return trace_; }
 
  private:
@@ -650,6 +645,11 @@ class C2Store {
   /// Validates the config; every config error surfaces here with a
   /// service-level message, before any member construction.
   static C2StoreConfig validate(C2StoreConfig cfg);
+
+  /// The one session-open epilogue of the three open paths: records the
+  /// open (and its blocking wait) in the lane's telemetry and trace, then
+  /// binds the session.
+  C2Session begin_session(int lane, int64_t wait_ns);
 
   int route(uint64_t key) const { return router_.shard_of(key); }
   int route(std::string_view key) const { return router_.shard_of(key); }
@@ -713,12 +713,12 @@ class C2Store {
   /// independent.
   rt::KeyedVersionDigest journal_;
   /// Lane-local metrics (telemetry.h); no shared word. An empty shell under
-  /// C2SL_TELEMETRY=0. Mutable: ref hot paths reach it through const-agnostic
+  /// C2SL_CAPTURE=0. Mutable: ref hot paths reach it through const-agnostic
   /// session state, and its lane blocks are single-writer by the session
   /// discipline.
   mutable tel::StoreTelemetry tel_;
   /// Lane-local linearization-witness trace logs (telemetry/trace.h). An
-  /// empty shell under C2SL_TRACE=0. Mutable for the same reason as tel_.
+  /// empty shell under C2SL_CAPTURE=0. Mutable for the same reason as tel_.
   mutable tel::StoreTrace trace_;
 };
 

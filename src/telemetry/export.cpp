@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "telemetry/trace_export.h"
-#include "util/assert.h"
 #include "workload/json_writer.h"
 
 namespace c2sl::tel {
@@ -121,7 +119,7 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   };
 
   line("# HELP c2sl_telemetry_enabled 1 when the store was built with "
-       "C2SL_TELEMETRY=1.");
+       "C2SL_CAPTURE=1.");
   line("# TYPE c2sl_telemetry_enabled gauge");
   line("c2sl_telemetry_enabled %d", snap.enabled ? 1 : 0);
   if (!snap.enabled) return out;
@@ -193,73 +191,5 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   }
   return out;
 }
-
-#if C2SL_TELEMETRY
-
-void dump_flight(std::FILE* out, const StoreTelemetry& tel, int max_lanes) {
-  std::fprintf(out, "c2sl flight recorder (last %" PRIu64 " ops per lane):\n",
-               FlightRecorder::kEntries);
-  for (int lane = 0; lane < max_lanes; ++lane) {
-    const LaneTelemetry* lt = tel.peek_lane(lane);
-    if (lt == nullptr) continue;
-    auto entries = lt->flight.snapshot();
-    if (entries.empty()) continue;
-    std::fprintf(out, "  lane %d (%zu entries):\n", lane, entries.size());
-    for (const FlightEntry& e : entries) {
-      if (e.shard >= 0) {
-        std::fprintf(out, "    #%" PRIu64 " %s shard=%d arg=%" PRId64 "\n",
-                     e.seq, to_string(e.op), e.shard, e.arg);
-      } else {
-        std::fprintf(out, "    #%" PRIu64 " %s arg=%" PRId64 "\n", e.seq,
-                     to_string(e.op), e.arg);
-      }
-    }
-  }
-}
-
-namespace {
-
-// The hook context lives in a static (never dangles); it names the store
-// whose rings to dump. Install races between concurrently-constructed stores
-// are benign — this is a diagnostics channel, last installer wins.
-struct DumpCtx {
-  const StoreTelemetry* tel = nullptr;
-  const StoreTrace* trace = nullptr;
-  int max_lanes = 0;
-};
-DumpCtx g_dump_ctx;
-
-/// Last-N trace records interleaved after the flight rings, so a post-mortem
-/// names the witnesses around the failure, not just the op kinds.
-constexpr int kAssertTraceTail = 8;
-
-}  // namespace
-
-void install_flight_dump_on_assert(const StoreTelemetry* tel,
-                                   const StoreTrace* trace, int max_lanes) {
-  g_dump_ctx.tel = tel;
-  g_dump_ctx.trace = trace;
-  g_dump_ctx.max_lanes = max_lanes;
-  set_failure_hook(
-      [](void* p) {
-        auto* ctx = static_cast<DumpCtx*>(p);
-        if (ctx->tel != nullptr) dump_flight(stderr, *ctx->tel, ctx->max_lanes);
-        if (ctx->trace != nullptr) {
-          dump_trace_tail(stderr, *ctx->trace, ctx->max_lanes,
-                          kAssertTraceTail);
-        }
-      },
-      &g_dump_ctx);
-}
-
-void uninstall_flight_dump_on_assert(const StoreTelemetry* tel) {
-  if (g_dump_ctx.tel == tel) {
-    g_dump_ctx.tel = nullptr;
-    g_dump_ctx.trace = nullptr;
-    clear_failure_hook(&g_dump_ctx);
-  }
-}
-
-#endif  // C2SL_TELEMETRY
 
 }  // namespace c2sl::tel

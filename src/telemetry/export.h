@@ -1,22 +1,17 @@
-// Telemetry exporters: the c2sl-metrics-v1 JSON snapshot, a Prometheus text
-// exposition, and the flight-recorder dump (manual or wired into the assert
-// failure hook of util/assert.h).
+// Telemetry exporters: the c2sl-metrics-v1 JSON snapshot and a Prometheus
+// text exposition. (The post-mortem dump is the witness trace's tail:
+// tel::dump_trace_tail, telemetry/trace_export.h.)
 //
-// The two serialisers take the plain-data MetricsSnapshot, so they have ONE
-// definition regardless of the C2SL_TELEMETRY flavour — a disabled build
-// still exports a well-formed snapshot that says telemetry_enabled=false
+// Both serialisers take the plain-data MetricsSnapshot, so they have ONE
+// definition regardless of the C2SL_CAPTURE flavour — a disabled build still
+// exports a well-formed snapshot that says telemetry_enabled=false
 // (tools/metrics_diff.py treats that as "no counters to diff", not an error).
-// The flight-dump entry points touch the live StoreTelemetry and so are
-// flavour-versioned: inline no-ops when disabled, real implementations in
-// telemetry/export.cpp when enabled.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 
 namespace c2sl::tel {
 
@@ -29,33 +24,5 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source);
 /// session/handoff/event totals, gauges for the nearest-rank latency
 /// quantile estimates.
 std::string to_prometheus(const MetricsSnapshot& snap);
-
-#if C2SL_TELEMETRY
-
-/// Prints every lane's last-N ops ring, oldest first, to `out`.
-void dump_flight(std::FILE* out, const StoreTelemetry& tel, int max_lanes);
-
-/// Routes assert_fail through dump_flight (last installer wins; the service
-/// layer installs per store and uninstalls on destruction). When `trace` is
-/// non-null and tracing is compiled in, the dump interleaves each lane's last
-/// trace records — so a post-mortem carries linearization witnesses, not just
-/// op kinds (tel::dump_trace_tail, telemetry/trace_export.h).
-void install_flight_dump_on_assert(const StoreTelemetry* tel,
-                                   const StoreTrace* trace, int max_lanes);
-inline void install_flight_dump_on_assert(const StoreTelemetry* tel,
-                                          int max_lanes) {
-  install_flight_dump_on_assert(tel, nullptr, max_lanes);
-}
-void uninstall_flight_dump_on_assert(const StoreTelemetry* tel);
-
-#else
-
-inline void dump_flight(std::FILE*, const StoreTelemetry&, int) {}
-inline void install_flight_dump_on_assert(const StoreTelemetry*,
-                                          const StoreTrace*, int) {}
-inline void install_flight_dump_on_assert(const StoreTelemetry*, int) {}
-inline void uninstall_flight_dump_on_assert(const StoreTelemetry*) {}
-
-#endif  // C2SL_TELEMETRY
 
 }  // namespace c2sl::tel

@@ -12,8 +12,7 @@
 // load + relaxed store on a private cache line: a plain register write in the
 // paper's taxonomy, no RMW. Readers scan the cells racily; a histogram is an
 // approximate object by nature and the racy read loses at most in-flight
-// increments (the strongly linearizable telemetry facet is the ops-total
-// digest in telemetry.h, NOT these buckets — see docs/PROOFS.md).
+// increments (a diagnostic nothing may branch on — see docs/PROOFS.md).
 //
 // Buckets are powers of two: bucket 0 holds <= 0ns (clock glitches), bucket
 // b >= 1 holds [2^(b-1), 2^b) ns. 64 value buckets cover the full int64 range;
@@ -25,9 +24,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "telemetry/prim_profile.h"  // C2SL_TELEMETRY gate + flavour namespaces
+#include "telemetry/prim_profile.h"  // C2SL_CAPTURE gate + flavour namespaces
 
-#if C2SL_TELEMETRY
+#if C2SL_CAPTURE
 #include <atomic>
 #endif
 
@@ -99,9 +98,9 @@ struct HistogramSnapshot {
   }
 };
 
-#if C2SL_TELEMETRY
+#if C2SL_CAPTURE
 
-inline namespace tel_on {
+inline namespace capture_on {
 
 /// Single-writer log-bucketed histogram. The writer (the lane owner) bumps a
 /// private relaxed cell; concurrent snapshot() readers see a racy but
@@ -131,11 +130,11 @@ class LatencyHistogram {
   std::atomic<uint64_t> counts_[kHistBuckets] = {};
 };
 
-}  // namespace tel_on
+}  // namespace capture_on
 
-#else  // !C2SL_TELEMETRY
+#else  // !C2SL_CAPTURE
 
-inline namespace tel_off {
+inline namespace capture_off {
 
 /// Disabled flavour: stateless, constexpr-evaluable (the structural proof in
 /// tests/telemetry_off_test.cpp calls record() inside constant evaluation).
@@ -145,8 +144,8 @@ class LatencyHistogram {
   HistogramSnapshot snapshot() const { return HistogramSnapshot{}; }
 };
 
-}  // namespace tel_off
+}  // namespace capture_off
 
-#endif  // C2SL_TELEMETRY
+#endif  // C2SL_CAPTURE
 
 }  // namespace c2sl::tel

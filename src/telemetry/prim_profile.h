@@ -3,16 +3,20 @@
 // handful of process-wide cold-path events (segment claims/publications, shard
 // initialisations).
 //
-// This header is the bottom of the telemetry stack: it is included by the
-// runtime constructions themselves (native_tas_family.h, counter_sum_digest.h,
+// This header is the bottom of the capture stack: it owns the one build
+// switch (C2SL_CAPTURE, CMake option of the same name) that every capture
+// header — histogram.h, telemetry.h, trace.h and the exporters — keys its
+// capture_on / capture_off inline-namespace pair on, and the one op table
+// (TraceOp) the metrics and the trace share. It is included by the runtime
+// constructions themselves (native_tas_family.h, counter_sum_digest.h,
 // handoff_queue.h, segmented_array.h), so it must not depend on anything above
 // util/. The per-thread counters are plain (non-atomic) thread_local fields —
 // bumping one is a register increment, never a shared-memory operation — and
-// the whole thing compiles to nothing under C2SL_TELEMETRY=0: the macros
-// expand to ((void)0), which is constexpr-evaluable, a property
-// tests/telemetry_off_test.cpp exploits to prove structurally that the
-// disabled flavour contains no atomic operations (atomics are not usable in
-// constant evaluation).
+// the whole thing compiles to nothing under C2SL_CAPTURE=0: the macros expand
+// to ((void)0), which is constexpr-evaluable, a property
+// tests/telemetry_off_test.cpp exploits to prove structurally that the disabled
+// flavour contains no atomic operations (atomics are not usable in constant
+// evaluation).
 //
 // Why count at the primitive layer rather than the service layer: the paper's
 // constructions are all towers of FAA/TAS/swap, so "how many primitive RMWs
@@ -23,11 +27,11 @@
 
 #include <cstdint>
 
-#ifndef C2SL_TELEMETRY
-#define C2SL_TELEMETRY 1
+#ifndef C2SL_CAPTURE
+#define C2SL_CAPTURE 1
 #endif
 
-#if C2SL_TELEMETRY
+#if C2SL_CAPTURE
 #include <atomic>
 #endif
 
@@ -70,9 +74,62 @@ inline const char* to_string(TelEvent e) {
 
 inline constexpr int kTelEventCount = static_cast<int>(TelEvent::kCount);
 
-#if C2SL_TELEMETRY
+/// Instrumented op kinds: the C2Store ref/session surface plus the two
+/// lifecycle kinds. The one op table of the capture layer — trace records
+/// carry every kind; the metrics count the first kTelOpCount (the lifecycle
+/// kinds have no per-op counter), so c2sl-metrics-v1 keys stay stable.
+enum class TraceOp : int {
+  kMaxWrite = 0,
+  kMaxRead,
+  kCounterInc,
+  kCounterRead,
+  kTasSet,
+  kTasRead,
+  kTasReset,
+  kSetPut,
+  kSetTake,
+  kGlobalMax,
+  kCounterSum,
+  kSessionOpen,
+  kSnapshot,
+  kTransfer,
+  kSessionClose,
+  kResize,
+  kCount,
+};
 
-inline namespace tel_on {  // inline namespace: ODR-safe across mixed-flavour TUs
+/// The metrics' spelling of the same table (telemetry.h, export.cpp).
+using TelOp = TraceOp;
+
+inline constexpr int kTraceOpCount = static_cast<int>(TraceOp::kCount);
+/// Op kinds with a metrics counter: every kind before kSessionClose.
+inline constexpr int kTelOpCount = static_cast<int>(TraceOp::kSessionClose);
+
+inline const char* to_string(TraceOp op) {
+  switch (op) {
+    case TraceOp::kMaxWrite: return "max_write";
+    case TraceOp::kMaxRead: return "max_read";
+    case TraceOp::kCounterInc: return "counter_inc";
+    case TraceOp::kCounterRead: return "counter_read";
+    case TraceOp::kTasSet: return "tas_set";
+    case TraceOp::kTasRead: return "tas_read";
+    case TraceOp::kTasReset: return "tas_reset";
+    case TraceOp::kSetPut: return "set_put";
+    case TraceOp::kSetTake: return "set_take";
+    case TraceOp::kGlobalMax: return "global_max";
+    case TraceOp::kCounterSum: return "counter_sum";
+    case TraceOp::kSessionOpen: return "session_open";
+    case TraceOp::kSnapshot: return "snapshot";
+    case TraceOp::kTransfer: return "transfer";
+    case TraceOp::kSessionClose: return "session_close";
+    case TraceOp::kResize: return "resize";
+    default: return "unknown_op";
+  }
+}
+
+#if C2SL_CAPTURE
+
+inline namespace capture_on {  // inline namespace: ODR-safe across flavours
 
 inline constexpr bool kEnabled = true;
 
@@ -96,7 +153,7 @@ inline uint64_t event_count(TelEvent e) {
   return event_counter(e).load(std::memory_order_relaxed);
 }
 
-}  // namespace tel_on
+}  // namespace capture_on
 
 #define C2SL_TEL_PRIM_FAA() (void)(++::c2sl::tel::this_thread_prims().faa)
 #define C2SL_TEL_PRIM_TAS() (void)(++::c2sl::tel::this_thread_prims().tas)
@@ -106,9 +163,9 @@ inline uint64_t event_count(TelEvent e) {
 #define C2SL_TEL_EVENT(e) \
   (void)::c2sl::tel::event_counter(e).fetch_add(1, std::memory_order_relaxed)
 
-#else  // !C2SL_TELEMETRY
+#else  // !C2SL_CAPTURE
 
-inline namespace tel_off {
+inline namespace capture_off {
 
 inline constexpr bool kEnabled = false;
 
@@ -118,13 +175,13 @@ inline constexpr bool kEnabled = false;
 constexpr PrimCounts this_thread_prims() { return PrimCounts{}; }
 constexpr uint64_t event_count(TelEvent) { return 0; }
 
-}  // namespace tel_off
+}  // namespace capture_off
 
 #define C2SL_TEL_PRIM_FAA() ((void)0)
 #define C2SL_TEL_PRIM_TAS() ((void)0)
 #define C2SL_TEL_PRIM_SWAP() ((void)0)
 #define C2SL_TEL_EVENT(e) ((void)0)
 
-#endif  // C2SL_TELEMETRY
+#endif  // C2SL_CAPTURE
 
 }  // namespace c2sl::tel

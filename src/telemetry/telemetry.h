@@ -2,8 +2,8 @@
 // plain registers only.
 //
 // Every service lane owns a LaneTelemetry block: per-op-kind counters,
-// per-shard heat cells, log-bucketed latency histograms, and a bounded flight
-// recorder. Lanes are single-owner by construction (svc::LaneRegistry hands
+// per-shard heat cells and log-bucketed latency histograms. (The post-mortem
+// last-N ops come from the witness trace's tail, trace_export.h.) Lanes are single-owner by construction (svc::LaneRegistry hands
 // each lane to exactly one session at a time), so every write here is a plain
 // register write — relaxed load + relaxed store on a private cache line. The
 // layer adds NO shared read-modify-write to any operation: an instrumented op
@@ -19,11 +19,10 @@
 // CounterRef, or the counter_sum() digest), not here.
 //
 // Cost budget per instrumented op (on-flavour): two relaxed load+store pairs
-// (kind counter + shard heat cell), three relaxed stores (flight ring), and a
-// pair of clock reads on 1 of every kLatencySamplePeriod ops. Under
-// C2SL_TELEMETRY=0 every type in this header collapses to an empty constexpr
-// shell — tests/telemetry_off_test.cpp proves the hot-path calls are
-// constant-evaluable, hence free of atomics.
+// (kind counter + shard heat cell) and a pair of clock reads on 1 of every
+// kLatencySamplePeriod ops. Under C2SL_CAPTURE=0 every type in this header
+// collapses to an empty constexpr shell — tests/telemetry_off_test.cpp proves
+// the hot-path calls are constant-evaluable, hence free of atomics.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +31,7 @@
 #include "telemetry/histogram.h"
 #include "telemetry/prim_profile.h"
 
-/// Flight-recorder depth (records per lane). Compile-time knob so post-mortem
-/// capture can be widened without touching code; must be a power of two.
-#ifndef C2SL_FLIGHT_RING
-#define C2SL_FLIGHT_RING 64
-#endif
-
-#if C2SL_TELEMETRY
+#if C2SL_CAPTURE
 #include <atomic>
 #include <chrono>
 
@@ -46,55 +39,6 @@
 #endif
 
 namespace c2sl::tel {
-
-/// Instrumented service-op kinds (the C2Store ref/session surface).
-enum class TelOp : int {
-  kMaxWrite = 0,
-  kMaxRead,
-  kCounterInc,
-  kCounterRead,
-  kTasSet,
-  kTasRead,
-  kTasReset,
-  kSetPut,
-  kSetTake,
-  kGlobalMax,
-  kCounterSum,
-  kSessionOpen,
-  kSnapshot,
-  kTransfer,
-  kCount,
-};
-
-inline constexpr int kTelOpCount = static_cast<int>(TelOp::kCount);
-
-inline const char* to_string(TelOp op) {
-  switch (op) {
-    case TelOp::kMaxWrite: return "max_write";
-    case TelOp::kMaxRead: return "max_read";
-    case TelOp::kCounterInc: return "counter_inc";
-    case TelOp::kCounterRead: return "counter_read";
-    case TelOp::kTasSet: return "tas_set";
-    case TelOp::kTasRead: return "tas_read";
-    case TelOp::kTasReset: return "tas_reset";
-    case TelOp::kSetPut: return "set_put";
-    case TelOp::kSetTake: return "set_take";
-    case TelOp::kGlobalMax: return "global_max";
-    case TelOp::kCounterSum: return "counter_sum";
-    case TelOp::kSessionOpen: return "session_open";
-    case TelOp::kSnapshot: return "snapshot";
-    case TelOp::kTransfer: return "transfer";
-    default: return "unknown_op";
-  }
-}
-
-/// One decoded flight-recorder entry.
-struct FlightEntry {
-  uint64_t seq = 0;   ///< lane-local op sequence number
-  TelOp op = TelOp::kCount;
-  int shard = -1;     ///< -1 for lane-level / aggregate ops
-  int64_t arg = 0;    ///< op argument (key value, written value, wait ns, ...)
-};
 
 /// Average primitive invocations per service op of one kind, measured by
 /// wl::profile_primitives (a calibration pass over a private store).
@@ -161,67 +105,9 @@ inline double shard_imbalance(const MetricsSnapshot& snap) {
 /// the rest skip the clock entirely. The counters see every op.
 inline constexpr uint64_t kLatencySamplePeriod = 32;
 
-#if C2SL_TELEMETRY
+#if C2SL_CAPTURE
 
-inline namespace tel_on {
-
-/// Bounded last-N ops ring, lane-local (single writer). Three relaxed stores
-/// per record; entries are two words (packed meta + raw arg) so a torn
-/// snapshot mispairs at worst one in-flight entry — acceptable for a crash
-/// diagnostic. Dumped by telemetry/export.cpp on assert failure.
-class FlightRecorder {
- public:
-  static constexpr uint64_t kEntries = C2SL_FLIGHT_RING;
-  static_assert(kEntries >= 2 && (kEntries & (kEntries - 1)) == 0,
-                "C2SL_FLIGHT_RING must be a power of two >= 2");
-
-  void record(TelOp op, int shard, int64_t arg) {
-    // c2sl-atomic: load relaxed — single-writer ring cursor read
-    uint64_t seq = seq_.load(std::memory_order_relaxed);
-    Slot& s = slots_[static_cast<size_t>(seq & (kEntries - 1))];
-    // meta: [seq:48][op:8][shard+1:8]; shard -1 encodes as 0.
-    uint64_t meta = (seq << 16) |
-                    ((static_cast<uint64_t>(op) & 0xff) << 8) |
-                    (static_cast<uint64_t>(shard + 1) & 0xff);
-    // c2sl-atomic: store relaxed, store relaxed, store relaxed — lane-local
-    // ring writes; the racy dump tolerates a torn in-flight entry
-    s.meta.store(meta, std::memory_order_relaxed);
-    s.arg.store(arg, std::memory_order_relaxed);
-    seq_.store(seq + 1, std::memory_order_relaxed);
-  }
-
-  /// Oldest-first decoded entries (racy read; diagnostics only).
-  std::vector<FlightEntry> snapshot() const {
-    // c2sl-atomic: load relaxed — documented-racy diagnostic read
-    uint64_t seq = seq_.load(std::memory_order_relaxed);
-    uint64_t count = seq < kEntries ? seq : kEntries;
-    std::vector<FlightEntry> out;
-    out.reserve(static_cast<size_t>(count));
-    for (uint64_t k = seq - count; k < seq; ++k) {
-      const Slot& s = slots_[static_cast<size_t>(k & (kEntries - 1))];
-      // c2sl-atomic: load relaxed — documented-racy diagnostic read
-      uint64_t meta = s.meta.load(std::memory_order_relaxed);
-      FlightEntry e;
-      e.seq = meta >> 16;
-      e.op = static_cast<TelOp>((meta >> 8) & 0xff);
-      e.shard = static_cast<int>(meta & 0xff) - 1;
-      // c2sl-atomic: load relaxed — documented-racy diagnostic read
-      e.arg = s.arg.load(std::memory_order_relaxed);
-      out.push_back(e);
-    }
-    return out;
-  }
-
- private:
-  // Meta and arg interleaved per entry, so one record dirties a single slot
-  // line (plus the seq line) instead of two parallel arrays' lines.
-  struct Slot {
-    std::atomic<uint64_t> meta{0};
-    std::atomic<int64_t> arg{0};
-  };
-  std::atomic<uint64_t> seq_{0};
-  Slot slots_[kEntries] = {};
-};
+inline namespace capture_on {
 
 /// Per-lane telemetry block. Single writer: the session that owns the lane.
 /// All fields are plain-register (load+store) cells; std::atomic only so the
@@ -230,7 +116,6 @@ struct alignas(128) LaneTelemetry {
   std::atomic<uint64_t> op_counts[kTelOpCount] = {};
   LatencyHistogram op_hist[kTelOpCount];
   LatencyHistogram open_wait;
-  FlightRecorder flight;
 
   // The per-op-kind counters also give the lane's total ops (their sum), so
   // the hot path pays exactly one load+store pair.
@@ -278,7 +163,6 @@ class StoreTelemetry {
     if (lt == nullptr) return;
     lt->bump(TelOp::kSessionOpen);
     lt->open_wait.record(ns);
-    lt->flight.record(TelOp::kSessionOpen, -1, ns);
   }
 
   /// Telemetry-core snapshot: one pass over the lane blocks. The service
@@ -315,14 +199,15 @@ class StoreTelemetry {
   rt::SegmentedArray<LaneTelemetry> lanes_;
 };
 
-/// RAII instrumentation for one service op: lane counters + flight record at
-/// entry, sampled latency at exit. Constructed at the top of every ref/
-/// session hot path; `lane` is the session's cached LaneTelemetry pointer.
-/// The store argument is unused: an op writes only its own lane's block.
+/// RAII instrumentation for one service op: lane counters at entry, sampled
+/// latency at exit. Constructed at the top of every ref/session hot path;
+/// `lane` is the session's cached LaneTelemetry pointer. The store and arg
+/// arguments are unused: an op writes only its own lane's counters, and its
+/// argument lands in the witness trace (TraceScope) instead.
 class OpScope {
  public:
   OpScope(StoreTelemetry& /*store*/, LaneTelemetry* lane, TelOp op, int shard,
-          int64_t arg)
+          int64_t /*arg*/)
       : lane_(lane), op_(op) {
     std::atomic<uint64_t>& c = lane->op_counts[static_cast<int>(op)];
     // c2sl-atomic: load relaxed — single-writer cell read (sampling decision)
@@ -330,7 +215,6 @@ class OpScope {
     // c2sl-atomic: store relaxed — single-writer cell bump
     c.store(prev + 1, std::memory_order_relaxed);
     lane->bump_shard(shard);
-    lane->flight.record(op, shard, arg);
     sampled_ = (prev & (kLatencySamplePeriod - 1)) == 0;
     if (sampled_) t0_ = std::chrono::steady_clock::now();
   }
@@ -365,19 +249,15 @@ class OpenTimer {
   std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
 };
 
-}  // namespace tel_on
+}  // namespace capture_on
 
-#else  // !C2SL_TELEMETRY
+#else  // !C2SL_CAPTURE
 
-inline namespace tel_off {
+inline namespace capture_off {
 
 /// Disabled flavour: every type is an empty constexpr shell. The hot-path
 /// calls are constant-evaluable (no atomics possible) — proven structurally
 /// in tests/telemetry_off_test.cpp.
-struct FlightRecorder {
-  constexpr void record(TelOp, int, int64_t) const {}
-};
-
 struct LaneTelemetry {
   constexpr void bump(TelOp) const {}
   constexpr void bump_shard(int) const {}
@@ -403,8 +283,8 @@ class OpenTimer {
   constexpr int64_t elapsed_ns() const { return 0; }
 };
 
-}  // namespace tel_off
+}  // namespace capture_off
 
-#endif  // C2SL_TELEMETRY
+#endif  // C2SL_CAPTURE
 
 }  // namespace c2sl::tel

@@ -21,8 +21,9 @@
 //     count release, so garbage cells are never readable — and the segment
 //     pointers ride the same release/acquire pair as the records). The only
 //     atomics are the release-published count (so a concurrent drain is
-//     TSAN-defined), the relaxed segment pointers, and a relaxed drop
-//     counter. No RMW, nothing on a decision path.
+//     TSAN-defined), the release-published pending index, the relaxed
+//     segment pointers, and a relaxed drop counter. No RMW, nothing on a
+//     decision path.
 //   * Appends never block: past C2SL_TRACE_CAP records the lane counts drops
 //     instead of writing (the auditor refuses a lossy trace unless told
 //     otherwise, so a dropped record can never silently pass an audit).
@@ -36,10 +37,15 @@
 //     constraint, never fabricate one). StoreTrace keeps a (tick, ns)
 //     calibration pair from construction and dump() takes a second pair, so
 //     export converts ticks to wall nanoseconds without hot-path division.
+//   * The post-mortem view is this same log: the assert hook prints each
+//     lane's last records plus its PENDING one (the lane's last op, staged
+//     but not yet committed), published by one release store of its index
+//     — a plain mov on x86, no RMW, no fence (trace_export.h,
+//     dump_trace_tail).
 //
-// -DC2SL_TRACE=OFF collapses every type here to an empty constexpr shell
-// (the telemetry_off pattern); tests/trace_off_test.cpp proves the disabled
-// hot path constant-evaluable, hence free of atomics and clock reads.
+// -DC2SL_CAPTURE=OFF collapses every type here to an empty constexpr shell
+// (like telemetry.h); tests/trace_off_test.cpp proves the disabled hot path
+// constant-evaluable, hence free of atomics and clock reads.
 #pragma once
 
 #include <cstdint>
@@ -47,17 +53,13 @@
 
 #include "telemetry/prim_profile.h"
 
-#ifndef C2SL_TRACE
-#define C2SL_TRACE 1
-#endif
-
 /// Per-lane record capacity. Beyond this the lane drops-with-count. 2^20
 /// records x 64 B = 64 MiB/lane worst case, allocated lazily in segments.
 #ifndef C2SL_TRACE_CAP
 #define C2SL_TRACE_CAP (uint64_t{1} << 20)
 #endif
 
-#if C2SL_TRACE
+#if C2SL_CAPTURE
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -68,53 +70,6 @@
 #endif
 
 namespace c2sl::tel {
-
-/// Traced op kinds. A strict superset of TelOp (same codes for the shared
-/// prefix, so a trace reader can reuse the metrics op table), plus the two
-/// lifecycle kinds the metrics layer has no per-op counter for.
-enum class TraceOp : int {
-  kMaxWrite = 0,
-  kMaxRead,
-  kCounterInc,
-  kCounterRead,
-  kTasSet,
-  kTasRead,
-  kTasReset,
-  kSetPut,
-  kSetTake,
-  kGlobalMax,
-  kCounterSum,
-  kSessionOpen,
-  kSnapshot,
-  kTransfer,
-  kSessionClose,
-  kResize,
-  kCount,
-};
-
-inline constexpr int kTraceOpCount = static_cast<int>(TraceOp::kCount);
-
-inline const char* to_string(TraceOp op) {
-  switch (op) {
-    case TraceOp::kMaxWrite: return "max_write";
-    case TraceOp::kMaxRead: return "max_read";
-    case TraceOp::kCounterInc: return "counter_inc";
-    case TraceOp::kCounterRead: return "counter_read";
-    case TraceOp::kTasSet: return "tas_set";
-    case TraceOp::kTasRead: return "tas_read";
-    case TraceOp::kTasReset: return "tas_reset";
-    case TraceOp::kSetPut: return "set_put";
-    case TraceOp::kSetTake: return "set_take";
-    case TraceOp::kGlobalMax: return "global_max";
-    case TraceOp::kCounterSum: return "counter_sum";
-    case TraceOp::kSessionOpen: return "session_open";
-    case TraceOp::kSnapshot: return "snapshot";
-    case TraceOp::kTransfer: return "transfer";
-    case TraceOp::kSessionClose: return "session_close";
-    case TraceOp::kResize: return "resize";
-    default: return "unknown_op";
-  }
-}
 
 /// One captured operation. Fixed 64-byte layout (one cache line, and
 /// line-ALIGNED so an append dirties exactly one line), plain data in both
@@ -151,11 +106,9 @@ struct TraceDump {
   std::vector<LaneTraceDump> lanes;
 };
 
-#if C2SL_TRACE
+#if C2SL_CAPTURE
 
-inline namespace trace_on {
-
-inline constexpr bool kTraceEnabled = true;
+inline namespace capture_on {
 
 /// Raw monotonic tick. TSC on x86 (serializing fences deliberately omitted:
 /// a few-cycle skew is far below the auditor's --slack-ns floor and a fenced
@@ -174,8 +127,8 @@ inline int64_t trace_now() {
 /// Process-lifetime reuse arena for trace segments, keyed by spine slot (all
 /// segments in slot s share one size). First-touch page population costs
 /// ~1µs/page on virtualised hosts — per-store allocation would re-pay it for
-/// every store in a process, which is exactly the overhead the CI trace-on
-/// ablation gate punishes. Recycling retired segments makes the steady state
+/// every store in a process, which is exactly the overhead the CI capture
+/// on-vs-off gate punishes. Recycling retired segments makes the steady state
 /// fault-free. Acquire/release run only on the COLD segment-crossing path
 /// (once per segment per lane life, never per record), so a plain mutex is
 /// appropriate here: this is allocator infrastructure in the same trust
@@ -228,7 +181,8 @@ class TraceArena {
 /// arithmetic, not a spine lookup), and at most one PENDING record — the last
 /// TraceScope's, awaiting its response tick. The next writer-side activity
 /// (scope, point event, or flush()) stamps and commits it; until then a
-/// concurrent drain simply does not see the still-in-flight op.
+/// concurrent drain does not see that op, and only pending() (the
+/// post-mortem tail) reads it.
 class alignas(128) LaneTrace {
  public:
   static constexpr uint64_t kCap = C2SL_TRACE_CAP;
@@ -277,7 +231,12 @@ class alignas(128) LaneTrace {
   /// Writer side: stage `r` (the record begin_append just handed out, fully
   /// filled except its response tick) as pending. Committed by the next
   /// flush_pending with that activity's tick as the response timestamp.
-  void stage_pending(TraceRecord* r) { pending_ = r; }
+  void stage_pending(TraceRecord* r) {
+    pending_ = r;
+    // c2sl-atomic: store release — publishes the staged record to pending()
+    // (pairs with its acquire); a plain store on x86, no RMW, no fence
+    staged_.store(n_ + 1, std::memory_order_release);
+  }
 
   /// Writer side: stamp and commit the pending record, if any. `tick` is
   /// taken at the START of the current activity, so it is never earlier than
@@ -295,17 +254,19 @@ class alignas(128) LaneTrace {
   /// the service layer's close event flushes implicitly.
   void flush() { flush_pending(trace_now()); }
 
-  /// Drain side: copy everything published so far. Safe against a concurrent
-  /// writer — only records below the acquired count are touched, and any
-  /// segment holding such a record had its pointer stored before the count
-  /// was released, so the acquire makes both visible together.
-  void drain_into(LaneTraceDump& out) const {
+  /// Drain side: copy the published records — all of them, or only the
+  /// newest `tail` — and return the lane index of the first one copied. Safe
+  /// against a concurrent writer — only records below the acquired count are
+  /// touched, and any segment holding such a record had its pointer stored
+  /// before the count was released, so the acquire makes both visible
+  /// together.
+  uint64_t drain_into(LaneTraceDump& out, uint64_t tail = kCap) const {
     // c2sl-atomic: load acquire — pairs with commit_append's release; records
     // below this count are fully written
     uint64_t n = published_.load(std::memory_order_acquire);
-    out.records.reserve(static_cast<size_t>(n));
-    using Arr = rt::SegmentedArray<TraceRecord>;
-    for (uint64_t i = 0; i < n;) {
+    uint64_t from = n > tail ? n - tail : 0;
+    out.records.reserve(static_cast<size_t>(n - from));
+    for (uint64_t i = from; i < n;) {
       int s = Arr::segment_of(static_cast<size_t>(i));
       uint64_t start = Arr::segment_start(s);
       uint64_t end = start + Arr::segment_size(s);
@@ -320,6 +281,35 @@ class alignas(128) LaneTrace {
     }
     // c2sl-atomic: load relaxed — drop-counter read (drain side)
     out.dropped = dropped_.load(std::memory_order_relaxed);
+    return from;
+  }
+
+  /// Drain side: copy the pending record — the lane's last op, staged but
+  /// not yet committed — into `out` and return its lane index, or -1 when
+  /// nothing is staged beyond the published count. Every field but t1 is
+  /// final once staged; t1 (which the commit still writes) is left at the
+  /// t0 floor, so the read never touches a cell the writer may be writing.
+  int64_t pending(TraceRecord& out) const {
+    // c2sl-atomic: load acquire — pairs with stage_pending's release; the
+    // staged record and its segment pointer are visible past this load
+    uint64_t staged = staged_.load(std::memory_order_acquire);
+    uint64_t n = published();
+    if (staged != n + 1) return -1;  // nothing staged, or committed since
+    int s = Arr::segment_of(static_cast<size_t>(n));
+    // c2sl-atomic: load relaxed — segment pointer, stored before the staged
+    // index release (begin_append runs before stage_pending)
+    const TraceRecord& r = segs_[s].load(std::memory_order_relaxed)
+                               [n - Arr::segment_start(s)];
+    out.op = r.op;
+    out.key_b = r.key_b;
+    out.key = r.key;
+    out.arg = r.arg;
+    out.result = r.result;
+    out.witness = r.witness;
+    out.t0 = r.t0;
+    out.t1 = r.t0;
+    out.epoch = r.epoch;
+    return static_cast<int64_t>(n);
   }
 
   uint64_t published() const {
@@ -369,6 +359,7 @@ class alignas(128) LaneTrace {
   TraceRecord* segs_w_[kSegs] = {};  ///< writer-private spine mirror
   std::atomic<TraceRecord*> segs_[kSegs] = {};  ///< drain-visible spine
   std::atomic<uint64_t> published_{0};
+  std::atomic<uint64_t> staged_{0};  ///< 1 + index of the last staged record
   std::atomic<uint64_t> dropped_{0};
 };
 
@@ -497,17 +488,15 @@ class TraceScope {
   TraceRecord* rec_ = nullptr;
 };
 
-}  // namespace trace_on
+}  // namespace capture_on
 
-#else  // !C2SL_TRACE
+#else  // !C2SL_CAPTURE
 
-inline namespace trace_off {
-
-inline constexpr bool kTraceEnabled = false;
+inline namespace capture_off {
 
 constexpr int64_t trace_now() { return 0; }
 
-/// Disabled flavour: empty constexpr shells, the telemetry_off pattern.
+/// Disabled flavour: empty constexpr shells, like telemetry.h's.
 /// tests/trace_off_test.cpp constant-evaluates the whole capture path.
 struct LaneTrace {
   static constexpr uint64_t kCap = 0;
@@ -538,8 +527,8 @@ class TraceScope {
   constexpr void set_epoch(int64_t) const {}
 };
 
-}  // namespace trace_off
+}  // namespace capture_off
 
-#endif  // C2SL_TRACE
+#endif  // C2SL_CAPTURE
 
 }  // namespace c2sl::tel

@@ -3,23 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "telemetry/telemetry.h"
 #include "workload/json_writer.h"
 
 namespace c2sl::tel {
-
-// TraceOp extends TelOp with the same codes on the shared prefix, so tools
-// reading both documents use one op table. Pin the correspondence.
-static_assert(static_cast<int>(TraceOp::kMaxWrite) ==
-              static_cast<int>(TelOp::kMaxWrite));
-static_assert(static_cast<int>(TraceOp::kCounterInc) ==
-              static_cast<int>(TelOp::kCounterInc));
-static_assert(static_cast<int>(TraceOp::kSnapshot) ==
-              static_cast<int>(TelOp::kSnapshot));
-static_assert(static_cast<int>(TraceOp::kTransfer) ==
-              static_cast<int>(TelOp::kTransfer));
-static_assert(kTraceOpCount == kTelOpCount + 2,
-              "TraceOp adds exactly session_close and resize");
 
 namespace {
 
@@ -120,34 +106,46 @@ std::string trace_to_chrome(const TraceDump& dump, std::string_view source) {
   return w.str();
 }
 
-#if C2SL_TRACE
+#if C2SL_CAPTURE
 
-void dump_trace_tail(std::FILE* out, const StoreTrace& trace, int max_lanes,
-                     int tail) {
-  std::fprintf(out, "c2sl trace tail (last %d records per lane):\n", tail);
+namespace {
+
+void print_record(std::FILE* out, uint64_t i, const TraceRecord& r,
+                  const char* note) {
+  std::fprintf(out,
+               "    #%" PRIu64 " %s key=%" PRId64 " arg=%" PRId64
+               " result=%" PRId64 " witness=%" PRId64 "%s\n",
+               i, op_name(r.op), r.key, r.arg, r.result, r.witness, note);
+}
+
+}  // namespace
+
+void dump_trace_tail(std::FILE* out, const StoreTrace& trace, int max_lanes) {
+  std::fprintf(out,
+               "c2sl trace tail (last %d records per lane, then the pending "
+               "op):\n",
+               kTraceTail);
   for (int lane = 0; lane < max_lanes; ++lane) {
     const LaneTrace* lt = trace.peek_lane(lane);
     if (lt == nullptr) continue;
-    uint64_t n = lt->published();
-    if (n == 0) continue;
     LaneTraceDump ld;
-    lt->drain_into(ld);
-    uint64_t from = n > static_cast<uint64_t>(tail)
-                        ? n - static_cast<uint64_t>(tail)
-                        : 0;
+    uint64_t first = lt->drain_into(ld, kTraceTail);
+    TraceRecord pending;
+    int64_t pending_at = lt->pending(pending);
+    if (ld.records.empty() && pending_at < 0) continue;
     std::fprintf(out, "  lane %d (%" PRIu64 " records, %" PRIu64
                       " dropped):\n",
-                 lane, n, ld.dropped);
-    for (uint64_t i = from; i < ld.records.size(); ++i) {
-      const TraceRecord& r = ld.records[i];
-      std::fprintf(out,
-                   "    #%" PRIu64 " %s key=%" PRId64 " arg=%" PRId64
-                   " result=%" PRId64 " witness=%" PRId64 "\n",
-                   i, op_name(r.op), r.key, r.arg, r.result, r.witness);
+                 lane, first + ld.records.size(), ld.dropped);
+    for (size_t k = 0; k < ld.records.size(); ++k) {
+      print_record(out, first + k, ld.records[k], "");
+    }
+    if (pending_at >= 0) {
+      print_record(out, static_cast<uint64_t>(pending_at), pending,
+                   " (pending)");
     }
   }
 }
 
-#endif  // C2SL_TRACE
+#endif  // C2SL_CAPTURE
 
 }  // namespace c2sl::tel

@@ -15,11 +15,12 @@
 
 namespace c2sl {
 
-/// Last-chance diagnostic hook, invoked by assert_fail before abort. The
-/// telemetry layer installs a flight-recorder dump here (telemetry/export.h)
-/// so a failed invariant ships the last-N ops per lane with it. Registration
-/// is two plain register writes (last installer wins — one dump is plenty);
-/// the slot holds a function + context pair read racily at failure time.
+/// Last-chance diagnostic hook, invoked by assert_fail before abort. Each
+/// svc::C2Store installs its witness-trace tail dump here (tel::dump_trace_tail,
+/// telemetry/trace_export.h) with itself as the context, so a failed
+/// invariant ships the last ops per lane with it. Registration is two plain
+/// register writes (last installer wins — one dump is plenty); the slot holds
+/// a function + context pair read racily at failure time.
 struct FailureHookSlot {
   std::atomic<void (*)(void*)> fn{nullptr};
   std::atomic<void*> ctx{nullptr};

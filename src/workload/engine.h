@@ -48,7 +48,7 @@ struct WorkloadConfig {
   /// When true, the workload drains the store's linearization-witness trace
   /// after quiescence into WorkloadResult::trace (tel::trace_to_json /
   /// tel::trace_to_chrome ready; audited offline by tools/trace_audit.py).
-  /// Capture itself is always on (C2SL_TRACE=1 builds) — this only controls
+  /// Capture itself is always on (C2SL_CAPTURE=1 builds) — this only controls
   /// the drain, which copies every record.
   bool collect_trace = false;
   /// Shard layout etc. The engine clamps max_threads / max_value /
@@ -91,11 +91,11 @@ struct WorkloadResult {
   /// Populated only by the session_churn mix (waiters == 0 otherwise).
   WaitSpread wait_spread;
   /// The store's telemetry at workload end (enabled == false under
-  /// C2SL_TELEMETRY=0); exported via tel::to_json / tel::to_prometheus.
+  /// C2SL_CAPTURE=0); exported via tel::to_json / tel::to_prometheus.
   tel::MetricsSnapshot metrics;
   /// The store's witness trace at workload end — drained only when
   /// cfg.collect_trace is set (enabled == false otherwise or under
-  /// C2SL_TRACE=0); exported via tel::trace_to_json / tel::trace_to_chrome.
+  /// C2SL_CAPTURE=0); exported via tel::trace_to_json / tel::trace_to_chrome.
   tel::TraceDump trace;
 };
 

@@ -1,8 +1,9 @@
-// The failure-hook contract (util/assert.h + telemetry/export.h): a failing
-// C2SL_ASSERT must ship the per-lane flight rings to stderr before aborting,
-// and the hook slot must survive the install/uninstall races its comment
-// promises to tolerate (last installer wins; a dying owner never clobbers a
-// successor's registration).
+// The failure-hook contract (util/assert.h + telemetry/trace_export.h): a
+// failing C2SL_ASSERT must ship each lane's witness-trace tail — its last
+// records AND its pending one, the lane's last op — to stderr before
+// aborting, and the hook slot must survive the install/uninstall races its
+// comment promises to tolerate (last installer wins; a dying owner never
+// clobbers a successor's registration).
 //
 // The death tests fork (gtest "fast" style — each test file is its own
 // single-threaded binary here, so forking is safe) and match the child's
@@ -14,15 +15,18 @@
 #include <gtest/gtest.h>
 
 #include "service/c2store.h"
-#include "telemetry/export.h"
+#include "telemetry/trace_export.h"
 #include "util/assert.h"
 
 namespace c2sl {
 namespace {
 
 using ::testing::AllOf;
+using ::testing::ContainsRegex;
 using ::testing::HasSubstr;
 using ::testing::Not;
+
+#if C2SL_CAPTURE
 
 svc::C2StoreConfig small_config() {
   svc::C2StoreConfig cfg;
@@ -33,9 +37,7 @@ svc::C2StoreConfig small_config() {
   return cfg;
 }
 
-#if C2SL_TELEMETRY
-
-TEST(AssertHookDeathTest, FailingAssertDumpsFlightRings) {
+TEST(AssertHookDeathTest, FailingAssertDumpsTheTraceTail) {
   EXPECT_DEATH(
       {
         svc::C2Store store(small_config());
@@ -43,17 +45,17 @@ TEST(AssertHookDeathTest, FailingAssertDumpsFlightRings) {
         svc::MaxRef mx = s.max(uint64_t{1});
         for (int i = 0; i < 3; ++i) mx.write(i);
         s.counter(uint64_t{2}).inc();
-        C2SL_ASSERT(false && "deliberate: flight ring must ship with this");
+        C2SL_ASSERT(false && "deliberate: trace tail must ship with this");
       },
       AllOf(HasSubstr("c2sl assertion failed"),
-            HasSubstr("c2sl flight recorder"), HasSubstr("lane 0"),
+            HasSubstr("c2sl trace tail"), HasSubstr("lane 0"),
             HasSubstr("session_open"), HasSubstr("max_write"),
-            HasSubstr("counter_inc")));
+            HasSubstr("counter_inc"), HasSubstr("(pending)")));
 }
 
 TEST(AssertHookDeathTest, DumpCarriesOpArguments) {
-  // The ring stores the written value; the dump must render it, not just the
-  // op name — that is what makes a post-mortem actionable.
+  // The record stores the written value; the dump must render it, not just
+  // the op name — that is what makes a post-mortem actionable.
   EXPECT_DEATH(
       {
         svc::C2Store store(small_config());
@@ -64,7 +66,7 @@ TEST(AssertHookDeathTest, DumpCarriesOpArguments) {
       AllOf(HasSubstr("max_write"), HasSubstr("arg=13")));
 }
 
-TEST(AssertHookDeathTest, SnapshotAndTransferRideTheFlightRing) {
+TEST(AssertHookDeathTest, SnapshotAndTransferRideTheTraceTail) {
   // The snapshot surface is instrumented like every other session op: a
   // transfer records its amount, a snapshot records its key count. Both must
   // land in the post-mortem dump — a conservation-check C2SL_CHECK firing
@@ -77,7 +79,7 @@ TEST(AssertHookDeathTest, SnapshotAndTransferRideTheFlightRing) {
         s.snapshot_counters({uint64_t{1}, uint64_t{2}, uint64_t{3}});
         C2SL_ASSERT(false && "deliberate: snapshot ops must ship with this");
       },
-      AllOf(HasSubstr("c2sl flight recorder"), HasSubstr("transfer"),
+      AllOf(HasSubstr("c2sl trace tail"), HasSubstr("transfer"),
             HasSubstr("arg=5"), HasSubstr("snapshot"), HasSubstr("arg=3")));
 }
 
@@ -88,16 +90,16 @@ TEST(AssertHookDeathTest, DestroyedStoreDisarmsTheDump) {
           svc::C2Store store(small_config());
           svc::C2Session s = store.open_session();
           s.max(uint64_t{1}).write(7);
-        }  // ~C2Store runs uninstall_flight_dump_on_assert
+        }  // ~C2Store runs clear_failure_hook
         C2SL_ASSERT(false && "no store alive: assert must not dump");
       },
       AllOf(HasSubstr("c2sl assertion failed"),
-            Not(HasSubstr("c2sl flight recorder"))));
+            Not(HasSubstr("c2sl trace tail"))));
 }
 
 TEST(AssertHookDeathTest, LastInstallerWinsAcrossTwoStores) {
   // Two live stores: the younger one owns the hook. Ops recorded on the
-  // OLDER store's lanes must not appear (its rings are not the dump target),
+  // OLDER store's lanes must not appear (its trace is not the dump target),
   // while the younger store's ops must.
   EXPECT_DEATH(
       {
@@ -111,11 +113,33 @@ TEST(AssertHookDeathTest, LastInstallerWinsAcrossTwoStores) {
         s.counter(uint64_t{9}).inc();
         C2SL_ASSERT(false);
       },
-      AllOf(HasSubstr("c2sl flight recorder"), HasSubstr("counter_inc"),
+      AllOf(HasSubstr("c2sl trace tail"), HasSubstr("counter_inc"),
             Not(HasSubstr("max_write"))));
 }
 
-#endif  // C2SL_TELEMETRY
+TEST(AssertHookDeathTest, TailCopiesOnlyTheLastRecordsThenThePendingOp) {
+  // One open and 100 writes, then one inc: the inc's scope committed the
+  // last write, so 101 records are published (#0..#100) and the inc is the
+  // pending #101. The dump starts at #(101 - kTraceTail) = #37, in order,
+  // and ends with the pending inc.
+  static_assert(tel::kTraceTail == 64);
+  EXPECT_DEATH(
+      {
+        svc::C2Store store(small_config());
+        svc::C2Session s = store.open_session();
+        svc::MaxRef mx = s.max(uint64_t{1});
+        for (int i = 0; i < 100; ++i) mx.write(i % 15);
+        s.counter(uint64_t{2}).inc();
+        C2SL_ASSERT(false);
+      },
+      AllOf(HasSubstr("lane 0 (101 records, 0 dropped)"),
+            Not(HasSubstr("#36 ")),
+            ContainsRegex("#37 max_write[^\n]*\n    #38 max_write"),
+            ContainsRegex("#100 max_write[^\n]*\n    #101 counter_inc"
+                          "[^\n]*\\(pending\\)")));
+}
+
+#endif  // C2SL_CAPTURE
 
 // --- hook slot semantics (no forking needed) --------------------------------
 

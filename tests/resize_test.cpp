@@ -295,7 +295,7 @@ TEST(C2StoreResize, SnapshotsAndTransfersConserveAcrossResize) {
 }
 
 TEST(C2StoreResize, TelemetryCountsClaimsPublishesAndMigratedKeys) {
-  if (!tel::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  if (!tel::kEnabled) GTEST_SKIP() << "capture compiled out (C2SL_CAPTURE=0)";
   svc::C2Store store(small_config());
   svc::C2Session s = store.open_session();
   for (uint64_t k = 0; k < 32; ++k) s.counter_inc(k);

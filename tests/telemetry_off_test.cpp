@@ -1,24 +1,27 @@
-// Structural proof that the DISABLED telemetry flavour is zero-overhead.
+// Structural proof that the DISABLED capture flavour is zero-overhead, metrics
+// half: the lane-local metrics (telemetry.h, histogram.h, prim_profile.h).
+// trace_off_test.cpp proves the same for the witness trace; both halves sit
+// under the one C2SL_CAPTURE switch.
 //
-// This TU is compiled with C2SL_TELEMETRY=0 forced by CMake (the only target
-// in the build with the off flavour when the tree is configured ON), and it
-// includes ONLY telemetry headers — never the service layer, whose library
-// objects carry the build-wide flavour. That is ODR-safe by construction: the
-// two flavours live in distinct inline namespaces (tel_on / tel_off), so the
-// mangled names differ even when both appear in one link.
+// This TU is compiled with C2SL_CAPTURE=0 forced by CMake (one of the two
+// targets in the build with the off flavour when the tree is configured ON),
+// and it includes ONLY capture headers — never the service layer, whose
+// library objects carry the build-wide flavour. That is ODR-safe by
+// construction: the two flavours live in distinct inline namespaces
+// (capture_on / capture_off), so the mangled names differ even when both
+// appear in one link.
 //
-// The proof idea: atomic operations (and clock reads, and thread_local
-// access) are not usable in constant evaluation. If the entire instrumented
-// hot path — prim macros, counter bumps, flight recording, OpScope
-// construction — can run inside a constexpr function whose result feeds a
-// static_assert, then the disabled flavour provably contains
-// no atomic op, no RMW, no syscall: the compiler would have rejected the
-// static_assert otherwise. This is the "C2SL_TELEMETRY=0 adds zero atomic
-// ops" guarantee as a compile-time theorem rather than a benchmark claim
-// (the runtime half — the <= 3% ON-overhead gate — lives in CI's ablation
-// job; see .github/workflows/ci.yml).
+// The proof idea: atomic operations, clock reads, thread_local access and
+// heap allocation are not usable in constant evaluation. If the entire
+// instrumented hot path — prim macros, counter bumps, OpScope construction,
+// the lane accessors — can run inside a constexpr function whose result
+// feeds a static_assert, then the disabled flavour provably contains none of
+// them: the compiler would have rejected the static_assert otherwise. The
+// runtime half (the capture on-vs-off cost on mix/mixed) is CI's overhead
+// gate; see .github/workflows/ci.yml.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
 
 #include "telemetry/export.h"
@@ -26,8 +29,8 @@
 #include "telemetry/prim_profile.h"
 #include "telemetry/telemetry.h"
 
-static_assert(C2SL_TELEMETRY == 0,
-              "telemetry_off_test must be compiled with C2SL_TELEMETRY=0 "
+static_assert(C2SL_CAPTURE == 0,
+              "telemetry_off_test must be compiled with C2SL_CAPTURE=0 "
               "(CMake forces it per-target)");
 
 namespace c2sl {
@@ -35,17 +38,17 @@ namespace {
 
 static_assert(!tel::kEnabled);
 
-// Every stateful telemetry type collapses to an empty shell when disabled.
+// Every stateful metrics type collapses to an empty shell when disabled.
 static_assert(std::is_empty_v<tel::LaneTelemetry>);
 static_assert(std::is_empty_v<tel::StoreTelemetry>);
-static_assert(std::is_empty_v<tel::FlightRecorder>);
 static_assert(std::is_empty_v<tel::LatencyHistogram>);
 static_assert(std::is_empty_v<tel::OpScope>);
 static_assert(std::is_empty_v<tel::OpenTimer>);
 
-// The whole instrumented hot path, in constant evaluation. Any atomic
-// operation, clock read, or thread_local access anywhere below would make
-// this function non-constexpr-evaluable and fail the static_assert.
+// The whole instrumented metrics path, in constant evaluation. Any atomic
+// operation, clock read, thread_local access or allocation anywhere below
+// would make this function non-constexpr-evaluable and fail the
+// static_assert.
 constexpr bool off_hot_path_is_constant_evaluable() {
   // The primitive-op macros at every runtime RMW site.
   C2SL_TEL_PRIM_FAA();
@@ -55,7 +58,7 @@ constexpr bool off_hot_path_is_constant_evaluable() {
   tel::PrimCounts before = tel::this_thread_prims();  // by-value when off
   tel::PrimCounts delta = tel::this_thread_prims() - before;
 
-  // The per-op instrumentation C2Store's refs run.
+  // The per-op metrics C2Store's refs run.
   tel::StoreTelemetry store;
   tel::LaneTelemetry* lane = store.lane(0);
   {
@@ -63,8 +66,6 @@ constexpr bool off_hot_path_is_constant_evaluable() {
   }
   tel::LaneTelemetry lt;
   lt.bump(tel::TelOp::kCounterInc);
-  tel::FlightRecorder flight;
-  flight.record(tel::TelOp::kSetPut, 1, 42);
   tel::LatencyHistogram hist;
   hist.record(123);
 
@@ -78,9 +79,9 @@ constexpr bool off_hot_path_is_constant_evaluable() {
 }
 
 static_assert(off_hot_path_is_constant_evaluable(),
-              "the disabled telemetry flavour executed a non-constexpr "
-              "operation: an atomic, clock read, or thread_local leaked into "
-              "the off hot path");
+              "the disabled capture flavour executed a non-constexpr "
+              "operation: an atomic, clock read, thread_local or allocation "
+              "leaked into the off metrics hot path");
 
 // Runtime face of the same guarantee: snapshots and exporters still work (a
 // disabled build exports a well-formed document saying so), so callers never
@@ -100,7 +101,7 @@ TEST(TelemetryOff, SnapshotAndExportersReportDisabled) {
 }
 
 // The histogram math (plain data, flavour-independent) stays available for
-// the workload engine's exact-percentile path even when telemetry is off.
+// the workload engine's exact-percentile path even when capture is off.
 TEST(TelemetryOff, SharedQuantileRuleStillAvailable) {
   EXPECT_EQ(tel::nearest_rank_index(4, 0.50), 1u);
   EXPECT_EQ(tel::nearest_rank_index(100, 0.99), 98u);

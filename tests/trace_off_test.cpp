@@ -1,20 +1,23 @@
-// Structural proof that the DISABLED trace flavour is zero-overhead.
+// Structural proof that the DISABLED capture flavour is zero-overhead, trace
+// half: the linearization-witness trace (trace.h, trace_export.h) and the
+// assert hook's post-mortem. telemetry_off_test.cpp proves the same for the
+// metrics; both halves sit under the one C2SL_CAPTURE switch.
 //
-// This TU is compiled with C2SL_TRACE=0 forced by CMake (the only target in
-// the build with the off flavour when the tree is configured ON), and it
-// includes ONLY telemetry headers — never the service layer, whose library
-// objects carry the build-wide flavour. That is ODR-safe by construction:
-// the two flavours live in distinct inline namespaces (trace_on /
-// trace_off), so the mangled names differ even when both appear in one link.
+// This TU is compiled with C2SL_CAPTURE=0 forced by CMake (one of the two
+// targets in the build with the off flavour when the tree is configured ON),
+// and it includes ONLY capture headers — never the service layer, whose
+// library objects carry the build-wide flavour. That is ODR-safe by
+// construction: the two flavours live in distinct inline namespaces
+// (capture_on / capture_off), so the mangled names differ even when both
+// appear in one link.
 //
 // Same proof idea as telemetry_off_test.cpp: atomics, clock reads (rdtsc
-// included — a builtin call is not a constant expression), and heap
-// allocation are unusable in constant evaluation, so if the entire capture
-// path — scope construction, the witness/result setters, point events, the
-// lane accessors — runs inside a constexpr function feeding a static_assert,
-// the disabled flavour provably contains none of them. The runtime half of
-// the guarantee (trace-ON overhead <= 5% on mix/mixed) is CI's
-// trace-ablation gate; see .github/workflows/ci.yml.
+// included — a builtin call is not a constant expression), thread_local
+// access and heap allocation are unusable in constant evaluation, so if the
+// entire capture path — TraceScope construction and its setters, point
+// events, the lane accessors, the post-mortem dump — runs inside a constexpr
+// function feeding a static_assert, the disabled flavour provably contains
+// none of them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,16 +26,16 @@
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
 
-static_assert(C2SL_TRACE == 0,
-              "trace_off_test must be compiled with C2SL_TRACE=0 "
+static_assert(C2SL_CAPTURE == 0,
+              "trace_off_test must be compiled with C2SL_CAPTURE=0 "
               "(CMake forces it per-target)");
 
 namespace c2sl {
 namespace {
 
-static_assert(!tel::kTraceEnabled);
+static_assert(!tel::kEnabled);
 
-// Every stateful capture type collapses to an empty shell when disabled. The
+// Every stateful trace type collapses to an empty shell when disabled. The
 // record and dump structs stay REAL plain data in both flavours (exporters
 // and tools never need #if), so they are deliberately absent here.
 static_assert(std::is_empty_v<tel::LaneTrace>);
@@ -40,37 +43,41 @@ static_assert(std::is_empty_v<tel::StoreTrace>);
 static_assert(std::is_empty_v<tel::TraceScope>);
 static_assert(tel::LaneTrace::kCap == 0);
 
-// The whole capture hot path, in constant evaluation. Any rdtsc, atomic, or
-// segment allocation below would fail the static_assert at compile time.
-constexpr bool off_hot_path_is_constant_evaluable() {
+// The whole trace capture path, in constant evaluation. Any atomic
+// operation, clock read, thread_local access or allocation anywhere below
+// would make this function non-constexpr-evaluable and fail the
+// static_assert.
+constexpr bool off_capture_path_is_constant_evaluable() {
+  // An interval op's trace record exactly as the C2Store refs stage one.
   tel::StoreTrace trace;
-  tel::LaneTrace* lane = trace.lane(0);
+  tel::LaneTrace* tlane = trace.lane(0);
   {
-    // An interval op exactly as the C2Store refs stage one.
-    tel::TraceScope tr(lane, tel::TraceOp::kCounterInc, /*key=*/3, /*arg=*/1);
+    tel::TraceScope tr(tlane, tel::TraceOp::kCounterInc, /*key=*/3, /*arg=*/1);
     tr.set_result(0);
     tr.set_witness(17);
     tr.set_key_b(2);
     tr.set_epoch(1);
   }
   // A lifecycle point event exactly as open/close/resize record one.
-  trace.record_event(lane, tel::TraceOp::kSessionOpen, -1, 0, 0, -1, -1);
-
+  trace.record_event(tlane, tel::TraceOp::kSessionOpen, -1, 0, 0, -1, -1);
   tel::LaneTrace standalone;
   standalone.flush();  // the writer-side flush is part of the hot-path API
+  // The assert hook's post-mortem.
+  tel::dump_trace_tail(nullptr, trace, /*max_lanes=*/8);
+
   return tel::trace_now() == 0 && trace.lane(7) == nullptr &&
          trace.peek_lane(0) == nullptr && standalone.begin_append() == nullptr &&
          standalone.published() == 0 && standalone.dropped() == 0;
 }
 
-static_assert(off_hot_path_is_constant_evaluable(),
-              "the disabled trace flavour executed a non-constexpr "
-              "operation: an rdtsc, atomic, or allocation leaked into the "
-              "off hot path");
+static_assert(off_capture_path_is_constant_evaluable(),
+              "the disabled capture flavour executed a non-constexpr "
+              "operation: an atomic, clock read, thread_local or allocation "
+              "leaked into the off trace capture path");
 
-// Runtime face of the same guarantee: the drain and both exporters still
-// work — a disabled build exports a well-formed document saying so, and the
-// offline auditor treats trace_enabled=false as vacuously valid.
+// The drain and both trace exporters still work — a disabled build exports a
+// well-formed document saying so, and the offline auditor treats
+// trace_enabled=false as vacuously valid.
 TEST(TraceOff, DumpAndExportersReportDisabled) {
   tel::StoreTrace trace;
   tel::TraceDump d = trace.dump(/*max_lanes=*/8, /*initial_shards=*/16);

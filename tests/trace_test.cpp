@@ -7,15 +7,20 @@
 //     tear — each is counted in `dropped`, published stays pinned at the cap,
 //     and the drain reports both (the auditor refuses lossy traces, so a
 //     dropped record can never silently pass an audit).
-//  3. DRAIN-WHILE-WRITING: a concurrent drain sees only fully-published
-//     records (SPSC release/acquire publication; the TSAN job runs this test
-//     to certify the claimed data-race freedom).
+//  3. DRAIN-WHILE-WRITING: a concurrent drain — full, tail-only, or of the
+//     pending record — sees only fully-written records (SPSC release/acquire
+//     publication; the TSAN job runs this test to certify the claimed
+//     data-race freedom).
 //  4. WITNESS plumbing on a live C2Store: every journal-facet op carries a
 //     witness, witnesses are strictly increasing per lane in program order
 //     (strong linearizability's own-step property made visible), reads stay
 //     deliberately unwitnessed, transfers carry both buckets and their own
 //     ticket, resize events carry the epoch, and the two exporters emit the
 //     documented c2sl-trace-v1 / Chrome shapes.
+//
+// Everything but the flavour-independent record checks needs the live layer,
+// so a C2SL_CAPTURE=0 build compiles it out (tests/trace_off_test.cpp
+// covers that flavour).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +48,14 @@ TEST(TraceRecordTest, OneCacheLinePlainLayout) {
   EXPECT_EQ(r.epoch, -1);
 }
 
+TEST(TraceScopeTest, NullLaneIsInert) {
+  tel::TraceScope tr(nullptr, tel::TraceOp::kMaxRead, 0, 0);
+  tr.set_result(5);  // must not crash; there is nowhere to write
+  tr.set_witness(5);
+}
+
+#if C2SL_CAPTURE
+
 TEST(TraceScopeTest, CommitsExactlyWhatTheSettersStaged) {
   tel::StoreTrace trace;
   tel::LaneTrace* lt = trace.lane(0);
@@ -55,8 +68,15 @@ TEST(TraceScopeTest, CommitsExactlyWhatTheSettersStaged) {
   }
   // Single-tick capture: the record stays pending until the lane's next
   // activity stamps its response; an explicit flush() is that activity here.
+  // Until then only pending() — the post-mortem view — sees it.
   EXPECT_EQ(lt->published(), 0u);
+  tel::TraceRecord p;
+  ASSERT_EQ(lt->pending(p), 0);
+  EXPECT_EQ(p.op, static_cast<int32_t>(tel::TraceOp::kTransfer));
+  EXPECT_EQ(p.key_b, 11);
+  EXPECT_EQ(p.witness, 7);
   lt->flush();
+  EXPECT_EQ(lt->pending(p), -1) << "a committed record is no longer pending";
   ASSERT_EQ(lt->published(), 1u);
   tel::LaneTraceDump ld;
   lt->drain_into(ld);
@@ -70,12 +90,6 @@ TEST(TraceScopeTest, CommitsExactlyWhatTheSettersStaged) {
   EXPECT_EQ(r.witness, 7);
   EXPECT_EQ(r.epoch, 2);
   EXPECT_GE(r.t1, r.t0);
-}
-
-TEST(TraceScopeTest, NullLaneIsInert) {
-  tel::TraceScope tr(nullptr, tel::TraceOp::kMaxRead, 0, 0);
-  tr.set_result(5);  // must not crash; there is nowhere to write
-  tr.set_witness(5);
 }
 
 // --- 2. overflow drop accounting ---------------------------------------------
@@ -137,6 +151,21 @@ TEST(LaneTraceTest, ConcurrentDrainSeesOnlyPublishedRecords) {
       // release-publish is visible, in order.
       ASSERT_EQ(ld.records[i].witness, static_cast<int64_t>(i));
       ASSERT_GE(ld.records[i].t1, ld.records[i].t0);
+    }
+    // The post-mortem reads: a tail-only drain starts at the right index,
+    // and the pending record, when one is staged, is the op after the last
+    // published one (witness == lane index here).
+    tel::LaneTraceDump tail;
+    uint64_t first = lt->drain_into(tail, /*tail=*/8);
+    ASSERT_LE(tail.records.size(), 8u);
+    for (size_t i = 0; i < tail.records.size(); ++i) {
+      ASSERT_EQ(tail.records[i].witness, static_cast<int64_t>(first + i));
+    }
+    tel::TraceRecord p;
+    int64_t at = lt->pending(p);
+    if (at >= 0) {
+      ASSERT_EQ(p.witness, at);
+      ASSERT_EQ(p.result, at);
     }
   }
   writer.join();
@@ -400,6 +429,8 @@ TEST(StoreTraceTest, MultiThreadedCaptureStaysConsistent) {
         << "journal tickets must be dense and unique";
   }
 }
+
+#endif  // C2SL_CAPTURE
 
 }  // namespace
 }  // namespace c2sl

@@ -58,11 +58,11 @@ reported but do not fail the comparison (thread sweeps legitimately differ
 across hosts with different core counts).
 
 This is the ROADMAP "bench trajectory tracking" comparator; CI uses it to
-gate that the telemetry and trace layers cost at most 3% and 5% against
-builds with them compiled out, e.g.
+gate that the capture layer (metrics + witness trace) costs at most 8%
+against a -DC2SL_CAPTURE=OFF build, e.g.
 
-    tools/bench_diff.py BENCH_tel_off.json BENCH_tel_on.json
-        --bench-filter '^mix/mixed$' --threshold 0.03
+    tools/bench_diff.py BENCH_capture_off.json BENCH_capture_on.json
+        --bench-filter '^mix/mixed$' --threshold 0.08
         --metrics throughput_ops_per_s
 
 and to diff against a checked-in baseline informationally (cross-machine

@@ -3,7 +3,7 @@
 
     tools/trace_audit.py TRACE.json [--slack-ns N] [--allow-drops] [-v]
 
-A C2SL_TRACE=1 build records one fixed-size record per instrumented C2Store
+A C2SL_CAPTURE=1 build records one fixed-size record per instrumented C2Store
 op into lane-local rings; tel::trace_to_json drains them into one
 "c2sl-trace-v1" document. Each journal-facet op carries its LINEARIZATION
 WITNESS — the op's own FAA step, per the paper's strong-linearizability
@@ -46,7 +46,7 @@ exempt from ordering claims but still schema-checked.
 A trace with dropped records (ring overflow) fails the audit unless
 --allow-drops is given, which keeps the order checks but disables every
 completeness-dependent check (ticket density, inc replay, snapshot totals,
-aggregate bounds). A trace from a C2SL_TRACE=0 build (trace_enabled false)
+aggregate bounds). A trace from a C2SL_CAPTURE=0 build (trace_enabled false)
 is vacuously valid.
 
 Exit status: 0 audit passed, 1 a claim was refuted (the violating records
@@ -362,7 +362,7 @@ def main(argv=None):
         print(f"trace_audit: REFUTED: {e}", file=sys.stderr)
         return 1
     if not stats["enabled"]:
-        print("trace_audit: trace_enabled=false (C2SL_TRACE=0 build); "
+        print("trace_audit: trace_enabled=false (C2SL_CAPTURE=0 build); "
               "vacuously valid")
         return 0
     print(f"trace_audit: OK — {stats['records']} records on "
