@@ -8,8 +8,8 @@
 //
 // NATIVE F&I (`--benchmark_filter=NativeFai`): the same binary also registers
 // benchmarks of the Thm 9 fetch&increment read and increment paths of the
-// shipped rt::NativeFetchIncrement (doubling segments, galloped O(log value)
-// search) at three prefilled depths.
+// shipped rt::NativeFetchIncrement (exponential search from the certified
+// frontier word, O(1) at a current frontier) at three prefilled depths.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -200,7 +200,7 @@ void run_fai_inc(benchmark::State& state, rt::NativeFetchIncrement& fai,
   for (int64_t i = 0; i < value; ++i) fai.fetch_and_increment();  // untimed prefill
   uint64_t ops = 0;
   for (auto _ : state) {
-    // Each increment starts at the galloped lower bound, not at cell 0.
+    // Each increment starts at the certified frontier, not at cell 0.
     benchmark::DoNotOptimize(fai.fetch_and_increment());
     ++ops;
   }

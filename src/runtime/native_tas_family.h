@@ -14,19 +14,22 @@
 // of NativeMaxRegister64 (a WIDTH constraint, §6 — see the ROADMAP item), not
 // array capacities.
 //
-// Two native-only refinements ride on the segmented layout; both preserve
-// strong linearizability and both are argued in docs/PROOFS.md:
+// Two native-only refinements skip steps whose outcome is already fixed; both
+// preserve strong linearizability and both are argued in docs/PROOFS.md:
 //
-//   * O(log value) fetch&increment reads. In the Thm 9 usage the set cells
-//     always form a PREFIX [0, value): a test&set win at index i requires the
-//     winner to have lost (hence observed set) every cell below i, and
-//     NativeReadableTAS writes the state word on the losing path too, so a
-//     single observation of state 1 at index i certifies every index <= i.
-//     The read therefore hops doubling segment boundaries and binary-searches
-//     the straddling segment instead of scanning cell by cell, then makes one
-//     CONFIRMING read of the candidate: a 0 observed at index v AFTER a 1 was
-//     observed at v-1 pins the value at exactly v at that read — a fixed own
-//     step, so the linearization stays prefix-closed.
+//   * O(1) fetch&increment from a certified frontier. In the Thm 9 usage the
+//     set cells always form a PREFIX [0, value): a test&set win at index i
+//     requires the winner to have lost (hence observed set) every cell below
+//     i, and NativeReadableTAS writes the state word on the losing path too,
+//     so a single observation of state 1 at index i certifies every index
+//     <= i. Every winner of cell i publishes i+1 into one frontier word with
+//     a release store; an acquire load of any published value therefore
+//     certifies its whole prefix (a racing smaller store is a stale but
+//     sound bound). inc and read both start an exponential (finger) search
+//     there — one probe when the frontier is current — and read then makes
+//     one CONFIRMING read of the candidate: a 0 observed at index v AFTER the
+//     prefix below v was certified pins the value at exactly v at that read —
+//     a fixed own step, so the linearization stays prefix-closed.
 //
 //   * A verified-taken-prefix skip hint in NativeSet::take. A taken flag never
 //     clears, so "every cell below h was taken" is a stable fact; take()
@@ -85,12 +88,9 @@ class NativeReadableTasArray {
     return c ? c->read() : 0;
   }
 
-  /// Cell state if published, 0 otherwise, plus segment math passthroughs —
-  /// the fetch&increment search loops below drive these directly.
+  /// Cell if published, nullptr otherwise (never allocates) — the
+  /// fetch&increment search below drives this directly.
   const NativeReadableTAS* peek(size_t idx) const { return cells_.peek(idx); }
-  static int segment_of(size_t idx) { return SegmentedTasArray::segment_of(idx); }
-  static size_t segment_last(int s) { return SegmentedTasArray::segment_last(s); }
-  static constexpr int kMaxSegments = SegmentedTasArray::kMaxSegments;
 
  private:
   SegmentedTasArray cells_;
@@ -137,49 +137,62 @@ class NativeFetchIncrement {
 
   /// Wins the least available cell; the winning exchange is the linearization
   /// point (Thm 9). Starting the ascending scan at the searched lower bound
-  /// skips only cells already OBSERVED set — cells a from-zero scan would have
-  /// exchanged and lost — so the behaviour is exactly the paper's algorithm
-  /// minus provably losing steps.
+  /// skips only cells already certified set — cells a from-zero scan would
+  /// have exchanged and lost — so the behaviour is exactly the paper's
+  /// algorithm minus provably losing steps.
   int64_t fetch_and_increment() {
-    // The increment path needs only the certified LOWER BOUND (all cells below
-    // it observed set) — not read()'s confirming retry loop, which would
-    // re-gallop on every concurrent completion without changing where the
-    // exchange scan may start.
-    for (size_t i = known_set_bound();; ++i) {
-      if (cells_.test_and_set(i) == 0) return static_cast<int64_t>(i);
+    // The increment path needs only the certified lower bound, not read()'s
+    // confirming retry loop. A cell that reads 1 is certified set and its
+    // exchange would lose, so the scan skips it with a load (after a lost
+    // race the next cells are often already won).
+    for (size_t i = set_bound();; ++i) {
+      if (observed_set(i)) continue;
+      if (cells_.test_and_set(i) == 0) {
+        // c2sl-atomic: store release — certified-frontier publish (no RMW):
+        // every cell below i+1 was set by a store that happens-before this
+        // one (docs/PROOFS.md)
+        frontier_.store(static_cast<int64_t>(i + 1), std::memory_order_release);
+        return static_cast<int64_t>(i);
+      }
     }
   }
 
-  /// O(log value) instead of the flat array's O(value): see the header
+  /// O(1) when the frontier is current, O(log lag) otherwise: see the header
   /// comment for the prefix invariant and the confirming-read argument
-  /// (mechanised complexity claim: bench_tas_family's flat-vs-segmented
-  /// ablation; proof sketch: docs/PROOFS.md §"fetch&increment").
+  /// (proof sketch: docs/PROOFS.md §"fetch&increment").
   int64_t read() const { return static_cast<int64_t>(first_unset()); }
 
  private:
-  /// Certified lower bound: every index below the result was OBSERVED set (at
-  /// some past step — permanent, states never clear). Gallop the doubling
-  /// segment boundaries, then binary-search the straddling segment; one
-  /// state-1 observation certifies its whole prefix (header comment), and an
-  /// unpublished segment counts as a 0-observation (the spine load is the
-  /// atomic step; no cell of an unpublished segment has ever been exchanged).
-  size_t known_set_bound() const {
-    size_t known_set_below = 0;  // every index < this was observed set
-    int s = 0;
-    for (; s < NativeReadableTasArray::kMaxSegments; ++s) {
-      const NativeReadableTAS* last =
-          cells_.peek(NativeReadableTasArray::segment_last(s));
-      if (!last || last->read() == 0) break;
-      known_set_below = NativeReadableTasArray::segment_last(s) + 1;
+  /// Whether cell i was observed set by this call (an unpublished segment
+  /// counts as a 0-observation: the spine load is the atomic step, and no
+  /// cell of an unpublished segment has ever been exchanged).
+  bool observed_set(size_t i) const {
+    const NativeReadableTAS* c = cells_.peek(i);
+    return c && c->read() == 1;
+  }
+
+  /// Certified lower bound: every index below the result was set at a step
+  /// that happens-before this call's later steps (states never clear).
+  /// Exponential search from the frontier f: probe f, then f+1, f+2, f+4, ...
+  /// until a 0, then binary-search that last gap. One state-1 observation
+  /// certifies its whole prefix (header comment).
+  size_t set_bound() const {
+    // c2sl-atomic: load acquire — certified-frontier read, pairs with publish:
+    // every cell below the loaded value reads as set after this load
+    const size_t f =
+        static_cast<size_t>(frontier_.load(std::memory_order_acquire));
+    if (!observed_set(f)) return f;
+    size_t lo = f + 1;  // every index < lo is certified set
+    size_t step = 1;
+    size_t hi = f + step;
+    while (observed_set(hi)) {
+      lo = hi + 1;
+      step *= 2;
+      hi = f + step;
     }
-    C2SL_CHECK(s < NativeReadableTasArray::kMaxSegments,
-               "segmented spine exhausted (~2^63 increments)");
-    size_t lo = known_set_below;
-    size_t hi = NativeReadableTasArray::segment_last(s);
-    while (lo < hi) {
+    while (lo < hi) {  // cell hi was observed unset; find the least in [lo, hi]
       size_t mid = lo + (hi - lo) / 2;
-      const NativeReadableTAS* c = cells_.peek(mid);
-      if (c && c->read() == 1) {
+      if (observed_set(mid)) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -191,18 +204,18 @@ class NativeFetchIncrement {
   /// Least index whose readable state is 0, linearized at the final read.
   size_t first_unset() const {
     for (;;) {
-      size_t lo = known_set_bound();
-      // Confirm: this read postdates the 1-observation at lo-1 (if any), so a
-      // 0 here pins the implemented value at exactly lo — the linearization
-      // point. A 1 means other increments completed meanwhile; rescan
-      // (lock-free for the same reason as the flat scan: only completed wins
-      // can invalidate us).
-      const NativeReadableTAS* c = cells_.peek(lo);
-      if (!c || c->read() == 0) return lo;
+      size_t lo = set_bound();
+      // Confirm: this read postdates the certification of every cell below
+      // lo, so a 0 here pins the implemented value at exactly lo — the
+      // linearization point. A 1 means other increments completed meanwhile;
+      // rescan (lock-free for the same reason as the flat scan: only
+      // completed wins can invalidate us).
+      if (!observed_set(lo)) return lo;
     }
   }
 
   NativeReadableTasArray cells_;
+  std::atomic<int64_t> frontier_{0};  // certified: every cell below it is set
 };
 
 namespace detail {

@@ -32,9 +32,10 @@
 //
 // Why doubling segments (and not, say, a linked list of fixed blocks): the
 // spine stays small enough to sit inline (57 slots), index→segment is two bit
-// operations, and the fetch&increment READ path gets its complexity win — the
-// least-unset-index search hops O(log value) segment boundaries instead of
-// scanning O(value) cells (see NativeFetchIncrement in native_tas_family.h).
+// operations, and a structure that grows to n cells publishes only O(log n)
+// segments while wasting at most half of its allocation. (The fetch&increment
+// search does not walk segments: it probes by index from its own certified
+// frontier word — see NativeFetchIncrement in native_tas_family.h.)
 #pragma once
 
 #include <atomic>
@@ -68,7 +69,7 @@ class SegmentedArray {
     }
   }
 
-  // --- index math (static: shared with the search loops in callers) ---------
+  // --- index math (static: shared with callers that walk segments) ----------
   static constexpr int segment_of(size_t i) {
     return std::bit_width(i / kBase + 1) - 1;
   }

@@ -174,7 +174,9 @@ ResizeStatus C2Store::resize_with_lane(int lane, int new_shards) {
 // (mask nesting makes them valid lower bounds; the duplication is why a sum
 // over slots over-approximates after a resize while the lane-keyed digests
 // stay exact). Unmaterialised parents are skipped: nothing to move,
-// and the replay never materialises slots.
+// and the replay never materialises slots. The counter re-add is one
+// fetch&increment per migrated count, each O(1) from the child's certified
+// frontier, so moving a count of v costs O(v) in total.
 void C2Store::migrate(int lane, const rt::RoutingEpoch::Claim& claim) {
   int old_count = epochs_.shards_of(claim.epoch - 1);
   for (int j = old_count; j < claim.shards; ++j) {

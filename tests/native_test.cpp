@@ -3,7 +3,10 @@
 // histories and semantic invariant checks at higher volume.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "runtime/native_max_register.h"
 #include "runtime/native_snapshot.h"
@@ -200,6 +203,78 @@ TEST(NativeFetchIncrement, StressHistoriesLinearizable) {
     ASSERT_TRUE(res.decided);
     EXPECT_TRUE(res.linearizable) << "round " << round << "\n" << res.explanation;
   }
+}
+
+TEST(NativeFetchIncrement, MixedHistoriesLinearizableAtHighValue) {
+  // Past ten doublings the frontier word, not a search from zero, is what
+  // every op starts from; racing winners may leave it stale.
+  const int64_t kPrefill = int64_t{1} << 16;
+  for (int round = 0; round < 8; ++round) {
+    rt::NativeFetchIncrement fai;
+    for (int64_t i = 0; i < kPrefill; ++i) fai.fetch_and_increment();
+    auto history = rt::run_stress(3, 5, [&](int t, int j) {
+      rt::TimedOp op;
+      if ((t + j) % 3 == 0) {
+        op.name = "Read";
+        op.resp = fai.read() - kPrefill;
+      } else {
+        op.name = "FAI";
+        op.resp = fai.fetch_and_increment() - kPrefill;
+      }
+      return op;
+    });
+    verify::FaiSpec spec;
+    auto records = to_records(history);
+    auto res = verify::check_linearizability(records, spec);
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.linearizable) << "round " << round << "\n" << res.explanation;
+  }
+}
+
+TEST(NativeFetchIncrement, ReadsMonotoneAndBoundedUnderIncs) {
+  const int64_t kPrefill = int64_t{1} << 16;
+  const int kIncThreads = 2;
+  const int kReadThreads = 2;
+  const int64_t kIncsPerThread = 20000;
+  rt::NativeFetchIncrement fai;
+  for (int64_t i = 0; i < kPrefill; ++i) fai.fetch_and_increment();
+  std::atomic<int64_t> invoked{0};    // incs begun (bumped before the call)
+  std::atomic<int64_t> completed{0};  // incs returned (bumped after it)
+  std::atomic<int> incers_left{kIncThreads};
+  std::vector<int64_t> violations(kReadThreads, 0);
+  std::vector<int64_t> reads(kReadThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kIncThreads; ++t) {
+    pool.emplace_back([&] {
+      for (int64_t i = 0; i < kIncsPerThread; ++i) {
+        invoked.fetch_add(1);
+        fai.fetch_and_increment();
+        completed.fetch_add(1);
+      }
+      incers_left.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < kReadThreads; ++t) {
+    pool.emplace_back([&, t] {
+      int64_t last = 0;
+      while (incers_left.load() > 0) {
+        const int64_t floor = kPrefill + completed.load();
+        const int64_t r = fai.read();
+        const int64_t ceiling = kPrefill + invoked.load();
+        // Never below an earlier read or an inc that returned before this
+        // read began; never above the incs begun before it returned.
+        if (r < last || r < floor || r > ceiling) ++violations[t];
+        last = r;
+        ++reads[t];
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (int t = 0; t < kReadThreads; ++t) {
+    EXPECT_EQ(violations[t], 0)
+        << "reader " << t << ", " << reads[t] << " reads";
+  }
+  EXPECT_EQ(fai.read(), kPrefill + kIncThreads * kIncsPerThread);
 }
 
 TEST(NativeMultishotTAS, GenerationsBehave) {

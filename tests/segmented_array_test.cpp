@@ -4,10 +4,11 @@
 //  1. Index math: the doubling-segment layout (base 64) maps every index to
 //     exactly one segment, boundaries included.
 //  2. Segment-boundary edges: fetch&increment values straddling the doublings
-//     (63|64, 191|192, 447|448) — the galloped O(log value) read must agree
-//     with the dense increment count at every step, and the first_unset
-//     confirm loop must hold up under real-thread contention right at a
-//     boundary.
+//     (63|64, 191|192, 447|448, ...) — the read, a finger search from the
+//     certified frontier, must agree with the dense increment count at every
+//     step and on a never-incremented object (frontier 0), and the
+//     first_unset confirm loop must hold up under real-thread contention
+//     right at a boundary.
 //  3. Publication race: threads force the SAME fresh segment concurrently;
 //     the claim must elect exactly one constructor (observed indirectly:
 //     every cell still has exactly one test&set winner — two published
@@ -83,14 +84,25 @@ TEST(SegmentedArray, PeekNeverAllocatesCellAlways) {
 // --- 2. fetch&increment across segment doublings -----------------------------
 
 TEST(NativeFetchIncrement, ReadAgreesAcrossSegmentBoundaries) {
+  rt::NativeFetchIncrement fresh;  // never incremented: frontier 0
+  EXPECT_EQ(fresh.read(), 0);
+  EXPECT_EQ(fresh.read(), 0) << "a read must not move the frontier";
+  EXPECT_EQ(fresh.fetch_and_increment(), 0);
+  EXPECT_EQ(fresh.read(), 1);
+
+  // Cross the first eleven doublings (64, 192, 448, ..., 131008); the read
+  // must track the dense value exactly at every step, including right AT
+  // each doubling.
   rt::NativeFetchIncrement fai;
-  EXPECT_EQ(fai.read(), 0);
-  // Cross the 64, 192 and 448 boundaries; the galloped read must track the
-  // dense value exactly, including AT the doublings.
-  for (int64_t i = 0; i < 600; ++i) {
-    EXPECT_EQ(fai.fetch_and_increment(), i);
-    EXPECT_EQ(fai.read(), i + 1) << "after increment " << i;
+  const int64_t end = static_cast<int64_t>(Arr::segment_start(11));
+  int doublings = 0;
+  for (int64_t i = 0; i < end; ++i) {
+    ASSERT_EQ(fai.fetch_and_increment(), i);
+    ASSERT_EQ(fai.read(), i + 1) << "after increment " << i;
+    const size_t v = static_cast<size_t>(i + 1);
+    if (Arr::segment_start(Arr::segment_of(v)) == v) ++doublings;
   }
+  EXPECT_EQ(doublings, 11);
 }
 
 TEST(NativeFetchIncrement, ContendedAtASegmentBoundary) {
