@@ -9,7 +9,8 @@
 // NATIVE F&I (`--benchmark_filter=NativeFai`): the same binary also registers
 // benchmarks of the Thm 9 fetch&increment read and increment paths of the
 // shipped rt::NativeFetchIncrement (exponential search from the certified
-// frontier word, O(1) at a current frontier) at three prefilled depths.
+// frontier word, O(1) at a current frontier) at three prefilled depths, and
+// `NativeFaiIncContended`: 4 threads incrementing one shared object.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -208,6 +209,21 @@ void run_fai_inc(benchmark::State& state, rt::NativeFetchIncrement& fai,
       benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
 
+// One object shared by every thread of a ->Threads(n) run: thread 0 builds it
+// before the timed loop and frees it after, and google-benchmark's start and
+// stop barriers order both against the other threads' loops.
+std::unique_ptr<rt::NativeFetchIncrement> g_shared_fai;
+
+void run_fai_inc_contended(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    g_shared_fai = std::make_unique<rt::NativeFetchIncrement>();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g_shared_fai->fetch_and_increment());
+  }
+  if (state.thread_index() == 0) g_shared_fai.reset();
+}
+
 void register_native_fai() {
   // Fixed iteration counts keep run cost deterministic (no min-time hunting).
   const int64_t kValues[] = {1024, 16384, 131072};
@@ -225,6 +241,11 @@ void register_native_fai() {
       run_fai_inc(s, fai, v);
     })->Iterations(kIncIters);
   }
+  // Contended: 4 threads on one object, per-thread wall time per inc.
+  benchmark::RegisterBenchmark("NativeFaiIncContended", run_fai_inc_contended)
+      ->Threads(4)
+      ->Iterations(1 << 18)
+      ->UseRealTime();
 }
 
 }  // namespace

@@ -95,9 +95,12 @@ int main(int argc, char** argv) try {
   for (auto& t : pool) t.join();
 
   // Lanes were handed off or recycled, never grown: `workers` threads joined
-  // concurrently, but the dispenser never issued more than `lanes` fresh
-  // tickets. (It may issue fewer — handoffs bypass the dispenser entirely.)
-  expect(store.lane_tickets_issued() <= cfg.max_threads,
+  // concurrently, and only tickets below `lanes` name a lane. A ticket at or
+  // above it returns no lane; each worker can draw at most one such ticket
+  // racing the exhaustion window, and the worker that drew the last real
+  // ticket draws none (LaneRegistry::try_acquire), so at most
+  // lanes + workers - 1 are issued. (Handoffs bypass the dispenser entirely.)
+  expect(store.lane_tickets_issued() <= cfg.max_threads + workers - 1,
          "concurrent joins must wait for lanes, not mint new ones");
 
   // Oversubscription probes: with every lane held, the non-waiting forms

@@ -1,5 +1,5 @@
 // Native (std::atomic) variants of the §4 constructions:
-//   * NativeReadableTAS     (Thm 5):  exchange-based test&set + a state word;
+//   * NativeReadableTAS     (Thm 5):  one exchange byte, read by a load;
 //   * NativeMultishotTAS    (Thm 6):  max register + readable test&set array;
 //   * NativeFetchIncrement  (Thm 9):  least-unset search over readable test&set;
 //   * NativeSet             (Thm 10): Algorithm 2 over the above.
@@ -20,9 +20,9 @@
 //   * O(1) fetch&increment from a certified frontier. In the Thm 9 usage the
 //     set cells always form a PREFIX [0, value): a test&set win at index i
 //     requires the winner to have lost (hence observed set) every cell below
-//     i, and NativeReadableTAS writes the state word on the losing path too,
-//     so a single observation of state 1 at index i certifies every index
-//     <= i. Every winner of cell i publishes i+1 into one frontier word with
+//     i (a losing exchange reads the 1 in the same byte a read loads), so a
+//     single observation of a 1 at index i certifies every index <= i.
+//     Every winner of cell i publishes i+1 into one frontier word with
 //     a release store; an acquire load of any published value therefore
 //     certifies its whole prefix (a racing smaller store is a stale but
 //     sound bound). inc and read both start an exponential (finger) search
@@ -51,25 +51,30 @@
 
 namespace c2sl::rt {
 
+/// Thm 5's readable test&set as one hardware byte. The paper adds a register
+/// only because its test&set object cannot be read; a byte can, so each op
+/// is one atomic step on it (docs/PROOFS.md). The sim keeps the paper's
+/// two-object construction (core/readable_tas.h).
 class NativeReadableTAS {
  public:
   /// Returns 0 to exactly one caller, then 1.
   int64_t test_and_set() {
     C2SL_TEL_PRIM_TAS();
-    // c2sl-atomic: tas seq_cst — the winner decision (Thm 5 readable-TAS)
-    int64_t old = ts_.exchange(1, std::memory_order_seq_cst);
-    // c2sl-atomic: store seq_cst — mirror write readers linearize against
-    state_.store(1, std::memory_order_seq_cst);
-    return old;
+    // c2sl-atomic: tas seq_cst — the winner decision; losers read the 1 too
+    return bit_.exchange(1, std::memory_order_seq_cst);
   }
 
-  // c2sl-atomic: load seq_cst — the readable-TAS protocol read (Thm 5)
-  int64_t read() const { return state_.load(std::memory_order_seq_cst); }
+  // c2sl-atomic: load seq_cst — the readable-TAS read of the exchange byte
+  int64_t read() const { return bit_.load(std::memory_order_seq_cst); }
 
  private:
-  std::atomic<int64_t> ts_{0};     // the plain test&set (exchange)
-  std::atomic<int64_t> state_{0};  // the readable register
+  std::atomic<uint8_t> bit_{0};
 };
+
+static_assert(sizeof(NativeReadableTAS) == 1,
+              "a readable test&set cell is one byte: 64 per cache line");
+static_assert(std::atomic<uint8_t>::is_always_lock_free,
+              "the one-byte cell needs a lock-free hardware exchange");
 
 /// The issue-facing name for the family's backing store: readable test&set
 /// cells over lazily-published doubling segments.
@@ -172,9 +177,9 @@ class NativeFetchIncrement {
   }
 
   /// Certified lower bound: every index below the result was set at a step
-  /// that happens-before this call's later steps (states never clear).
+  /// that happens-before this call's later steps (cells never clear).
   /// Exponential search from the frontier f: probe f, then f+1, f+2, f+4, ...
-  /// until a 0, then binary-search that last gap. One state-1 observation
+  /// until a 0, then binary-search that last gap. One observation of a 1
   /// certifies its whole prefix (header comment).
   size_t set_bound() const {
     // c2sl-atomic: load acquire — certified-frontier read, pairs with publish:
@@ -201,7 +206,7 @@ class NativeFetchIncrement {
     return lo;
   }
 
-  /// Least index whose readable state is 0, linearized at the final read.
+  /// Least index whose cell reads 0, linearized at the final read.
   size_t first_unset() const {
     for (;;) {
       size_t lo = set_bound();
@@ -225,7 +230,7 @@ struct SetItemCell {
   std::atomic<int64_t> v{INT64_MIN};  // NativeSet::kEmpty
 };
 struct SetTakenCell {
-  std::atomic<int64_t> v{0};  // plain (non-readable) test&set
+  std::atomic<uint8_t> v{0};  // plain (non-readable) test&set
 };
 }  // namespace detail
 

@@ -10,12 +10,17 @@ int LaneRegistry::try_acquire() {
   int64_t recycled = free_.take();
   if (recycled != rt::NativeSet::kEmpty) return static_cast<int>(recycled);
 
-  // 2. Fresh ticket. The pre-read keeps the dispenser from drifting when the
-  // registry is already exhausted (every failed try_acquire would otherwise
-  // burn a ticket); the fetch_add itself is still the linearization point of
-  // a successful fresh acquire — the pre-read is an optimisation, not a gate.
+  // 2. Fresh ticket. The pre-read keeps the dispenser from drifting once the
+  // registry is exhausted (every failed try_acquire would otherwise burn a
+  // ticket); the fetch_add itself is still the linearization point of a
+  // successful fresh acquire — the pre-read is an optimisation, not a gate.
+  // It is not atomic with the fetch_add, so racers that all pre-read a value
+  // below max_lanes_ can draw overshooting tickets (>= max_lanes_, no lane).
+  // Each thread overshoots at most once (next_ is monotone, so its later
+  // pre-reads fail) and the thread that drew ticket max_lanes_ - 1 never
+  // does: at most max_lanes_ + threads - 1 tickets are ever issued.
   // c2sl-atomic: load seq_cst — dispenser pre-read; ordered against take()'s
-  // sweep so an exhausted registry never burns tickets
+  // sweep so each thread burns at most one ticket past exhaustion
   if (next_.load(std::memory_order_seq_cst) < max_lanes_) {
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of a fresh acquire

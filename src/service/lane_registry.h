@@ -105,7 +105,9 @@ class LaneRegistry {
   void release(int lane);
 
   int max_lanes() const { return max_lanes_; }
-  /// Fresh tickets drawn so far (introspection; >= lanes ever acquired fresh).
+  /// Fresh tickets drawn so far (introspection; >= lanes ever acquired fresh,
+  /// <= max_lanes() + T - 1 over T threads calling try_acquire: each can draw
+  /// one overshooting ticket in the exhaustion window, see try_acquire).
   // c2sl-atomic: load relaxed — diagnostics-only view of the dispenser
   int64_t tickets_issued() const { return next_.load(std::memory_order_relaxed); }
 

@@ -160,6 +160,34 @@ TEST(NativeReadableTAS, ExactlyOneWinnerHighVolume) {
   }
 }
 
+// Concurrent reads of the one-byte cell: every round's TAS/Read history must
+// be linearizable as a readable test&set.
+TEST(NativeReadableTAS, MixedHistoriesLinearizable) {
+  const int threads = 4;
+  const int ops = 4;  // 16 ops per round: within the checker's 64-op limit
+  for (int round = 0; round < 64; ++round) {
+    rt::NativeReadableTAS tas;
+    std::vector<Rng> rngs;
+    for (int t = 0; t < threads; ++t) rngs.emplace_back(7000 * round + t);
+    auto history = rt::run_stress(threads, ops, [&](int t, int) {
+      rt::TimedOp op;
+      if (rngs[static_cast<size_t>(t)].next_bool(0.5)) {
+        op.name = "TAS";
+        op.resp = tas.test_and_set();
+      } else {
+        op.name = "Read";
+        op.resp = tas.read();
+      }
+      return op;
+    });
+    verify::TasSpec spec;
+    auto records = to_records(history);
+    auto res = verify::check_linearizability(records, spec);
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.linearizable) << "round " << round << "\n" << res.explanation;
+  }
+}
+
 TEST(NativeFetchIncrement, DistinctDenseValuesHighVolume) {
   const int threads = 4;
   const int per_thread = 500;
