@@ -1,6 +1,5 @@
-// Bridges the google-benchmark suites onto the repo-wide "c2sl-bench-v1"
-// JSON schema (the same envelope the workload engine emits, see README.md),
-// so BENCH_*.json trajectory tracking covers every suite uniformly.
+// Bridges the google-benchmark suites onto the "c2sl-bench-v1" JSON schema
+// (see README.md), so every suite's BENCH_*.json artifact has one shape.
 //
 // Usage: replace BENCHMARK_MAIN() with
 //   int main(int argc, char** argv) {
@@ -15,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "workload/json_writer.h"
+#include "util/json_writer.h"
 
 namespace c2bench {
 
@@ -54,10 +53,8 @@ class C2SchemaReporter : public benchmark::BenchmarkReporter {
       writer_.field("seconds_per_iter", run.real_accumulated_time / iters);
       writer_.field("cpu_seconds_per_iter", run.cpu_accumulated_time / iters);
       // Benchmarks that publish a "throughput_ops_per_s" rate counter get it
-      // hoisted to a top-level metric — the key tools/bench_diff.py gates on —
-      // so google-benchmark suites can participate in the same A/B gates as
-      // the workload engine's artifacts (e.g. bench_tas_family's NativeFai
-      // entries).
+      // hoisted to a top-level metric (e.g. bench_tas_family's NativeFai
+      // entries), so a comparison reads one key across suites.
       auto thr = run.counters.find("throughput_ops_per_s");
       if (thr != run.counters.end()) {
         writer_.field("throughput_ops_per_s", static_cast<double>(thr->second));
@@ -85,7 +82,7 @@ class C2SchemaReporter : public benchmark::BenchmarkReporter {
  private:
   std::string path_;
   std::string suite_;
-  c2sl::wl::JsonWriter writer_;
+  c2sl::JsonWriter writer_;
   benchmark::ConsoleReporter console_;
 };
 
@@ -111,8 +108,8 @@ inline std::string consume_flag(int* argc, char** argv, const char* prefix,
 
 inline int run_with_schema_reporter(int argc, char** argv, const char* suite,
                                     const char* path) {
-  // `--out=PATH` lets one binary emit several artifacts for A/B gating (same
-  // bench names, different runs — bench_diff matches entries by name).
+  // `--out=PATH` lets one binary emit several artifacts for an A/B
+  // comparison (same bench names, different runs).
   std::string out = consume_flag(&argc, argv, "--out=", path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -3,13 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "workload/json_writer.h"
+#include "util/json_writer.h"
 
 namespace c2sl::tel {
 
 namespace {
 
-void hist_json(wl::JsonWriter& w, const HistogramSnapshot& h) {
+void hist_json(JsonWriter& w, const HistogramSnapshot& h) {
   w.begin_object();
   w.field("count", h.total());
   w.field("p50_upper_ns", h.quantile_upper_ns(0.50));
@@ -32,16 +32,14 @@ void hist_json(wl::JsonWriter& w, const HistogramSnapshot& h) {
 }  // namespace
 
 std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
-  wl::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.field("schema", "c2sl-metrics-v1");
   w.field("source", source);
   w.field("telemetry_enabled", snap.enabled);
   w.field("lanes", snap.lanes);
-  // Both totals come from the same lane scan (exact at quiescence); the pair
-  // stays so c2sl-metrics-v1 documents keep their shape.
+  // The sum of op_counts, from the same lane scan (exact at quiescence).
   w.field("ops_total", snap.ops_total);
-  w.field("ops_total_scan", snap.ops_total_scan);
 
   w.key("op_counts");
   w.begin_object();
@@ -88,23 +86,6 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
   w.end_array();
   w.field("shard_imbalance", shard_imbalance(snap));
 
-  if (snap.has_prim_profile) {
-    w.key("prim_profile");
-    w.begin_object();
-    for (int k = 0; k < kTelOpCount; ++k) {
-      const PrimProfile& p = snap.prim_profile[k];
-      if (p.ops <= 0) continue;
-      w.key(to_string(static_cast<TelOp>(k)));
-      w.begin_object();
-      w.field("faa", p.faa);
-      w.field("tas", p.tas);
-      w.field("swap", p.swap);
-      w.field("ops", p.ops);
-      w.end_object();
-    }
-    w.end_object();
-  }
-
   w.end_object();
   return w.str();
 }
@@ -128,10 +109,6 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
        "at quiescence).");
   line("# TYPE c2sl_ops_total counter");
   line("c2sl_ops_total %" PRId64, snap.ops_total);
-  line("# HELP c2sl_ops_scan The same per-lane scan count (kept for "
-       "dashboards that read it).");
-  line("# TYPE c2sl_ops_scan counter");
-  line("c2sl_ops_scan %" PRIu64, snap.ops_total_scan);
 
   line("# TYPE c2sl_op_count counter");
   for (int k = 0; k < kTelOpCount; ++k) {

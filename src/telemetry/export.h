@@ -17,7 +17,7 @@ namespace c2sl::tel {
 
 /// JSON snapshot, schema "c2sl-metrics-v1" (documented in README.md;
 /// validated and diffed by tools/metrics_diff.py). `source` names the
-/// producer ("bench_c2store", "c2store_demo", ...).
+/// producer ("c2store_demo", ...).
 std::string to_json(const MetricsSnapshot& snap, std::string_view source);
 
 /// Prometheus text exposition (version 0.0.4): counters for op counts and

@@ -1,11 +1,9 @@
 // Log-bucketed latency histograms + the repo's single nearest-rank quantile
 // implementation.
 //
-// The quantile rule lived in src/workload/latency.h since PR 2 (and was
-// bug-fixed against known vectors in PR 4); telemetry needs the same rule for
-// its bucketed estimates, so the index computation is hoisted HERE and the
-// engine calls it — one implementation, pinned by both the workload tests
-// (exact, on raw samples) and the telogram tests (bucketed upper bounds).
+// The rule (the ceil(q*count)-th order statistic) is pinned on known vectors
+// by TelemetryHistogram.NearestRankIndexPinnedVectors, and through the
+// bucketed upper bounds by the other histogram tests.
 //
 // The live histogram is lane-local and single-writer (lanes are single-owner
 // by construction — the service layer's whole point), so record() is a relaxed

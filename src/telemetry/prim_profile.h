@@ -38,7 +38,7 @@
 namespace c2sl::tel {
 
 /// Per-thread primitive invocation counts. Plain data — snapshot by copy,
-/// diff by subtraction (the profiler in src/workload/engine.cpp does both).
+/// diff by subtraction (c2bench's per-op ledger does both).
 struct PrimCounts {
   uint64_t faa = 0;   ///< fetch&add (including the fetch&add(0) read idiom)
   uint64_t tas = 0;   ///< test&set / single-use exchange

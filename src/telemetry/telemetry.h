@@ -40,17 +40,8 @@
 
 namespace c2sl::tel {
 
-/// Average primitive invocations per service op of one kind, measured by
-/// wl::profile_primitives (a calibration pass over a private store).
-struct PrimProfile {
-  double faa = 0;
-  double tas = 0;
-  double swap = 0;
-  double ops = 0;  ///< ops measured; 0 = kind not profiled
-};
-
 /// Plain-data snapshot of everything telemetry knows — what the exporters
-/// (telemetry/export.h), the bench reporter, and tools/metrics_diff.py see.
+/// (telemetry/export.h), c2bench, and tools/metrics_diff.py see.
 /// Every field is a racy lane scan or a relaxed counter, exact at quiescence.
 struct MetricsSnapshot {
   bool enabled = false;
@@ -58,8 +49,6 @@ struct MetricsSnapshot {
 
   /// Instrumented ops: the sum of op_counts, from the same lane scan.
   int64_t ops_total = 0;
-  /// The same lane-scan total; both fields stay in c2sl-metrics-v1.
-  uint64_t ops_total_scan = 0;
 
   uint64_t op_counts[kTelOpCount] = {};
   HistogramSnapshot op_latency[kTelOpCount];  ///< sampled, see kLatencySamplePeriod
@@ -80,9 +69,6 @@ struct MetricsSnapshot {
   // lanes (racy lane-scan like op_counts — heat is a diagnostic, not a
   // decision input). Aggregate ops carry no shard, so sum <= ops_total.
   std::vector<uint64_t> shard_ops;
-
-  bool has_prim_profile = false;
-  PrimProfile prim_profile[kTelOpCount];
 };
 
 /// Max-over-mean ratio of shard_ops — 1.0 is perfectly balanced, higher means
@@ -187,8 +173,7 @@ class StoreTelemetry {
       }
       s.open_wait.merge(lt->open_wait.snapshot());
     }
-    for (uint64_t c : s.op_counts) s.ops_total_scan += c;
-    s.ops_total = static_cast<int64_t>(s.ops_total_scan);
+    for (uint64_t c : s.op_counts) s.ops_total += static_cast<int64_t>(c);
     for (int e = 0; e < kTelEventCount; ++e) {
       s.events[e] = event_count(static_cast<TelEvent>(e));
     }

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "workload/json_writer.h"
+#include "util/json_writer.h"
 
 namespace c2sl::tel {
 
@@ -23,7 +23,7 @@ const char* op_name(int32_t code) {
 }  // namespace
 
 std::string trace_to_json(const TraceDump& dump, std::string_view source) {
-  wl::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.field("schema", "c2sl-trace-v1");
   w.field("source", source);
@@ -68,7 +68,7 @@ std::string trace_to_json(const TraceDump& dump, std::string_view source) {
 }
 
 std::string trace_to_chrome(const TraceDump& dump, std::string_view source) {
-  wl::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();

@@ -1,9 +1,9 @@
-#include "workload/json_writer.h"
+#include "util/json_writer.h"
 
 #include <cmath>
 #include <cstdio>
 
-namespace c2sl::wl {
+namespace c2sl {
 
 void JsonWriter::comma() {
   if (pending_key_) {
@@ -118,4 +118,4 @@ void JsonWriter::value_escaped_append(std::string_view v) {
   out_ += '"';
 }
 
-}  // namespace c2sl::wl
+}  // namespace c2sl

@@ -1,8 +1,8 @@
-// Minimal streaming JSON writer — the single serialisation path for every
-// BENCH_*.json artifact in the repo (workload engine results, the C2Store
-// sweep, and the google-benchmark-based suites via bench/json_reporter.h), so
-// all benchmarks share one machine-readable schema ("c2sl-bench-v1", see
-// README.md). No external dependency; emits UTF-8 with standard escaping.
+// Minimal streaming JSON writer — the single serialisation path for the
+// capture exporters (c2sl-metrics-v1, c2sl-trace-v1) and the
+// google-benchmark-based suites' BENCH_*.json artifacts (c2sl-bench-v1, via
+// bench/json_reporter.h). No external dependency; emits UTF-8 with standard
+// escaping.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,7 @@
 #include <string_view>
 #include <vector>
 
-namespace c2sl::wl {
+namespace c2sl {
 
 class JsonWriter {
  public:
@@ -47,4 +47,4 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
-}  // namespace c2sl::wl
+}  // namespace c2sl

@@ -426,17 +426,16 @@ TEST(C2Store, GlobalMaxAcrossManyShards) {
   EXPECT_GT(store.initialized_shards(), 1);
 }
 
-// The service, workload and native-runtime layers must never use CAS — the
+// The service and native-runtime layers must never use CAS — the
 // whole point of the paper (and the ROADMAP north star) is that consensus
 // number 2 suffices. std::atomic exchange and fetch_add are the only RMW
 // primitives allowed. Baselines (src/baselines) and the simulated consensus
 // hierarchy (src/primitives, src/agreement) intentionally contain CAS and are
 // excluded.
-TEST(C2Store, NoCasInServiceWorkloadOrRuntimeSources) {
+TEST(C2Store, NoCasInServiceOrRuntimeSources) {
   namespace fs = std::filesystem;
   const std::vector<std::string> dirs = {
       std::string(C2SL_SOURCE_DIR) + "/src/service",
-      std::string(C2SL_SOURCE_DIR) + "/src/workload",
       std::string(C2SL_SOURCE_DIR) + "/src/runtime",
   };
   const std::vector<std::string> forbidden = {

@@ -39,8 +39,7 @@ from .scanner import OP_TO_KINDS, RMW_OPS, scan_tree
 INVENTORY_SCHEMA = "c2sl-atomics-v1"
 
 # Directories scanned for the inventory (everything with real std::atomic).
-INVENTORY_DIRS = ("src/runtime", "src/service", "src/telemetry", "src/util",
-                  "src/workload")
+INVENTORY_DIRS = ("src/runtime", "src/service", "src/telemetry", "src/util")
 # Directories where every site MUST be annotated (rule 2).
 ANNOTATED_DIRS = ("src/runtime", "src/service", "src/telemetry")
 # Directories where RMW sites and C2SL_TEL_PRIM_* must pair up (rule 4).

@@ -8,15 +8,17 @@ Validation checks the snapshot's structural invariants, not just its shape:
 
   * schema == "c2sl-metrics-v1", source present, telemetry_enabled boolean.
   * op_counts covers every known op kind with non-negative integers.
-  * ops_total and ops_total_scan are the same one-pass lane-scan total, so
-    on an enabled snapshot ops_total == ops_total_scan == sum of op_counts,
-    whether or not writers were live when it was taken.
+  * ops_total is the same one-pass lane scan as op_counts, so on an enabled
+    snapshot ops_total == sum of op_counts, whether or not writers were live
+    when it was taken. Snapshots written before the field was retired also
+    carry ops_total_scan, the same total; when present it must agree too.
   * every histogram is internally consistent: bucket uppers strictly
     increasing, counts non-negative, reported count == sum of buckets, and
     quantile upper bounds monotone in q (p50 <= p90 <= p99 <= max).
   * session counters are non-negative and obey the handoff-queue accounting
     the stress tests bound: deliveries <= enqueued, revocations <= enqueued.
-  * prim_profile rows (if present) have non-negative averages and ops > 0.
+  * prim_profile rows (only in snapshots from before the field was retired)
+    have non-negative averages and ops > 0.
   * events obey the routing-epoch spine's accounting: epochs_published <=
     resize_claims (every publish follows a successful one-shot claim;
     poisoned or abandoned claims never publish). Under --gate-monotone the
@@ -27,14 +29,15 @@ A disabled-build snapshot (telemetry_enabled == false) is VALID — it just has
 nothing to diff; diffing one exits 0 with a note (so the CI smoke invocation
 works on both flavours).
 
-Diff mode prints per-counter deltas (current - baseline) for op_counts, the
-digest/scan pair, session counters and events, plus histogram drift (count
+Diff mode prints per-counter deltas (current - baseline) for ops_total,
+op_counts, session counters and events, plus histogram drift (count
 delta and p50/p99 upper-bound movement) for op latencies and open_wait.
 Counters in a metrics snapshot are cumulative per process run, not per store
 lifetime, so a NEGATIVE delta between two runs of the same workload flags a
 lost-update bug in the telemetry layer: --gate-monotone turns any negative
-op-count delta into exit 1 (CI's smoke uses it on two runs of the same bench
-configuration; absolute values differ, directions must not).
+op-count delta into exit 1 (CI's smoke uses it on two runs of
+examples/c2store_demo.cpp with one configuration; directions must not
+differ).
 
 Exit status: 0 valid (and gates pass), 1 a gate failed, 2 malformed input.
 No dependencies beyond the standard library.
@@ -131,9 +134,13 @@ def validate(doc, path):
     _require(isinstance(enabled, bool), path,
              "telemetry_enabled must be a boolean")
 
-    for key in ("lanes", "ops_total", "ops_total_scan"):
+    for key in ("lanes", "ops_total"):
         _require(_is_count(doc.get(key)), path,
                  f"{key} must be a non-negative int")
+    legacy_scan = doc.get("ops_total_scan")
+    if legacy_scan is not None:
+        _require(_is_count(legacy_scan), path,
+                 "ops_total_scan must be a non-negative int")
 
     ops = doc.get("op_counts")
     _require(isinstance(ops, dict), path, "op_counts must be an object")
@@ -143,10 +150,12 @@ def validate(doc, path):
                  f"{kind} must be a non-negative int")
     if enabled:
         counted = sum(ops[kind] for kind in OP_KINDS)
-        _require(doc["ops_total"] == doc["ops_total_scan"] == counted, path,
-                 f"totals disagree: ops_total {doc['ops_total']}, "
-                 f"ops_total_scan {doc['ops_total_scan']}, op_counts sum "
-                 f"{counted} (all three come from one lane scan)")
+        _require(doc["ops_total"] == counted, path,
+                 f"totals disagree: ops_total {doc['ops_total']}, op_counts "
+                 f"sum {counted} (both come from one lane scan)")
+        _require(legacy_scan is None or legacy_scan == counted, path,
+                 f"totals disagree: ops_total_scan {legacy_scan}, op_counts "
+                 f"sum {counted} (both come from one lane scan)")
 
     lat = doc.get("op_latency_ns")
     _require(isinstance(lat, dict), path, "op_latency_ns must be an object")

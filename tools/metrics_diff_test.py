@@ -26,7 +26,6 @@ def snapshot(**overrides):
         "telemetry_enabled": True,
         "lanes": 2,
         "ops_total": 12,
-        "ops_total_scan": 12,
         "op_counts": {k: 0 for k in metrics_diff.OP_KINDS},
         "op_latency_ns": {},
         "open_wait_ns": {"count": 0, "p50_upper_ns": 0, "p90_upper_ns": 0,
@@ -89,14 +88,19 @@ class ValidateTest(unittest.TestCase):
         self.assert_invalid(doc, "max_read")
 
     def test_totals_must_come_from_one_scan(self):
-        # ops_total, ops_total_scan and the op_counts sum are one lane scan:
-        # any disagreement means the producer mixed two reads.
+        # ops_total and the op_counts sum are one lane scan: any disagreement
+        # means the producer mixed two reads.
+        self.assert_invalid(snapshot(ops_total=13), "disagree")
+
+    def test_legacy_ops_total_scan_still_checked(self):
+        # Snapshots written before the field was retired carry it; it is the
+        # same lane-scan total and must agree when present.
+        metrics_diff.validate(snapshot(ops_total_scan=12), "t")
         self.assert_invalid(snapshot(ops_total_scan=11), "disagree")
-        self.assert_invalid(snapshot(ops_total=13, ops_total_scan=13),
-                            "disagree")
+        self.assert_invalid(snapshot(ops_total_scan=-1), "ops_total_scan")
 
     def test_disabled_snapshot_skips_totals_check(self):
-        doc = snapshot(telemetry_enabled=False, ops_total=0, ops_total_scan=0)
+        doc = snapshot(telemetry_enabled=False, ops_total=0)
         metrics_diff.validate(doc, "t")
 
     def test_histogram_count_must_match_buckets(self):
@@ -152,7 +156,7 @@ class ValidateTest(unittest.TestCase):
         doc = snapshot(shard_ops=[4, -2, 4])
         self.assert_invalid(doc, "bucket 1")
 
-    def test_prim_profile_rows_checked(self):
+    def test_legacy_prim_profile_rows_checked(self):
         doc = snapshot(prim_profile={"counter_inc":
                                      {"faa": 2.0, "tas": 1.0, "swap": 0,
                                       "ops": 256}})
@@ -187,7 +191,6 @@ class CliTest(unittest.TestCase):
     def test_diff_prints_deltas(self):
         curr = copy.deepcopy(snapshot())
         curr["ops_total"] = 14
-        curr["ops_total_scan"] = 14
         curr["op_counts"]["counter_inc"] = 12
         proc = self.run_cli([snapshot(), curr])
         self.assertEqual(proc.returncode, 0, proc.stderr)
@@ -198,7 +201,6 @@ class CliTest(unittest.TestCase):
         curr = copy.deepcopy(snapshot())
         curr["op_counts"]["counter_inc"] = 4
         curr["ops_total"] = 6
-        curr["ops_total_scan"] = 6
         curr["shard_ops"] = [2, 1, 2]  # keep the heat sum within ops_total
         curr["shard_imbalance"] = 1.2
         proc = self.run_cli([snapshot(), curr], "--gate-monotone")
@@ -228,7 +230,7 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
     def test_disabled_snapshot_diff_is_a_note_not_an_error(self):
-        off = snapshot(telemetry_enabled=False, ops_total=0, ops_total_scan=0,
+        off = snapshot(telemetry_enabled=False, ops_total=0,
                        op_counts={k: 0 for k in metrics_diff.OP_KINDS})
         proc = self.run_cli([snapshot(), off])
         self.assertEqual(proc.returncode, 0, proc.stderr)
