@@ -1,5 +1,6 @@
 // Native (std::atomic) variants of the §4 constructions:
-//   * NativeReadableTAS     (Thm 5):  one exchange byte, read by a load;
+//   * NativeReadableTAS     (Thm 5):  one exchange byte, read by a load
+//                                     (runtime/publish_once.h);
 //   * NativeMultishotTAS    (Thm 6):  max register + readable test&set array;
 //   * NativeFetchIncrement  (Thm 9):  least-unset search over readable test&set;
 //   * NativeSet             (Thm 10): Algorithm 2 over the above.
@@ -46,35 +47,11 @@
 #include <cstdint>
 
 #include "runtime/native_max_register.h"
+#include "runtime/publish_once.h"
 #include "runtime/segmented_array.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
-
-/// Thm 5's readable test&set as one hardware byte. The paper adds a register
-/// only because its test&set object cannot be read; a byte can, so each op
-/// is one atomic step on it (docs/PROOFS.md). The sim keeps the paper's
-/// two-object construction (core/readable_tas.h).
-class NativeReadableTAS {
- public:
-  /// Returns 0 to exactly one caller, then 1.
-  int64_t test_and_set() {
-    C2SL_TEL_PRIM_TAS();
-    // c2sl-atomic: tas seq_cst — the winner decision; losers read the 1 too
-    return bit_.exchange(1, std::memory_order_seq_cst);
-  }
-
-  // c2sl-atomic: load seq_cst — the readable-TAS read of the exchange byte
-  int64_t read() const { return bit_.load(std::memory_order_seq_cst); }
-
- private:
-  std::atomic<uint8_t> bit_{0};
-};
-
-static_assert(sizeof(NativeReadableTAS) == 1,
-              "a readable test&set cell is one byte: 64 per cache line");
-static_assert(std::atomic<uint8_t>::is_always_lock_free,
-              "the one-byte cell needs a lock-free hardware exchange");
 
 /// The issue-facing name for the family's backing store: readable test&set
 /// cells over lazily-published doubling segments.
@@ -224,13 +201,10 @@ class NativeFetchIncrement {
 };
 
 namespace detail {
-/// NativeSet cell types with the right initial states for value-initialised
+/// NativeSet's item cell with the right initial state for value-initialised
 /// segment construction (SegmentedArray news segments with `new T[n]()`).
 struct SetItemCell {
   std::atomic<int64_t> v{INT64_MIN};  // NativeSet::kEmpty
-};
-struct SetTakenCell {
-  std::atomic<uint8_t> v{0};  // plain (non-readable) test&set
 };
 }  // namespace detail
 
@@ -264,10 +238,8 @@ class NativeSet {
         // c2sl-atomic: load seq_cst — Algorithm 2 sweep read of the item cell
         int64_t x = item ? item->v.load(std::memory_order_seq_cst) : kEmpty;
         if (x != kEmpty) {
-          C2SL_TEL_PRIM_TAS();
-          // c2sl-atomic: tas seq_cst — take decision; winner owns item c
-          if (ts_.cell(static_cast<size_t>(c)).v.exchange(
-                  1, std::memory_order_seq_cst) == 0) {
+          // The take decision: the test&set winner owns item c.
+          if (ts_.test_and_set(static_cast<size_t>(c)) == 0) {
             if (static_cast<size_t>(c) == dead) ++dead;  // we just killed c too
             publish_hint(dead);
             return x;
@@ -302,7 +274,7 @@ class NativeSet {
 
   NativeFetchIncrement max_;
   SegmentedArray<detail::SetItemCell> items_;
-  SegmentedArray<detail::SetTakenCell> ts_;
+  NativeReadableTasArray ts_;  // taken flags (only the exchange is used)
   std::atomic<int64_t> taken_prefix_{0};  // advisory verified-taken prefix
 };
 

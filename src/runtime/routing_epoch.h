@@ -1,5 +1,5 @@
 // RoutingEpoch — the epoch spine behind C2Store's online shard resizing: a
-// monotone sequence of published routing tables built from one-shot exchange
+// monotone sequence of published routing tables built from one-shot test&set
 // claims and plain register writes only (no CAS), on the SegmentedArray spine.
 //
 // A routing EPOCH is a power-of-two shard count. Epoch 0 is fixed at
@@ -20,11 +20,13 @@
 //
 // The stamp is monotone and every transition is a plain register store by the
 // unique claim winner — 2e -> 2e+1 (install) and 2e+1 -> 2e+2 (publish) — so
-// no RMW stronger than the one-shot claim exchange is ever needed on it.
-// Claim serialisation is the SegmentedArray publication argument verbatim: a
+// no RMW stronger than the one-shot claim is ever needed on it. The claim is
+// the runtime's one test&set cell, rt::NativeReadableTAS
+// (runtime/publish_once.h), the same cell that claims segment and shard-slot
+// publication. Claim serialisation is the publication argument verbatim: a
 // resizer must observe stamp == 2e (even) before it may try to claim cell
-// e+1, and the cell's exchange admits exactly one winner ever, so a stale
-// resizer (one that read an old even stamp) always LOSES the exchange for the
+// e+1, and the cell's test&set admits exactly one winner ever, so a stale
+// resizer (one that read an old even stamp) always LOSES the test&set for the
 // cell it targets — the claims cannot interleave across epochs.
 //
 // Failure semantics (the kill-style recovery contract, pinned by
@@ -36,7 +38,7 @@
 // In both cases every data op keeps succeeding on the published table — an
 // abandoned resize never wedges readers or writers, only future resizes.
 //
-// Memory-order notes (PR 7 policy): the claim exchange and BOTH stamp
+// Memory-order notes: the claim test&set and BOTH stamp
 // transitions are seq_cst because they form the resizer's half of the Dekker
 // handshake with writers — a writer's post-op seq_cst stamp recheck
 // (service/c2store.h) must totally order against the install store, or a
@@ -49,6 +51,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "runtime/publish_once.h"
 #include "runtime/segmented_array.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
@@ -153,10 +156,9 @@ class RoutingEpoch {
     }
     if (new_shards <= shards_of(published_epoch(st))) return ResizeStatus::kNoop;
     EpochCell& cell = cells_.cell(static_cast<size_t>(next));
-    C2SL_TEL_PRIM_TAS();
-    // c2sl-atomic: tas seq_cst — the one-shot resize claim: exactly one
-    // resizer per epoch; a stale claimant (old stamp) always loses here
-    if (cell.claim.exchange(1, std::memory_order_seq_cst) != 0) {
+    // The one-shot resize claim: exactly one resizer per epoch; a stale
+    // claimant (old stamp) always loses here.
+    if (cell.claim.test_and_set() != 0) {
       return ResizeStatus::kInFlight;
     }
     // Install: count first, stamp second, both seq_cst — the stamp store
@@ -195,11 +197,11 @@ class RoutingEpoch {
   }
 
  private:
-  /// One epoch's published state. claim is the one-shot exchange (consensus
+  /// One epoch's published state. claim is the one-shot test&set (consensus
   /// number 2); shards and poisoned are plain registers. Value-initialised by
   /// the SegmentedArray, so shards == 0 doubles as "not installed".
   struct EpochCell {
-    std::atomic<uint64_t> claim{0};
+    NativeReadableTAS claim;
     std::atomic<int64_t> shards{0};
     std::atomic<bool> poisoned{false};
   };

@@ -11,24 +11,16 @@
 // 57 spine slots cover ~2^63 indices — "infinite" for every purpose of the
 // paper, with no configuration surface.
 //
-// Publication uses the same pattern C2Store already uses for shard slots
-// (service/c2store.h): each spine slot carries a one-shot claim implemented
-// with a plain exchange (test&set — consensus number 2) and an atomic segment
-// pointer (a read/write register — consensus number 1). The claim winner
-// CONSTRUCTS THE SEGMENT FIRST (default-constructing every cell to its initial
-// state) and PUBLISHES THE POINTER SECOND; losers spin on the pointer, readers
-// that must not allocate treat an unpublished segment as "all cells initial"
-// (peek() returns nullptr). No CAS anywhere — the no-CAS grep test
-// (tests/c2store_test.cpp) scans this file.
-//
-// The init-before-publish order is load-bearing, not style: publishing first
-// would let a concurrent reader observe uninitialised cells (garbage that can
-// masquerade as already-set state, breaking even plain linearizability). The
-// bounded model checker pins exactly this: the simulated twin of this protocol
-// (svc::SimSegmentedTasArray, service/sim_bridge.h) verifies strongly
-// linearizable in publication order and is REFUTED with the two writes
-// swapped (tests/service_sim_test.cpp). docs/PROOFS.md gives the prose
-// argument.
+// Each spine slot is an rt::PublishOnce<T[]> (runtime/publish_once.h): the
+// winner of the slot's readable test&set (consensus number 2) CONSTRUCTS THE
+// SEGMENT FIRST (value-initialising every cell to its initial state) and
+// PUBLISHES THE POINTER SECOND (a register write, consensus number 1); losers
+// spin on the pointer, and readers that must not allocate treat an
+// unpublished segment as "all cells initial" (peek() returns nullptr). C2Store
+// shard slots publish through the same function, so the checker verdict on
+// its init-before-publish order (svc::SimSegmentedTasArray, pinned in
+// tests/service_sim_test.cpp; prose in docs/PROOFS.md) covers both. No CAS
+// anywhere — the no-CAS grep test (tests/c2store_test.cpp) scans this file.
 //
 // Why doubling segments (and not, say, a linked list of fixed blocks): the
 // spine stays small enough to sit inline (57 slots), index→segment is two bit
@@ -38,11 +30,11 @@
 // frontier word — see NativeFetchIncrement in native_tas_family.h.)
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 
+#include "runtime/publish_once.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
@@ -62,12 +54,6 @@ class SegmentedArray {
   SegmentedArray() = default;
   SegmentedArray(const SegmentedArray&) = delete;
   SegmentedArray& operator=(const SegmentedArray&) = delete;
-  ~SegmentedArray() {
-    for (auto& slot : spine_) {
-      // c2sl-atomic: load relaxed — destructor runs single-threaded by contract
-      delete[] slot.seg.load(std::memory_order_relaxed);
-    }
-  }
 
   // --- index math (static: shared with callers that walk segments) ----------
   static constexpr int segment_of(size_t i) {
@@ -85,10 +71,12 @@ class SegmentedArray {
   /// losers spin on the pointer — the winner is at most a few stores away).
   T& cell(size_t i) {
     int s = checked_segment_of(i);
-    // c2sl-atomic: load acquire — pairs with the release publish; a non-null
-    // pointer carries visibility of every constructed cell behind it
-    T* seg = spine_[s].seg.load(std::memory_order_acquire);
-    if (!seg) seg = materialize(s);
+    T* seg = spine_[s].get([s] {
+      C2SL_TEL_EVENT(tel::TelEvent::kSegmentClaim);
+      auto cells = std::make_unique<T[]>(segment_size(s));  // value-initialised
+      C2SL_TEL_EVENT(tel::TelEvent::kSegmentPublish);  // the publish follows
+      return cells;
+    });
     return seg[i - segment_start(s)];
   }
 
@@ -99,23 +87,19 @@ class SegmentedArray {
   /// load itself is the atomic step that justifies that reading.
   const T* peek(size_t i) const {
     int s = checked_segment_of(i);
-    // c2sl-atomic: load acquire — publication read; per-object coherence keeps
-    // the nullptr ⇒ cells-initial reading sound without seq_cst
-    const T* seg = spine_[s].seg.load(std::memory_order_acquire);
+    const T* seg = spine_[s].peek();
     return seg ? seg + (i - segment_start(s)) : nullptr;
   }
   T* peek(size_t i) {
     int s = checked_segment_of(i);
-    // c2sl-atomic: load acquire — publication read (same argument as above)
-    T* seg = spine_[s].seg.load(std::memory_order_acquire);
+    T* seg = spine_[s].peek();
     return seg ? seg + (i - segment_start(s)) : nullptr;
   }
 
   /// Whether segment s is published (diagnostics and search loops).
   bool segment_published(int s) const {
     C2SL_CHECK(s >= 0 && s < kMaxSegments, "segment index out of spine range");
-    // c2sl-atomic: load acquire — publication read (diagnostics and sweeps)
-    return spine_[s].seg.load(std::memory_order_acquire) != nullptr;
+    return spine_[s].peek() != nullptr;
   }
   /// Number of published segments (diagnostics only; racy by nature).
   int segments_published() const {
@@ -127,12 +111,6 @@ class SegmentedArray {
   }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<int64_t> claim{0};       // one-shot exchange: init winner
-    std::atomic<T*> seg{nullptr};        // published segment (register write)
-    std::atomic<bool> poisoned{false};   // winner threw before publishing
-  };
-
   /// segment_of with the spine-range check BEFORE any spine access: indices
   /// past segment 56 (> ~2^62.8) are not reachable by honest use, but they
   /// must surface as the documented checked error, not as an out-of-bounds
@@ -143,41 +121,7 @@ class SegmentedArray {
     return s;
   }
 
-  T* materialize(int s) {
-    Slot& slot = spine_[s];
-    C2SL_TEL_PRIM_TAS();
-    // c2sl-atomic: tas seq_cst — init-winner decision for the segment
-    if (slot.claim.exchange(1, std::memory_order_seq_cst) == 0) {
-      C2SL_TEL_EVENT(tel::TelEvent::kSegmentClaim);
-      // Claim won: construct every cell to its initial state, THEN publish.
-      // Swapping these two steps is the pinned-broken variant — see header.
-      T* seg = nullptr;
-      try {
-        seg = new T[segment_size(s)]();
-      } catch (...) {
-        // c2sl-atomic: store seq_cst — cold failure flag; cross-checked with
-        // the spine by spinning losers, so it stays at the strongest order
-        slot.poisoned.store(true, std::memory_order_seq_cst);
-        throw;
-      }
-      // c2sl-atomic: store release — the publish: constructed cells become
-      // visible to every acquire spine load
-      slot.seg.store(seg, std::memory_order_release);
-      C2SL_TEL_EVENT(tel::TelEvent::kSegmentPublish);
-      return seg;
-    }
-    T* seg = nullptr;
-    // c2sl-atomic: load acquire — loser spin on the publish; pairs with the
-    // release store above
-    while (!(seg = slot.seg.load(std::memory_order_acquire))) {
-      // c2sl-atomic: load seq_cst — cold poison check inside the spin
-      C2SL_CHECK(!slot.poisoned.load(std::memory_order_seq_cst),
-                 "segment initialization failed in another thread");
-    }
-    return seg;
-  }
-
-  Slot spine_[kMaxSegments];
+  PublishOnce<T[]> spine_[kMaxSegments];
 };
 
 }  // namespace c2sl::rt

@@ -28,7 +28,6 @@ C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
 C2Store::C2Store(const C2StoreConfig& cfg)
     : cfg_(validate(cfg)),
       epochs_(cfg_.initial_shards),
-      router_(&epochs_),
       initial_mask_(static_cast<uint64_t>(cfg_.initial_shards) - 1),
       lanes_(cfg_.max_threads),
       digest_(cfg_.max_threads, cfg_.max_value) {
@@ -46,15 +45,6 @@ C2Store::C2Store(const C2StoreConfig& cfg)
 
 C2Store::~C2Store() {
   clear_failure_hook(this);  // never clobbers a younger store's registration
-  // Sweep up to the NEWEST epoch's count, published or not: an abandoned or
-  // poisoned install may have materialised slots beyond the published range.
-  int total = epochs_.shards_of(rt::RoutingEpoch::newest_epoch(epochs_.stamp()));
-  for (int s = 0; s < total; ++s) {
-    ShardSlot* sl = slots_.peek(static_cast<size_t>(s));
-    if (!sl) continue;  // segment never materialised: nothing to free
-    // c2sl-atomic: load relaxed — destructor runs single-threaded by contract
-    delete sl->objs.load(std::memory_order_relaxed);
-  }
 }
 
 C2Session C2Store::open_session() {
@@ -89,41 +79,14 @@ C2Session C2Store::begin_session(int lane, int64_t wait_ns) {
 }
 
 ShardObjects& C2Store::shard(int s) {
-  ShardSlot& slot = slots_.cell(static_cast<size_t>(s));
-  // c2sl-atomic: load acquire — publication read; a non-null pointer carries
-  // visibility of the constructed ShardObjects behind it
-  ShardObjects* p = slot.objs.load(std::memory_order_acquire);
-  if (p) return *p;
-  if (slot.claim.test_and_set() == 0) {
-    // We won the readable test&set: construct and publish. The publication is
-    // a plain register write (consensus number 1) — still no CAS. The config
-    // was validated up front, so only allocation failure can throw here; the
-    // poison flag turns that into an error for the waiters instead of a
-    // permanent spin (the one-shot claim is already consumed).
-    try {
-      p = new ShardObjects(cfg_);
-    } catch (...) {
-      // c2sl-atomic: store seq_cst — cold failure flag; cross-checked with the
-      // slot pointer by spinning losers, so it stays at the strongest order
-      slot.poisoned.store(true, std::memory_order_seq_cst);
-      throw;
-    }
-    // c2sl-atomic: store release — the publish: the constructed ShardObjects
-    // becomes visible to every acquire load of the slot pointer
-    slot.objs.store(p, std::memory_order_release);
-    C2SL_TEL_EVENT(tel::TelEvent::kShardInit);
-    return *p;
-  }
-  // Another thread won the claim; its publication is at most a few stores
-  // away, so losers spin on the pointer.
-  // c2sl-atomic: load acquire — loser spin on the publish; pairs with the
-  // release store above
-  while (!(p = slot.objs.load(std::memory_order_acquire))) {
-    // c2sl-atomic: load seq_cst — cold poison check inside the spin
-    C2SL_CHECK(!slot.poisoned.load(std::memory_order_seq_cst),
-               "shard initialization failed in another thread");
-  }
-  return *p;
+  // The config was validated up front, so only allocation failure can throw
+  // in the constructor; PublishOnce turns that into a named error for the
+  // waiters instead of a permanent spin.
+  return *slots_.cell(static_cast<size_t>(s)).get([this] {
+    auto objs = std::make_unique<ShardObjects>(cfg_);
+    C2SL_TEL_EVENT(tel::TelEvent::kShardInit);  // the publish follows
+    return objs;
+  });
 }
 
 // --- online resizing (PR 9) --------------------------------------------------

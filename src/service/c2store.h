@@ -77,11 +77,14 @@
 //   * NativeSet            (Thm 10) — SetRef
 //
 // Lazy initialisation is guarded by the paper's own readable test&set (Thm 5):
-// the winner of the slot's test&set constructs the objects and publishes them
-// through an atomic pointer store (a plain register write — consensus number
-// 1); losers spin on the publication. No CAS, no mutex. Binding a ref does
-// NOT materialise the shard — reads through an unmaterialised ref return the
-// initial values; the first mutating op claims the slot.
+// each slot is an rt::PublishOnce (runtime/publish_once.h), the same cell
+// SegmentedArray publishes its segments through — the winner of the slot's
+// test&set constructs the objects and publishes them through an atomic
+// pointer store (a plain register write — consensus number 1); losers spin on
+// the publication. No CAS, no mutex. The slot owns its objects, so the store
+// frees them without a sweep of its own. Binding a ref does NOT materialise
+// the shard — reads through an unmaterialised ref return the initial values;
+// the first mutating op claims the slot.
 //
 // Per-key operations are strongly linearizable by locality: each key's ops run
 // on one strongly-linearizable shard instance, and strong linearizability
@@ -136,6 +139,7 @@
 #include "runtime/counter_sum_digest.h"
 #include "runtime/keyed_version_digest.h"
 #include "runtime/native_tas_family.h"
+#include "runtime/publish_once.h"
 #include "runtime/routing_epoch.h"
 #include "runtime/segmented_array.h"
 #include "service/lane_registry.h"
@@ -582,11 +586,16 @@ class C2Store {
 
   // --- introspection ---
   /// Shard count of the newest PUBLISHED routing epoch (grows over time).
-  int shard_count() const { return router_.shard_count(); }
+  int shard_count() const { return epochs_.current_shards(); }
   int initialized_shards() const;
   const C2StoreConfig& config() const { return cfg_; }
-  int shard_of(uint64_t key) const { return router_.shard_of(key); }
-  int shard_of(std::string_view key) const { return router_.shard_of(key); }
+  /// Key's slot under the published epoch.
+  int shard_of(uint64_t key) const {
+    return slot_under(hash_key(key), epochs_.current_epoch());
+  }
+  int shard_of(std::string_view key) const {
+    return slot_under(hash_key(key), epochs_.current_epoch());
+  }
   /// The published routing epoch (0 until the first successful resize).
   int64_t routing_epoch() const { return epochs_.current_epoch(); }
   /// Fresh lane tickets issued so far (diagnostics).
@@ -617,7 +626,7 @@ class C2Store {
   /// telemetry/export.h).
   tel::MetricsSnapshot metrics_snapshot() const;
   /// Drains every lane's trace log into a plain-data dump for
-  /// tel::trace_to_json / tel::trace_to_chrome and tools/trace_audit.py.
+  /// tel::trace_to_json and tools/trace_audit.py.
   /// Safe against live writers (release/acquire publication per record);
   /// for a complete history, drain after sessions quiesce.
   tel::TraceDump trace_dump() const {
@@ -636,11 +645,8 @@ class C2Store {
   friend class SetRef;
   friend class SnapshotRef;
 
-  struct alignas(128) ShardSlot {
-    rt::NativeReadableTAS claim;           // Thm 5 readable test&set: init winner
-    std::atomic<ShardObjects*> objs{nullptr};
-    std::atomic<bool> poisoned{false};     // claim winner threw before publishing
-  };
+  /// One shard slot: its objects, created once on first mutation.
+  using ShardSlot = rt::PublishOnce<ShardObjects, 128>;
 
   /// Validates the config; every config error surfaces here with a
   /// service-level message, before any member construction.
@@ -651,8 +657,6 @@ class C2Store {
   /// binds the session.
   C2Session begin_session(int lane, int64_t wait_ns);
 
-  int route(uint64_t key) const { return router_.shard_of(key); }
-  int route(std::string_view key) const { return router_.shard_of(key); }
   /// Key's slot under `epoch`'s mask (the epoch must have been exposed by a
   /// stamp read — see RoutingEpoch::shards_of).
   int slot_under(uint64_t hash, int64_t epoch) const {
@@ -682,15 +686,13 @@ class C2Store {
   /// materialises the slot's spine segment either).
   ShardObjects* peek(int s) const {
     const ShardSlot* sl = slots_.peek(static_cast<size_t>(s));
-    // c2sl-atomic: load acquire — publication read; never initializes
-    return sl ? sl->objs.load(std::memory_order_acquire) : nullptr;
+    return sl ? sl->peek() : nullptr;
   }
 
   C2StoreConfig cfg_;
   /// The routing-epoch spine: published shard counts, resize claims, and the
   /// stamp word the refs' revalidation/Dekker reads ride on.
   rt::RoutingEpoch epochs_;
-  ShardRouter router_;  ///< live mode: masks under the published epoch
   uint64_t initial_mask_;
   /// Shard slots on a lazily-grown segmented spine — resize() extends the
   /// index range; low slots are PHYSICALLY SHARED across epochs (mask

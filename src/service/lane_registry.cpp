@@ -34,7 +34,14 @@ int LaneRegistry::try_acquire() {
   return kNone;
 }
 
-int LaneRegistry::acquire_blocking() {
+int LaneRegistry::acquire_blocking() { return acquire_until(std::nullopt); }
+
+int LaneRegistry::acquire_for(std::chrono::nanoseconds timeout) {
+  return acquire_until(std::chrono::steady_clock::now() + timeout);
+}
+
+int LaneRegistry::acquire_until(
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   for (;;) {
     int lane = try_acquire();
     if (lane != kNone) return lane;
@@ -52,33 +59,18 @@ int LaneRegistry::acquire_blocking() {
       if (raced >= 0) release(static_cast<int>(raced));
       return lane;
     }
-    int64_t v = handoff_.await(t);
-    if (v == rt::HandoffQueue::kRevoked) continue;  // free set refilled: retry
-    return static_cast<int>(v);
-  }
-}
-
-int LaneRegistry::acquire_for(std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    int lane = try_acquire();
-    if (lane != kNone) return lane;
-    size_t t = handoff_.enqueue();
-    lane = try_acquire();  // same Dekker probe as acquire_blocking
-    if (lane != kNone) {
-      int64_t raced = handoff_.cancel(t);
-      if (raced >= 0) release(static_cast<int>(raced));
-      return lane;
-    }
-    int64_t v = handoff_.await_until(t, deadline);
+    int64_t v = deadline ? handoff_.await_until(t, *deadline) : handoff_.await(t);
     if (v == rt::HandoffQueue::kTimedOut) {
       v = handoff_.cancel(t);
       if (v >= 0) return static_cast<int>(v);  // a delivery beat the timeout
       return kNone;
     }
     if (v == rt::HandoffQueue::kRevoked) {
-      if (std::chrono::steady_clock::now() >= deadline) return kNone;
-      continue;  // free set refilled: retry within the deadline
+      // The free set was refilled: retry (within the deadline, if any).
+      if (deadline && std::chrono::steady_clock::now() >= *deadline) {
+        return kNone;
+      }
+      continue;
     }
     return static_cast<int>(v);
   }

@@ -62,6 +62,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 #include "runtime/handoff_queue.h"
 #include "runtime/native_tas_family.h"
@@ -122,6 +123,12 @@ class LaneRegistry {
   int64_t handoff_parks() const { return handoff_.parks(); }
 
  private:
+  /// The one blocking-acquire loop behind acquire_blocking() (no deadline:
+  /// parks with a futex-style await) and acquire_for() (parks with
+  /// await_until, returning kNone once `deadline` passes).
+  int acquire_until(
+      std::optional<std::chrono::steady_clock::time_point> deadline);
+
   int max_lanes_;
   /// F&I ticket dispenser for first-acquires. Plain fetch_add — consensus
   /// number 2 — is all this needs: tickets are handed out densely and only

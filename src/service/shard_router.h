@@ -2,24 +2,21 @@
 //
 // Hashing is pure and stateless: a key (64-bit integer or string) is mixed
 // through a SplitMix64-style finalizer and masked onto a power-of-two shard
-// count. Since PR 9 the COUNT is no longer a construction-time constant — a
-// live router reads it from the store's RoutingEpoch spine
-// (runtime/routing_epoch.h), so the mask widens when a resize publishes a new
-// epoch. Because strong linearizability is local (composable), a keyspace
+// count. Because strong linearizability is local (composable), a keyspace
 // striped across independent strongly-linearizable shard objects stays
-// strongly linearizable end-to-end; the epoch hand-off itself (how a key's
-// state follows its slot across a mask change) is the RoutingEpoch + migration
-// protocol, checker-pinned via SimRoutingEpoch.
+// strongly linearizable end-to-end.
 //
-// The fixed-count mode survives for the sim twins and unit helpers that want
-// the PR 1 pure-function router (service/sim_bridge.h constructs one
-// directly); the service always uses the live mode.
+// ShardRouter masks onto a FIXED count: the sim twins and unit helpers use it
+// (service/sim_bridge.h constructs one directly). C2Store's count grows with
+// online resizes, so the store masks the same hashes under the count of a
+// routing epoch instead (C2Store::slot_under over runtime/routing_epoch.h);
+// how a key's state follows its slot across a mask change is the RoutingEpoch
+// + migration protocol, checker-pinned via SimRoutingEpoch.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 
-#include "runtime/routing_epoch.h"
 #include "util/assert.h"
 
 namespace c2sl::svc {
@@ -49,31 +46,22 @@ inline uint64_t hash_key(std::string_view key) {
 
 class ShardRouter {
  public:
-  /// Fixed-count mode: the PR 1 pure masked hash (sim twins, unit helpers).
-  explicit ShardRouter(int shard_count)
-      : fixed_count_(shard_count) {
+  /// The pure masked hash over `shard_count` shards.
+  explicit ShardRouter(int shard_count) : shard_count_(shard_count) {
     C2SL_CHECK(shard_count > 0 && (shard_count & (shard_count - 1)) == 0,
                "shard count must be a power of two");
   }
 
-  /// Live mode: the mask tracks the newest PUBLISHED routing epoch. The
-  /// router stays stateless — it borrows the spine, it never owns state.
-  explicit ShardRouter(const rt::RoutingEpoch* epochs) : epochs_(epochs) {}
-
   int shard_of(uint64_t key) const { return slot_of(hash_key(key)); }
   int shard_of(std::string_view key) const { return slot_of(hash_key(key)); }
-  /// Route an already-computed hash (the typed refs hash once at bind and
-  /// re-route on epoch change without re-hashing — the PR 2 string-key win).
-  int slot_of(uint64_t hash) const {
-    return static_cast<int>(hash & (static_cast<uint64_t>(shard_count()) - 1));
-  }
-  int shard_count() const {
-    return epochs_ ? epochs_->current_shards() : fixed_count_;
-  }
+  int shard_count() const { return shard_count_; }
 
  private:
-  const rt::RoutingEpoch* epochs_ = nullptr;  ///< live mode when non-null
-  int fixed_count_ = 0;
+  int slot_of(uint64_t hash) const {
+    return static_cast<int>(hash & (static_cast<uint64_t>(shard_count_) - 1));
+  }
+
+  int shard_count_;
 };
 
 }  // namespace c2sl::svc

@@ -480,7 +480,7 @@ void SimSegmentedTasArray::ensure_segment(sim::Ctx& ctx, int s) {
   prim::TasArray& claims = ctx.world->get(claims_);
   if (claims.test_and_set(ctx, static_cast<size_t>(s)) == 0) {
     // Claim won: initialise every cell, then publish — the same two-phase
-    // order as rt::SegmentedArray::materialize. The broken variant swaps the
+    // order as rt::PublishOnce::get. The broken variant swaps the
     // phases; tests/service_sim_test.cpp pins its refutation.
     prim::SwapRegArray& cells = ctx.world->get(cells_);
     prim::RegArray& spine = ctx.world->get(spine_);

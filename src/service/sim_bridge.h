@@ -64,8 +64,10 @@
 //     checker REFUTES it (pinned negative control, same schedule family and
 //     verdict as the baselines/herlihy_wing_queue positive control).
 //
-//   * SimSegmentedTasArray — the sim twin of the native SegmentedArray's
-//     publication protocol (runtime/segmented_array.h), at base-object step
+//   * SimSegmentedTasArray — the sim twin of the native publish-once
+//     protocol (rt::PublishOnce::get in runtime/publish_once.h, which
+//     publishes SegmentedArray segments and C2Store shard slots alike), as
+//     the segmented array uses it, at base-object step
 //     granularity: doubling segments (base 1 here, so the trees stay small:
 //     segment s covers [2^s − 1, 2^(s+1) − 1)), each published by the winner
 //     of a per-segment claim test&set through a register write, with cells
@@ -77,7 +79,7 @@
 //     the winner's late cell-initialisation then erases observed state, so
 //     some histories are not even linearizable (tests/service_sim_test.cpp
 //     pins both verdicts). This is the mechanised justification for the
-//     init-then-publish order in rt::SegmentedArray::materialize.
+//     init-then-publish order in rt::PublishOnce::get.
 #pragma once
 
 #include <memory>

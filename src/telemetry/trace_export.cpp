@@ -67,45 +67,6 @@ std::string trace_to_json(const TraceDump& dump, std::string_view source) {
   return w.str();
 }
 
-std::string trace_to_chrome(const TraceDump& dump, std::string_view source) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  for (const LaneTraceDump& l : dump.lanes) {
-    for (const TraceRecord& r : l.records) {
-      w.begin_object();
-      w.field("name", op_name(r.op));
-      w.field("cat", "c2store");
-      w.field("ph", "X");
-      w.field("ts", static_cast<double>(to_ns(dump, r.t0)) / 1000.0);
-      w.field("dur", static_cast<double>(to_ns(dump, r.t1) - to_ns(dump, r.t0)) /
-                         1000.0);
-      w.field("pid", 1);
-      w.field("tid", l.lane);
-      w.key("args");
-      w.begin_object();
-      if (r.key >= 0) w.field("key", r.key);
-      if (r.key_b >= 0) w.field("key_b", static_cast<int64_t>(r.key_b));
-      w.field("arg", r.arg);
-      w.field("result", r.result);
-      if (r.witness >= 0) w.field("witness", r.witness);
-      if (r.epoch >= 0) w.field("epoch", r.epoch);
-      w.end_object();
-      w.end_object();
-    }
-  }
-  w.end_array();
-  w.field("displayTimeUnit", "ns");
-  w.key("otherData");
-  w.begin_object();
-  w.field("source", source);
-  w.field("schema", "c2sl-trace-v1-chrome");
-  w.end_object();
-  w.end_object();
-  return w.str();
-}
-
 #if C2SL_CAPTURE
 
 namespace {

@@ -1,8 +1,8 @@
 // Trace exporters: the c2sl-trace-v1 JSON document (what tools/trace_audit.py
-// consumes), the Chrome trace-event format (chrome://tracing / Perfetto), and
-// the post-mortem tail dump the assert-failure hook of util/assert.h prints.
+// consumes) and the post-mortem tail dump the assert-failure hook of
+// util/assert.h prints.
 //
-// Both serialisers take the plain-data TraceDump, so they have ONE definition
+// The serialiser takes the plain-data TraceDump, so it has ONE definition
 // regardless of the C2SL_CAPTURE flavour — a disabled build still exports a
 // well-formed document that says trace_enabled=false (the auditor treats that
 // as "nothing to audit", not an error). The tail dump touches the live
@@ -21,10 +21,6 @@ namespace c2sl::tel {
 /// tools/trace_audit.py). Timestamps are exported as nanoseconds relative to
 /// the store's trace epoch (ticks * ns_per_tick), records in lane order.
 std::string trace_to_json(const TraceDump& dump, std::string_view source);
-
-/// Chrome trace-event JSON: one "X" (complete) event per record, tid = lane,
-/// witness/key/result in args. Load in chrome://tracing or ui.perfetto.dev.
-std::string trace_to_chrome(const TraceDump& dump, std::string_view source);
 
 /// Records per lane in the post-mortem tail (before the pending op).
 inline constexpr int kTraceTail = 64;

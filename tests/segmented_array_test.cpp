@@ -12,7 +12,8 @@
 //  3. Publication race: threads force the SAME fresh segment concurrently;
 //     the claim must elect exactly one constructor (observed indirectly:
 //     every cell still has exactly one test&set winner — two published
-//     instances would hand out two wins).
+//     instances would hand out two wins). A winner whose construction throws
+//     poisons the slot: later callers get the named error, never a spin.
 //  4. NativeSet growth: put/take across several segment doublings conserves
 //     items (a TSAN target via this suite's membership in the stress set
 //     wouldn't add much — c2store_stress_test already runs set TSAN stress —
@@ -25,6 +26,8 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/native_tas_family.h"
@@ -156,6 +159,32 @@ TEST(SegmentedArray, RacedPublicationYieldsOneInstance) {
       EXPECT_EQ(arr.peek(static_cast<size_t>(64 + t))->read(), 1);
     }
   }
+}
+
+// A cell whose constructor always throws: the segment's claim winner fails
+// mid-construction, after the one-shot claim is spent.
+struct ThrowingCell {
+  ThrowingCell() { throw std::runtime_error("cell constructor failed"); }
+};
+
+TEST(SegmentedArray, FailedConstructionPoisonsTheSegment) {
+  rt::SegmentedArray<ThrowingCell> arr;
+  // The claim winner sees its constructor's own exception.
+  EXPECT_THROW(arr.cell(70), std::runtime_error);
+  // Every later caller (same segment, any index) gets the named precondition
+  // error instead of spinning on a pointer that will never be published.
+  for (size_t i : {size_t{70}, size_t{64}, size_t{191}}) {
+    try {
+      arr.cell(i);
+      ADD_FAILURE() << "cell(" << i << ") returned from a poisoned segment";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("initialization failed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(arr.peek(70), nullptr) << "a poisoned segment is never published";
+  EXPECT_EQ(arr.segments_published(), 0);
 }
 
 // --- 4. NativeSet across growth ----------------------------------------------

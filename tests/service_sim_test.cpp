@@ -502,8 +502,8 @@ TEST(C2StoreSim, SegmentPublishBeforeInitRefuted) {
   ASSERT_TRUE(res.decided);
   EXPECT_FALSE(res.strongly_linearizable)
       << "publish-before-init must NOT verify — this refutation is why "
-         "SegmentedArray::materialize initialises cells before the pointer "
-         "store";
+         "PublishOnce::get (segments and shard slots alike) constructs "
+         "before the pointer store";
 }
 
 // --- 4. the naive one-pass scan is not even linearizable --------------------

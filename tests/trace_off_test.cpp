@@ -75,7 +75,7 @@ static_assert(off_capture_path_is_constant_evaluable(),
               "operation: an atomic, clock read, thread_local or allocation "
               "leaked into the off trace capture path");
 
-// The drain and both trace exporters still work — a disabled build exports a
+// The drain and the trace exporter still work — a disabled build exports a
 // well-formed document saying so, and the offline auditor treats
 // trace_enabled=false as vacuously valid.
 TEST(TraceOff, DumpAndExportersReportDisabled) {
@@ -87,8 +87,6 @@ TEST(TraceOff, DumpAndExportersReportDisabled) {
   EXPECT_NE(json.find("\"schema\":\"c2sl-trace-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_enabled\":false"), std::string::npos);
   EXPECT_NE(json.find("\"records_total\":0"), std::string::npos);
-  std::string chrome = tel::trace_to_chrome(d, "trace_off_test");
-  EXPECT_NE(chrome.find("\"traceEvents\":[]"), std::string::npos);
 }
 
 // The record struct keeps its one-cache-line layout in both flavours: a

@@ -15,8 +15,8 @@
 //     witness, witnesses are strictly increasing per lane in program order
 //     (strong linearizability's own-step property made visible), reads stay
 //     deliberately unwitnessed, transfers carry both buckets and their own
-//     ticket, resize events carry the epoch, and the two exporters emit the
-//     documented c2sl-trace-v1 / Chrome shapes.
+//     ticket, resize events carry the epoch, and the exporter emits the
+//     documented c2sl-trace-v1 shape.
 //
 // Everything but the flavour-independent record checks needs the live layer,
 // so a C2SL_CAPTURE=0 build compiles it out (tests/trace_off_test.cpp
@@ -386,10 +386,6 @@ TEST(StoreTraceTest, ExportersEmitTheDocumentedShapes) {
   EXPECT_NE(json.find("\"trace_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"op\":\"counter_inc\""), std::string::npos);
   EXPECT_NE(json.find("\"witness\":0"), std::string::npos);
-  std::string chrome = tel::trace_to_chrome(d, "trace_test");
-  EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(chrome.find("c2sl-trace-v1-chrome"), std::string::npos);
 }
 
 TEST(StoreTraceTest, MultiThreadedCaptureStaysConsistent) {
