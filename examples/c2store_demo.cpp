@@ -171,7 +171,11 @@ int main(int argc, char** argv) try {
           size_t from = static_cast<size_t>(rng.next_below(rep_keys.size()));
           size_t to = static_cast<size_t>(rng.next_below(rep_keys.size() - 1));
           if (to >= from) ++to;  // a distinct pair, uniform
-          s.transfer(rep_keys[from], rep_keys[to], rng.next_in(1, 3));
+          // One in eight amounts is too large for a one-cell journal entry,
+          // so the audited trace also covers two-ticket (wide) transfers.
+          int64_t amount = rng.next_below(8) == 0 ? rng.next_in(4096, 1 << 20)
+                                                  : rng.next_in(1, 3);
+          s.transfer(rep_keys[from], rep_keys[to], amount);
           break;
         }
         case kSnapshot:

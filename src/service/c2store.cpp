@@ -15,6 +15,10 @@ C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
   C2SL_CHECK(cfg.initial_shards > 0 &&
                  (cfg.initial_shards & (cfg.initial_shards - 1)) == 0,
              "initial_shards must be a power of two");
+  // Journal entries pack initial-mask buckets into 24 bits; a larger store
+  // would fail a keyed write inside the journal after its shard step.
+  C2SL_CHECK(cfg.initial_shards <= rt::KeyedVersionDigest::kMaxBuckets,
+             "initial_shards must be at most 2^24 (the journal's bucket field)");
   C2SL_CHECK(cfg.max_threads >= 1, "need at least one session lane");
   C2SL_CHECK(cfg.max_value >= 1, "max_value must be at least 1");
   C2SL_CHECK(cfg.tas_max_resets >= 0, "tas_max_resets must be non-negative");
@@ -167,10 +171,13 @@ int64_t C2Store::counter_sum() { return sum_digest_.read(); }
 // cursor got there — which is what makes two same-tail snapshots identical and
 // the FAA(0) tail read a legitimate linearization point. Bucket indices are
 // INITIAL-mask for every entry kind (the snapshot facet is epoch-independent),
-// so no entry can ever index outside the fixed accumulator vectors.
+// so no entry can ever index outside the fixed accumulator vectors. A wide
+// transfer spans two tickets drawn by one FAA, so no tail splits it and the
+// cursor steps over both.
 void C2Store::replay_journal(detail::SnapReplay& r, int64_t tail) {
-  for (int64_t t = r.cursor; t < tail; ++t) {
-    rt::KeyedVersionDigest::EntryView e = journal_.entry(t);
+  rt::KeyedVersionDigest::EntryView e{};
+  for (int64_t t = r.cursor; t < tail; t += e.cells) {
+    e = journal_.entry(t);
     switch (e.kind) {
       case rt::KeyedVersionDigest::Kind::kCounterInc:
         r.ctr_net[static_cast<size_t>(e.shard_a)] += e.v;

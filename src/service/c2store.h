@@ -157,7 +157,8 @@ namespace c2sl::svc {
 /// of the fetch&add max registers (§6 width discussion), not array
 /// capacities.
 struct C2StoreConfig {
-  int initial_shards = 16;  ///< power of two; a starting hint — see resize()
+  int initial_shards = 16;  ///< power of two, at most 2^24 (the journal's
+                            ///< bucket field); a starting hint — see resize()
   int max_threads = 8;      ///< maximum CONCURRENT sessions (lane owners)
 
   /// Per-shard max register bound; max_threads * max_value must fit in 63 bits.
@@ -614,8 +615,9 @@ class C2Store {
   int64_t lane_counter_adds(int lane) const {
     return sum_digest_.lane_contribution(lane);
   }
-  /// Journal tickets issued so far (diagnostics; may exceed the published
-  /// prefix while deposits are in flight — see keyed_version_digest.h).
+  /// Journal tickets issued so far: one per keyed write, two per wide
+  /// transfer (diagnostics; may exceed the published prefix while deposits
+  /// are in flight — see keyed_version_digest.h).
   int64_t journal_tickets() const { return journal_.tickets_issued(); }
 
   // --- capture (src/telemetry/; all of it compiles out under

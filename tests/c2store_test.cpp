@@ -109,6 +109,26 @@ TEST(C2Store, InvalidConfigsRejectedUpFront) {
   });
 }
 
+// Journal entries carry initial-mask buckets in 24 bits. A larger store must
+// fail at construction: otherwise a keyed write to a high bucket would apply
+// its shard step and sum-digest add before the journal rejected it. No writes
+// here — materialising a slot segment that high allocates gigabytes.
+TEST(C2Store, InitialShardsCappedAtTheJournalBucketField) {
+  ASSERT_EQ(rt::KeyedVersionDigest::kMaxBuckets, 1 << 24);
+  svc::C2StoreConfig cfg = small_config();
+  cfg.initial_shards = 1 << 25;
+  try {
+    svc::C2Store store(cfg);
+    ADD_FAILURE() << "initial_shards = 2^25 constructed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 2^24"), std::string::npos) << e.what();
+  }
+  cfg.initial_shards = 1 << 24;
+  svc::C2Store store(cfg);
+  EXPECT_EQ(store.shard_count(), 1 << 24);
+  EXPECT_EQ(store.initialized_shards(), 0);
+}
+
 // --- sessions ---------------------------------------------------------------
 
 TEST(C2Session, OpenUseCloseLifecycle) {

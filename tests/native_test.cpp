@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/keyed_version_digest.h"
 #include "runtime/native_max_register.h"
 #include "runtime/native_snapshot.h"
 #include "runtime/native_tas_family.h"
@@ -345,6 +349,156 @@ TEST(NativeSet, NoItemTakenTwiceHighVolume) {
     }
   }
   EXPECT_EQ(unique.size(), total);
+}
+
+
+// --- KeyedVersionDigest (the snapshot write journal) -------------------------
+
+using Journal = rt::KeyedVersionDigest;
+using JKind = Journal::Kind;
+
+static_assert(sizeof(Journal::Cell) == 8, "a journal cell is one 64-bit word");
+
+// Every kind must decode to what was appended at its field extremes; a wide
+// transfer occupies two tickets, everything else one.
+TEST(KeyedVersionDigest, EachKindRoundTripsAtItsFieldExtremes) {
+  const int top = Journal::kMaxBuckets - 1;
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  struct Case {
+    JKind kind;
+    int a, b;
+    int64_t v;
+    int cells;
+  };
+  const std::vector<Case> cases = {
+      {JKind::kCounterInc, 0, 0, 1, 1},
+      {JKind::kCounterInc, top, 0, 1, 1},
+      {JKind::kMaxWrite, 0, 0, 0, 1},
+      {JKind::kMaxWrite, top, 0, Journal::kMaxValue, 1},
+      {JKind::kResize, 0, 0, 1, 1},
+      {JKind::kResize, top, 0, Journal::kMaxValue, 1},
+      {JKind::kTransfer, 0, top, 0, 1},
+      {JKind::kTransfer, top, 0, -4096, 1},
+      {JKind::kTransfer, top, top, 4095, 1},
+      {JKind::kTransfer, 0, top, -4097, 2},
+      {JKind::kTransfer, top, 0, 4097, 2},
+      {JKind::kTransfer, top, top, lo, 2},
+      {JKind::kTransfer, 0, 0, hi, 2},
+      {JKind::kTransfer, 1, top - 1, -1, 1},
+  };
+  ASSERT_EQ(Journal::kInlineMin, -4096);
+  ASSERT_EQ(Journal::kInlineMax, 4095);
+  Journal j;
+  std::vector<int64_t> tickets;
+  int64_t expect = 0;
+  for (const Case& c : cases) {
+    int64_t t = j.append(c.kind, c.a, c.b, c.v);
+    EXPECT_EQ(t, expect);
+    tickets.push_back(t);
+    expect += c.cells;
+  }
+  EXPECT_EQ(j.tickets_issued(), expect);
+  EXPECT_EQ(j.version(), expect);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    Journal::EntryView e = j.entry(tickets[i]);
+    EXPECT_EQ(e.kind, c.kind) << "case " << i;
+    EXPECT_EQ(e.shard_a, c.a) << "case " << i;
+    EXPECT_EQ(e.shard_b, c.b) << "case " << i;
+    EXPECT_EQ(e.v, c.v) << "case " << i;
+    EXPECT_EQ(e.cells, c.cells) << "case " << i;
+  }
+}
+
+// Entries that do not fit a cell fail closed before the ticket is drawn.
+TEST(KeyedVersionDigest, OutOfRangeEntriesThrowWithoutATicket) {
+  Journal j;
+  EXPECT_THROW(j.append(JKind::kCounterInc, 0, 0, 2), PreconditionError);
+  EXPECT_THROW(j.append(JKind::kCounterInc, Journal::kMaxBuckets, 0, 1),
+               PreconditionError);
+  EXPECT_THROW(j.append(JKind::kTransfer, 0, Journal::kMaxBuckets, 1),
+               PreconditionError);
+  EXPECT_THROW(j.append(JKind::kMaxWrite, 0, 0, -1), PreconditionError);
+  EXPECT_THROW(j.append(JKind::kMaxWrite, 0, 0, Journal::kMaxValue + 1),
+               PreconditionError);
+  EXPECT_THROW(j.append(JKind::kResize, 0, 0, Journal::kMaxValue + 1),
+               PreconditionError);
+  EXPECT_EQ(j.tickets_issued(), 0);
+}
+
+// Three appenders mix inline and wide transfers while one replayer follows
+// the tail: at every tail it reads, the balances it replayed sum to zero (no
+// tail splits a wide entry, and every entry decodes as a transfer between
+// real buckets), and its final replay equals the appended per-bucket totals.
+TEST(KeyedVersionDigest, ConcurrentWideTransfersReplayConsistently) {
+  const int appenders = 3;
+  const int per_thread = 20000;
+  const int buckets = 64;
+  Journal j;
+  std::vector<std::vector<int64_t>> want(
+      appenders, std::vector<int64_t>(buckets, 0));
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < appenders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9100 + static_cast<uint64_t>(t));
+      auto& w = want[static_cast<size_t>(t)];
+      for (int i = 0; i < per_thread; ++i) {
+        int a = static_cast<int>(rng.next_below(buckets));
+        int b = static_cast<int>(rng.next_below(buckets));
+        int64_t v = rng.next_bool(0.5)
+                        ? rng.next_in(Journal::kInlineMin, Journal::kInlineMax)
+                        : rng.next_in(int64_t{4097}, int64_t{1} << 40) *
+                              (rng.next_bool(0.5) ? 1 : -1);
+        j.append(JKind::kTransfer, a, b, v);
+        w[static_cast<size_t>(a)] -= v;
+        w[static_cast<size_t>(b)] += v;
+      }
+      done.fetch_add(1);
+    });
+  }
+  std::vector<int64_t> got(buckets, 0);
+  int64_t cursor = 0;
+  // Returns the first violation; the appenders are joined before reporting.
+  auto replay = [&]() -> std::string {
+    bool last = false;
+    while (!last) {
+      last = done.load() == appenders;  // read before the tail: final pass
+      int64_t tail = j.version();
+      Journal::EntryView e{};
+      for (int64_t c = cursor; c < tail; c += e.cells) {
+        e = j.entry(c);
+        if (e.kind != JKind::kTransfer || e.shard_a >= buckets ||
+            e.shard_b >= buckets) {
+          return "ticket " + std::to_string(c) + " is not a transfer entry";
+        }
+        got[static_cast<size_t>(e.shard_a)] -= e.v;
+        got[static_cast<size_t>(e.shard_b)] += e.v;
+        cursor = c + e.cells;
+      }
+      if (cursor != tail) {
+        return "a wide entry straddled tail " + std::to_string(tail);
+      }
+      int64_t sum = 0;
+      for (int64_t x : got) sum += x;
+      if (sum != 0) {
+        return "balances sum to " + std::to_string(sum) + " at tail " +
+               std::to_string(tail);
+      }
+    }
+    return "";
+  };
+  std::string err = replay();
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(err, "");
+  std::vector<int64_t> total(buckets, 0);
+  for (const auto& w : want) {
+    for (size_t k = 0; k < total.size(); ++k) total[k] += w[k];
+  }
+  EXPECT_EQ(got, total);
+  EXPECT_EQ(j.tickets_issued(), cursor);
+  EXPECT_GT(cursor, int64_t{appenders} * per_thread);  // some were wide
 }
 
 }  // namespace

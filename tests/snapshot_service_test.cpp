@@ -160,6 +160,49 @@ TEST(Snapshot, JournalTicketsCountKeyedWrites) {
   EXPECT_EQ(store.journal_tickets(), 3);
 }
 
+// A transfer whose amount does not fit the journal cell draws two tickets in
+// its one FAA; snapshots replay it exactly, from a fresh cursor or from one
+// left just past it, and every bucket's balance still sums to the incs.
+TEST(Snapshot, WideTransfersTakeTwoTicketsAndReplayExactly) {
+  svc::C2Store store(small_config());
+  svc::C2Session s = store.open_session();
+  // One representative key per bucket, so a snapshot sees every balance.
+  std::vector<uint64_t> reps(static_cast<size_t>(store.shard_count()));
+  std::vector<bool> seen(reps.size(), false);
+  for (uint64_t k = 0, found = 0; found < reps.size(); ++k) {
+    auto sh = static_cast<size_t>(store.shard_of(k));
+    if (!seen[sh]) {
+      seen[sh] = true;
+      reps[sh] = k;
+      ++found;
+    }
+  }
+  auto sum = [](const std::vector<int64_t>& v) {
+    int64_t t = 0;
+    for (int64_t x : v) t += x;
+    return t;
+  };
+  // The amount cell of 2^40 + 1 reads as an inc if taken for an entry, so a
+  // replay that stepped into it would count a phantom inc.
+  const int64_t big = (int64_t{1} << 40) + 1;
+  EXPECT_EQ(s.transfer(reps[0], reps[1], big), 0);
+  EXPECT_EQ(store.journal_tickets(), 2);
+  std::vector<int64_t> view = s.snapshot_counters(reps);
+  EXPECT_EQ(view[0], -big);
+  EXPECT_EQ(view[1], big);
+  EXPECT_EQ(sum(view), 0);
+  EXPECT_EQ(s.transfer(reps[0], reps[1], -4097), 2);
+  EXPECT_EQ(s.transfer(reps[0], reps[1], 4095), 4) << "inline: one ticket";
+  s.counter(reps[0]).inc();
+  EXPECT_EQ(store.journal_tickets(), 6);
+  view = s.snapshot_counters(reps);  // cursor resumes at ticket 2
+  EXPECT_EQ(view[0], -big + 4097 - 4095 + 1);
+  EXPECT_EQ(view[1], big - 4097 + 4095);
+  EXPECT_EQ(sum(view), 1);
+  svc::C2Session fresh = store.open_session();
+  EXPECT_EQ(fresh.snapshot_counters(reps), view) << "replay from ticket 0";
+}
+
 // --- edge cases ---------------------------------------------------------------
 
 TEST(Snapshot, EmptyKeyListYieldsEmptyVector) {

@@ -12,7 +12,9 @@ not an NP-hard order search. This tool proves three claims offline:
 
   1. REPLAY EXACTNESS — the witnessed order, replayed through a sequential
      model of the store, reproduces every recorded result exactly:
-       * journal tickets are unique, and (absent drops) dense 0..N-1;
+       * journal tickets are unique, and (absent drops) dense 0..N-1 — a
+         transfer whose amount is outside [-4096, 4095] owns two tickets,
+         its witness and the next one;
        * counter_inc results replay each routing bucket's pre-increment
          sequence: the multiset of `result` (the shard F&I's prev) per
          bucket is exactly {0..n-1} (checked only absent resize records —
@@ -62,8 +64,17 @@ JOURNAL_OPS = ("counter_inc", "max_write", "transfer", "resize")
 AGG_OPS = ("counter_sum", "global_max")
 
 
+# Transfer amounts the journal packs into one cell (rt::KeyedVersionDigest::
+# kInlineMin/kInlineMax); any other amount takes two tickets.
+INLINE_MIN, INLINE_MAX = -4096, 4095
+
+
 class Refuted(Exception):
     pass
+
+
+def is_wide_transfer(r):
+    return r.op == "transfer" and not INLINE_MIN <= r.arg <= INLINE_MAX
 
 
 def die(msg):
@@ -174,10 +185,26 @@ def audit(doc, slack_ns, allow_drops, verbose):
                 f"{tickets[r.witness].name()} — the journal FAA issues each "
                 f"ticket once")
         tickets[r.witness] = r
+    # A wide transfer (amount outside the journal's inline range) draws two
+    # tickets with one FAA, so it also owns the ticket after its witness.
+    wide = {r.witness + 1: r for r in journal if is_wide_transfer(r)}
+    for t, r in wide.items():
+        if t in tickets:
+            raise Refuted(
+                f"duplicate journal ticket {t}: {tickets[t].name()} holds the "
+                f"second ticket of wide transfer {r.name()}")
+    for r in recs:
+        if r.op == "snapshot" and r.witness in wide:
+            raise Refuted(
+                f"{r.name()} read tail {r.witness}, inside wide transfer "
+                f"{wide[r.witness].name()}: its one FAA moves the tail past "
+                f"both of its tickets")
     if complete and journal:
-        n = journal[-1].witness + 1
-        if len(journal) != n:
-            missing = next(t for t in range(n) if t not in tickets)
+        last = journal[-1]
+        n = last.witness + (2 if is_wide_transfer(last) else 1)
+        if len(journal) + len(wide) != n:
+            missing = next(t for t in range(n)
+                           if t not in tickets and t not in wide)
             raise Refuted(
                 f"journal tickets have a gap at {missing} (max ticket "
                 f"{n - 1}, {len(journal)} witnessed records): a complete "

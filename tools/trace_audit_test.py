@@ -2,8 +2,9 @@
 """Unit tests for tools/trace_audit.py (stdlib unittest; a ctest entry).
 
 Synthetic c2sl-trace-v1 documents exercise every claim the auditor proves —
-replay exactness (ticket uniqueness/density, per-bucket inc sequences,
-snapshot totals, transfer receipts, resize monotonicity), real-time
+replay exactness (ticket uniqueness/density, including the two tickets of a
+wide transfer, per-bucket inc sequences, snapshot totals, transfer receipts,
+resize monotonicity), real-time
 precedence in both witness domains, conservation at transfer cuts, per-lane
 order, drop handling, and the disabled-flavour path. The negative control is
 the checked-in tools/fixtures/trace_swapped_witness.json: a real-time
@@ -121,6 +122,21 @@ class PassingTraces(unittest.TestCase):
         ]
         self.assertEqual(audit(doc(rs))["resizes"], 2)
 
+    def test_wide_transfers_own_two_tickets(self):
+        # Amounts outside [-4096, 4095] draw tickets t and t+1 in one FAA;
+        # the next journal witness is t+2 and no tail lands on t+1.
+        rs = [
+            rec("counter_inc", 0, 10, key=1, arg=1, result=0, witness=0),
+            rec("transfer", 20, 30, key=1, key_b=2, arg=5000, result=1,
+                witness=1),
+            rec("snapshot", 40, 50, result=1, witness=3),
+            rec("counter_inc", 60, 70, key=2, arg=1, result=0, witness=3),
+            rec("transfer", 80, 90, key=2, key_b=1, arg=-4097, result=4,
+                witness=4),
+            rec("snapshot", 100, 110, result=2, witness=6),
+        ]
+        self.assertEqual(audit(doc(rs))["transfers"], 2)
+
     def test_repeated_snapshot_tail_is_legal(self):
         rs = [
             rec("snapshot", 0, 10, result=0, witness=0),
@@ -143,6 +159,29 @@ class RefutedTraces(unittest.TestCase):
         rs = [rec("counter_inc", 0, 10, key=1, arg=1, result=0, witness=0),
               rec("counter_inc", 20, 30, key=2, arg=1, result=0, witness=2)]
         self.refute(doc(rs), "gap at 1")
+
+    def test_inline_transfer_leaves_a_gap(self):
+        # The same ticket layout as test_wide_transfers_own_two_tickets, but
+        # 4095 fits the journal cell, so ticket 2 belongs to no append.
+        rs = [
+            rec("counter_inc", 0, 10, key=1, arg=1, result=0, witness=0),
+            rec("transfer", 20, 30, key=1, key_b=2, arg=4095, result=1,
+                witness=1),
+            rec("counter_inc", 60, 70, key=2, arg=1, result=0, witness=3),
+        ]
+        self.refute(doc(rs), "gap at 2")
+
+    def test_record_inside_a_wide_transfer(self):
+        rs = [rec("transfer", 0, 10, key=1, key_b=2, arg=-5000, result=0,
+                  witness=0),
+              rec("counter_inc", 20, 30, key=2, arg=1, result=0, witness=1)]
+        self.refute(doc(rs), "second ticket of wide transfer")
+
+    def test_snapshot_tail_inside_a_wide_transfer(self):
+        rs = [rec("transfer", 0, 10, key=1, key_b=2, arg=9999, result=0,
+                  witness=0),
+              rec("snapshot", 20, 30, result=0, witness=1)]
+        self.refute(doc(rs), "inside wide transfer")
 
     def test_inc_prev_not_a_permutation(self):
         rs = [rec("counter_inc", 0, 10, key=1, arg=1, result=0, witness=0),
