@@ -16,8 +16,7 @@
 // --trace-out FILE writes the run's linearization-witness trace as
 // c2sl-trace-v1 JSON (audit it with tools/trace_audit.py).
 // --metrics-out FILE writes the store's c2sl-metrics-v1 JSON snapshot to FILE
-// and prints its Prometheus text exposition (a C2SL_CAPTURE=0 build writes
-// telemetry_enabled=false).
+// (a C2SL_CAPTURE=0 build writes telemetry_enabled=false).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -235,10 +234,10 @@ int main(int argc, char** argv) try {
               static_cast<long long>(store.journal_tickets()));
 
   if (!metrics_out.empty()) {
-    tel::MetricsSnapshot m = store.metrics_snapshot();
-    C2SL_CHECK(write_file(metrics_out, tel::to_json(m, "c2store_demo")),
+    C2SL_CHECK(write_file(metrics_out,
+                          tel::to_json(store.metrics_snapshot(), "c2store_demo")),
                "cannot write " + metrics_out);
-    std::printf("wrote %s\n%s", metrics_out.c_str(), tel::to_prometheus(m).c_str());
+    std::printf("wrote %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
     // Every session has closed, so the dump is the run's whole history.

@@ -16,9 +16,9 @@
 //   $ ./example_c2store_sessions_demo [lanes] [workers] [ops] [--metrics]
 //                                      [--trace-out FILE]
 //
-// --metrics additionally prints the store's c2sl-metrics-v1 JSON snapshot and
-// Prometheus text — under oversubscription the open_wait histogram and the
-// handoff park/delivery counters are the interesting part.
+// --metrics additionally prints the store's c2sl-metrics-v1 JSON snapshot —
+// under oversubscription the open_wait histogram and the handoff
+// park/delivery counters are the interesting part.
 // --trace-out FILE drains the store's linearization-witness trace after all
 // workers leave and writes it as c2sl-trace-v1 JSON — under handoff churn the
 // kSessionOpen/kSessionClose point events show each lane changing hands.
@@ -94,14 +94,11 @@ int main(int argc, char** argv) try {
   }
   for (auto& t : pool) t.join();
 
-  // Lanes were handed off or recycled, never grown: `workers` threads joined
-  // concurrently, and only tickets below `lanes` name a lane. A ticket at or
-  // above it returns no lane; each worker can draw at most one such ticket
-  // racing the exhaustion window, and the worker that drew the last real
-  // ticket draws none (LaneRegistry::try_acquire), so at most
-  // lanes + workers - 1 are issued. (Handoffs bypass the dispenser entirely.)
-  expect(store.lane_tickets_issued() <= cfg.max_threads + workers - 1,
-         "concurrent joins must wait for lanes, not mint new ones");
+  // Joins that found every lane held parked on the handoff queue; a close
+  // delivers only to a waiter that enqueued, so deliveries never exceed
+  // enqueued waiters.
+  expect(store.lane_handoff_deliveries() <= store.lane_handoff_enqueued(),
+         "a lane was handed to a join that never waited");
 
   // Oversubscription probes: with every lane held, the non-waiting forms
   // report failure cleanly; a leave makes the next join immediate.
@@ -121,18 +118,18 @@ int main(int argc, char** argv) try {
   const int64_t served = audit.counter("svc:requests").read();
   const int64_t expected = static_cast<int64_t>(workers) * ops;
   std::printf(
-      "total requests: %lld (expected %lld), tickets=%lld, handoffs=%lld, "
+      "total requests: %lld (expected %lld), waiters=%lld, handoffs=%lld, "
       "parks=%lld\n",
       static_cast<long long>(served), static_cast<long long>(expected),
-      static_cast<long long>(store.lane_tickets_issued()),
+      static_cast<long long>(store.lane_handoff_enqueued()),
       static_cast<long long>(store.lane_handoff_deliveries()),
       static_cast<long long>(store.lane_handoff_parks()));
   expect(served == expected, "every op from every worker must be counted exactly once");
 
   if (metrics) {
-    tel::MetricsSnapshot snap = store.metrics_snapshot();
-    std::printf("%s\n", tel::to_json(snap, "c2store_sessions_demo").c_str());
-    std::printf("%s", tel::to_prometheus(snap).c_str());
+    std::printf("%s\n",
+                tel::to_json(store.metrics_snapshot(), "c2store_sessions_demo")
+                    .c_str());
   }
 
   if (!trace_out.empty()) {

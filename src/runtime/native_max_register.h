@@ -26,8 +26,8 @@ class NativeMaxRegister64 {
   NativeMaxRegister64(int n, int64_t max_value)
       : n_(n), max_value_(max_value), prev_(static_cast<size_t>(n)) {
     C2SL_CHECK(n > 0 && max_value >= 1, "need n >= 1 and max_value >= 1");
-    C2SL_CHECK(static_cast<int64_t>(n) * max_value <= 63,
-               "n * max_value must fit in 63 bits");
+    // Compared by division: the product itself can overflow int64.
+    C2SL_CHECK(max_value <= 63 / n, "n * max_value must fit in 63 bits");
   }
 
   void write_max(int proc, int64_t v) {

@@ -84,7 +84,7 @@ class NativeMultishotTAS {
   /// of the generation max register (n * (max_resets + 1) lane bits), not from
   /// array capacity — the test&set cells themselves are unbounded.
   NativeMultishotTAS(int n, int64_t max_resets)
-      : max_resets_(max_resets), curr_(n, max_resets + 1) {}
+      : max_resets_(max_resets), curr_(n, generations(n, max_resets)) {}
 
   int64_t test_and_set(int proc) {
     (void)proc;
@@ -106,6 +106,14 @@ class NativeMultishotTAS {
   int64_t max_resets() const { return max_resets_; }
 
  private:
+  /// max_resets + 1, bounded by division first: the sum and the max
+  /// register's product can both overflow int64.
+  static int64_t generations(int n, int64_t max_resets) {
+    C2SL_CHECK(n > 0 && max_resets >= 0 && max_resets <= 63 / n - 1,
+               "n * (max_resets + 1) must fit in 63 bits");
+    return max_resets + 1;
+  }
+
   size_t index() { return static_cast<size_t>(curr_.read_max()) + 1; }
 
   int64_t max_resets_;

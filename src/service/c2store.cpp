@@ -22,9 +22,10 @@ C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
   C2SL_CHECK(cfg.max_threads >= 1, "need at least one session lane");
   C2SL_CHECK(cfg.max_value >= 1, "max_value must be at least 1");
   C2SL_CHECK(cfg.tas_max_resets >= 0, "tas_max_resets must be non-negative");
-  C2SL_CHECK(static_cast<int64_t>(cfg.max_threads) * cfg.max_value <= 63,
+  // Compared by division: the products themselves can overflow int64.
+  C2SL_CHECK(cfg.max_value <= 63 / cfg.max_threads,
              "max_threads * max_value must fit in 63 bits");
-  C2SL_CHECK(static_cast<int64_t>(cfg.max_threads) * (cfg.tas_max_resets + 1) <= 63,
+  C2SL_CHECK(cfg.tas_max_resets <= 63 / cfg.max_threads - 1,
              "max_threads * (tas_max_resets + 1) must fit in 63 bits");
   return cfg;
 }
@@ -32,7 +33,6 @@ C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
 C2Store::C2Store(const C2StoreConfig& cfg)
     : cfg_(validate(cfg)),
       epochs_(cfg_.initial_shards),
-      initial_mask_(static_cast<uint64_t>(cfg_.initial_shards) - 1),
       lanes_(cfg_.max_threads),
       digest_(cfg_.max_threads, cfg_.max_value) {
   // Route assert failures through this store's witness-trace tail (last
@@ -212,14 +212,10 @@ tel::MetricsSnapshot C2Store::metrics_snapshot() const {
   // Telemetry core first (the racy lane scans), then the session-layer
   // counters the registry and handoff queue already expose.
   tel::MetricsSnapshot s = tel_.snapshot(cfg_.max_threads, shard_count());
-  s.lane_tickets = lane_tickets_issued();
   s.handoff_enqueued = lane_handoff_enqueued();
   s.handoff_deliveries = lane_handoff_deliveries();
   s.handoff_parks = lane_handoff_parks();
   s.handoff_revocations = lane_handoff_revocations();
-  for (int lane = 0; lane < cfg_.max_threads; ++lane) {
-    s.lane_counter_adds += lane_counter_adds(lane);
-  }
   return s;
 }
 

@@ -16,11 +16,11 @@
 // All lane-indexed constructions (max-register unary lanes, TAS reset
 // writers) need a caller lane below cfg.max_threads. That lane is no longer a
 // raw `int tid` parameter on every call — a C2Session acquires one from the
-// LaneRegistry (F&I ticket for first-acquire, NativeSet put/take to recycle
-// freed lanes; see service/lane_registry.h) and releases it on destruction,
+// LaneRegistry (a NativeSet filled with every lane: take to acquire, put to
+// release; see service/lane_registry.h) and releases it on destruction,
 // so dynamically joining and leaving threads share a bounded lane space
 // without any call-site bookkeeping. Recycling is unbounded (the registry's
-// free set rides on the segmented arrays), so a store supports arbitrarily
+// lane set rides on the segmented arrays), so a store supports arbitrarily
 // many session opens/closes over its lifetime. Under full-lane contention,
 // open_session() BLOCKS on the registry's consensus-2 handoff queue
 // (runtime/handoff_queue.h): a closing session hands its lane directly to the
@@ -98,12 +98,13 @@
 // CounterRef::inc also fetch_adds the digest word) — so each global read is a
 // single fetch&add(0): wait-free and strongly linearizable, exactly the
 // paper's "pack it into one FAA word" move (§3.1/§3.2). The digests are keyed
-// by LANE, not by slot, so they are EPOCH-INDEPENDENT: a resize cannot tear
-// them, and they stay exact across any number of migrations (the in-window
-// slot duplication never reaches them). A scan over the per-shard read paths
-// cannot replace them: even the double-collect scan is only linearizable, not
-// strongly linearizable — its sim twin's refutation is pinned in
-// tests/service_sim_test.cpp (docs/PROOFS.md works the argument).
+// by lane (max) or not at all (sum), never by slot, so they are
+// EPOCH-INDEPENDENT: a resize cannot tear them, and they stay exact across
+// any number of migrations (the in-window slot duplication never reaches
+// them). A scan over the per-shard read paths cannot replace them: even the
+// double-collect scan is only linearizable, not strongly linearizable — its
+// sim twin's refutation is pinned in tests/service_sim_test.cpp
+// (docs/PROOFS.md works the argument).
 //
 // Between the per-key ops and the whole-store aggregates sits the MULTI-KEY
 // surface: session.snapshot(keys) returns a consistent vector over chosen
@@ -424,7 +425,7 @@ class C2Session {
   ~C2Session() {
     // A destructor must not throw. Lane recycling is unbounded, so the only
     // conceivable close() failure left is allocation failure inside the
-    // recycle set's segment growth — swallowed here, observable via an
+    // lane set's segment growth — swallowed here, observable via an
     // explicit close() instead.
     try {
       close();
@@ -599,8 +600,6 @@ class C2Store {
   }
   /// The published routing epoch (0 until the first successful resize).
   int64_t routing_epoch() const { return epochs_.current_epoch(); }
-  /// Fresh lane tickets issued so far (diagnostics).
-  int64_t lane_tickets_issued() const { return lanes_.tickets_issued(); }
   /// Lanes handed directly from a closing session to a blocked open_session()
   /// (diagnostics; never touched the free set).
   int64_t lane_handoff_deliveries() const { return lanes_.handoff_deliveries(); }
@@ -609,12 +608,6 @@ class C2Store {
   int64_t lane_handoff_parks() const { return lanes_.handoff_parks(); }
   int64_t lane_handoff_revocations() const { return lanes_.handoff_revocations(); }
   int64_t lane_handoff_enqueued() const { return lanes_.handoff_enqueued(); }
-  /// Counter adds contributed through `lane` (diagnostics; the sum digest's
-  /// single-writer per-lane component — never on the counter_sum() read
-  /// path; racy while the lane's owner is adding, exact at quiescence).
-  int64_t lane_counter_adds(int lane) const {
-    return sum_digest_.lane_contribution(lane);
-  }
   /// Journal tickets issued so far: one per keyed write, two per wide
   /// transfer (diagnostics; may exceed the published prefix while deposits
   /// are in flight — see keyed_version_digest.h).
@@ -624,8 +617,7 @@ class C2Store {
   // --- C2SL_CAPTURE=0) ---
   /// Full metrics snapshot: the racy per-lane counter/histogram scans (exact
   /// at quiescence) and the session-layer counters above — the
-  /// c2sl-metrics-v1 payload (tel::to_json / tel::to_prometheus in
-  /// telemetry/export.h).
+  /// c2sl-metrics-v1 payload (tel::to_json in telemetry/export.h).
   tel::MetricsSnapshot metrics_snapshot() const;
   /// Drains every lane's trace log into a plain-data dump for
   /// tel::trace_to_json and tools/trace_audit.py.
@@ -662,13 +654,12 @@ class C2Store {
   /// Key's slot under `epoch`'s mask (the epoch must have been exposed by a
   /// stamp read — see RoutingEpoch::shards_of).
   int slot_under(uint64_t hash, int64_t epoch) const {
-    return static_cast<int>(
-        hash & (static_cast<uint64_t>(epochs_.shards_of(epoch)) - 1));
+    return slot_of(hash, epochs_.shards_of(epoch));
   }
   /// Key's journal/snapshot bucket: the INITIAL mask, forever (the journal
   /// facet is epoch-independent by construction).
   int journal_slot(uint64_t hash) const {
-    return static_cast<int>(hash & initial_mask_);
+    return slot_of(hash, cfg_.initial_shards);
   }
 
   /// Folds journal entries [r.cursor, tail) into r's accumulators; replay is
@@ -695,7 +686,6 @@ class C2Store {
   /// The routing-epoch spine: published shard counts, resize claims, and the
   /// stamp word the refs' revalidation/Dekker reads ride on.
   rt::RoutingEpoch epochs_;
-  uint64_t initial_mask_;
   /// Shard slots on a lazily-grown segmented spine — resize() extends the
   /// index range; low slots are PHYSICALLY SHARED across epochs (mask
   /// nesting: a key that stays keeps its exact slot object).
@@ -706,8 +696,8 @@ class C2Store {
   rt::NativeMaxRegister64 digest_;
   /// Store-level sum digest; CounterRef::inc updates it after the shard
   /// counter win so counter_sum() is a single-word read. No configuration:
-  /// the total is 63-bit bounded and the per-lane cells ride on a segmented
-  /// spine (runtime/counter_sum_digest.h). Lane-keyed: epoch-independent.
+  /// the total is 63-bit bounded (runtime/counter_sum_digest.h). One word, no
+  /// slot: epoch-independent.
   rt::CounterSumDigest sum_digest_;
   /// The write journal behind session.snapshot()/transfer(): every keyed
   /// write appends one entry AFTER its shard-object and digest updates (the

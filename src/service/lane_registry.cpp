@@ -1,38 +1,8 @@
 #include "service/lane_registry.h"
 
-#include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::svc {
-
-int LaneRegistry::try_acquire() {
-  // 1. Recycle a freed lane if one is waiting.
-  int64_t recycled = free_.take();
-  if (recycled != rt::NativeSet::kEmpty) return static_cast<int>(recycled);
-
-  // 2. Fresh ticket. The pre-read keeps the dispenser from drifting once the
-  // registry is exhausted (every failed try_acquire would otherwise burn a
-  // ticket); the fetch_add itself is still the linearization point of a
-  // successful fresh acquire — the pre-read is an optimisation, not a gate.
-  // It is not atomic with the fetch_add, so racers that all pre-read a value
-  // below max_lanes_ can draw overshooting tickets (>= max_lanes_, no lane).
-  // Each thread overshoots at most once (next_ is monotone, so its later
-  // pre-reads fail) and the thread that drew ticket max_lanes_ - 1 never
-  // does: at most max_lanes_ + threads - 1 tickets are ever issued.
-  // c2sl-atomic: load seq_cst — dispenser pre-read; ordered against take()'s
-  // sweep so each thread burns at most one ticket past exhaustion
-  if (next_.load(std::memory_order_seq_cst) < max_lanes_) {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — linearization point of a fresh acquire
-    int64_t t = next_.fetch_add(1, std::memory_order_seq_cst);
-    if (t < max_lanes_) return static_cast<int>(t);
-  }
-
-  // 3. Tickets are spent; a release may have landed since step 1.
-  recycled = free_.take();
-  if (recycled != rt::NativeSet::kEmpty) return static_cast<int>(recycled);
-  return kNone;
-}
 
 int LaneRegistry::acquire_blocking() { return acquire_until(std::nullopt); }
 

@@ -6,16 +6,12 @@
 // leaked out of the store as a raw `int tid` parameter on half the public
 // surface. The registry moves the whole lifecycle inside the service:
 //
-//   acquire():  1. try to recycle a freed lane: NativeSet::take() — Algorithm 2
-//                  (Thm 10), whose successful Take linearizes at its winning
-//                  test&set exchange;
-//               2. else draw a fresh ticket from a fetch&increment dispenser
-//                  (one std::atomic fetch_add — the Thm 9 object collapses to a
-//                  single hardware F&A word here because tickets are dense and
-//                  never read back); tickets below max_lanes are fresh lanes;
-//               3. on ticket exhaustion, probe the recycle set once more (a
-//                  release may have landed meanwhile) and otherwise report
-//                  "no lane free" (kNone).
+//   acquire():  NativeSet::take() — Algorithm 2 (Thm 10), whose successful
+//               Take linearizes at its winning test&set exchange. The
+//               constructor fills the set with every lane 0..max_lanes-1, so
+//               there is no second source of lanes: a fresh lane and a
+//               recycled one come out of the same take, and an empty take
+//               means every lane is held ("no lane free", kNone).
 //   release(l): hand the lane DIRECTLY to the oldest blocked acquirer via the
 //               consensus-2 HandoffQueue (runtime/handoff_queue.h) — the
 //               handoff commits at the queue's head fetch&add; only when no
@@ -36,11 +32,11 @@
 //
 // Exchange and fetch&add only; no CAS anywhere (grep-enforced along with the
 // rest of src/service by tests/c2store_test.cpp). Every operation linearizes
-// at a fixed step of its own — the winning exchange inside take(), the
-// fetch_add of a fresh ticket, the Items write inside put(), the enqueue/hand
-// fetch&adds of the handoff queue, or (for a kNone acquire) the final
-// stabilised Max read of the failing take() — so the induced linearization is
-// prefix-closed: the registry is strongly linearizable.
+// at a fixed step of its own — the winning exchange inside take(), the Items
+// write inside put(), the enqueue/hand fetch&adds of the handoff queue, or
+// (for a kNone acquire) the stabilised Max read of the failing take() — so
+// the induced linearization is prefix-closed: the registry is strongly
+// linearizable.
 // tests/lane_registry_test.cpp verifies exactly this with the bounded model
 // checker on the simulated twin (svc::SimLaneRegistry), and stress-tests the
 // native implementation for uniqueness under contention;
@@ -51,15 +47,14 @@
 // licence: lane assignment is itself a consensus-2 problem, so it belongs
 // inside the store rather than on every call site.
 //
-// Lifetime: UNBOUNDED. The recycle set rides on the segmented NativeSet
+// Lifetime: UNBOUNDED. The lane set rides on the segmented NativeSet
 // (runtime/segmented_array.h), so a registry survives arbitrarily many
 // release() calls — there is no recycle capacity and no config knob for one.
 // NativeSet's verified-taken-prefix hint keeps each acquire/release cycle
 // O(1) amortized even after millions of recycles (pinned by the lifetime test
-// in tests/lane_registry_test.cpp).
+// in tests/segmented_array_test.cpp).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -74,8 +69,11 @@ class LaneRegistry {
   /// acquire() result when every lane is concurrently held.
   static constexpr int kNone = -1;
 
+  /// Fills the lane set in order, so sequential acquires on a fresh
+  /// registry get lanes 0, 1, 2, ...
   explicit LaneRegistry(int max_lanes) : max_lanes_(max_lanes) {
     C2SL_CHECK(max_lanes >= 1, "need at least one lane");
+    for (int64_t l = 0; l < max_lanes; ++l) free_.put(l);
   }
   LaneRegistry(const LaneRegistry&) = delete;
   LaneRegistry& operator=(const LaneRegistry&) = delete;
@@ -83,7 +81,10 @@ class LaneRegistry {
   /// Returns a lane in [0, max_lanes) owned exclusively by the caller until
   /// it is release()d, or kNone when every lane is currently held. Lock-free:
   /// the only loop is inside NativeSet::take's Algorithm 2 stabilisation.
-  int try_acquire();
+  int try_acquire() {
+    int64_t lane = free_.take();
+    return lane == rt::NativeSet::kEmpty ? kNone : static_cast<int>(lane);
+  }
 
   /// Like try_acquire(), but when every lane is held the caller enqueues a
   /// handoff ticket and PARKS until a release hands it a lane directly.
@@ -99,18 +100,13 @@ class LaneRegistry {
 
   /// Returns `lane` to the registry — to the oldest blocked acquire_blocking
   /// caller when one is waiting (direct handoff, no free-set round trip),
-  /// else to the recycle set. The caller must own it (acquired and not yet
+  /// else to the free set. The caller must own it (acquired and not yet
   /// released) — a double release would let two sessions share a lane and
   /// silently corrupt each other's unary lanes, which is precisely the bug
   /// class the registry exists to remove.
   void release(int lane);
 
   int max_lanes() const { return max_lanes_; }
-  /// Fresh tickets drawn so far (introspection; >= lanes ever acquired fresh,
-  /// <= max_lanes() + T - 1 over T threads calling try_acquire: each can draw
-  /// one overshooting ticket in the exhaustion window, see try_acquire).
-  // c2sl-atomic: load relaxed — diagnostics-only view of the dispenser
-  int64_t tickets_issued() const { return next_.load(std::memory_order_relaxed); }
 
   // --- handoff introspection (diagnostics; the stress bounds ride on these) --
   /// Waiter tickets ever enqueued by blocked acquires.
@@ -130,11 +126,7 @@ class LaneRegistry {
       std::optional<std::chrono::steady_clock::time_point> deadline);
 
   int max_lanes_;
-  /// F&I ticket dispenser for first-acquires. Plain fetch_add — consensus
-  /// number 2 — is all this needs: tickets are handed out densely and only
-  /// their order matters, never a readable intermediate value.
-  std::atomic<int64_t> next_{0};
-  /// Freed lanes awaiting recycling (Thm 10 set: put/take, no CAS, unbounded).
+  /// Lanes not currently held (Thm 10 set: put/take, no CAS, unbounded).
   rt::NativeSet free_;
   /// Blocked acquirers awaiting a direct lane handoff (FIFO, no CAS,
   /// unbounded; see runtime/handoff_queue.h for the cell protocol).

@@ -6,18 +6,16 @@
 // striped across independent strongly-linearizable shard objects stays
 // strongly linearizable end-to-end.
 //
-// ShardRouter masks onto a FIXED count: the sim twins and unit helpers use it
-// (service/sim_bridge.h constructs one directly). C2Store's count grows with
-// online resizes, so the store masks the same hashes under the count of a
-// routing epoch instead (C2Store::slot_under over runtime/routing_epoch.h);
-// how a key's state follows its slot across a mask change is the RoutingEpoch
-// + migration protocol, checker-pinned via SimRoutingEpoch.
+// slot_of is the one masking function: C2Store masks under the count of a
+// routing epoch (C2Store::slot_under over runtime/routing_epoch.h) and under
+// its initial count for the journal (C2Store::journal_slot), and the sim twin
+// SimKeyedStore (service/sim_bridge.h) masks under its fixed count. How a
+// key's state follows its slot across a mask change is the RoutingEpoch +
+// migration protocol, checker-pinned via SimRoutingEpoch.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-
-#include "util/assert.h"
 
 namespace c2sl::svc {
 
@@ -44,24 +42,9 @@ inline uint64_t hash_key(std::string_view key) {
   return mix64(h);
 }
 
-class ShardRouter {
- public:
-  /// The pure masked hash over `shard_count` shards.
-  explicit ShardRouter(int shard_count) : shard_count_(shard_count) {
-    C2SL_CHECK(shard_count > 0 && (shard_count & (shard_count - 1)) == 0,
-               "shard count must be a power of two");
-  }
-
-  int shard_of(uint64_t key) const { return slot_of(hash_key(key)); }
-  int shard_of(std::string_view key) const { return slot_of(hash_key(key)); }
-  int shard_count() const { return shard_count_; }
-
- private:
-  int slot_of(uint64_t hash) const {
-    return static_cast<int>(hash & (static_cast<uint64_t>(shard_count_) - 1));
-  }
-
-  int shard_count_;
-};
+/// The slot of `hash` among `shards` (a power of two): its low bits.
+inline int slot_of(uint64_t hash, int shards) {
+  return static_cast<int>(hash & (static_cast<uint64_t>(shards) - 1));
+}
 
 }  // namespace c2sl::svc

@@ -9,7 +9,9 @@ namespace c2sl::svc {
 // --- SimKeyedStore ----------------------------------------------------------
 
 SimKeyedStore::SimKeyedStore(sim::World& world, std::string name, int n, int shards)
-    : name_(std::move(name)), router_(shards) {
+    : name_(std::move(name)), shards_(shards) {
+  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
+             "shard count must be a power of two");
   for (int s = 0; s < shards; ++s) {
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".s" + std::to_string(s) + ".maxreg", n));
@@ -29,7 +31,7 @@ std::string SimKeyedStore::ctr_object(int shard) const {
 }
 
 void SimKeyedStore::max_write(sim::Ctx& ctx, uint64_t key, int64_t v) {
-  int s = router_.shard_of(key);
+  int s = shard_of(key);
   sim::record_op(ctx, max_object(s), "WriteMax", num(v), [&] {
     regs_[static_cast<size_t>(s)]->write_max(ctx, v);
     return unit();
@@ -37,7 +39,7 @@ void SimKeyedStore::max_write(sim::Ctx& ctx, uint64_t key, int64_t v) {
 }
 
 int64_t SimKeyedStore::max_read(sim::Ctx& ctx, uint64_t key) {
-  int s = router_.shard_of(key);
+  int s = shard_of(key);
   Val r = sim::record_op(ctx, max_object(s), "ReadMax", unit(), [&] {
     return num(regs_[static_cast<size_t>(s)]->read_max(ctx));
   });
@@ -45,7 +47,7 @@ int64_t SimKeyedStore::max_read(sim::Ctx& ctx, uint64_t key) {
 }
 
 int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
-  int s = router_.shard_of(key);
+  int s = shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "FAI", unit(), [&] {
     return num(ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx));
   });
@@ -53,7 +55,7 @@ int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
 }
 
 int64_t SimKeyedStore::counter_read(sim::Ctx& ctx, uint64_t key) {
-  int s = router_.shard_of(key);
+  int s = shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "Read", unit(), [&] {
     return num(ctrs_[static_cast<size_t>(s)]->read(ctx));
   });
@@ -326,28 +328,21 @@ Val SimKeyedSnapshot::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
 SimLaneRegistry::SimLaneRegistry(sim::World& world, std::string name, int max_lanes)
     : name_(std::move(name)), max_lanes_(max_lanes) {
   C2SL_CHECK(max_lanes >= 1, "need at least one lane");
-  ticket_ts_ = std::make_unique<core::AtomicReadableTasArray>(world, name_ + ".tM");
-  tickets_ = std::make_unique<core::FetchIncrement>(name_ + ".tickets", *ticket_ts_);
-  free_ts_ = std::make_unique<core::AtomicReadableTasArray>(world, name_ + ".fM");
-  free_max_ = std::make_unique<core::FetchIncrement>(name_ + ".fmax", *free_ts_);
+  free_max_ = std::make_unique<FaaMax>(world, name_ + ".fmax");
   free_ = std::make_unique<core::SLSet>(world, name_ + ".free", *free_max_);
+  // Fill the set with every lane during initialisation (before the execution
+  // starts), through a free-running solo context that records no history.
+  sim::Ctx init;
+  init.world = &world;
+  for (int64_t l = 0; l < max_lanes; ++l) free_->put(init, l);
 }
 
 int64_t SimLaneRegistry::acquire(sim::Ctx& ctx) {
   Val r = sim::record_op(ctx, name_, "Acquire", unit(), [&]() -> Val {
-    // 1. Recycle a freed lane (successful Take linearizes at its winning
-    //    test&set — a fixed own-step).
-    Val recycled = free_->take(ctx);
-    if (!std::holds_alternative<std::string>(recycled)) return recycled;
-    // 2. Fresh F&I ticket (linearizes at the winning test&set inside the
-    //    Thm 9 ascending scan).
-    int64_t t = tickets_->fetch_and_increment(ctx);
-    if (t < max_lanes_) return num(t);
-    // 3. Tickets spent; one more recycle probe. A kNone response linearizes
-    //    at this Take's stabilised EMPTY point, where the free set is empty
-    //    and (tickets being monotone) every lane is held.
-    recycled = free_->take(ctx);
-    if (!std::holds_alternative<std::string>(recycled)) return recycled;
+    // One Take: a lane linearizes at its winning test&set, kNone at the
+    // Take's stabilised EMPTY point, where every lane is held.
+    Val lane = free_->take(ctx);
+    if (!std::holds_alternative<std::string>(lane)) return lane;
     return num(kNone);
   });
   return as_num(r);

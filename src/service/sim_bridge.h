@@ -5,12 +5,14 @@
 //
 // Four facades, mirroring the native service's verification story:
 //
-//   * SimKeyedStore — the per-key service path through the REAL ShardRouter:
-//     keyed max-register and counter ops recorded under per-shard object
-//     names ("<name>.s<k>.max" / "<name>.s<k>.ctr"). Strong linearizability
-//     is local, so checking each shard facet on the shared execution tree
-//     certifies the whole keyed configuration; this is the configuration the
-//     checker PASSES (tests/service_sim_test.cpp).
+//   * SimKeyedStore — the per-key service path through the store's own
+//     hashing and masking (hash_key + slot_of, service/shard_router.h, the
+//     functions C2Store routes by): keyed max-register and counter ops
+//     recorded under per-shard object names ("<name>.s<k>.max" /
+//     "<name>.s<k>.ctr"). Strong linearizability is local, so checking each
+//     shard facet on the shared execution tree certifies the whole keyed
+//     configuration; this is the configuration the checker PASSES
+//     (tests/service_sim_test.cpp).
 //
 //   * SimGlobalMax — the digest design behind C2Store::global_max(): WriteMax
 //     routes the value to a shard register AND a single digest register;
@@ -40,11 +42,11 @@
 //     same reason the paper packs its snapshot into one fetch&add register.
 //   * SimLaneRegistry — the lane lifecycle behind C2Store::open_session()
 //     (service/lane_registry.h) rebuilt over the simulated constructions:
-//     Acquire tries SLSet::Take (recycle), falls back to a Thm 9
-//     fetch&increment ticket, and reports -1 only when tickets are spent and
-//     the free set stabilises empty; Release is SLSet::Put. The checker
-//     verifies acquire/release strongly linearizable against
-//     verify::LaneRegistrySpec (tests/lane_registry_test.cpp).
+//     the constructor fills an SLSet with every lane through a solo context;
+//     Acquire is one SLSet::Take, reporting -1 when the set stabilises empty;
+//     Release is SLSet::Put. The checker verifies acquire/release strongly
+//     linearizable against verify::LaneRegistrySpec
+//     (tests/lane_registry_test.cpp).
 //
 //   * SimHandoffQueue — the sim twin of the FIFO handoff queue behind
 //     blocking open_session() (runtime/handoff_queue.h): waiters register by
@@ -106,13 +108,13 @@ class SimKeyedStore {
   int64_t counter_inc(sim::Ctx& ctx, uint64_t key);
   int64_t counter_read(sim::Ctx& ctx, uint64_t key);
 
-  int shard_of(uint64_t key) const { return router_.shard_of(key); }
+  int shard_of(uint64_t key) const { return slot_of(hash_key(key), shards_); }
   std::string max_object(int shard) const;
   std::string ctr_object(int shard) const;
 
  private:
   std::string name_;
-  ShardRouter router_;
+  int shards_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
@@ -269,12 +271,27 @@ class SimLaneRegistry {
 
  private:
   std::string name_;
+  /// The set's Max. Thm 10 takes any strongly linearizable readable
+  /// fetch&increment; a fetch&add word is one, at one step per op — the step
+  /// count of the native set's Max (rt::NativeFetchIncrement works from its
+  /// certified frontier, one probe once current), where the Thm 9 scan over
+  /// a pre-filled set would pay a step per lane on every read.
+  class FaaMax : public core::FaiIface {
+   public:
+    FaaMax(sim::World& world, const std::string& name)
+        : word_(world.add<prim::FetchAddInt>(name)) {}
+    int64_t fetch_and_increment(sim::Ctx& ctx) override {
+      return ctx.world->get(word_).fetch_add(ctx, 1);
+    }
+    int64_t read(sim::Ctx& ctx) override { return ctx.world->get(word_).read(ctx); }
+
+   private:
+    sim::Handle<prim::FetchAddInt> word_;
+  };
+
   int max_lanes_;
-  std::unique_ptr<core::AtomicReadableTasArray> ticket_ts_;
-  std::unique_ptr<core::FetchIncrement> tickets_;  ///< Thm 9 F&I dispenser
-  std::unique_ptr<core::AtomicReadableTasArray> free_ts_;
-  std::unique_ptr<core::FetchIncrement> free_max_;
-  std::unique_ptr<core::SLSet> free_;              ///< Thm 10 recycle set
+  std::unique_ptr<FaaMax> free_max_;
+  std::unique_ptr<core::SLSet> free_;  ///< Thm 10 set of lanes not held
 };
 
 /// Sim twin of rt::HandoffQueue (see header comment above). Records "Enq"

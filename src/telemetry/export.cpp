@@ -1,8 +1,5 @@
 #include "telemetry/export.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/json_writer.h"
 
 namespace c2sl::tel {
@@ -62,12 +59,10 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
 
   w.key("session");
   w.begin_object();
-  w.field("lane_tickets", snap.lane_tickets);
   w.field("handoff_enqueued", snap.handoff_enqueued);
   w.field("handoff_deliveries", snap.handoff_deliveries);
   w.field("handoff_parks", snap.handoff_parks);
   w.field("handoff_revocations", snap.handoff_revocations);
-  w.field("lane_counter_adds", snap.lane_counter_adds);
   w.end_object();
 
   w.key("events");
@@ -88,85 +83,6 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
 
   w.end_object();
   return w.str();
-}
-
-std::string to_prometheus(const MetricsSnapshot& snap) {
-  std::string out;
-  char buf[256];
-  auto line = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-    out += '\n';
-  };
-
-  line("# HELP c2sl_telemetry_enabled 1 when the store was built with "
-       "C2SL_CAPTURE=1.");
-  line("# TYPE c2sl_telemetry_enabled gauge");
-  line("c2sl_telemetry_enabled %d", snap.enabled ? 1 : 0);
-  if (!snap.enabled) return out;
-
-  line("# HELP c2sl_ops_total Instrumented-op count (per-lane scan; exact "
-       "at quiescence).");
-  line("# TYPE c2sl_ops_total counter");
-  line("c2sl_ops_total %" PRId64, snap.ops_total);
-
-  line("# TYPE c2sl_op_count counter");
-  for (int k = 0; k < kTelOpCount; ++k) {
-    line("c2sl_op_count{op=\"%s\"} %" PRIu64, to_string(static_cast<TelOp>(k)),
-         snap.op_counts[k]);
-  }
-
-  line("# HELP c2sl_op_latency_ns Sampled nearest-rank latency quantile "
-       "upper bounds (log2 buckets).");
-  line("# TYPE c2sl_op_latency_ns gauge");
-  static constexpr double kQuantiles[] = {0.50, 0.90, 0.99};
-  for (int k = 0; k < kTelOpCount; ++k) {
-    const HistogramSnapshot& h = snap.op_latency[k];
-    if (h.total() == 0) continue;
-    for (double q : kQuantiles) {
-      line("c2sl_op_latency_ns{op=\"%s\",quantile=\"%g\"} %" PRId64,
-           to_string(static_cast<TelOp>(k)), q, h.quantile_upper_ns(q));
-    }
-  }
-
-  line("# TYPE c2sl_open_wait_ns gauge");
-  for (double q : kQuantiles) {
-    line("c2sl_open_wait_ns{quantile=\"%g\"} %" PRId64, q,
-         snap.open_wait.quantile_upper_ns(q));
-  }
-  line("# TYPE c2sl_open_wait_count counter");
-  line("c2sl_open_wait_count %" PRIu64, snap.open_wait.total());
-
-  line("# TYPE c2sl_lane_tickets_total counter");
-  line("c2sl_lane_tickets_total %" PRId64, snap.lane_tickets);
-  line("# TYPE c2sl_handoff_enqueued_total counter");
-  line("c2sl_handoff_enqueued_total %" PRId64, snap.handoff_enqueued);
-  line("# TYPE c2sl_handoff_deliveries_total counter");
-  line("c2sl_handoff_deliveries_total %" PRId64, snap.handoff_deliveries);
-  line("# TYPE c2sl_handoff_parks_total counter");
-  line("c2sl_handoff_parks_total %" PRId64, snap.handoff_parks);
-  line("# TYPE c2sl_handoff_revocations_total counter");
-  line("c2sl_handoff_revocations_total %" PRId64, snap.handoff_revocations);
-  line("# TYPE c2sl_lane_counter_adds_total counter");
-  line("c2sl_lane_counter_adds_total %" PRId64, snap.lane_counter_adds);
-
-  line("# HELP c2sl_shard_ops Keyed ops routed to each shard bucket "
-       "(racy lane-scan heat diagnostic).");
-  line("# TYPE c2sl_shard_ops counter");
-  for (size_t b = 0; b < snap.shard_ops.size(); ++b) {
-    line("c2sl_shard_ops{shard=\"%zu\"} %" PRIu64, b, snap.shard_ops[b]);
-  }
-  line("# HELP c2sl_shard_imbalance Max-over-mean ratio of per-shard op "
-       "counts (1.0 = balanced).");
-  line("# TYPE c2sl_shard_imbalance gauge");
-  line("c2sl_shard_imbalance %g", shard_imbalance(snap));
-
-  for (int e = 0; e < kTelEventCount; ++e) {
-    line("# TYPE c2sl_%s_total counter", to_string(static_cast<TelEvent>(e)));
-    line("c2sl_%s_total %" PRIu64, to_string(static_cast<TelEvent>(e)),
-         snap.events[e]);
-  }
-  return out;
 }
 
 }  // namespace c2sl::tel

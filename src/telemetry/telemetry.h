@@ -56,12 +56,10 @@ struct MetricsSnapshot {
 
   // Session-layer counters (filled by svc::C2Store::metrics_snapshot from the
   // LaneRegistry/HandoffQueue introspection the TSAN stress already bounds).
-  int64_t lane_tickets = 0;
   int64_t handoff_enqueued = 0;
   int64_t handoff_deliveries = 0;
   int64_t handoff_parks = 0;
   int64_t handoff_revocations = 0;
-  int64_t lane_counter_adds = 0;
 
   uint64_t events[kTelEventCount] = {};
 

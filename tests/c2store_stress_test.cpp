@@ -16,6 +16,7 @@
 #include "runtime/native_tas_family.h"
 #include "runtime/stress.h"
 #include "service/c2store.h"
+#include "telemetry/telemetry.h"
 #include "util/rng.h"
 
 namespace c2sl {
@@ -55,13 +56,12 @@ int64_t sum_of_shard_counters(svc::C2Store& store, svc::C2Session& s) {
   return sum;
 }
 
-/// Sum of the sum digest's per-lane components (lane_counter_adds).
-int64_t sum_of_lane_counter_adds(const svc::C2Store& store) {
-  int64_t sum = 0;
-  for (int l = 0; l < store.config().max_threads; ++l) {
-    sum += store.lane_counter_adds(l);
-  }
-  return sum;
+/// counter_inc ops counted by telemetry: a scan of one single-writer cell
+/// per lane, bumped before the inc's digest FAA (racy while lanes are
+/// adding, exact at quiescence). Meaningful only under tel::kEnabled.
+int64_t counter_incs_counted(const svc::C2Store& store) {
+  return static_cast<int64_t>(store.metrics_snapshot()
+                                  .op_counts[static_cast<int>(tel::TelOp::kCounterInc)]);
 }
 
 // All threads race to initialise the SAME fresh shard on their very first
@@ -131,11 +131,11 @@ TEST(C2StoreStress, CounterSumConservation) {
 
 // counter_sum() digest reads racing counter_add traffic: per observer thread
 // the sum must be monotone (the digest word only grows) and never exceed the
-// number of incs started, and a pass over the per-lane components taken after
-// a digest read never trails it (the relaxed lane cells are released by the
-// total's FAA); at quiescence the digest, the per-shard counters and the
-// per-lane components must all agree. (TSAN watches the digest word and the
-// per-lane cells.)
+// number of incs started, and a telemetry scan of the per-lane counter_inc
+// cells taken after a digest read never trails it (each relaxed cell bump is
+// released by its inc's digest FAA); at quiescence the digest, the per-shard
+// counters and the telemetry count must all agree. (TSAN watches the digest
+// word and the per-lane cells.)
 TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   const int threads = 4;
   const int per_thread = 300;
@@ -151,7 +151,7 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
     if (t == 0) {
       int64_t sum = store.counter_sum();
       if (sum < last_seen[0] || sum > inc_threads * per_thread) ok.store(false);
-      if (sum_of_lane_counter_adds(store) < sum) ok.store(false);
+      if (tel::kEnabled && counter_incs_counted(store) < sum) ok.store(false);
       last_seen[0] = sum;
     } else {
       sessions[static_cast<size_t>(t)].counter_inc(
@@ -163,8 +163,10 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
       << "digest read non-monotone, out of bounds, or ahead of its lanes";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
   EXPECT_EQ(sum_of_shard_counters(store, sessions[0]), inc_threads * per_thread);
-  EXPECT_EQ(sum_of_lane_counter_adds(store), inc_threads * per_thread)
-      << "per-lane components must telescope to the digest total";
+  if (tel::kEnabled) {
+    EXPECT_EQ(counter_incs_counted(store), inc_threads * per_thread)
+        << "per-lane counter_inc cells must add up to the digest total";
+  }
 }
 
 // global_max read concurrently with writes must never exceed the largest value
@@ -296,9 +298,10 @@ TEST(C2StoreStress, SessionChurnKeepsLanesExclusive) {
 // lane to the queue head). Checks: counter conservation (no op lost), lane
 // exclusivity, and the no-busy-spin bounds — every park is one enqueued
 // ticket, and tickets exceed blocking opens only by revocation retries.
-// Lanes move between threads on every open, so the per-lane sum-digest cells
-// (single-writer plain registers) must still add up exactly: a lost update
-// would mean a new owner did not see its predecessor's writes.
+// Lanes move between threads on every open, so the per-lane telemetry
+// counter_inc cells (single-writer plain registers) must still add up
+// exactly: a lost update would mean a new owner did not see its
+// predecessor's writes.
 TEST(C2StoreStress, BlockingOpensUnderLaneStarvation) {
   const int threads = 6;
   const int per_thread = 400;
@@ -330,15 +333,11 @@ TEST(C2StoreStress, BlockingOpensUnderLaneStarvation) {
             static_cast<int64_t>(threads) * per_thread)
       << "every blocking open must have produced exactly one op";
   EXPECT_EQ(store.counter_sum(), static_cast<int64_t>(threads) * per_thread);
-  EXPECT_EQ(sum_of_lane_counter_adds(store),
-            static_cast<int64_t>(threads) * per_thread)
-      << "a lane cell lost an add across an owner change";
-  // Overshooting tickets (>= lanes) return no lane, so none is minted; the
-  // dispenser pre-read is not atomic with its fetch_add, so each thread can
-  // slip one such ticket through the exhaustion window, and only once
-  // (next_ is monotone). The thread that drew ticket lanes - 1 cannot, so
-  // the proven bound is lanes + threads - 1 (LaneRegistry::try_acquire).
-  EXPECT_LE(store.lane_tickets_issued(), lanes + threads - 1);
+  if (tel::kEnabled) {
+    EXPECT_EQ(counter_incs_counted(store),
+              static_cast<int64_t>(threads) * per_thread)
+        << "a lane cell lost an add across an owner change";
+  }
   // No busy-spin: parks are bounded by enqueued tickets, and tickets exceed
   // the number of opens only by revocation retries (each retry is caused by
   // one overshot handoff). These are structural bounds of the cell protocol,
@@ -488,11 +487,9 @@ TEST(C2StoreStress, SessionChurnBeyondRetiredRecycleCapacity) {
       ok.store(false);  // two live sessions shared a lane
     }
     owner_flag[static_cast<size_t>(lane)].store(0);
-    return op;  // RAII close: one recycle-set put per op
+    return op;  // RAII close: one lane-set put per op
   });
   EXPECT_TRUE(ok.load()) << "a lane was held by two sessions at once";
-  EXPECT_LE(store.lane_tickets_issued(), threads * 2)
-      << "late-lifetime churn must be recycle-driven";
 }
 
 TEST(NativeFetchIncrementStress, DenseUnderMaximumContention) {

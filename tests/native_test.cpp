@@ -99,6 +99,18 @@ TEST(NativeMaxRegister, MonotoneReadsHighVolume) {
   EXPECT_TRUE(monotone.load());
 }
 
+// Lane-packing bounds whose products overflow int64 must be rejected at
+// construction, not wrap into range (2 * 2^62 wraps to INT64_MIN, and a
+// register built from it would loop 2^62 times per lane in read_max).
+TEST(NativeMaxRegister, OverflowingPackingBoundsRejected) {
+  EXPECT_THROW(rt::NativeMaxRegister64(2, int64_t{1} << 62), PreconditionError);
+  EXPECT_THROW(rt::NativeMaxRegister64(1, INT64_MAX), PreconditionError);
+  EXPECT_THROW(rt::NativeMultishotTAS(1, INT64_MAX), PreconditionError);
+  rt::NativeMaxRegister64 widest(1, 63);  // exactly 63 bits still fits
+  widest.write_max(0, 63);
+  EXPECT_EQ(widest.read_max(), 63);
+}
+
 TEST(NativeSnapshot, StressHistoriesLinearizable) {
   const int threads = 3;
   const int ops = 5;

@@ -1,10 +1,10 @@
 // Sim-mode verification of the C2Store service algorithms (service/sim_bridge)
 // on full execution trees. The story, mechanically checked:
 //
-//  1. The keyed service path — routing through the real ShardRouter onto
-//     per-shard paper constructions — IS strongly linearizable: strong
-//     linearizability is local, and every shard facet verifies on the shared
-//     tree. (The acceptance configuration.)
+//  1. The keyed service path — routing through the store's hash_key and
+//     slot_of onto per-shard paper constructions — IS strongly linearizable:
+//     strong linearizability is local, and every shard facet verifies on the
+//     shared tree. (The acceptance configuration.)
 //  2. The digest designs behind C2Store::global_max() AND counter_sum()
 //     (writes also land on one digest register; the global read is a
 //     single-word read) ARE strongly linearizable — the sum digest is checked
@@ -50,12 +50,12 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   return check_tree(tree, spec, object);
 }
 
-/// Two keys guaranteed to live on different shards of a 2-shard router.
+/// Two keys guaranteed to live on different shards of a 2-shard store.
 std::pair<uint64_t, uint64_t> keys_on_distinct_shards() {
-  svc::ShardRouter router(2);
+  auto shard = [](uint64_t k) { return svc::slot_of(svc::hash_key(k), 2); };
   uint64_t a = 0;
   uint64_t b = 1;
-  while (router.shard_of(b) == router.shard_of(a)) ++b;
+  while (shard(b) == shard(a)) ++b;
   return {a, b};
 }
 

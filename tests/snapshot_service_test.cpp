@@ -243,9 +243,12 @@ TEST(Snapshot, ClosedSessionRejectsSnapshotAndTransfer) {
 
 // Session close/reopen with lane recycling: the journal is store-global, so a
 // fresh session (cursor 0) replays everything prior sessions wrote; its first
-// snapshot sees the full history no matter which lane it was handed.
+// snapshot sees the full history no matter which lane it was handed. One
+// lane, so the reopen gets the closed session's lane back.
 TEST(Snapshot, SurvivesSessionCloseReopen) {
-  svc::C2Store store(small_config());
+  svc::C2StoreConfig cfg = small_config();
+  cfg.max_threads = 1;
+  svc::C2Store store(cfg);
   uint64_t a = 100, b = 101;
   while (store.shard_of(b) == store.shard_of(a)) ++b;
   int first_lane;
@@ -258,7 +261,7 @@ TEST(Snapshot, SurvivesSessionCloseReopen) {
   }  // RAII close: replay state dies with the session, the journal persists
   {
     svc::C2Session s = store.open_session();
-    EXPECT_EQ(s.lane(), first_lane) << "sole reopen must recycle the lane";
+    EXPECT_EQ(s.lane(), first_lane) << "the only lane must be recycled";
     EXPECT_EQ(s.snapshot_counters({a, b}), (std::vector<int64_t>{3, 2}))
         << "a recycled lane's fresh session replays the whole journal";
     s.counter(b).inc();

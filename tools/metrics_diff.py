@@ -17,6 +17,9 @@ Validation checks the snapshot's structural invariants, not just its shape:
     quantile upper bounds monotone in q (p50 <= p90 <= p99 <= max).
   * session counters are non-negative and obey the handoff-queue accounting
     the stress tests bound: deliveries <= enqueued, revocations <= enqueued.
+    Snapshots written before the lane-ticket dispenser and the per-lane sum
+    cells were retired also carry lane_tickets and lane_counter_adds; when
+    present they must be non-negative counts too.
   * prim_profile rows (only in snapshots from before the field was retired)
     have non-negative averages and ops > 0.
   * events obey the routing-epoch spine's accounting: epochs_published <=
@@ -68,9 +71,12 @@ EVENT_KINDS = [
 MONOTONE_EVENTS = {"migrated_keys"}
 
 SESSION_KEYS = [
-    "lane_tickets", "handoff_enqueued", "handoff_deliveries",
-    "handoff_parks", "handoff_revocations", "lane_counter_adds",
+    "handoff_enqueued", "handoff_deliveries", "handoff_parks",
+    "handoff_revocations",
 ]
+
+# Session counters of older snapshots: validated as counts when present.
+LEGACY_SESSION_KEYS = ["lane_tickets", "lane_counter_adds"]
 
 
 class Invalid(ValueError):
@@ -170,8 +176,9 @@ def validate(doc, path):
     _require(isinstance(session, dict), path, "session must be an object")
     for key in SESSION_KEYS:
         _require(key in session, f"{path}:session", f"missing {key!r}")
-        _require(_is_count(session[key]), f"{path}:session",
-                 f"{key} must be a non-negative int")
+    for key in SESSION_KEYS + LEGACY_SESSION_KEYS:
+        _require(key not in session or _is_count(session[key]),
+                 f"{path}:session", f"{key} must be a non-negative int")
     _require(session["handoff_deliveries"] <= session["handoff_enqueued"],
              f"{path}:session", "more handoff deliveries than enqueues")
     _require(session["handoff_revocations"] <= session["handoff_enqueued"],

@@ -99,6 +99,18 @@ class ValidateTest(unittest.TestCase):
         self.assert_invalid(snapshot(ops_total_scan=11), "disagree")
         self.assert_invalid(snapshot(ops_total_scan=-1), "ops_total_scan")
 
+    def test_legacy_session_counters_still_checked(self):
+        # Snapshots written before the lane-ticket dispenser and the per-lane
+        # sum cells were retired carry their counters; when present they must
+        # still be counts, and their absence is not an error.
+        legacy = {k: 0 for k in metrics_diff.SESSION_KEYS}
+        legacy.update(lane_tickets=4, lane_counter_adds=10)
+        metrics_diff.validate(snapshot(session=legacy), "t")
+        for key in metrics_diff.LEGACY_SESSION_KEYS:
+            self.assertNotIn(key, snapshot()["session"])
+            bad = dict(legacy, **{key: -1})
+            self.assert_invalid(snapshot(session=bad), key)
+
     def test_disabled_snapshot_skips_totals_check(self):
         doc = snapshot(telemetry_enabled=False, ops_total=0)
         metrics_diff.validate(doc, "t")
