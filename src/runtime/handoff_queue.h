@@ -100,10 +100,11 @@ class HandoffQueue {
   bool hand(int64_t value) {
     C2SL_CHECK(value >= 0, "handoff values must be non-negative");
     for (;;) {
-      // Guard: consume a Head ticket only when a waiter is visible. The
-      // pre-read keeps Head from drifting past Tail in the common no-waiter
-      // case (mirroring LaneRegistry::try_acquire's dispenser pre-read); the
-      // overshoot branch below handles the race it cannot close.
+      // Guard: consume a Head ticket only when a waiter is visible. Without
+      // it, every hand() with no waiter would draw a Head ticket past Tail
+      // and revoke that slot, so the next waiter drawing it would have to
+      // retry; with it, the common no-waiter case is two loads and no RMW.
+      // The overshoot branch below handles the race it cannot close.
       // c2sl-atomic: load seq_cst, load seq_cst — Dekker-style guard: the
       // Head/Tail pre-reads must not reorder or an empty queue leaks tickets
       if (head_.load(std::memory_order_seq_cst) >=

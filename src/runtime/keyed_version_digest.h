@@ -30,9 +30,8 @@
 // except here the bound is exact and the collect is a deterministic function
 // of it.
 //
-// Entry layout: one std::atomic<uint64_t> cell per entry, the same single
-// word the simulated twin (svc::SimKeyedSnapshot::journal_append) writes. Bits
-// 0-2 hold the kind tag (0 = not deposited), the next 24 bits bucket a, and
+// Entry layout: one std::atomic<uint64_t> cell per entry. Bits 0-2 hold the
+// kind tag (0 = not deposited), the next 24 bits bucket a, and
 // the remaining 37 bits depend on the kind:
 //
 //   inc          nothing (the value is always 1; append CHECKs it)
@@ -45,6 +44,12 @@
 // own tag and cell t+1 the raw 64-bit amount. A tail FAA never returns t+1, so
 // a replay cursor never lands inside a wide entry; replayers advance by
 // EntryView::cells.
+//
+// One codec for the store and its checker: encode/decode and the two
+// protocols over them (append_via, entry_via) are static, parameterised by
+// the cell store. The simulated twin (svc::SimKeyedSnapshot) runs them on
+// checker-visible cells and folds with the store's own detail::SnapReplay, so
+// the explored trees hold the native packed words, narrow and wide alike.
 //
 // Deposit protocol (the HandoffQueue rendezvous idiom): the ticket owner
 // fixes the entry's content at its ticket fetch&add and publishes it with one
@@ -119,16 +124,22 @@ class KeyedVersionDigest {
 
   KeyedVersionDigest() = default;
 
-  /// Appends one entry; returns its (first) ticket. The tail fetch&add is the
-  /// operation's linearization point on the snapshot facet — the entry's
-  /// content is fixed here (the deposit below merely publishes it).
-  int64_t append(Kind kind, int shard_a, int shard_b, int64_t v) {
+  /// An entry as append deposits it: the header word, and the tickets it
+  /// occupies (2 for a wide transfer, whose amount takes the second cell).
+  struct Encoded {
+    uint64_t header;
+    int cells;
+  };
+
+  /// Packs one entry, with the range checks every keyed write passes. A wide
+  /// transfer's header carries no amount: the depositor stores v itself in
+  /// the entry's second cell.
+  static Encoded encode(Kind kind, int shard_a, int shard_b, int64_t v) {
     C2SL_CHECK(shard_a >= 0 && shard_a < kMaxBuckets && shard_b >= 0 &&
                    shard_b < kMaxBuckets,
                "journal shard index out of range");
     uint64_t word = static_cast<uint64_t>(kind) |
                     (static_cast<uint64_t>(shard_a) << kTagBits);
-    bool wide = false;
     switch (kind) {
       case Kind::kCounterInc:
         C2SL_CHECK(v == 1 && shard_b == 0, "journal inc entry must be +1");
@@ -141,21 +152,79 @@ class KeyedVersionDigest {
         break;
       case Kind::kTransfer:
         word |= static_cast<uint64_t>(shard_b) << kHeadBits;
-        wide = v < kInlineMin || v > kInlineMax;
-        if (wide) {
-          word = (word & ~kTagMask) | kWideTransferTag;
-        } else {
-          word |= static_cast<uint64_t>(v) << kAmountShift;
+        if (v < kInlineMin || v > kInlineMax) {
+          return Encoded{(word & ~kTagMask) | kWideTransferTag, 2};
         }
+        word |= static_cast<uint64_t>(v) << kAmountShift;
         break;
     }
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — ticket issue (both of a wide transfer's);
-    // linearization point of the keyed write on the snapshot facet
-    int64_t t = tail_.fetch_add(wide ? 2 : 1, std::memory_order_seq_cst);
-    if (wide) deposit(t + 1, static_cast<uint64_t>(v));  // never 0: wide
-    deposit(t, word);
+    return Encoded{word, 1};
+  }
+
+  /// Unpacks a deposited (non-zero) header. A wide transfer comes back with
+  /// cells == 2 and v == 0: its amount is the entry's second cell.
+  static EntryView decode(uint64_t header) {
+    int a = static_cast<int>((header >> kTagBits) & kBucketMask);
+    uint64_t tag = header & kTagMask;
+    switch (tag) {
+      case static_cast<uint64_t>(Kind::kCounterInc):
+        return EntryView{Kind::kCounterInc, a, 0, 1, 1};
+      case static_cast<uint64_t>(Kind::kTransfer):
+        return EntryView{Kind::kTransfer, a, bucket_b(header),
+                         static_cast<int64_t>(header) >> kAmountShift, 1};
+      case kWideTransferTag:
+        return EntryView{Kind::kTransfer, a, bucket_b(header), 0, 2};
+      default:
+        // No deposit carries tag 0, 6 or 7: a reader that sees one is off an
+        // entry boundary (e.g. inside a wide transfer), so fail closed
+        // rather than fold garbage.
+        C2SL_ASSERT_MSG(tag == static_cast<uint64_t>(Kind::kMaxWrite) ||
+                            tag == static_cast<uint64_t>(Kind::kResize),
+                        "journal cell is not an entry header");
+        return EntryView{static_cast<Kind>(tag), a, 0,
+                         static_cast<int64_t>(header >> kHeadBits), 1};
+    }
+  }
+
+  /// The append protocol over any cell store: encode, draw every ticket the
+  /// entry needs with ONE `draw(cells)` (the fetch&add that linearizes the
+  /// write), then `deposit(ticket, word)` a wide transfer's amount cell
+  /// BEFORE its header, so a replayer that sees the header finds the amount.
+  /// Returns the entry's first ticket. append() runs it on the native cells;
+  /// the simulated twin (svc::SimKeyedSnapshot) on checker-visible ones.
+  template <typename Draw, typename Deposit>
+  static int64_t append_via(Kind kind, int shard_a, int shard_b, int64_t v,
+                            const Draw& draw, const Deposit& deposit) {
+    const Encoded e = encode(kind, shard_a, shard_b, v);
+    int64_t t = draw(e.cells);
+    if (e.cells == 2) deposit(t + 1, static_cast<uint64_t>(v));  // never 0
+    deposit(t, e.header);
     return t;
+  }
+
+  /// The read side over any cell store: `load(ticket)` returns the cell's
+  /// deposited word (waiting out an in-flight deposit); a wide transfer's
+  /// amount is loaded from the cell after its header.
+  template <typename Load>
+  static EntryView entry_via(int64_t ticket, const Load& load) {
+    EntryView e = decode(load(ticket));
+    if (e.cells == 2) e.v = static_cast<int64_t>(load(ticket + 1));
+    return e;
+  }
+
+  /// Appends one entry; returns its (first) ticket. The tail fetch&add is the
+  /// operation's linearization point on the snapshot facet — the entry's
+  /// content is fixed there (the deposits merely publish it).
+  int64_t append(Kind kind, int shard_a, int shard_b, int64_t v) {
+    return append_via(
+        kind, shard_a, shard_b, v,
+        [this](int cells) {
+          C2SL_TEL_PRIM_FAA();
+          // c2sl-atomic: faa seq_cst — ticket issue (both of a wide transfer's);
+          // linearization point of the keyed write on the snapshot facet
+          return tail_.fetch_add(cells, std::memory_order_seq_cst);
+        },
+        [this](int64_t t, uint64_t w) { deposit(t, w); });
   }
 
   /// The version-digest read: one FAA(0) on the tail — wait-free, and the
@@ -168,26 +237,10 @@ class KeyedVersionDigest {
 
   /// Entry whose first ticket is `ticket` (< some tail read). Spins until
   /// the ticket owner's deposit is published — bounded by in-flight writers
-  /// (see header).
+  /// (see header). A wide transfer's amount cell was stored before its
+  /// header, so the second await returns at once.
   EntryView entry(int64_t ticket) {
-    uint64_t m = await(ticket);
-    int a = static_cast<int>((m >> kTagBits) & kBucketMask);
-    uint64_t tag = m & kTagMask;
-    switch (tag) {
-      case static_cast<uint64_t>(Kind::kCounterInc):
-        return EntryView{Kind::kCounterInc, a, 0, 1, 1};
-      case static_cast<uint64_t>(Kind::kTransfer):
-        return EntryView{Kind::kTransfer, a, bucket_b(m),
-                         static_cast<int64_t>(m) >> kAmountShift, 1};
-      case kWideTransferTag:
-        // The amount cell was stored before the header, so it is already
-        // visible: this await returns at once.
-        return EntryView{Kind::kTransfer, a, bucket_b(m),
-                         static_cast<int64_t>(await(ticket + 1)), 2};
-      default:  // kMaxWrite, kResize
-        return EntryView{static_cast<Kind>(tag), a, 0,
-                         static_cast<int64_t>(m >> kHeadBits), 1};
-    }
+    return entry_via(ticket, [this](int64_t t) { return await(t); });
   }
 
   /// Tickets issued: one per keyed write, two per wide transfer

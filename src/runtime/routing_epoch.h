@@ -116,6 +116,39 @@ class RoutingEpoch {
   static constexpr int64_t newest_epoch(int64_t stamp) {
     return (stamp + 1) >> 1;
   }
+  /// The stamp that opens `epoch`'s install (2e-1: epoch-1 still published).
+  static constexpr int64_t install_stamp(int64_t epoch) { return 2 * epoch - 1; }
+  /// The stamp that publishes `epoch` (2e: no resize in flight).
+  static constexpr int64_t publish_stamp(int64_t epoch) { return 2 * epoch; }
+
+  /// The writer-side Dekker recheck, run AFTER a mutating op's primary
+  /// application under (`applied_epoch`, `applied_slot`): read `stamp()`;
+  /// while it exposes an epoch newer than the last one applied under, route
+  /// the key with `slot_of(epoch)`, re-apply the op with `apply(slot)` if the
+  /// slot moved (an idempotent monotone merge), and re-read. In the seq_cst
+  /// total order either the migration's replay read captured the primary
+  /// write, or this recheck sees the install and re-applies — a write never
+  /// falls through a migration (docs/PROOFS.md works the two cases). The
+  /// store's refs (ShardRef::settle) and the simulated twin
+  /// (svc::SimRoutingEpoch) both instantiate this loop.
+  template <typename Stamp, typename SlotOf, typename Apply>
+  static void settle(int64_t applied_epoch, int applied_slot,
+                     const Stamp& stamp, const SlotOf& slot_of,
+                     const Apply& apply) {
+    int64_t st = stamp();
+    while (newest_epoch(st) != applied_epoch) {
+      applied_epoch = newest_epoch(st);
+      int s = slot_of(applied_epoch);
+      if (s != applied_slot) {
+        applied_slot = s;
+        apply(s);
+      }
+      // Confirm no newer install slipped in between the re-application and
+      // here; a stable stamp proves (in the seq_cst total order) that any
+      // later migration's replay must observe the re-applied slot state.
+      st = stamp();
+    }
+  }
 
   /// Shard count of `epoch`. Only valid for epochs whose install store was
   /// observed through a stamp read (published_epoch / newest_epoch of a read
@@ -170,7 +203,7 @@ class RoutingEpoch {
     cell.shards.store(new_shards, std::memory_order_seq_cst);
     // c2sl-atomic: store seq_cst — install stamp 2e -> 2e+1; the resizer half
     // of the Dekker pair with every writer's post-op recheck
-    stamp_.store(2 * next - 1, std::memory_order_seq_cst);
+    stamp_.store(install_stamp(next), std::memory_order_seq_cst);
     C2SL_TEL_EVENT(tel::TelEvent::kResizeClaim);
     out = Claim{next, new_shards};
     return ResizeStatus::kInstalled;
@@ -182,7 +215,7 @@ class RoutingEpoch {
     C2SL_CHECK(c.valid(), "publish of an invalid resize claim");
     // c2sl-atomic: store seq_cst — publish stamp 2e+1 -> 2e+2; ends the
     // dual-write window, so it must join the same total order as the install
-    stamp_.store(2 * c.epoch, std::memory_order_seq_cst);
+    stamp_.store(publish_stamp(c.epoch), std::memory_order_seq_cst);
     C2SL_TEL_EVENT(tel::TelEvent::kEpochPublish);
   }
 

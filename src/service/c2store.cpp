@@ -1,6 +1,5 @@
 #include "service/c2store.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "telemetry/trace_export.h"
@@ -165,39 +164,8 @@ int64_t C2Store::global_max() { return digest_.read_max(); }
 
 int64_t C2Store::counter_sum() { return sum_digest_.read(); }
 
-// Replays journal entries [r.cursor, tail) into the session-local per-shard
-// accumulators. Deterministic: entry content is fixed at ticket time, so every
-// replayer that reaches `tail` computes the same vectors regardless of how its
-// cursor got there — which is what makes two same-tail snapshots identical and
-// the FAA(0) tail read a legitimate linearization point. Bucket indices are
-// INITIAL-mask for every entry kind (the snapshot facet is epoch-independent),
-// so no entry can ever index outside the fixed accumulator vectors. A wide
-// transfer spans two tickets drawn by one FAA, so no tail splits it and the
-// cursor steps over both.
 void C2Store::replay_journal(detail::SnapReplay& r, int64_t tail) {
-  rt::KeyedVersionDigest::EntryView e{};
-  for (int64_t t = r.cursor; t < tail; t += e.cells) {
-    e = journal_.entry(t);
-    switch (e.kind) {
-      case rt::KeyedVersionDigest::Kind::kCounterInc:
-        r.ctr_net[static_cast<size_t>(e.shard_a)] += e.v;
-        r.total_incs += e.v;
-        break;
-      case rt::KeyedVersionDigest::Kind::kMaxWrite:
-        r.max_seen[static_cast<size_t>(e.shard_a)] =
-            std::max(r.max_seen[static_cast<size_t>(e.shard_a)], e.v);
-        break;
-      case rt::KeyedVersionDigest::Kind::kTransfer:
-        r.ctr_net[static_cast<size_t>(e.shard_a)] -= e.v;
-        r.ctr_net[static_cast<size_t>(e.shard_b)] += e.v;
-        break;
-      case rt::KeyedVersionDigest::Kind::kResize:
-        // Informational marker (the new slot count in v) — the snapshot facet
-        // buckets under the initial mask forever, so there is nothing to fold.
-        break;
-    }
-  }
-  r.cursor = tail;
+  r.fold(tail, [this](int64_t t) { return journal_.entry(t); });
 }
 
 int C2Store::initialized_shards() const {

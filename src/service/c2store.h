@@ -129,6 +129,7 @@
 // Snapshots never materialise shards — an untouched key reads as 0.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -235,12 +236,8 @@ class ShardRef {
   /// coherence, so a genuinely-completed-before write is never missed).
   inline void revalidate();
   /// The writer-side Dekker recheck, run AFTER the primary slot application:
-  /// one seq_cst stamp load; while it exposes an epoch newer than the last
-  /// one applied under, re-apply the op (idempotent monotone merge) to the
-  /// key's slot under the newest mask and re-load. In the seq_cst total
-  /// order either the migration's replay read captured the primary write, or
-  /// this recheck sees the install and re-applies — a write can never fall
-  /// through a migration (docs/PROOFS.md works the two cases).
+  /// rt::RoutingEpoch::settle over this ref's seq_cst stamp loads and
+  /// routing, re-applying the op to the key's slot under each newer mask.
   template <typename Apply>
   inline void settle(const Apply& apply);
 
@@ -343,6 +340,44 @@ struct SnapReplay {
   /// Total journaled increments below cursor (transfers net zero, so this is
   /// also the sum of all ledger balances) — the snapshot's traced result.
   int64_t total_incs = 0;
+
+  /// Folds the entries [cursor, tail) into the accumulators; `entry_at(t)`
+  /// returns the entry whose first ticket is t (rt::KeyedVersionDigest::
+  /// entry, or the simulated twin's read of its cells). Deterministic: entry
+  /// content is fixed at ticket time, so every replayer that reaches `tail`
+  /// computes the same vectors regardless of how its cursor got there —
+  /// which is what makes two same-tail snapshots identical and the FAA(0)
+  /// tail read a legitimate linearization point. Bucket indices are
+  /// INITIAL-mask for every entry kind, so no entry indexes outside the
+  /// vectors. A wide transfer spans two tickets drawn by one FAA, so no tail
+  /// splits it and the cursor steps over both.
+  template <typename EntryAt>
+  void fold(int64_t tail, const EntryAt& entry_at) {
+    using Kind = rt::KeyedVersionDigest::Kind;
+    rt::KeyedVersionDigest::EntryView e{};
+    for (int64_t t = cursor; t < tail; t += e.cells) {
+      e = entry_at(t);
+      const size_t a = static_cast<size_t>(e.shard_a);
+      switch (e.kind) {
+        case Kind::kCounterInc:
+          ctr_net[a] += e.v;
+          total_incs += e.v;
+          break;
+        case Kind::kMaxWrite:
+          max_seen[a] = std::max(max_seen[a], e.v);
+          break;
+        case Kind::kTransfer:
+          ctr_net[a] -= e.v;
+          ctr_net[static_cast<size_t>(e.shard_b)] += e.v;
+          break;
+        case Kind::kResize:
+          // Informational marker (the new slot count in v) — the snapshot
+          // facet buckets under the initial mask forever: nothing to fold.
+          break;
+      }
+    }
+    cursor = tail;
+  }
 };
 }  // namespace detail
 
@@ -758,23 +793,12 @@ inline void ShardRef::revalidate() {
 }
 template <typename Apply>
 inline void ShardRef::settle(const Apply& apply) {
-  int64_t applied_epoch = epoch_;
-  int applied_slot = shard_;
-  // c2sl annotation lives in RoutingEpoch::stamp(); this loop is the writer
+  // c2sl annotation lives in RoutingEpoch::stamp(); the loop is the writer
   // half of the install/recheck Dekker pair (see class comment).
-  int64_t st = store_->epochs_.stamp();
-  while (rt::RoutingEpoch::newest_epoch(st) != applied_epoch) {
-    applied_epoch = rt::RoutingEpoch::newest_epoch(st);
-    int s = store_->slot_under(hash_, applied_epoch);
-    if (s != applied_slot) {
-      applied_slot = s;
-      apply(store_->shard(s));
-    }
-    // Confirm no newer install slipped in between the re-application and
-    // here; a stable stamp proves (in the seq_cst total order) that any later
-    // migration's replay must observe the re-applied slot state.
-    st = store_->epochs_.stamp();
-  }
+  rt::RoutingEpoch::settle(
+      epoch_, shard_, [this] { return store_->epochs_.stamp(); },
+      [this](int64_t e) { return store_->slot_under(hash_, e); },
+      [&](int s) { apply(store_->shard(s)); });
 }
 }  // namespace detail
 

@@ -2,16 +2,45 @@
 
 #include <algorithm>
 
+#include "runtime/routing_epoch.h"
+#include "service/c2store.h"
 #include "util/assert.h"
 
 namespace c2sl::svc {
+
+namespace {
+using Journal = rt::KeyedVersionDigest;
+using Epoch = rt::RoutingEpoch;
+
+void check_pow2(int shards) {
+  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
+             "shard count must be a power of two");
+}
+
+/// The scan reads: one collect of `read_shard` over every shard, repeated
+/// under kDoubleCollect until two consecutive collects coincide.
+template <typename ReadShard>
+std::vector<int64_t> scan(int shards, AggRead read, const ReadShard& read_shard) {
+  auto collect = [&] {
+    std::vector<int64_t> view(static_cast<size_t>(shards));
+    for (int s = 0; s < shards; ++s) view[static_cast<size_t>(s)] = read_shard(s);
+    return view;
+  };
+  std::vector<int64_t> curr = collect();
+  while (read == AggRead::kDoubleCollect) {
+    std::vector<int64_t> next = collect();
+    if (next == curr) break;
+    curr = std::move(next);
+  }
+  return curr;
+}
+}  // namespace
 
 // --- SimKeyedStore ----------------------------------------------------------
 
 SimKeyedStore::SimKeyedStore(sim::World& world, std::string name, int n, int shards)
     : name_(std::move(name)), shards_(shards) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
+  check_pow2(shards);
   for (int s = 0; s < shards; ++s) {
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".s" + std::to_string(s) + ".maxreg", n));
@@ -62,12 +91,12 @@ int64_t SimKeyedStore::counter_read(sim::Ctx& ctx, uint64_t key) {
   return as_num(r);
 }
 
-// --- SimGlobalMax -----------------------------------------------------------
+// --- SimShardedMaxRegister / SimShardedCounter (the aggregate twins) -------
 
-SimGlobalMax::SimGlobalMax(sim::World& world, std::string name, int n, int shards)
-    : name_(std::move(name)), shards_(shards) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
+SimShardedMaxRegister::SimShardedMaxRegister(sim::World& world, std::string name,
+                                             int n, int shards, AggRead read)
+    : name_(std::move(name)), shards_(shards), read_(read) {
+  check_pow2(shards);
   for (int s = 0; s < shards; ++s) {
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".shard" + std::to_string(s), n));
@@ -75,39 +104,43 @@ SimGlobalMax::SimGlobalMax(sim::World& world, std::string name, int n, int shard
   digest_ = std::make_unique<core::MaxRegisterFAA>(world, name_ + ".digest", n);
 }
 
-void SimGlobalMax::write_max(sim::Ctx& ctx, int64_t v) {
+void SimShardedMaxRegister::write_max(sim::Ctx& ctx, int64_t v) {
+  // Shard register FIRST, digest second — MaxRef::write's order (pinned by
+  // tests/service_sim_test.cpp).
   int s = static_cast<int>(static_cast<uint64_t>(v) & static_cast<uint64_t>(shards_ - 1));
   regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-  digest_->write_max(ctx, v);
+  if (read_ == AggRead::kDigest) digest_->write_max(ctx, v);
 }
 
-int64_t SimGlobalMax::read_max(sim::Ctx& ctx) { return digest_->read_max(ctx); }
+int64_t SimShardedMaxRegister::read_max(sim::Ctx& ctx) {
+  if (read_ == AggRead::kDigest) return digest_->read_max(ctx);
+  std::vector<int64_t> view =
+      scan(shards_, read_, [&](int s) { return read_shard(ctx, s); });
+  return *std::max_element(view.begin(), view.end());
+}
 
-int64_t SimGlobalMax::read_shard_max(sim::Ctx& ctx, int s) {
+int64_t SimShardedMaxRegister::read_shard(sim::Ctx& ctx, int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
   return regs_[static_cast<size_t>(s)]->read_max(ctx);
 }
 
-Val SimGlobalMax::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
+Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   if (inv.name == "WriteMax") {
     write_max(ctx, as_num(inv.args));
     return unit();
   }
   if (inv.name == "ReadMax") return num(read_max(ctx));
   if (inv.name == "ReadShard") {
-    return num(read_shard_max(ctx, static_cast<int>(as_num(inv.args))));
+    return num(read_shard(ctx, static_cast<int>(as_num(inv.args))));
   }
-  C2SL_CHECK(false, "unknown operation on global max digest: " + inv.name);
+  C2SL_CHECK(false, "unknown operation on sharded max register: " + inv.name);
   return unit();
 }
 
-// --- SimCounterSumDigest (the counter_sum digest design) --------------------
-
-SimCounterSumDigest::SimCounterSumDigest(sim::World& world, std::string name,
-                                         int shards)
-    : name_(std::move(name)), shards_(shards) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
+SimShardedCounter::SimShardedCounter(sim::World& world, std::string name,
+                                     int shards, AggRead read)
+    : name_(std::move(name)), shards_(shards), read_(read) {
+  check_pow2(shards);
   for (int s = 0; s < shards; ++s) {
     ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
         world, name_ + ".M" + std::to_string(s)));
@@ -117,27 +150,30 @@ SimCounterSumDigest::SimCounterSumDigest(sim::World& world, std::string name,
   digest_ = world.add<prim::FetchAddInt>(name_ + ".digest");
 }
 
-void SimCounterSumDigest::inc(sim::Ctx& ctx) {
-  // Shard counter FIRST, digest second — the same cross-facet order as
-  // SimGlobalMax::write_max and the native CounterRef::inc (pinned by
-  // tests/service_sim_test.cpp). The digest fetch&add is the linearization
-  // point of the Inc on the digest facet.
+void SimShardedCounter::inc(sim::Ctx& ctx) {
+  // Shard counter FIRST, digest second — CounterRef::inc's order (pinned by
+  // tests/service_sim_test.cpp).
   int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
                            static_cast<uint64_t>(shards_ - 1));
   ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-  ctx.world->get(digest_).fetch_add(ctx, 1);
+  if (read_ == AggRead::kDigest) ctx.world->get(digest_).fetch_add(ctx, 1);
 }
 
-int64_t SimCounterSumDigest::read(sim::Ctx& ctx) {
-  return ctx.world->get(digest_).read(ctx);  // one FAA(0) step
+int64_t SimShardedCounter::read(sim::Ctx& ctx) {
+  if (read_ == AggRead::kDigest) return ctx.world->get(digest_).read(ctx);
+  int64_t sum = 0;
+  for (int64_t v : scan(shards_, read_, [&](int s) { return read_shard(ctx, s); })) {
+    sum += v;
+  }
+  return sum;
 }
 
-int64_t SimCounterSumDigest::read_shard(sim::Ctx& ctx, int s) {
+int64_t SimShardedCounter::read_shard(sim::Ctx& ctx, int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
   return ctrs_[static_cast<size_t>(s)]->read(ctx);
 }
 
-Val SimCounterSumDigest::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
+Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   if (inv.name == "Inc") {
     this->inc(ctx);
     return unit();
@@ -146,7 +182,7 @@ Val SimCounterSumDigest::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   if (inv.name == "ReadShard") {
     return num(read_shard(ctx, static_cast<int>(as_num(inv.args))));
   }
-  C2SL_CHECK(false, "unknown operation on counter sum digest: " + inv.name);
+  C2SL_CHECK(false, "unknown operation on sharded counter: " + inv.name);
   return unit();
 }
 
@@ -199,15 +235,6 @@ Val SimTelemetryCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
 
 // --- SimKeyedSnapshot (the snapshot write journal) --------------------------
 
-namespace {
-/// Journal entry packing, mirroring rt::KeyedVersionDigest: kind in the low
-/// 2 bits (1 = Inc, 2 = WriteMax, 3 = Xfer; 0 is "not deposited" — here the
-/// cell simply still holds ⊥), shard indices in 3 bits each, value above.
-constexpr int64_t pack_entry(int kind, int a, int b, int64_t v) {
-  return kind | (int64_t{a} << 2) | (int64_t{b} << 5) | (v << 8);
-}
-}  // namespace
-
 SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
                                    int shards, bool naive_loop)
     : name_(std::move(name)), shards_(shards), naive_loop_(naive_loop) {
@@ -224,74 +251,68 @@ SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
   entries_ = world.add<prim::RegArray>(name_ + ".entries");
 }
 
-void SimKeyedSnapshot::journal_append(sim::Ctx& ctx, int kind, int a, int b,
-                                      int64_t v) {
+void SimKeyedSnapshot::journal_append(sim::Ctx& ctx, Journal::Kind kind, int a,
+                                      int b, int64_t v) {
   // The tail fetch&add is the keyed write's linearization point on the
-  // snapshot facet; the entry write below only publishes content that was
-  // fixed here (the native deposit's release store).
-  int64_t t = ctx.world->get(tail_).fetch_add(ctx, 1);
-  ctx.world->get(entries_).write(ctx, static_cast<size_t>(t),
-                                 num(pack_entry(kind, a, b, v)));
+  // snapshot facet; the cell writes only publish content fixed there (the
+  // native deposit's release stores).
+  prim::RegArray& cells = ctx.world->get(entries_);
+  Journal::append_via(
+      kind, a, b, v,
+      [&](int n) { return ctx.world->get(tail_).fetch_add(ctx, n); },
+      [&](int64_t t, uint64_t w) {
+        cells.write(ctx, static_cast<size_t>(t), num(static_cast<int64_t>(w)));
+      });
 }
 
 void SimKeyedSnapshot::inc(sim::Ctx& ctx, int s) {
   // Shard object FIRST, journal LAST — the pinned cross-facet order shared
   // with the max/sum digests: the journal never runs ahead of the keyed reads.
   ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-  journal_append(ctx, 1, s, 0, 1);
+  journal_append(ctx, Journal::Kind::kCounterInc, s, 0, 1);
 }
 
 void SimKeyedSnapshot::write_max(sim::Ctx& ctx, int s, int64_t v) {
   regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-  journal_append(ctx, 2, s, 0, v);
+  journal_append(ctx, Journal::Kind::kMaxWrite, s, 0, v);
 }
 
 void SimKeyedSnapshot::transfer(sim::Ctx& ctx, int from, int to, int64_t d) {
   // Journal-only: the ONE entry is what makes the debit and credit
   // inseparable at every snapshot cut (the conservation contract).
-  journal_append(ctx, 3, from, to, d);
+  journal_append(ctx, Journal::Kind::kTransfer, from, to, d);
 }
 
 std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
-  std::vector<int64_t> view(static_cast<size_t>(2 * shards_), 0);
+  std::vector<int64_t> view;
   if (naive_loop_) {
     // Negative control: one pass of direct per-shard reads. Each read is
     // individually fine; the VECTOR is torn by any write landing between two
     // of them — the checker refutes this (not even linearizable).
     for (int s = 0; s < shards_; ++s) {
-      view[static_cast<size_t>(s)] = ctrs_[static_cast<size_t>(s)]->read(ctx);
+      view.push_back(ctrs_[static_cast<size_t>(s)]->read(ctx));
     }
     for (int s = 0; s < shards_; ++s) {
-      view[static_cast<size_t>(shards_ + s)] =
-          regs_[static_cast<size_t>(s)]->read_max(ctx);
+      view.push_back(regs_[static_cast<size_t>(s)]->read_max(ctx));
     }
     return view;
   }
-  // The FAA(0) tail read IS the snapshot: everything below is a deterministic
-  // replay of entries whose content was fixed at their ticket fetch&add.
-  int64_t t_end = ctx.world->get(tail_).read(ctx);
-  prim::RegArray& entries = ctx.world->get(entries_);
-  for (int64_t t = 0; t < t_end; ++t) {
-    Val e = entries.read(ctx, static_cast<size_t>(t));
-    while (!std::holds_alternative<int64_t>(e)) {
+  // The FAA(0) tail read IS the snapshot: everything below is the store's
+  // own deterministic replay of entries fixed at their ticket fetch&add.
+  int64_t tail = ctx.world->get(tail_).read(ctx);
+  prim::RegArray& cells = ctx.world->get(entries_);
+  auto load = [&](int64_t t) {
+    Val w = cells.read(ctx, static_cast<size_t>(t));
+    while (!std::holds_alternative<int64_t>(w)) {
       // Ticket drawn, deposit in flight: poll, like the native acquire-spin.
-      e = entries.read(ctx, static_cast<size_t>(t));
+      w = cells.read(ctx, static_cast<size_t>(t));
     }
-    int64_t p = as_num(e);
-    int kind = static_cast<int>(p & 3);
-    size_t a = static_cast<size_t>((p >> 2) & 7);
-    size_t b = static_cast<size_t>((p >> 5) & 7);
-    int64_t v = p >> 8;
-    if (kind == 1) {
-      view[a] += v;
-    } else if (kind == 2) {
-      view[static_cast<size_t>(shards_) + a] =
-          std::max(view[static_cast<size_t>(shards_) + a], v);
-    } else {
-      view[a] -= v;
-      view[b] += v;
-    }
-  }
+    return static_cast<uint64_t>(as_num(w));
+  };
+  detail::SnapReplay r(shards_);
+  r.fold(tail, [&](int64_t t) { return Journal::entry_via(t, load); });
+  view = r.ctr_net;
+  view.insert(view.end(), r.max_seen.begin(), r.max_seen.end());
   return view;
 }
 
@@ -521,7 +542,7 @@ int64_t SimSegmentedTasArray::read(sim::Ctx& ctx, size_t idx) {
   return as_num(r);
 }
 
-// --- SimRoutingEpoch (the PR 9 epoch hand-off) ------------------------------
+// --- SimRoutingEpoch (the epoch hand-off) ----------------------------------
 
 SimRoutingEpoch::SimRoutingEpoch(sim::World& world, std::string name, int n,
                                  int initial_shards, int max_shards,
@@ -530,11 +551,9 @@ SimRoutingEpoch::SimRoutingEpoch(sim::World& world, std::string name, int n,
       initial_shards_(initial_shards),
       max_shards_(max_shards),
       publish_before_replay_(publish_before_replay) {
-  C2SL_CHECK(initial_shards > 0 && (initial_shards & (initial_shards - 1)) == 0,
-             "shard count must be a power of two");
-  C2SL_CHECK(max_shards >= initial_shards &&
-                 (max_shards & (max_shards - 1)) == 0,
-             "max shard count must be a power of two >= initial");
+  check_pow2(initial_shards);
+  check_pow2(max_shards);
+  C2SL_CHECK(max_shards >= initial_shards, "max shard count below initial");
   claims_ = world.add<prim::TasArray>(name_ + ".claims", /*readable=*/false);
   counts_ = world.add<prim::RegArray>(name_ + ".counts");
   stamp_ = world.add<prim::RegArray>(name_ + ".stamp");
@@ -566,35 +585,28 @@ int SimRoutingEpoch::shards_of(sim::Ctx& ctx, int64_t epoch) {
   return static_cast<int>(as_num(v));
 }
 
+int SimRoutingEpoch::slot_of(sim::Ctx& ctx, uint64_t key, int64_t epoch) {
+  return static_cast<int>(key & (static_cast<uint64_t>(shards_of(ctx, epoch)) - 1));
+}
+
 void SimRoutingEpoch::write_max(sim::Ctx& ctx, uint64_t key, int64_t v) {
   sim::record_op(ctx, key_object(key), "WriteMax", num(v), [&] {
     // Bind under the published epoch of one stamp read (ShardRef's bind),
-    // primary slot write, then the Dekker settle loop (ShardRef::settle).
-    int64_t st = stamp_read(ctx);
-    int64_t applied = st >> 1;  // published epoch
-    int slot = static_cast<int>(
-        key & (static_cast<uint64_t>(shards_of(ctx, applied)) - 1));
-    regs_[static_cast<size_t>(slot)]->write_max(ctx, v);
-    st = stamp_read(ctx);
-    while (((st + 1) >> 1) != applied) {
-      applied = (st + 1) >> 1;  // newest installed epoch
-      int s2 = static_cast<int>(
-          key & (static_cast<uint64_t>(shards_of(ctx, applied)) - 1));
-      if (s2 != slot) {
-        slot = s2;
-        regs_[static_cast<size_t>(s2)]->write_max(ctx, v);
-      }
-      st = stamp_read(ctx);
-    }
+    // primary slot write, then the store's own settle loop.
+    auto stamp = [&] { return stamp_read(ctx); };
+    auto route = [&](int64_t epoch) { return slot_of(ctx, key, epoch); };
+    auto apply = [&](int s) { regs_[static_cast<size_t>(s)]->write_max(ctx, v); };
+    int64_t epoch = Epoch::published_epoch(stamp());
+    int slot = route(epoch);
+    apply(slot);
+    Epoch::settle(epoch, slot, stamp, route, apply);
     return unit();
   });
 }
 
 int64_t SimRoutingEpoch::read_max(sim::Ctx& ctx, uint64_t key) {
   Val r = sim::record_op(ctx, key_object(key), "ReadMax", unit(), [&] {
-    int64_t ep = stamp_read(ctx) >> 1;  // published epoch
-    int slot = static_cast<int>(
-        key & (static_cast<uint64_t>(shards_of(ctx, ep)) - 1));
+    int slot = slot_of(ctx, key, Epoch::published_epoch(stamp_read(ctx)));
     return num(regs_[static_cast<size_t>(slot)]->read_max(ctx));
   });
   return as_num(r);
@@ -602,139 +614,33 @@ int64_t SimRoutingEpoch::read_max(sim::Ctx& ctx, uint64_t key) {
 
 void SimRoutingEpoch::resize(sim::Ctx& ctx, int new_shards) {
   C2SL_CHECK(new_shards <= max_shards_, "resize beyond max_shards");
-  C2SL_CHECK((new_shards & (new_shards - 1)) == 0,
-             "shard count must be a power of two");
+  check_pow2(new_shards);
   sim::record_op(ctx, name_ + ".resize", "Resize", num(new_shards), [&]() -> Val {
     int64_t st = stamp_read(ctx);
-    if ((st & 1) != 0) return str("INFLIGHT");
-    int64_t e = st >> 1;
+    if (Epoch::installing(st)) return str("INFLIGHT");
+    int64_t e = Epoch::published_epoch(st);
     int old_count = shards_of(ctx, e);
     if (new_shards <= old_count) return str("NOOP");
     int64_t next = e + 1;
     if (ctx.world->get(claims_).test_and_set(ctx, static_cast<size_t>(next)) != 0) {
       return str("LOST");
     }
-    // Install: count first, then the stamp transition 2e -> 2e+1 (opens the
-    // writers' dual-write window), replay, publish 2e+1 -> 2e+2. The broken
-    // variant publishes BEFORE the replay — serve-before-replay — and the
-    // checker refutes it: a fresh reader routes to a new slot and misses a
-    // completed write.
+    // Install: count first, then the install stamp (opens the writers'
+    // dual-write window), replay, then the publish stamp. The broken variant
+    // publishes BEFORE the replay — serve-before-replay — and the checker
+    // refutes it: a fresh reader routes to a new slot and misses a completed
+    // write.
+    prim::RegArray& stamp = ctx.world->get(stamp_);
     ctx.world->get(counts_).write(ctx, static_cast<size_t>(next), num(new_shards));
-    ctx.world->get(stamp_).write(ctx, 0, num(2 * next - 1));
-    if (publish_before_replay_) {
-      ctx.world->get(stamp_).write(ctx, 0, num(2 * next));
-    }
+    stamp.write(ctx, 0, num(Epoch::install_stamp(next)));
+    if (publish_before_replay_) stamp.write(ctx, 0, num(Epoch::publish_stamp(next)));
     for (int j = old_count; j < new_shards; ++j) {
       int64_t mv = regs_[static_cast<size_t>(j & (old_count - 1))]->read_max(ctx);
       if (mv > 0) regs_[static_cast<size_t>(j)]->write_max(ctx, mv);
     }
-    if (!publish_before_replay_) {
-      ctx.world->get(stamp_).write(ctx, 0, num(2 * next));
-    }
+    if (!publish_before_replay_) stamp.write(ctx, 0, num(Epoch::publish_stamp(next)));
     return str("OK");
   });
-}
-
-// --- SimShardedMaxRegister (aggregate-scan experiment) ----------------------
-
-SimShardedMaxRegister::SimShardedMaxRegister(sim::World& world, std::string name, int n,
-                                             int shards, bool double_collect)
-    : name_(std::move(name)), shards_(shards), double_collect_(double_collect) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
-  regs_.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".shard" + std::to_string(s), n));
-  }
-}
-
-void SimShardedMaxRegister::write_max(sim::Ctx& ctx, int64_t v) {
-  int s = static_cast<int>(static_cast<uint64_t>(v) & static_cast<uint64_t>(shards_ - 1));
-  regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-}
-
-std::vector<int64_t> SimShardedMaxRegister::collect(sim::Ctx& ctx) {
-  std::vector<int64_t> view(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    view[static_cast<size_t>(s)] = regs_[static_cast<size_t>(s)]->read_max(ctx);
-  }
-  return view;
-}
-
-int64_t SimShardedMaxRegister::read_max(sim::Ctx& ctx) {
-  std::vector<int64_t> curr = collect(ctx);
-  if (double_collect_) {
-    for (;;) {
-      std::vector<int64_t> next = collect(ctx);
-      if (next == curr) break;
-      curr = std::move(next);
-    }
-  }
-  return *std::max_element(curr.begin(), curr.end());
-}
-
-Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "WriteMax") {
-    write_max(ctx, as_num(inv.args));
-    return unit();
-  }
-  if (inv.name == "ReadMax") return num(read_max(ctx));
-  C2SL_CHECK(false, "unknown operation on sharded max register: " + inv.name);
-  return unit();
-}
-
-// --- SimShardedCounter (aggregate-scan experiment) ---------------------------
-
-SimShardedCounter::SimShardedCounter(sim::World& world, std::string name, int shards,
-                                     bool double_collect)
-    : name_(std::move(name)), shards_(shards), double_collect_(double_collect) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
-  for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
-  }
-}
-
-void SimShardedCounter::inc(sim::Ctx& ctx) {
-  int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
-                           static_cast<uint64_t>(shards_ - 1));
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-}
-
-std::vector<int64_t> SimShardedCounter::collect(sim::Ctx& ctx) {
-  std::vector<int64_t> view(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    view[static_cast<size_t>(s)] = ctrs_[static_cast<size_t>(s)]->read(ctx);
-  }
-  return view;
-}
-
-int64_t SimShardedCounter::read(sim::Ctx& ctx) {
-  std::vector<int64_t> curr = collect(ctx);
-  if (double_collect_) {
-    for (;;) {
-      std::vector<int64_t> next = collect(ctx);
-      if (next == curr) break;
-      curr = std::move(next);
-    }
-  }
-  int64_t sum = 0;
-  for (int64_t v : curr) sum += v;
-  return sum;
-}
-
-Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "Inc") {
-    this->inc(ctx);
-    return unit();
-  }
-  if (inv.name == "Read") return num(read(ctx));
-  C2SL_CHECK(false, "unknown operation on sharded counter: " + inv.name);
-  return unit();
 }
 
 }  // namespace c2sl::svc

@@ -1,87 +1,32 @@
-// Sim-mode C2Store bridge: small sharded configurations of the service layer
-// rebuilt over the *simulated* paper constructions, so the bounded model
-// checkers (verify/lin_checker, verify/strong_lin) can exercise the service's
-// routing and aggregate algorithms on full execution trees.
+// Sim-mode C2Store bridge: small configurations of the service layer rebuilt
+// over the *simulated* paper constructions, so the bounded model checkers
+// (verify/lin_checker, verify/strong_lin) can exercise the service's routing,
+// aggregate, journal and hand-off algorithms on full execution trees. Where a
+// protocol step is not a paper construction, a twin calls the store's own
+// code: the routing functions (shard_router.h), the journal codec and append
+// and read protocols (rt::KeyedVersionDigest), the replay fold
+// (detail::SnapReplay), and the epoch stamp codec and settle loop
+// (rt::RoutingEpoch). Strong linearizability is local, so certifying each
+// facet on a shared tree certifies the configuration. The twins:
 //
-// Four facades, mirroring the native service's verification story:
-//
-//   * SimKeyedStore — the per-key service path through the store's own
-//     hashing and masking (hash_key + slot_of, service/shard_router.h, the
-//     functions C2Store routes by): keyed max-register and counter ops
-//     recorded under per-shard object names ("<name>.s<k>.max" /
-//     "<name>.s<k>.ctr"). Strong linearizability is local, so checking each
-//     shard facet on the shared execution tree certifies the whole keyed
-//     configuration; this is the configuration the checker PASSES
-//     (tests/service_sim_test.cpp).
-//
-//   * SimGlobalMax — the digest design behind C2Store::global_max(): WriteMax
-//     routes the value to a shard register AND a single digest register;
-//     GlobalMax reads only the digest (one FAA(0) step). Strongly linearizable
-//     — the write's linearization point is its own digest step.
-//
-//   * SimCounterSumDigest — the digest design behind C2Store::counter_sum()
-//     (runtime/counter_sum_digest.h): Inc lands in a per-shard Thm 9 counter
-//     AND fetch&adds one digest FAA register (shard first — the digest never
-//     leads the keyed read paths, same pinned cross-facet order as the max
-//     digest); Read is a single FAA(0) on the digest. Strongly linearizable —
-//     every Inc linearizes at its own digest FAA step, every Read at its
-//     FAA(0), fixed own-steps. This is the sum the double-collect scan CANNOT
-//     provide (refutation below), the §3.2 pack-into-one-FAA-word move in its
-//     degenerate sum form (addition is its own combiner, so the per-process
-//     components share the accumulator).
-//
-//   * SimShardedMaxRegister / SimShardedCounter — the aggregate-SCAN
-//     experiments. Reads collect per-shard values: with `double_collect` the
-//     read repeats until two consecutive collects of the monotone values
-//     coincide — linearizable (the stable pair pins a single logical instant)
-//     but NOT strongly linearizable: the linearization point depends on
-//     future schedule steps, so no prefix-closed assignment exists and the
-//     checker refutes it. With `double_collect = false` (naive one-pass scan)
-//     the read is not even linearizable. Both refutations are pinned tests —
-//     they are exactly why C2Store serves global_max from a digest word, the
-//     same reason the paper packs its snapshot into one fetch&add register.
-//   * SimLaneRegistry — the lane lifecycle behind C2Store::open_session()
-//     (service/lane_registry.h) rebuilt over the simulated constructions:
-//     the constructor fills an SLSet with every lane through a solo context;
-//     Acquire is one SLSet::Take, reporting -1 when the set stabilises empty;
-//     Release is SLSet::Put. The checker verifies acquire/release strongly
-//     linearizable against verify::LaneRegistrySpec
+//   * SimKeyedStore — keyed max-register and counter ops routed by hash_key +
+//     slot_of onto per-shard constructions (tests/service_sim_test.cpp).
+//   * SimShardedMaxRegister / SimShardedCounter — one aggregate twin per
+//     value type, read as AggRead says: the digest behind C2Store::
+//     global_max() / counter_sum() (verified), or the double-collect and
+//     one-pass scans the checker refutes.
+//   * SimTelemetryCounter — the lane-cell op counter, digest vs scan read
+//     (tests/telemetry_test.cpp).
+//   * SimKeyedSnapshot — the write journal behind C2Session::snapshot() and
+//     transfer(), or the refuted per-key loop (tests/snapshot_sim_test.cpp).
+//   * SimLaneRegistry — the Thm 10 lane set behind open_session()
 //     (tests/lane_registry_test.cpp).
-//
-//   * SimHandoffQueue — the sim twin of the FIFO handoff queue behind
-//     blocking open_session() (runtime/handoff_queue.h): waiters register by
-//     one Tail fetch&add (the enqueue's linearization point) and announce
-//     their id on their ticket's swap cell; a handoff commits to the oldest
-//     ticket by one Head fetch&add and collects the waiter id from the cell.
-//     Both sides linearize at their own FAA — fixed own-steps — so the
-//     checker verifies the enqueue/handoff facets strongly linearizable
-//     against verify::QueueSpec (tests/handoff_queue_test.cpp). The data
-//     direction is inverted relative to the native queue (there the DELIVERER
-//     deposits a lane and the waiter collects; here the WAITER deposits its
-//     id and the handoff collects) because the checkable response is "which
-//     waiter got served" — the commitment structure under test is identical.
-//     The `scan_delivery` variant replaces the Head fetch&add with
-//     Herlihy–Wing's publication-order scan (take the first ANNOUNCED
-//     waiter): its delivery target is decided by future cell writes, and the
-//     checker REFUTES it (pinned negative control, same schedule family and
-//     verdict as the baselines/herlihy_wing_queue positive control).
-//
-//   * SimSegmentedTasArray — the sim twin of the native publish-once
-//     protocol (rt::PublishOnce::get in runtime/publish_once.h, which
-//     publishes SegmentedArray segments and C2Store shard slots alike), as
-//     the segmented array uses it, at base-object step
-//     granularity: doubling segments (base 1 here, so the trees stay small:
-//     segment s covers [2^s − 1, 2^(s+1) − 1)), each published by the winner
-//     of a per-segment claim test&set through a register write, with cells
-//     INITIALISED BEFORE the publish. Uninitialised cells model real
-//     uninitialised memory: they read as garbage (an adversarial 1). The
-//     checker verifies each index facet of the publication-order variant
-//     strongly linearizable, and REFUTES the `publish_before_init` variant —
-//     a reader that passes the publication gate early observes garbage, and
-//     the winner's late cell-initialisation then erases observed state, so
-//     some histories are not even linearizable (tests/service_sim_test.cpp
-//     pins both verdicts). This is the mechanised justification for the
-//     init-then-publish order in rt::PublishOnce::get.
+//   * SimHandoffQueue — the FIFO hand-off behind blocking open_session(), or
+//     the refuted publication-order scan (tests/handoff_queue_test.cpp).
+//   * SimSegmentedTasArray — the publish-once protocol (rt::PublishOnce::get)
+//     at step granularity, or the refuted publish-before-init order.
+//   * SimRoutingEpoch — the online-resize hand-off, or the refuted
+//     serve-before-replay order.
 #pragma once
 
 #include <memory>
@@ -94,10 +39,14 @@
 #include "core/readable_tas.h"
 #include "core/sl_set.h"
 #include "primitives/faa.h"
+#include "runtime/keyed_version_digest.h"
 #include "service/shard_router.h"
 
 namespace c2sl::svc {
 
+/// The per-key service path: each op routes by the store's hash_key +
+/// slot_of and records on its shard's facet ("<name>.s<k>.max" /
+/// "<name>.s<k>.ctr"), the configuration the checker PASSES.
 class SimKeyedStore {
  public:
   SimKeyedStore(sim::World& world, std::string name, int n, int shards);
@@ -120,44 +69,36 @@ class SimKeyedStore {
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
 };
 
-class SimGlobalMax : public core::ConcurrentObject {
- public:
-  SimGlobalMax(sim::World& world, std::string name, int n, int shards);
-
-  void write_max(sim::Ctx& ctx, int64_t v);  ///< shard write, then digest write
-  int64_t read_max(sim::Ctx& ctx);           ///< digest read only
-  /// Direct read of one shard register ("ReadShard" under apply). Not part of
-  /// the service surface — exposed so tests/service_sim_test.cpp can pin the
-  /// cross-facet write order (shard first, digest second): the digest must
-  /// never run ahead of every shard register, and the shard register may
-  /// briefly run ahead of the digest.
-  int64_t read_shard_max(sim::Ctx& ctx, int s);
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::string name_;
-  int shards_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-  std::unique_ptr<core::MaxRegisterFAA> digest_;
+/// How an aggregate twin serves its global read.
+enum class AggRead {
+  /// Every write also lands on one digest word, AFTER its shard object; the
+  /// read is one digest read. Strongly linearizable: each write linearizes at
+  /// its own digest step, each read at its read — the design behind
+  /// C2Store::global_max() and counter_sum(), the paper's §3.2 pack-into-one-
+  /// FAA-word move.
+  kDigest,
+  /// Collect every shard until two consecutive collects coincide.
+  /// Linearizable, but NOT strongly linearizable: the stable pair is decided
+  /// by future steps, so no prefix-closed linearization exists (pinned
+  /// refutation).
+  kDoubleCollect,
+  /// One collect. Not even linearizable (pinned refutation).
+  kOnePass,
 };
 
-/// Sim twin of the counter-sum digest behind C2Store::counter_sum() (see
-/// header comment above). Incs route to per-shard Thm 9 counters by calling
-/// process id (like SimShardedCounter, so the two designs face identical
-/// schedules) and then take one digest FAA step; Read is one digest FAA(0).
-class SimCounterSumDigest : public core::ConcurrentObject {
+/// Aggregate twin over per-shard Thm 1 max registers ("<name>.shard<s>"),
+/// plus the digest register ("<name>.digest") that only kDigest writes and
+/// reads. WriteMax routes by v & (shards-1); ReadMax reads as `read` says;
+/// "ReadShard"(s) reads one shard register in every mode, so tests can pin
+/// the cross-facet write order (shard first, digest second: the digest may
+/// lag a shard register but never leads them all).
+class SimShardedMaxRegister : public core::ConcurrentObject {
  public:
-  SimCounterSumDigest(sim::World& world, std::string name, int shards);
+  SimShardedMaxRegister(sim::World& world, std::string name, int n, int shards,
+                        AggRead read);
 
-  void inc(sim::Ctx& ctx);      ///< shard counter win, then digest fetch&add
-  int64_t read(sim::Ctx& ctx);  ///< digest FAA(0) only
-  /// Direct read of one shard counter ("ReadShard" under apply). Not part of
-  /// the service surface — exposed so tests/service_sim_test.cpp can pin the
-  /// cross-facet write order (shard first, digest second): the digest must
-  /// never run ahead of the shard counters, and a shard counter may briefly
-  /// run ahead of the digest.
+  void write_max(sim::Ctx& ctx, int64_t v);
+  int64_t read_max(sim::Ctx& ctx);
   int64_t read_shard(sim::Ctx& ctx, int s);
 
   std::string object_name() const override { return name_; }
@@ -166,6 +107,33 @@ class SimCounterSumDigest : public core::ConcurrentObject {
  private:
   std::string name_;
   int shards_;
+  AggRead read_;
+  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
+  std::unique_ptr<core::MaxRegisterFAA> digest_;
+};
+
+/// Aggregate twin over per-shard Thm 9 counters ("<name>.M<s>" /
+/// "<name>.ctr<s>"), plus the fetch&add digest word ("<name>.digest") that
+/// only kDigest writes and reads — rt::CounterSumDigest, the sum form of
+/// §3.2 (addition is its own combiner, so every process shares one word).
+/// Inc routes by calling process id; Read reads as `read` says (the scans
+/// sum a collect); "ReadShard"(s) reads one shard counter in every mode.
+class SimShardedCounter : public core::ConcurrentObject {
+ public:
+  SimShardedCounter(sim::World& world, std::string name, int shards,
+                    AggRead read);
+
+  void inc(sim::Ctx& ctx);
+  int64_t read(sim::Ctx& ctx);
+  int64_t read_shard(sim::Ctx& ctx, int s);
+
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
+
+ private:
+  std::string name_;
+  int shards_;
+  AggRead read_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
   sim::Handle<prim::FetchAddInt> digest_;
@@ -204,15 +172,18 @@ class SimTelemetryCounter : public core::ConcurrentObject {
 
 /// Sim twin of the write journal behind C2Session::snapshot()
 /// (runtime/keyed_version_digest.h): keyed writes land on their per-shard
-/// paper construction FIRST and then append one immutable entry to a
-/// ticket-indexed journal — the tail fetch&add IS the write's linearization
-/// point on the snapshot facet. Snap reads the tail once (FAA(0) — its own
-/// fixed step) and deterministically replays entries below that ticket into
-/// per-shard accumulators, polling a not-yet-deposited entry exactly like the
-/// native replayer (entry CONTENT is fixed at ticket time, so the replay is a
-/// pure function of the tail read). Xfer appends ONE entry moving value
-/// between two shard balances — which is why every snapshot conserves the
-/// transferred sum: no cut can separate the debit from the credit.
+/// paper construction FIRST and then append one immutable entry through the
+/// store's own rt::KeyedVersionDigest::append_via — the tail fetch&add IS
+/// the write's linearization point on the snapshot facet, and the cells hold
+/// the native packed words. Snap reads the tail once (FAA(0) — its own fixed
+/// step) and replays the entries below it with the store's own
+/// detail::SnapReplay::fold, polling a not-yet-deposited cell like the
+/// native replayer's acquire-spin (entry CONTENT is fixed at ticket time, so
+/// the replay is a pure function of the tail read). Xfer appends ONE entry
+/// moving value between two shard balances — which is why every snapshot
+/// conserves the transferred sum: no cut can separate the debit from the
+/// credit. An amount outside [kInlineMin, kInlineMax] takes the native wide
+/// path: two tickets from one fetch&add, amount cell before header.
 ///
 /// With `naive_loop` Snap instead does the obvious thing — one pass of direct
 /// per-shard reads — and the checker REFUTES it (not even linearizable: a
@@ -239,8 +210,9 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
 
  private:
-  /// One tail fetch&add (the append's linearization point) + the entry write.
-  void journal_append(sim::Ctx& ctx, int kind, int a, int b, int64_t v);
+  /// rt::KeyedVersionDigest::append_via on the sim cells.
+  void journal_append(sim::Ctx& ctx, rt::KeyedVersionDigest::Kind kind, int a,
+                      int b, int64_t v);
 
   std::string name_;
   int shards_;
@@ -249,10 +221,13 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
   sim::Handle<prim::FetchAddInt> tail_;   ///< journal tickets; FAA(0) = snapshot
-  sim::Handle<prim::RegArray> entries_;   ///< ticket-indexed write-once entries
+  sim::Handle<prim::RegArray> entries_;   ///< ticket-indexed write-once cells
 };
 
-/// Sim twin of svc::LaneRegistry (see header comment above). Methods record
+/// Sim twin of svc::LaneRegistry: the constructor fills an SLSet with every
+/// lane through a solo context; Acquire is one SLSet::Take, reporting -1 when
+/// the set stabilises empty; Release is SLSet::Put. The checker verifies both
+/// strongly linearizable against verify::LaneRegistrySpec. Methods record
 /// themselves as high-level ops, SimKeyedStore-style: spawn fibers that call
 /// acquire/release directly.
 class SimLaneRegistry {
@@ -294,12 +269,17 @@ class SimLaneRegistry {
   std::unique_ptr<core::SLSet> free_;  ///< Thm 10 set of lanes not held
 };
 
-/// Sim twin of rt::HandoffQueue (see header comment above). Records "Enq"
-/// (waiter registration, arg = waiter id > 0) and "Deq" (handoff) on one
-/// queue facet object, checkable against verify::QueueSpec: FIFO in ticket
-/// order, both linearization points fixed own-step fetch&adds. With
-/// `scan_delivery` the handoff instead sweeps announced cells Herlihy–Wing
-/// style — the pinned-refuted publication-order variant.
+/// Sim twin of rt::HandoffQueue. Records "Enq" (waiter registration, arg =
+/// waiter id > 0: one Tail fetch&add, then the id announced on its ticket's
+/// swap cell) and "Deq" (handoff: one Head fetch&add commits to the oldest
+/// ticket, then collects the id) on one queue facet object, checkable
+/// against verify::QueueSpec: FIFO in ticket order, both linearization
+/// points fixed own-step fetch&adds. The data direction is inverted relative
+/// to the native queue (there the DELIVERER deposits a lane; here the WAITER
+/// deposits its id) because the checkable response is "which waiter got
+/// served" — the commitment structure is identical. With `scan_delivery`
+/// the handoff instead sweeps announced cells Herlihy–Wing style: its target
+/// is decided by future cell writes, and the checker REFUTES it.
 class SimHandoffQueue : public core::ConcurrentObject {
  public:
   SimHandoffQueue(sim::World& world, std::string name, bool scan_delivery = false);
@@ -322,11 +302,16 @@ class SimHandoffQueue : public core::ConcurrentObject {
   sim::Handle<prim::SwapRegArray> cells_; ///< single-use rendezvous slots
 };
 
-/// Sim twin of rt::SegmentedArray<NativeReadableTAS> (see header comment).
-/// Methods record themselves as high-level ops on PER-INDEX facet objects
-/// (`cell_object(idx)`), so the checker can certify each cell as a readable
-/// test&set via verify::TasSpec — strong linearizability is local, so
-/// per-facet verdicts on the shared tree certify the whole array.
+/// Sim twin of rt::SegmentedArray<NativeReadableTAS> and the publish-once
+/// protocol behind it (rt::PublishOnce::get, which publishes segments and
+/// shard slots alike): doubling segments (base 1 here, so segment s covers
+/// [2^s − 1, 2^(s+1) − 1)), each published by the winner of a per-segment
+/// claim test&set through a register write, with cells INITIALISED BEFORE
+/// the publish. Uninitialised cells read as garbage (an adversarial 1). The
+/// `publish_before_init` variant swaps the two phases: a reader that passes
+/// the gate early observes garbage, and the checker REFUTES it. Methods
+/// record on PER-INDEX facet objects (`cell_object(idx)`), so the checker
+/// certifies each cell as a readable test&set via verify::TasSpec.
 class SimSegmentedTasArray {
  public:
   SimSegmentedTasArray(sim::World& world, std::string name,
@@ -359,19 +344,18 @@ class SimSegmentedTasArray {
   sim::Handle<prim::SwapRegArray> cells_;
 };
 
-/// Sim twin of the PR 9 routing-epoch hand-off (runtime/routing_epoch.h +
-/// the epoch-stamped refs in service/c2store.h), at base-object step
-/// granularity. One stamp register drives the whole protocol, exactly like
-/// the native spine (2e = epoch e published, 2e+1 = epoch e+1 installing);
-/// claims are per-epoch one-shot test&sets, counts live in a register spine,
-/// and per-slot state is a Thm 1 max register per slot. Routing is the
-/// identity mask (slot = key & (count-1)), which preserves the nesting
-/// property the migration relies on while keeping the trees small.
+/// Sim twin of the routing-epoch hand-off (runtime/routing_epoch.h + the
+/// epoch-stamped refs in service/c2store.h), at base-object step
+/// granularity. One stamp register drives the whole protocol, read and
+/// written through rt::RoutingEpoch's stamp codec; claims are per-epoch
+/// one-shot test&sets, counts live in a register spine, and per-slot state is
+/// a Thm 1 max register per slot. Routing is the identity mask (slot = key &
+/// (count-1)), which preserves the nesting property the migration relies on
+/// while keeping the trees small.
 ///
 ///   * WriteMax(key, v): route under the PUBLISHED epoch of one stamp read,
-///     slot write_max, then the writer-side Dekker settle loop — re-read the
-///     stamp and re-apply under any newer mask until it is stable (the native
-///     detail::ShardRef::settle verbatim).
+///     slot write_max, then rt::RoutingEpoch::settle — the loop
+///     detail::ShardRef::settle runs.
 ///   * ReadMax(key): route under the published epoch of one stamp read, read
 ///     the slot register. (Reads never settle — the linearize-early argument
 ///     in the c2store.h header.)
@@ -404,10 +388,11 @@ class SimRoutingEpoch {
 
  private:
   int64_t stamp_read(sim::Ctx& ctx);
+  int shards_of(sim::Ctx& ctx, int64_t epoch);
   /// Identity-mask routing (slot = key & (count-1)) preserves the nesting
   /// property — a key either keeps its slot or moves to an index >= the old
   /// count — with no hashing noise in the trees.
-  int shards_of(sim::Ctx& ctx, int64_t epoch);
+  int slot_of(sim::Ctx& ctx, uint64_t key, int64_t epoch);
 
   std::string name_;
   int initial_shards_;
@@ -417,47 +402,6 @@ class SimRoutingEpoch {
   sim::Handle<prim::RegArray> counts_;  ///< epoch -> shard count (install)
   sim::Handle<prim::RegArray> stamp_;   ///< cell 0: the stamp word (⊥ = 0)
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;  ///< per-slot Thm 1
-};
-
-class SimShardedMaxRegister : public core::ConcurrentObject {
- public:
-  SimShardedMaxRegister(sim::World& world, std::string name, int n, int shards,
-                        bool double_collect = true);
-
-  void write_max(sim::Ctx& ctx, int64_t v);  ///< routes by v & (shards-1)
-  int64_t read_max(sim::Ctx& ctx);           ///< aggregate scan
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::vector<int64_t> collect(sim::Ctx& ctx);
-
-  std::string name_;
-  int shards_;
-  bool double_collect_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-};
-
-class SimShardedCounter : public core::ConcurrentObject {
- public:
-  SimShardedCounter(sim::World& world, std::string name, int shards,
-                    bool double_collect = true);
-
-  void inc(sim::Ctx& ctx);    ///< routes by calling process id
-  int64_t read(sim::Ctx& ctx);  ///< aggregate scan (sum)
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::vector<int64_t> collect(sim::Ctx& ctx);
-
-  std::string name_;
-  int shards_;
-  bool double_collect_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
 };
 
 }  // namespace c2sl::svc

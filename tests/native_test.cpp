@@ -439,6 +439,17 @@ TEST(KeyedVersionDigest, OutOfRangeEntriesThrowWithoutATicket) {
   EXPECT_EQ(j.tickets_issued(), 0);
 }
 
+// A reader off an entry boundary — here at a wide transfer's amount cell,
+// whose low bits hold no deposited tag — fails closed instead of folding the
+// amount as a header. (A *DeathTest suite runs before any test starts a
+// thread, so the fork is safe.)
+TEST(KeyedVersionDigestDeathTest, ReadingInsideAWideTransferAborts) {
+  Journal j;
+  int64_t t = j.append(JKind::kTransfer, 0, 1, 5000);
+  EXPECT_EQ(j.entry(t).v, 5000);
+  EXPECT_DEATH(j.entry(t + 1), "not an entry header");
+}
+
 // Three appenders mix inline and wide transfers while one replayer follows
 // the tail: at every tail it reads, the balances it replayed sum to zero (no
 // tail splits a wide entry, and every entry decodes as a transfer between

@@ -8,7 +8,9 @@
 //  2. The digest designs behind C2Store::global_max() AND counter_sum()
 //     (writes also land on one digest register; the global read is a
 //     single-word read) ARE strongly linearizable — the sum digest is checked
-//     on the very schedule family that refutes the scan-based sum.
+//     on the very schedule family that refutes the scan-based sum. One
+//     aggregate twin per value type (SimShardedMaxRegister,
+//     SimShardedCounter) serves (2)–(4); svc::AggRead picks its read.
 //  3. The double-collect aggregate SCAN is linearizable (sweeps pass, and the
 //     concrete schedule that kills the naive scan produces a linearizable
 //     history) but NOT strongly linearizable: its linearization point — the
@@ -48,6 +50,18 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   sim::ExecTree tree = sim::explore(n, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   return check_tree(tree, spec, object);
+}
+
+/// The aggregate twins: per-shard objects plus a digest, read as `read` says.
+testing::ObjectFactory max_twin(std::string name, int shards, svc::AggRead read) {
+  return [=](sim::World& w, int n) {
+    return std::make_shared<svc::SimShardedMaxRegister>(w, name, n, shards, read);
+  };
+}
+testing::ObjectFactory counter_twin(std::string name, svc::AggRead read) {
+  return [=](sim::World& w, int) {
+    return std::make_shared<svc::SimShardedCounter>(w, name, /*shards=*/2, read);
+  };
 }
 
 /// Two keys guaranteed to live on different shards of a 2-shard store.
@@ -114,12 +128,10 @@ TEST(C2StoreSim, KeyedStorePerShardCounterStronglyLinearizable) {
   }
 }
 
-// --- 2. the digest global max ----------------------------------------------
+// --- 2. the max twin, AggRead::kDigest (global_max) --------------------------
 
 TEST(C2StoreSim, GlobalMaxDigestStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimGlobalMax>(w, "gmax", n, /*shards=*/2);
-  };
+  auto factory = max_twin("gmax", /*shards=*/2, svc::AggRead::kDigest);
   // The schedule family that kills the scans: one process writes 2 then 1
   // (routed to different shards) while another reads the global value.
   auto scenario = testing::fixed_scenario(
@@ -132,9 +144,7 @@ TEST(C2StoreSim, GlobalMaxDigestStronglyLinearizable) {
 }
 
 TEST(C2StoreSim, GlobalMaxDigestConcurrentWritersStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimGlobalMax>(w, "gmax", n, /*shards=*/2);
-  };
+  auto factory = max_twin("gmax", /*shards=*/2, svc::AggRead::kDigest);
   auto scenario = testing::fixed_scenario(factory, {{{"WriteMax", num(2), 0}},
                                                     {{"WriteMax", num(1), 1}},
                                                     {{"ReadMax", unit(), 2}}});
@@ -144,7 +154,7 @@ TEST(C2StoreSim, GlobalMaxDigestConcurrentWritersStronglyLinearizable) {
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }
 
-// --- 2b. the cross-facet digest write order, pinned --------------------------
+// --- 2b. the max twin's cross-facet write order, pinned ----------------------
 //
 // MaxRef::write updates the SHARD register first and the digest second. Each
 // facet is individually strongly linearizable (above), but the order between
@@ -175,9 +185,7 @@ std::vector<std::pair<int64_t, int64_t>> observer_read_pairs(const sim::ExecTree
 }
 
 TEST(C2StoreSim, DigestNeverLeadsTheShardRegisters) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimGlobalMax>(w, "gmax", n, /*shards=*/2);
-  };
+  auto factory = max_twin("gmax", /*shards=*/2, svc::AggRead::kDigest);
   // Writer lands 2 (routed to shard 0); observer reads digest THEN the shard.
   // Shard registers are monotone, so if the digest ever led, some execution
   // would show digest=2 while the (later!) shard read still returns 0.
@@ -199,9 +207,7 @@ TEST(C2StoreSim, DigestNeverLeadsTheShardRegisters) {
 }
 
 TEST(C2StoreSim, ShardRegisterMayLeadTheDigest) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimGlobalMax>(w, "gmax", n, /*shards=*/2);
-  };
+  auto factory = max_twin("gmax", /*shards=*/2, svc::AggRead::kDigest);
   // Observer reads the shard THEN the digest: some execution must catch the
   // writer between its two updates (shard=2, digest still 0). If this witness
   // disappears, the write order changed — the documented lag is load-bearing
@@ -223,7 +229,7 @@ TEST(C2StoreSim, ShardRegisterMayLeadTheDigest) {
       << "no execution shows the documented shard-ahead-of-digest lag window";
 }
 
-// --- 2c. the counter-sum digest ---------------------------------------------
+// --- 2c. the counter twin, AggRead::kDigest (counter_sum) --------------------
 //
 // counter_sum() used to be the last aggregate served by a double-collect scan
 // (linearizable only — refutation pinned in section 3). It now reads a
@@ -235,9 +241,7 @@ TEST(C2StoreSim, ShardRegisterMayLeadTheDigest) {
 // write order the same way as the max digest's (2b).
 
 TEST(C2StoreSim, CounterSumDigestStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimCounterSumDigest>(w, "gsum", /*shards=*/2);
-  };
+  auto factory = counter_twin("gsum", svc::AggRead::kDigest);
   // The schedule family that kills the scan-based sum: two concurrent
   // incrementers (routed to different shards by process id) and a reader.
   auto scenario = testing::fixed_scenario(
@@ -250,9 +254,7 @@ TEST(C2StoreSim, CounterSumDigestStronglyLinearizable) {
 }
 
 TEST(C2StoreSim, CounterSumDigestIncReadRaceStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimCounterSumDigest>(w, "gsum", /*shards=*/2);
-  };
+  auto factory = counter_twin("gsum", svc::AggRead::kDigest);
   // A reader interleaved with back-to-back incs on one shard: the reads must
   // keep fixed own-step (FAA(0)) linearization points through the window
   // where the writer sits between its shard win and its digest step.
@@ -266,9 +268,7 @@ TEST(C2StoreSim, CounterSumDigestIncReadRaceStronglyLinearizable) {
 }
 
 TEST(C2StoreSim, SumDigestNeverLeadsTheShardCounters) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimCounterSumDigest>(w, "gsum", /*shards=*/2);
-  };
+  auto factory = counter_twin("gsum", svc::AggRead::kDigest);
   // Incrementer (proc 0 routes to shard 0); observer reads the digest THEN
   // the shard counter. Shard counters are monotone, so if the digest ever
   // led, some execution would show digest=1 while the (later!) shard read
@@ -291,9 +291,7 @@ TEST(C2StoreSim, SumDigestNeverLeadsTheShardCounters) {
 }
 
 TEST(C2StoreSim, ShardCounterMayLeadTheSumDigest) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimCounterSumDigest>(w, "gsum", /*shards=*/2);
-  };
+  auto factory = counter_twin("gsum", svc::AggRead::kDigest);
   // Observer reads the shard THEN the digest: some execution must catch the
   // incrementer between its shard win and its digest step (shard=1, digest
   // still 0). If this witness disappears, the write order changed.
@@ -314,12 +312,10 @@ TEST(C2StoreSim, ShardCounterMayLeadTheSumDigest) {
       << "no execution shows the documented shard-ahead-of-digest lag window";
 }
 
-// --- 3. double-collect scans: linearizable, NOT strongly linearizable -------
+// --- 3. both twins, AggRead::kDoubleCollect: linearizable only ---------------
 
 TEST(C2StoreSim, DoubleCollectScanLinSweep) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/4);
-  };
+  auto factory = max_twin("smax", /*shards=*/4, svc::AggRead::kDoubleCollect);
   auto gen = [](int, int, Rng& rng) {
     if (rng.next_bool(0.5)) return Invocation{"WriteMax", num(rng.next_in(0, 6)), 0};
     return Invocation{"ReadMax", unit(), 0};
@@ -332,9 +328,7 @@ TEST(C2StoreSim, DoubleCollectScanLinSweep) {
 }
 
 TEST(C2StoreSim, DoubleCollectCounterLinSweep) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimShardedCounter>(w, "sctr", /*shards=*/2);
-  };
+  auto factory = counter_twin("sctr", svc::AggRead::kDoubleCollect);
   auto gen = [](int, int, Rng& rng) {
     if (rng.next_bool(0.6)) return Invocation{"Inc", unit(), 0};
     return Invocation{"Read", unit(), 0};
@@ -352,9 +346,7 @@ TEST(C2StoreSim, DoubleCollectCounterLinSweep) {
 // another forces a rescan to the new one; no single early linearization choice
 // survives both. If this starts passing, the checker (or the bridge) broke.
 TEST(C2StoreSim, DoubleCollectScanNotStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/2);
-  };
+  auto factory = max_twin("smax", /*shards=*/2, svc::AggRead::kDoubleCollect);
   auto scenario = testing::fixed_scenario(
       factory, {{{"ReadMax", unit(), 0}},
                 {{"WriteMax", num(2), 1}, {"WriteMax", num(1), 1}}});
@@ -371,9 +363,7 @@ TEST(C2StoreSim, DoubleCollectScanNotStronglyLinearizable) {
 // refuting — if this starts passing, the checker or the bridge broke, and the
 // digest's reason to exist would be silently erased.
 TEST(C2StoreSim, DoubleCollectCounterNotStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimShardedCounter>(w, "sctr", /*shards=*/2);
-  };
+  auto factory = counter_twin("sctr", svc::AggRead::kDoubleCollect);
   auto scenario = testing::fixed_scenario(
       factory,
       {{{"Inc", unit(), 0}}, {{"Inc", unit(), 1}}, {{"Read", unit(), 2}}});
@@ -506,13 +496,10 @@ TEST(C2StoreSim, SegmentPublishBeforeInitRefuted) {
          "before the pointer store";
 }
 
-// --- 4. the naive one-pass scan is not even linearizable --------------------
+// --- 4. the max twin, AggRead::kOnePass: not even linearizable ---------------
 
 TEST(C2StoreSim, NaiveOnePassScanNotEvenStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/2,
-                                                        /*double_collect=*/false);
-  };
+  auto factory = max_twin("smax", /*shards=*/2, svc::AggRead::kOnePass);
   auto scenario = testing::fixed_scenario(
       factory, {{{"ReadMax", unit(), 0}},
                 {{"WriteMax", num(2), 1}, {"WriteMax", num(1), 1}}});
@@ -567,12 +554,13 @@ TEST(C2StoreSim, NaiveScanWitnessHistoryIsNotLinearizable) {
   EXPECT_TRUE(good.linearizable) << good.explanation;
 }
 
-// --- 5. the PR 9 routing-epoch hand-off -------------------------------------
+// --- 5. the routing-epoch hand-off -------------------------------------------
 //
 // SimRoutingEpoch replays the online-resize protocol (runtime/routing_epoch.h
 // + the epoch-stamped refs in service/c2store.h) at base-object step
 // granularity: one stamp register, per-epoch one-shot claims, migration by
-// monotone write_max replay, and the writer-side Dekker settle loop. Key 1
+// monotone write_max replay, and the writers' own Dekker settle loop
+// (rt::RoutingEpoch::settle, which ShardRef::settle also runs). Key 1
 // under the identity mask MOVES on a 1 -> 2 resize (slot 0 -> slot 1), so
 // these schedules force the full hand-off: primary write to the old slot,
 // migration replay, dual-write window, fresh readers on the new slot.

@@ -10,7 +10,8 @@
 //     also kills per-key-version double-collects; docs/PROOFS.md works it).
 //  2. Transfers are ONE journal entry, so every snapshot conserves the
 //     transferred sum — checker-verified against the atomic Xfer spec
-//     transition AND asserted directly over every explored execution.
+//     transition AND asserted directly over every explored execution, for
+//     inline amounts and for a wide one (two cells, one ticket fetch&add).
 //  3. The naive per-key read loop is PINNED REFUTED on the same schedule
 //     family — not even linearizable (the torn (0,1) vector has no
 //     linearization point), with the witness history also checked directly
@@ -58,6 +59,11 @@ testing::ObjectFactory snap_factory(int shards, bool naive_loop = false) {
                                                    naive_loop);
   };
 }
+
+/// A transfer amount outside the journal cell's inline range: it takes the
+/// native wide path (two tickets from one fetch&add, amount cell first).
+constexpr int64_t kWide = 5000;
+static_assert(kWide > rt::KeyedVersionDigest::kInlineMax);
 
 /// Packed args in the KeyedSnapshotSpec encoding.
 int64_t max_arg(int shard, int64_t v) { return shard | (v << 3); }
@@ -122,9 +128,11 @@ TEST(SnapshotSim, JournalSnapshotMaxFacetStronglyLinearizable) {
 
 TEST(SnapshotSim, TransferConservationStronglyLinearizable) {
   // Xfer is ONE spec transition (debit and credit inseparable); an
-  // implementation that could tear the two sides would fail this check.
+  // implementation that could tear the two sides would fail this check. The
+  // second, wide transfer races the snapshot through its two-cell deposit.
   auto scenario = testing::fixed_scenario(
-      snap_factory(2), {{{"Xfer", num(xfer_arg(0, 1, 1)), 0}},
+      snap_factory(2), {{{"Xfer", num(xfer_arg(0, 1, 1)), 0},
+                         {"Xfer", num(xfer_arg(0, 1, kWide)), 0}},
                         {{"Snap", unit(), 1}}});
   verify::KeyedSnapshotSpec spec(2);
   auto res = check(scenario, 2, spec, "ksnap");
@@ -135,11 +143,16 @@ TEST(SnapshotSim, TransferConservationStronglyLinearizable) {
 TEST(SnapshotSim, EverySnapshotConservesTheTransferredSum) {
   // Direct sweep over the full execution tree: in EVERY completed execution,
   // EVERY snapshot's counter entries sum to zero — a transfer is either
-  // entirely inside the replayed prefix or entirely outside it.
+  // entirely inside the replayed prefix or entirely outside it. The
+  // snapshotter's own wide transfer precedes its snapshot, so every replay
+  // steps over its two cells among the racing narrow entries. (A wide
+  // transfer racing the snapshot is the tree above; racing here too
+  // outgrows the node budget.)
   auto scenario = testing::fixed_scenario(
       snap_factory(2), {{{"Xfer", num(xfer_arg(0, 1, 2)), 0}},
                         {{"Xfer", num(xfer_arg(1, 0, 1)), 1}},
-                        {{"Snap", unit(), 2}}});
+                        {{"Xfer", num(xfer_arg(0, 1, kWide)), 2},
+                         {"Snap", unit(), 2}}});
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;

@@ -3,8 +3,8 @@
 
     tools/check_docs_links.py [--root REPO_ROOT]
 
-Two classes of references are checked in every markdown file under docs/ plus
-README.md:
+Three classes of references are checked in every markdown file under docs/
+plus README.md:
 
   * relative markdown links: [text](path) and [text](path#anchor) — the path,
     resolved against the containing file's directory, must exist (http(s):,
@@ -12,12 +12,18 @@ README.md:
   * backticked repo paths: `src/...`, `tests/...`, `bench/...`, `tools/...`,
     `examples/...`, `docs/...`, `.github/...` — the named file or directory
     must exist (a trailing ":<line>" or "#anchor" is stripped; a `.{h,cpp}`
-    brace-pair like `service/lane_registry.{h,cpp}` expands to both files).
+    brace-pair like `service/lane_registry.{h,cpp}` expands to both files);
+  * backticked code identifiers: a CamelCase name, optionally `ns::`-qualified
+    and optionally ending in `::member` or `()` (`SimKeyedSnapshot`,
+    `rt::PublishOnce::get`, `C2Store::global_max()`) — the CamelCase name
+    must occur as a word in some file under src/, tests/, examples/, bench/
+    or tools/.
 
-Prose that names a code path which has since moved is exactly how docs rot;
-this runs in CI so a rename that orphans documentation fails the build
-instead of silently shipping stale docs. No dependencies beyond the standard
-library; exit 0 = clean, 1 = stale references (each printed), 2 = bad usage.
+Prose that names a code path or class which has since moved or been renamed
+is exactly how docs rot; this runs in CI so a rename that orphans
+documentation fails the build instead of silently shipping stale docs. No
+dependencies beyond the standard library; exit 0 = clean, 1 = stale
+references (each printed), 2 = bad usage.
 """
 
 import argparse
@@ -29,6 +35,13 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BACKTICK = re.compile(r"`([^`\n]+)`")
 REPO_PATH = re.compile(
     r"^(?:src|tests|bench|tools|examples|docs|\.github)/[A-Za-z0-9_./{},-]+$")
+# `Name`, `ns::Name`, `Name::member`, `ns::Name::member()`: group 1 is the
+# CamelCase name (upper-case first letter, at least one lower-case letter).
+CODE_IDENT = re.compile(
+    r"^(?:[a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*)"
+    r"(?:::~?[A-Za-z_][A-Za-z0-9_]*)?(?:\(\))?$")
+CODE_DIRS = ("src", "tests", "examples", "bench", "tools")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def expand_braces(token):
@@ -39,7 +52,22 @@ def expand_braces(token):
     return [m.group(1) + alt + m.group(3) for alt in m.group(2).split(",")]
 
 
-def check_file(md_path, root):
+def code_words(root):
+    """Every identifier-like word in the files under CODE_DIRS."""
+    words = set()
+    for d in CODE_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                try:
+                    with open(path, encoding="utf-8", errors="ignore") as f:
+                        words.update(WORD.findall(f.read()))
+                except OSError:
+                    continue
+    return words
+
+
+def check_file(md_path, root, words):
     problems = []
     text = open(md_path, encoding="utf-8").read()
     base = os.path.dirname(md_path)
@@ -55,7 +83,13 @@ def check_file(md_path, root):
             problems.append(f"{md_path}: broken link -> {target}")
 
     for token in BACKTICK.findall(text):
-        token = token.strip().split("#", 1)[0]
+        token = token.strip()
+        ident = CODE_IDENT.match(token)
+        if ident:
+            if ident.group(1) not in words:
+                problems.append(f"{md_path}: stale identifier `{token}`")
+            continue
+        token = token.split("#", 1)[0]
         token = re.sub(r":\d+$", "", token)  # `src/foo.h:42` -> `src/foo.h`
         if not REPO_PATH.match(token):
             continue
@@ -84,9 +118,10 @@ def main():
               file=sys.stderr)
         return 2
 
+    words = code_words(args.root)
     problems = []
     for md in targets:
-        problems.extend(check_file(md, args.root))
+        problems.extend(check_file(md, args.root, words))
 
     for p in problems:
         print(p)
