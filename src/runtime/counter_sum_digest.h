@@ -2,40 +2,37 @@
 // from fetch&add only (no CAS), the counter analogue of the global-max digest
 // word in service/c2store.h.
 //
-// The paper's §3.2 snapshot packs bounded per-process components into ONE
-// fetch&add register so a scan is a single FAA(0) read — the whole point is
-// that a multi-word collect cannot be strongly linearizable (the service's
-// double-collect refutations, pinned in tests/service_sim_test.cpp, are the
-// mechanised record). For a SUM the packing degenerates beautifully: addition
-// is both the per-component update AND the cross-component combiner, so the
-// per-lane components share one accumulator word outright — every
-// counter_add contributes fetch_add(1) to the same 64-bit word, and the sum
-// read is one fetch_add(0). Each operation is a single hardware atomic on the
-// word, i.e. a fixed own-step linearization point, hence prefix-closed:
-// strongly linearizable by construction. 63 bits of total bound the digest
-// (~9.2e18 adds — not a reachable program state), so unlike the max digest
-// there is no per-lane width budget to configure. Who produced the traffic is
-// telemetry's business: each lane's counter_inc count is its op_counts cell
-// (telemetry/telemetry.h).
+// The paper's §3.2 snapshot packs per-process components into ONE fetch&add
+// register so a scan is a single FAA(0) read (a multi-word collect cannot be
+// strongly linearizable: tests/service_sim_test.cpp pins the refutations).
+// For a SUM the packing degenerates: addition is both the per-component
+// update and the combiner, so every lane shares one word — each add is
+// fetch_add(1), the read one fetch_add(0), each a fixed own-step
+// linearization point. 63 bits bound the total (~9.2e18 adds), so there is no
+// per-lane width budget. Per-lane counts are telemetry's (its counter_inc
+// cells).
 //
-// Cross-facet order, one level up: C2Store's CounterRef::inc writes the SHARD
-// counter first and this digest second — the digest never runs ahead of the
-// keyed read paths, mirroring (and pinned by the same sim tests as) the
-// global-max digest contract. docs/PROOFS.md §"The counter-sum digest" gives
-// the full argument.
+// Cross-facet order: CounterRef::inc writes the SHARD counter first and this
+// digest second, so the digest never runs ahead of the keyed reads (pinned by
+// the sim tests; docs/PROOFS.md, "The counter-sum digest").
+//
+// Written over a memory policy (runtime/native_mem.h): CounterSumDigest is the
+// NativeMem instantiation, and the checker's aggregate twin
+// (svc::SimShardedCounter) holds the SimMem one as its digest.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
+#include "runtime/native_mem.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-class CounterSumDigest {
+template <typename Mem>
+class BasicCounterSumDigest {
  public:
-  CounterSumDigest() = default;
+  BasicCounterSumDigest() = default;
 
   /// One contribution; the fetch_add is the operation's linearization point
   /// (a fixed own-step). `lane` is checked but not stored: the total word is
@@ -58,7 +55,9 @@ class CounterSumDigest {
  private:
   /// On its own cache line: every counter inc FAAs it, so a neighbour (the
   /// store's max digest word, say) would share its ping-pong.
-  alignas(64) std::atomic<int64_t> total_{0};
+  alignas(64) typename Mem::template Word<int64_t> total_{0};
 };
+
+using CounterSumDigest = BasicCounterSumDigest<NativeMem>;
 
 }  // namespace c2sl::rt

@@ -2,19 +2,12 @@
 // strongly-linearizable multi-key read surface built from fetch&add and plain
 // registers only (no CAS, no capacity knobs), on the SegmentedArray spine.
 //
-// Why a journal and not a per-key-version double-collect. The obvious
-// construction — bump a per-key FAA version word on every write, double-collect
-// the keyed values until the version vector stabilises — is linearizable but
-// NOT strongly linearizable, by the same future-dependence that kills every
-// validation-window scheme (the pinned double-collect refutations in
-// tests/service_sim_test.cpp): whether a collect "was consistent" is decided
-// by version reads the scanner performs LATER, so the scan's linearization
-// point is not prefix-closed. Worse, overlapping scans can be forced into a
-// prefix-closure contradiction by one in-flight writer whose value step landed
-// but whose version bump is deferred past both validations (docs/PROOFS.md
-// works the two-scanner anomaly in full). The paper's way out (§3.1/§3.2) is
-// to make every operation linearize at ONE step of its own on ONE word — so
-// the multi-key state is packed behind a single fetch&add TAIL:
+// Why a journal: a per-key-version double collect is linearizable but NOT
+// strongly linearizable — whether a collect "was consistent" is decided by
+// reads the scanner performs later (docs/PROOFS.md, "Multi-key snapshots",
+// works the two-scanner anomaly). The paper's way out (§3.1/§3.2) is to make
+// every operation linearize at ONE step of its own on ONE word, so the
+// multi-key state is packed behind a single fetch&add TAIL:
 //
 //   * every keyed write appends one immutable entry to a ticket-indexed
 //     journal — the ticket fetch&add on the tail word IS the write's
@@ -24,15 +17,12 @@
 //     accumulators. Two snapshots that read the same tail return identical
 //     vectors; prefix closure holds because every op's point is its own step.
 //
-// The tail word doubles as the class's "version digest": it advances by one
-// per keyed write (two for a wide transfer, below), so it bounds the replay
-// the way the per-key version words were meant to bound the double-collect —
-// except here the bound is exact and the collect is a deterministic function
-// of it.
+// The tail word is the class's "version digest": it advances by one per keyed
+// write (two for a wide transfer, below) and bounds the replay exactly.
 //
-// Entry layout: one std::atomic<uint64_t> cell per entry. Bits 0-2 hold the
-// kind tag (0 = not deposited), the next 24 bits bucket a, and
-// the remaining 37 bits depend on the kind:
+// Entry layout: one 64-bit cell per entry. Bits 0-2 hold the kind tag (0 =
+// not deposited), the next 24 bits bucket a, and the remaining 37 bits depend
+// on the kind:
 //
 //   inc          nothing (the value is always 1; append CHECKs it)
 //   max, resize  the unsigned value (< 2^37)
@@ -45,11 +35,11 @@
 // a replay cursor never lands inside a wide entry; replayers advance by
 // EntryView::cells.
 //
-// One codec for the store and its checker: encode/decode and the two
-// protocols over them (append_via, entry_via) are static, parameterised by
-// the cell store. The simulated twin (svc::SimKeyedSnapshot) runs them on
-// checker-visible cells and folds with the store's own detail::SnapReplay, so
-// the explored trees hold the native packed words, narrow and wide alike.
+// One journal for the store and its checker: the class is written over a
+// memory policy (runtime/native_mem.h). KeyedVersionDigest is the NativeMem
+// instantiation; the sim twin (svc::SimKeyedSnapshot) runs the SimMem one and
+// folds with the store's detail::SnapReplay. The codec (JournalCodec) does not
+// depend on the policy, so both share one Kind and one EntryView.
 //
 // Deposit protocol (the HandoffQueue rendezvous idiom): the ticket owner
 // fixes the entry's content at its ticket fetch&add and publishes it with one
@@ -60,25 +50,24 @@
 // snapshots are lock-free but not wait-free (a stalled depositor stalls
 // replayers; the entry CONTENT is nevertheless fixed at ticket time, which is
 // what keeps the replay deterministic). Entries are write-once and 8 bytes;
-// adjacent tickets share cache lines, but each deposit is one store, not an
-// RMW, so the contended word is the tail, not the cells.
+// each deposit is one store, not an RMW, so the contended word is the tail.
 //
 // Growth: the journal is unbounded (one cell per keyed write, two per wide
-// transfer, on the lazily grown SegmentedArray — no capacity knobs).
-// Truncation/compaction below the slowest session cursor is the ROADMAP
-// follow-up; sessions keep replay cursors precisely so that becomes a local
-// change.
+// transfer). Truncation below the slowest session cursor is the ROADMAP
+// follow-up; sessions keep replay cursors so that becomes a local change.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
+#include "runtime/native_mem.h"
 #include "runtime/segmented_array.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-class KeyedVersionDigest {
+/// The journal's entry codec: the packed cell layout (header comment) and
+/// the range checks every keyed write passes.
+class JournalCodec {
   // Cell layout, low bits first: tag, bucket a, then 37 bits that hold a
   // value, or bucket b and a 13-bit amount (see the header comment).
   static constexpr int kTagBits = 3;
@@ -102,9 +91,6 @@ class KeyedVersionDigest {
                       ///< marker — it exists for audit tools and tests.
   };
 
-  /// One journal cell: an entry's packed word, or a wide transfer's amount.
-  using Cell = std::atomic<uint64_t>;
-
   /// Bucket indices must be below this (C2Store::validate caps
   /// initial_shards here, so no keyed write can fail in append).
   static constexpr int kMaxBuckets = 1 << kBucketBits;
@@ -121,8 +107,6 @@ class KeyedVersionDigest {
     int64_t v;
     int cells;  ///< tickets the entry occupies: 2 for a wide transfer, else 1
   };
-
-  KeyedVersionDigest() = default;
 
   /// An entry as append deposits it: the header word, and the tickets it
   /// occupies (2 for a wide transfer, whose amount takes the second cell).
@@ -186,45 +170,40 @@ class KeyedVersionDigest {
     }
   }
 
-  /// The append protocol over any cell store: encode, draw every ticket the
-  /// entry needs with ONE `draw(cells)` (the fetch&add that linearizes the
-  /// write), then `deposit(ticket, word)` a wide transfer's amount cell
-  /// BEFORE its header, so a replayer that sees the header finds the amount.
-  /// Returns the entry's first ticket. append() runs it on the native cells;
-  /// the simulated twin (svc::SimKeyedSnapshot) on checker-visible ones.
-  template <typename Draw, typename Deposit>
-  static int64_t append_via(Kind kind, int shard_a, int shard_b, int64_t v,
-                            const Draw& draw, const Deposit& deposit) {
+ private:
+  static constexpr uint64_t kTagMask = (uint64_t{1} << kTagBits) - 1;
+  static constexpr uint64_t kBucketMask = (uint64_t{1} << kBucketBits) - 1;
+  /// Header tag of a wide transfer (outside the public Kind values).
+  static constexpr uint64_t kWideTransferTag = 5;
+
+  static int bucket_b(uint64_t m) {
+    return static_cast<int>((m >> kHeadBits) & kBucketMask);
+  }
+};
+
+/// The journal itself over memory policy `Mem` (header comment).
+template <typename Mem>
+class BasicKeyedVersionDigest : public JournalCodec {
+ public:
+  /// One journal cell: an entry's packed word, or a wide transfer's amount.
+  using Cell = typename Mem::template Word<uint64_t>;
+
+  BasicKeyedVersionDigest() = default;
+
+  /// Appends one entry; returns its (first) ticket. Every ticket the entry
+  /// needs comes from ONE tail fetch&add, the operation's linearization point
+  /// on the snapshot facet — the entry's content is fixed there (the deposits
+  /// merely publish it). A wide transfer's amount cell is deposited BEFORE
+  /// its header, so a replayer that sees the header finds the amount.
+  int64_t append(Kind kind, int shard_a, int shard_b, int64_t v) {
     const Encoded e = encode(kind, shard_a, shard_b, v);
-    int64_t t = draw(e.cells);
+    C2SL_TEL_PRIM_FAA();
+    // c2sl-atomic: faa seq_cst — ticket issue (both of a wide transfer's);
+    // linearization point of the keyed write on the snapshot facet
+    const int64_t t = tail_.fetch_add(e.cells, std::memory_order_seq_cst);
     if (e.cells == 2) deposit(t + 1, static_cast<uint64_t>(v));  // never 0
     deposit(t, e.header);
     return t;
-  }
-
-  /// The read side over any cell store: `load(ticket)` returns the cell's
-  /// deposited word (waiting out an in-flight deposit); a wide transfer's
-  /// amount is loaded from the cell after its header.
-  template <typename Load>
-  static EntryView entry_via(int64_t ticket, const Load& load) {
-    EntryView e = decode(load(ticket));
-    if (e.cells == 2) e.v = static_cast<int64_t>(load(ticket + 1));
-    return e;
-  }
-
-  /// Appends one entry; returns its (first) ticket. The tail fetch&add is the
-  /// operation's linearization point on the snapshot facet — the entry's
-  /// content is fixed there (the deposits merely publish it).
-  int64_t append(Kind kind, int shard_a, int shard_b, int64_t v) {
-    return append_via(
-        kind, shard_a, shard_b, v,
-        [this](int cells) {
-          C2SL_TEL_PRIM_FAA();
-          // c2sl-atomic: faa seq_cst — ticket issue (both of a wide transfer's);
-          // linearization point of the keyed write on the snapshot facet
-          return tail_.fetch_add(cells, std::memory_order_seq_cst);
-        },
-        [this](int64_t t, uint64_t w) { deposit(t, w); });
   }
 
   /// The version-digest read: one FAA(0) on the tail — wait-free, and the
@@ -240,7 +219,9 @@ class KeyedVersionDigest {
   /// (see header). A wide transfer's amount cell was stored before its
   /// header, so the second await returns at once.
   EntryView entry(int64_t ticket) {
-    return entry_via(ticket, [this](int64_t t) { return await(t); });
+    EntryView e = decode(await(ticket));
+    if (e.cells == 2) e.v = static_cast<int64_t>(await(ticket + 1));
+    return e;
   }
 
   /// Tickets issued: one per keyed write, two per wide transfer
@@ -252,15 +233,6 @@ class KeyedVersionDigest {
   }
 
  private:
-  static constexpr uint64_t kTagMask = (uint64_t{1} << kTagBits) - 1;
-  static constexpr uint64_t kBucketMask = (uint64_t{1} << kBucketBits) - 1;
-  /// Header tag of a wide transfer (outside the public Kind values).
-  static constexpr uint64_t kWideTransferTag = 5;
-
-  static int bucket_b(uint64_t m) {
-    return static_cast<int>((m >> kHeadBits) & kBucketMask);
-  }
-
   void deposit(int64_t ticket, uint64_t w) {
     // c2sl-atomic: store release — entry publish: a replayer's acquire load
     // of the header carries visibility of everything the entry holds
@@ -279,8 +251,10 @@ class KeyedVersionDigest {
 
   /// Cells start at 0 (not deposited): SegmentedArray value-initialises
   /// every segment.
-  SegmentedArray<Cell> cells_;
-  std::atomic<int64_t> tail_{0};
+  typename Mem::template Array<Cell> cells_;
+  typename Mem::template Word<int64_t> tail_{0};
 };
+
+using KeyedVersionDigest = BasicKeyedVersionDigest<NativeMem>;
 
 }  // namespace c2sl::rt

@@ -12,35 +12,27 @@
 // SegmentedArray (runtime/segmented_array.h) of lazily-published doubling
 // segments, matching the paper's "infinite array" model with no capacity
 // configuration. The only remaining bounds are the 63-bit lane-packing limits
-// of NativeMaxRegister64 (a WIDTH constraint, §6 — see the ROADMAP item), not
-// array capacities.
+// of NativeMaxRegister64 (a WIDTH constraint, §6), not array capacities.
 //
-// Two native-only refinements skip steps whose outcome is already fixed; both
-// preserve strong linearizability and both are argued in docs/PROOFS.md:
+// Two native-only refinements skip steps whose outcome is already fixed
+// (docs/PROOFS.md, "The two native refinements", has both arguments):
 //
-//   * O(1) fetch&increment from a certified frontier. In the Thm 9 usage the
-//     set cells always form a PREFIX [0, value): a test&set win at index i
-//     requires the winner to have lost (hence observed set) every cell below
-//     i (a losing exchange reads the 1 in the same byte a read loads), so a
-//     single observation of a 1 at index i certifies every index <= i.
-//     Every winner of cell i publishes i+1 into one frontier word with
-//     a release store; an acquire load of any published value therefore
-//     certifies its whole prefix (a racing smaller store is a stale but
-//     sound bound). inc and read both start an exponential (finger) search
-//     there — one probe when the frontier is current — and read then makes
-//     one CONFIRMING read of the candidate: a 0 observed at index v AFTER the
-//     prefix below v was certified pins the value at exactly v at that read —
-//     a fixed own step, so the linearization stays prefix-closed.
+//   * O(1) fetch&increment from a certified frontier. The set cells always
+//     form a PREFIX [0, value), so one observation of a 1 at index i
+//     certifies every index <= i. Every winner of cell i release-stores i+1
+//     into one frontier word; inc and read start an exponential search
+//     there, and read ends with one CONFIRMING read of the candidate: a 0
+//     there after its prefix was certified pins the value — a fixed own step.
+//   * A verified-taken-prefix hint in NativeSet::take. Taken flags never
+//     clear, so take() records the longest all-taken prefix it verified in a
+//     plain register and later sweeps start there. A stale smaller value is
+//     sound; it keeps unbounded lane recycling (service/lane_registry.h) O(1)
+//     amortized per acquire/release cycle.
 //
-//   * A verified-taken-prefix skip hint in NativeSet::take. A taken flag never
-//     clears, so "every cell below h was taken" is a stable fact; take()
-//     records the longest such prefix it verified in a plain register and
-//     later sweeps start there. The hint is advisory (racy plain stores may
-//     publish a stale smaller value) but every published value WAS verified,
-//     so skipping [0, h) can never change a response — it only removes
-//     re-exchanges of permanently dead cells. This is what makes unbounded
-//     lane recycling (service/lane_registry.h) O(1) amortized per
-//     acquire/release cycle instead of O(total releases ever).
+// The array, fetch&increment and set are written once over a memory policy
+// (runtime/native_mem.h): the Native* names are the NativeMem instantiations,
+// and the checker runs BasicFetchIncrement<sim::SimMem> and
+// BasicSet<sim::SimMem>, so both refinements are explored step by step.
 #pragma once
 
 #include <atomic>
@@ -53,30 +45,31 @@
 
 namespace c2sl::rt {
 
-/// The issue-facing name for the family's backing store: readable test&set
-/// cells over lazily-published doubling segments.
-using SegmentedTasArray = SegmentedArray<NativeReadableTAS>;
-
 /// Thm 5 applied index-wise over an infinite array. Reads of cells in
 /// unpublished segments return 0 without allocating (the cell is untouched by
 /// definition — mutators publish the segment before exchanging any cell).
-class NativeReadableTasArray {
+template <typename Mem>
+class BasicReadableTasArray {
  public:
-  NativeReadableTasArray() = default;
+  using Cell = BasicReadableTAS<Mem>;
+
+  BasicReadableTasArray() = default;
 
   int64_t test_and_set(size_t idx) { return cells_.cell(idx).test_and_set(); }
   int64_t read(size_t idx) const {
-    const NativeReadableTAS* c = cells_.peek(idx);
+    const Cell* c = cells_.peek(idx);
     return c ? c->read() : 0;
   }
 
   /// Cell if published, nullptr otherwise (never allocates) — the
   /// fetch&increment search below drives this directly.
-  const NativeReadableTAS* peek(size_t idx) const { return cells_.peek(idx); }
+  const Cell* peek(size_t idx) const { return cells_.peek(idx); }
 
  private:
-  SegmentedTasArray cells_;
+  typename Mem::template Array<Cell> cells_;
 };
+
+using NativeReadableTasArray = BasicReadableTasArray<NativeMem>;
 
 class NativeMultishotTAS {
  public:
@@ -121,9 +114,10 @@ class NativeMultishotTAS {
   NativeReadableTasArray ts_;
 };
 
-class NativeFetchIncrement {
+template <typename Mem>
+class BasicFetchIncrement {
  public:
-  NativeFetchIncrement() = default;
+  BasicFetchIncrement() = default;
 
   /// Wins the least available cell; the winning exchange is the linearization
   /// point (Thm 9). Starting the ascending scan at the searched lower bound
@@ -157,7 +151,7 @@ class NativeFetchIncrement {
   /// counts as a 0-observation: the spine load is the atomic step, and no
   /// cell of an unpublished segment has ever been exchanged).
   bool observed_set(size_t i) const {
-    const NativeReadableTAS* c = cells_.peek(i);
+    const auto* c = cells_.peek(i);
     return c && c->read() == 1;
   }
 
@@ -204,23 +198,27 @@ class NativeFetchIncrement {
     }
   }
 
-  NativeReadableTasArray cells_;
-  std::atomic<int64_t> frontier_{0};  // certified: every cell below it is set
+  BasicReadableTasArray<Mem> cells_;
+  typename Mem::template Word<int64_t> frontier_{0};  // every cell below is set
 };
 
+using NativeFetchIncrement = BasicFetchIncrement<NativeMem>;
+
 namespace detail {
-/// NativeSet's item cell with the right initial state for value-initialised
+/// The set's item cell with the right initial state for value-initialised
 /// segment construction (SegmentedArray news segments with `new T[n]()`).
+template <typename Mem>
 struct SetItemCell {
-  std::atomic<int64_t> v{INT64_MIN};  // NativeSet::kEmpty
+  typename Mem::template Word<int64_t> v{INT64_MIN};  // kEmpty
 };
 }  // namespace detail
 
-class NativeSet {
+template <typename Mem>
+class BasicSet {
  public:
   static constexpr int64_t kEmpty = INT64_MIN;
 
-  NativeSet() = default;
+  BasicSet() = default;
 
   void put(int64_t x) {
     int64_t m = max_.fetch_and_increment();
@@ -242,7 +240,7 @@ class NativeSet {
       int64_t max_new = max_.read();
       size_t dead = skip;  // [0, dead) verified taken during this sweep
       for (int64_t c = static_cast<int64_t>(skip); c < max_new; ++c) {
-        const detail::SetItemCell* item = items_.peek(static_cast<size_t>(c));
+        const auto* item = items_.peek(static_cast<size_t>(c));
         // c2sl-atomic: load seq_cst — Algorithm 2 sweep read of the item cell
         int64_t x = item ? item->v.load(std::memory_order_seq_cst) : kEmpty;
         if (x != kEmpty) {
@@ -280,10 +278,12 @@ class NativeSet {
     }
   }
 
-  NativeFetchIncrement max_;
-  SegmentedArray<detail::SetItemCell> items_;
-  NativeReadableTasArray ts_;  // taken flags (only the exchange is used)
-  std::atomic<int64_t> taken_prefix_{0};  // advisory verified-taken prefix
+  BasicFetchIncrement<Mem> max_;
+  typename Mem::template Array<detail::SetItemCell<Mem>> items_;
+  BasicReadableTasArray<Mem> ts_;  // taken flags (only the exchange is used)
+  typename Mem::template Word<int64_t> taken_prefix_{0};  // advisory hint
 };
+
+using NativeSet = BasicSet<NativeMem>;
 
 }  // namespace c2sl::rt

@@ -39,16 +39,19 @@
 #include <memory>
 #include <type_traits>
 
+#include "runtime/native_mem.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-/// Thm 5's readable test&set as one hardware byte. The paper adds a register
+/// Thm 5's readable test&set as one byte word. The paper adds a register
 /// only because its test&set object cannot be read; a byte can, so each op
 /// is one atomic step on it (docs/PROOFS.md). The sim keeps the paper's
-/// two-object construction (core/readable_tas.h).
-class NativeReadableTAS {
+/// two-object construction (core/readable_tas.h); BasicReadableTAS<SimMem>
+/// is this cell under the checker.
+template <typename Mem>
+class BasicReadableTAS {
  public:
   /// Returns 0 to exactly one caller, then 1.
   int64_t test_and_set() {
@@ -61,8 +64,10 @@ class NativeReadableTAS {
   int64_t read() const { return bit_.load(std::memory_order_seq_cst); }
 
  private:
-  std::atomic<uint8_t> bit_{0};
+  typename Mem::template Word<uint8_t> bit_{0};
 };
+
+using NativeReadableTAS = BasicReadableTAS<NativeMem>;
 
 static_assert(sizeof(NativeReadableTAS) == 1,
               "a readable test&set cell is one byte: 64 per cache line");

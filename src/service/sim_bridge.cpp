@@ -9,7 +9,7 @@
 namespace c2sl::svc {
 
 namespace {
-using Journal = rt::KeyedVersionDigest;
+using Journal = rt::JournalCodec;
 using Epoch = rt::RoutingEpoch;
 
 void check_pow2(int shards) {
@@ -147,7 +147,6 @@ SimShardedCounter::SimShardedCounter(sim::World& world, std::string name,
     ctrs_.push_back(std::make_unique<core::FetchIncrement>(
         name_ + ".ctr" + std::to_string(s), *ts_.back()));
   }
-  digest_ = world.add<prim::FetchAddInt>(name_ + ".digest");
 }
 
 void SimShardedCounter::inc(sim::Ctx& ctx) {
@@ -156,11 +155,11 @@ void SimShardedCounter::inc(sim::Ctx& ctx) {
   int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
                            static_cast<uint64_t>(shards_ - 1));
   ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-  if (read_ == AggRead::kDigest) ctx.world->get(digest_).fetch_add(ctx, 1);
+  if (read_ == AggRead::kDigest) digest_.add(ctx.self);
 }
 
 int64_t SimShardedCounter::read(sim::Ctx& ctx) {
-  if (read_ == AggRead::kDigest) return ctx.world->get(digest_).read(ctx);
+  if (read_ == AggRead::kDigest) return digest_.read();
   int64_t sum = 0;
   for (int64_t v : scan(shards_, read_, [&](int s) { return read_shard(ctx, s); })) {
     sum += v;
@@ -186,53 +185,6 @@ Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   return unit();
 }
 
-// --- SimTelemetryCounter (lane-cell op counter, digest vs scan read) --------
-
-SimTelemetryCounter::SimTelemetryCounter(sim::World& world, std::string name,
-                                         int lanes, bool scan_read)
-    : name_(std::move(name)), lanes_(lanes), scan_read_(scan_read) {
-  C2SL_CHECK(lanes >= 1, "need at least one lane");
-  cells_ = world.add<prim::RegArray>(name_ + ".cells");
-  digest_ = world.add<prim::FetchAddInt>(name_ + ".digest");
-}
-
-void SimTelemetryCounter::inc(sim::Ctx& ctx) {
-  // Lane cell FIRST (plain register read+write; the cell is single-owner, so
-  // this is exactly LaneTelemetry::bump's relaxed load/store pair), digest
-  // second — the Inc linearizes at its own digest fetch&add step.
-  C2SL_CHECK(ctx.self >= 0 && ctx.self < lanes_, "caller is not a lane owner");
-  prim::RegArray& cells = ctx.world->get(cells_);
-  size_t lane = static_cast<size_t>(ctx.self);
-  Val cur = cells.read(ctx, lane);
-  int64_t next = (std::holds_alternative<int64_t>(cur) ? as_num(cur) : 0) + 1;
-  cells.write(ctx, lane, num(next));
-  ctx.world->get(digest_).fetch_add(ctx, 1);
-}
-
-int64_t SimTelemetryCounter::read(sim::Ctx& ctx) {
-  if (!scan_read_) return ctx.world->get(digest_).read(ctx);  // one FAA(0)
-  // Negative control: naive one-pass sum over the lane cells, the read
-  // StoreTelemetry::snapshot performs for ops_total. Linearizable here (each
-  // cell is monotone and single-writer) but NOT strongly linearizable — the
-  // checker refutes it (tests/telemetry_test.cpp pins the verdict).
-  int64_t sum = 0;
-  for (int lane = 0; lane < lanes_; ++lane) {
-    Val v = ctx.world->get(cells_).read(ctx, static_cast<size_t>(lane));
-    if (std::holds_alternative<int64_t>(v)) sum += as_num(v);
-  }
-  return sum;
-}
-
-Val SimTelemetryCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "Inc") {
-    this->inc(ctx);
-    return unit();
-  }
-  if (inv.name == "Read") return num(read(ctx));
-  C2SL_CHECK(false, "unknown operation on telemetry counter: " + inv.name);
-  return unit();
-}
-
 // --- SimKeyedSnapshot (the snapshot write journal) --------------------------
 
 SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
@@ -247,40 +199,24 @@ SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".reg" + std::to_string(s), n));
   }
-  tail_ = world.add<prim::FetchAddInt>(name_ + ".tail");
-  entries_ = world.add<prim::RegArray>(name_ + ".entries");
-}
-
-void SimKeyedSnapshot::journal_append(sim::Ctx& ctx, Journal::Kind kind, int a,
-                                      int b, int64_t v) {
-  // The tail fetch&add is the keyed write's linearization point on the
-  // snapshot facet; the cell writes only publish content fixed there (the
-  // native deposit's release stores).
-  prim::RegArray& cells = ctx.world->get(entries_);
-  Journal::append_via(
-      kind, a, b, v,
-      [&](int n) { return ctx.world->get(tail_).fetch_add(ctx, n); },
-      [&](int64_t t, uint64_t w) {
-        cells.write(ctx, static_cast<size_t>(t), num(static_cast<int64_t>(w)));
-      });
 }
 
 void SimKeyedSnapshot::inc(sim::Ctx& ctx, int s) {
   // Shard object FIRST, journal LAST — the pinned cross-facet order shared
   // with the max/sum digests: the journal never runs ahead of the keyed reads.
   ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-  journal_append(ctx, Journal::Kind::kCounterInc, s, 0, 1);
+  journal_.append(Journal::Kind::kCounterInc, s, 0, 1);
 }
 
 void SimKeyedSnapshot::write_max(sim::Ctx& ctx, int s, int64_t v) {
   regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-  journal_append(ctx, Journal::Kind::kMaxWrite, s, 0, v);
+  journal_.append(Journal::Kind::kMaxWrite, s, 0, v);
 }
 
-void SimKeyedSnapshot::transfer(sim::Ctx& ctx, int from, int to, int64_t d) {
+void SimKeyedSnapshot::transfer(sim::Ctx&, int from, int to, int64_t d) {
   // Journal-only: the ONE entry is what makes the debit and credit
   // inseparable at every snapshot cut (the conservation contract).
-  journal_append(ctx, Journal::Kind::kTransfer, from, to, d);
+  journal_.append(Journal::Kind::kTransfer, from, to, d);
 }
 
 std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
@@ -299,18 +235,8 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
   }
   // The FAA(0) tail read IS the snapshot: everything below is the store's
   // own deterministic replay of entries fixed at their ticket fetch&add.
-  int64_t tail = ctx.world->get(tail_).read(ctx);
-  prim::RegArray& cells = ctx.world->get(entries_);
-  auto load = [&](int64_t t) {
-    Val w = cells.read(ctx, static_cast<size_t>(t));
-    while (!std::holds_alternative<int64_t>(w)) {
-      // Ticket drawn, deposit in flight: poll, like the native acquire-spin.
-      w = cells.read(ctx, static_cast<size_t>(t));
-    }
-    return static_cast<uint64_t>(as_num(w));
-  };
   detail::SnapReplay r(shards_);
-  r.fold(tail, [&](int64_t t) { return Journal::entry_via(t, load); });
+  r.fold(journal_.version(), [&](int64_t t) { return journal_.entry(t); });
   view = r.ctr_net;
   view.insert(view.end(), r.max_seen.begin(), r.max_seen.end());
   return view;

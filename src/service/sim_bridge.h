@@ -2,11 +2,12 @@
 // over the *simulated* paper constructions, so the bounded model checkers
 // (verify/lin_checker, verify/strong_lin) can exercise the service's routing,
 // aggregate, journal and hand-off algorithms on full execution trees. Where a
-// protocol step is not a paper construction, a twin calls the store's own
-// code: the routing functions (shard_router.h), the journal codec and append
-// and read protocols (rt::KeyedVersionDigest), the replay fold
-// (detail::SnapReplay), and the epoch stamp codec and settle loop
-// (rt::RoutingEpoch). Strong linearizability is local, so certifying each
+// protocol step is not a paper construction, a twin runs the store's own
+// code: the routing functions (shard_router.h), the journal and the sum
+// digest themselves (rt::BasicKeyedVersionDigest and rt::BasicCounterSumDigest
+// instantiated over sim::SimMem, whose every word access is one checker step),
+// the replay fold (detail::SnapReplay), and the epoch stamp codec and settle
+// loop (rt::RoutingEpoch). Strong linearizability is local, so certifying each
 // facet on a shared tree certifies the configuration. The twins:
 //
 //   * SimKeyedStore — keyed max-register and counter ops routed by hash_key +
@@ -14,9 +15,8 @@
 //   * SimShardedMaxRegister / SimShardedCounter — one aggregate twin per
 //     value type, read as AggRead says: the digest behind C2Store::
 //     global_max() / counter_sum() (verified), or the double-collect and
-//     one-pass scans the checker refutes.
-//   * SimTelemetryCounter — the lane-cell op counter, digest vs scan read
-//     (tests/telemetry_test.cpp).
+//     one-pass scans the checker refutes (the one-pass counter scan is also
+//     the lane-cell ops_total read: tests/service_sim_test.cpp).
 //   * SimKeyedSnapshot — the write journal behind C2Session::snapshot() and
 //     transfer(), or the refuted per-key loop (tests/snapshot_sim_test.cpp).
 //   * SimLaneRegistry — the Thm 10 lane set behind open_session()
@@ -39,8 +39,10 @@
 #include "core/readable_tas.h"
 #include "core/sl_set.h"
 #include "primitives/faa.h"
+#include "runtime/counter_sum_digest.h"
 #include "runtime/keyed_version_digest.h"
 #include "service/shard_router.h"
+#include "sim/sim_mem.h"
 
 namespace c2sl::svc {
 
@@ -113,11 +115,12 @@ class SimShardedMaxRegister : public core::ConcurrentObject {
 };
 
 /// Aggregate twin over per-shard Thm 9 counters ("<name>.M<s>" /
-/// "<name>.ctr<s>"), plus the fetch&add digest word ("<name>.digest") that
-/// only kDigest writes and reads — rt::CounterSumDigest, the sum form of
-/// §3.2 (addition is its own combiner, so every process shares one word).
-/// Inc routes by calling process id; Read reads as `read` says (the scans
-/// sum a collect); "ReadShard"(s) reads one shard counter in every mode.
+/// "<name>.ctr<s>"), plus the store's own sum digest (rt::CounterSumDigest's
+/// code over SimMem) that only kDigest writes and reads. Inc routes by
+/// calling process id; Read reads as `read` says (the scans sum a collect);
+/// "ReadShard"(s) reads one shard counter in every mode. With one shard per
+/// incrementing process, kOnePass is the lane-cell ops_total read of
+/// telemetry/telemetry.h, which the checker refutes.
 class SimShardedCounter : public core::ConcurrentObject {
  public:
   SimShardedCounter(sim::World& world, std::string name, int shards,
@@ -136,50 +139,19 @@ class SimShardedCounter : public core::ConcurrentObject {
   AggRead read_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
-  sim::Handle<prim::FetchAddInt> digest_;
-};
-
-/// Sim twin of an op counter kept in lane cells (telemetry/telemetry.h): each
-/// lane (== calling process here) keeps its running op count in a single-owner
-/// plain REGISTER cell (LaneTelemetry::bump), and every Inc also fetch&adds
-/// one shared digest word. Read is either a single digest FAA(0) — the
-/// verified design, what a strongly linearizable op count costs: one shared
-/// RMW per op — or, with `scan_read`, the one-pass sum over the lane cells,
-/// which is how metrics_snapshot() computes ops_total. The scan read is
-/// pinned REFUTED: a reader that has scanned cell 0 as empty cannot commit its
-/// return value at any own step, because whether a completed Inc counts
-/// depends on cells it will only read in the future, so no prefix-closed
-/// linearization exists. The native layer pays for no digest word, so
-/// ops_total is a diagnostic (exact at quiescence) that nothing branches on.
-class SimTelemetryCounter : public core::ConcurrentObject {
- public:
-  SimTelemetryCounter(sim::World& world, std::string name, int lanes,
-                      bool scan_read = false);
-
-  void inc(sim::Ctx& ctx);      ///< lane-cell register write, then digest FAA
-  int64_t read(sim::Ctx& ctx);  ///< digest FAA(0), or one-pass lane-cell sum
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::string name_;
-  int lanes_;
-  bool scan_read_;
-  sim::Handle<prim::RegArray> cells_;     ///< per-lane counts, single writer
-  sim::Handle<prim::FetchAddInt> digest_; ///< the shared FAA digest word
+  rt::BasicCounterSumDigest<sim::SimMem> digest_;
 };
 
 /// Sim twin of the write journal behind C2Session::snapshot()
 /// (runtime/keyed_version_digest.h): keyed writes land on their per-shard
-/// paper construction FIRST and then append one immutable entry through the
-/// store's own rt::KeyedVersionDigest::append_via — the tail fetch&add IS
-/// the write's linearization point on the snapshot facet, and the cells hold
-/// the native packed words. Snap reads the tail once (FAA(0) — its own fixed
-/// step) and replays the entries below it with the store's own
-/// detail::SnapReplay::fold, polling a not-yet-deposited cell like the
-/// native replayer's acquire-spin (entry CONTENT is fixed at ticket time, so
-/// the replay is a pure function of the tail read). Xfer appends ONE entry
+/// paper construction FIRST and then append one immutable entry to the
+/// store's own journal, instantiated over SimMem — the tail fetch&add IS the
+/// write's linearization point on the snapshot facet, and the cells hold the
+/// native packed words. Snap reads the tail once (version(): FAA(0), its own
+/// fixed step) and replays the entries below it with the store's own
+/// detail::SnapReplay::fold over entry(), whose acquire-spin on a
+/// not-yet-deposited cell is one checker step per poll (entry CONTENT is
+/// fixed at ticket time, so the replay is a pure function of the tail read). Xfer appends ONE entry
 /// moving value between two shard balances — which is why every snapshot
 /// conserves the transferred sum: no cut can separate the debit from the
 /// credit. An amount outside [kInlineMin, kInlineMax] takes the native wide
@@ -210,18 +182,13 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
 
  private:
-  /// rt::KeyedVersionDigest::append_via on the sim cells.
-  void journal_append(sim::Ctx& ctx, rt::KeyedVersionDigest::Kind kind, int a,
-                      int b, int64_t v);
-
   std::string name_;
   int shards_;
   bool naive_loop_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-  sim::Handle<prim::FetchAddInt> tail_;   ///< journal tickets; FAA(0) = snapshot
-  sim::Handle<prim::RegArray> entries_;   ///< ticket-indexed write-once cells
+  rt::BasicKeyedVersionDigest<sim::SimMem> journal_;
 };
 
 /// Sim twin of svc::LaneRegistry: the constructor fills an SLSet with every

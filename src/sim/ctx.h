@@ -62,6 +62,11 @@ struct Ctx {
   void end_op(OpId id, Val resp);
 };
 
+/// The context of the fiber the scheduler is running on this thread, or
+/// nullptr outside any scheduled step (the scheduler publishes it around
+/// every resume). SimMem words gate through it (sim/sim_mem.h).
+Ctx* running_ctx();
+
 /// Runs `f` as one recorded high-level operation and returns its response.
 template <typename F>
 Val record_op(Ctx& c, std::string_view object, std::string_view name, Val args, F&& f) {

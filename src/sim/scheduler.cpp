@@ -1,10 +1,30 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "sim/sim_mem.h"
 #include "util/assert.h"
 
 namespace c2sl::sim {
+
+namespace {
+thread_local Ctx* t_running = nullptr;
+
+/// Publishes `c` as the running context for one resume of its fiber.
+struct RunningScope {
+  explicit RunningScope(Ctx* c) : saved(std::exchange(t_running, c)) {}
+  ~RunningScope() { t_running = saved; }
+  Ctx* saved;
+};
+}  // namespace
+
+Ctx* running_ctx() { return t_running; }
+
+void mem_step(const char* op) {
+  static const std::string kObject = "mem";
+  if (t_running != nullptr) t_running->gate(kObject, op);
+}
 
 void Ctx::gate(const std::string& object_name, const std::string& desc) {
   if (pre_step_hook && !in_hook) {
@@ -73,6 +93,7 @@ void Scheduler::spawn(ProcId p, std::function<void(Ctx&)> program) {
   auto body = [program = std::move(program), ctx]() { program(*ctx); };
   proc.fiber = std::make_unique<Fiber>(std::move(body));
   // Run the prologue: everything up to the first base-object access.
+  RunningScope scope(ctx);
   running_ = p;
   proc.fiber->resume();
   running_ = -1;
@@ -95,6 +116,7 @@ bool Scheduler::step(ProcId p) {
   C2SL_ASSERT_MSG(proc.spawned && !proc.crashed && proc.fiber && !proc.fiber->finished(),
                   "step() on a non-runnable process");
   ++total_steps_;
+  RunningScope scope(&proc.ctx);
   running_ = p;
   proc.fiber->resume();
   running_ = -1;
@@ -107,6 +129,7 @@ void Scheduler::crash(ProcId p) {
   C2SL_ASSERT_MSG(proc.spawned && !proc.crashed && proc.fiber && !proc.fiber->finished(),
                   "crash() on a non-runnable process");
   proc.crash_requested = true;
+  RunningScope scope(&proc.ctx);
   running_ = p;
   proc.fiber->resume();  // gate_impl observes the flag and throws CrashUnwind
   running_ = -1;

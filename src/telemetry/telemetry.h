@@ -12,11 +12,12 @@
 // Every metric is therefore a lane scan: racy while ops are in flight, exact
 // once the lanes quiesce. That includes ops_total, the sum of the per-kind
 // counters. Such a scan is linearizable but NOT strongly linearizable
-// (svc::SimTelemetryCounter pins the refutation, and the verified alternative
-// — one shared FAA word bumped by every op — for comparison;
-// tests/telemetry_test.cpp). Nothing may branch on a metric; a count an
-// adaptive adversary must not be able to game belongs on a store object (a
-// CounterRef, or the counter_sum() digest), not here.
+// (svc::SimShardedCounter's one-pass read, one shard per lane, pins the
+// refutation: TelemetrySim.LaneScanReadNotStronglyLinearizable; the verified
+// alternative — one shared FAA word bumped by every op — is the counter-sum
+// digest, tests/service_sim_test.cpp). Nothing may branch on a metric; a
+// count an adaptive adversary must not be able to game belongs on a store
+// object (a CounterRef, or the counter_sum() digest), not here.
 //
 // Cost budget per instrumented op (on-flavour): two relaxed load+store pairs
 // (kind counter + shard heat cell) and a pair of clock reads on 1 of every

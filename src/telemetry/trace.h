@@ -24,7 +24,7 @@
 //     TSAN-defined), the release-published pending index, the relaxed
 //     segment pointers, and a relaxed drop counter. No RMW, nothing on a
 //     decision path.
-//   * Appends never block: past C2SL_TRACE_CAP records the lane counts drops
+//   * Appends never block: past LaneTrace::kCap records the lane counts drops
 //     instead of writing (the auditor refuses a lossy trace unless told
 //     otherwise, so a dropped record can never silently pass an audit).
 //   * Timestamps are raw TSC ticks on x86, ONE read per op: a TraceScope
@@ -52,12 +52,6 @@
 #include <vector>
 
 #include "telemetry/prim_profile.h"
-
-/// Per-lane record capacity. Beyond this the lane drops-with-count. 2^20
-/// records x 64 B = 64 MiB/lane worst case, allocated lazily in segments.
-#ifndef C2SL_TRACE_CAP
-#define C2SL_TRACE_CAP (uint64_t{1} << 20)
-#endif
 
 #if C2SL_CAPTURE
 #include <array>
@@ -185,7 +179,9 @@ class TraceArena {
 /// post-mortem tail) reads it.
 class alignas(128) LaneTrace {
  public:
-  static constexpr uint64_t kCap = C2SL_TRACE_CAP;
+  /// Per-lane record capacity. Beyond this the lane drops-with-count. 2^20
+  /// records x 64 B = 64 MiB/lane worst case, allocated lazily in segments.
+  static constexpr uint64_t kCap = uint64_t{1} << 20;
 
   LaneTrace() = default;
   LaneTrace(const LaneTrace&) = delete;
@@ -325,8 +321,7 @@ class alignas(128) LaneTrace {
  private:
   using Arr = rt::SegmentedArray<TraceRecord>;  ///< geometry helpers only
   /// Spine slots needed to cover kCap records under the doubling geometry.
-  static constexpr int kSegs =
-      kCap == 0 ? 1 : Arr::segment_of(static_cast<size_t>(kCap) - 1) + 1;
+  static constexpr int kSegs = Arr::segment_of(static_cast<size_t>(kCap) - 1) + 1;
 
   /// Re-aim the cached window at the segment holding index n, allocating the
   /// segment on first touch (cold: runs once per segment crossing,

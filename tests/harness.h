@@ -8,12 +8,14 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/object_api.h"
 #include "sim/explorer.h"
 #include "sim/sim_run.h"
 #include "sim/strategy.h"
+#include "util/assert.h"
 #include "util/rng.h"
 #include "verify/lin_checker.h"
 #include "verify/strong_lin.h"
@@ -86,6 +88,49 @@ inline sim::ScenarioFn fixed_scenario(const ObjectFactory& factory,
     }
   };
 }
+
+/// A checker object over a runtime fetch&increment written over a memory
+/// policy (rt::BasicFetchIncrement<sim::SimMem>, or a test-local mutant of
+/// it): its operations take no Ctx, because every SimMem word gates through
+/// the running fiber (sim/sim_mem.h). Ops "FAI" and "Read", as
+/// verify::FaiSpec names them.
+template <typename Fai>
+class MemFaiObject : public core::ConcurrentObject {
+ public:
+  explicit MemFaiObject(std::string name) : name_(std::move(name)) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx&, const verify::Invocation& inv) override {
+    if (inv.name == "FAI") return num(fai_.fetch_and_increment());
+    C2SL_CHECK(inv.name == "Read", "unknown operation: " + inv.name);
+    return num(fai_.read());
+  }
+
+ private:
+  std::string name_;
+  Fai fai_;
+};
+
+/// The set counterpart (rt::BasicSet<sim::SimMem> or a mutant): "Put"(x) ->
+/// "OK", "Take" -> item | "EMPTY", as verify::SetSpec names them.
+template <typename Set>
+class MemSetObject : public core::ConcurrentObject {
+ public:
+  explicit MemSetObject(std::string name) : name_(std::move(name)) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx&, const verify::Invocation& inv) override {
+    if (inv.name == "Put") {
+      set_.put(as_num(inv.args));
+      return str("OK");
+    }
+    C2SL_CHECK(inv.name == "Take", "unknown operation: " + inv.name);
+    int64_t x = set_.take();
+    return x == Set::kEmpty ? str("EMPTY") : num(x);
+  }
+
+ private:
+  std::string name_;
+  Set set_;
+};
 
 /// Random-schedule linearizability sweep: many seeds, one verdict.
 inline ::testing::AssertionResult lin_sweep(const ObjectFactory& factory, const OpGen& gen,

@@ -39,7 +39,7 @@
 namespace c2sl {
 namespace {
 
-using Arr = rt::SegmentedTasArray;
+using Arr = rt::SegmentedArray<rt::NativeReadableTAS>;
 
 // --- 1. index math -----------------------------------------------------------
 

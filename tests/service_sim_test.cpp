@@ -373,6 +373,28 @@ TEST(C2StoreSim, DoubleCollectCounterNotStronglyLinearizable) {
   EXPECT_FALSE(res.strongly_linearizable);
 }
 
+// PINNED: the op counter kept in lane cells (telemetry/telemetry.h). Each lane
+// bumps its own cell and metrics_snapshot() sums ONE pass over the cells for
+// ops_total — the counter twin's kOnePass read with one shard per
+// incrementing process. A reader that already scanned lane 0 as empty cannot
+// commit a return value at any of its own steps: whether the completed Inc on
+// lane 0 counts depends on what the read finds in lane 1 LATER, so no
+// prefix-closed assignment exists. This is why ops_total is documented as a
+// diagnostic, exact only at quiescence, and not a digest read the hot path
+// pays a shared RMW for.
+TEST(TelemetrySim, LaneScanReadNotStronglyLinearizable) {
+  auto factory = counter_twin("tops", svc::AggRead::kOnePass);
+  auto scenario = testing::fixed_scenario(
+      factory,
+      {{{"Inc", unit(), 0}}, {{"Inc", unit(), 1}}, {{"Read", unit(), 2}}});
+  verify::CounterSpec spec;
+  auto res = check(scenario, 3, spec, "tops");
+  ASSERT_TRUE(res.decided);
+  EXPECT_FALSE(res.strongly_linearizable)
+      << "the one-pass lane scan verified strongly linearizable — the pinned "
+         "refutation (the reason ops_total is only a diagnostic) is gone";
+}
+
 // --- 3b. segment publication (the unbounded-array growth protocol) ----------
 //
 // The native runtime's SegmentedArray grows by publishing doubling segments:

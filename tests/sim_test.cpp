@@ -4,11 +4,15 @@
 // the properties established here.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "primitives/faa.h"
 #include "primitives/register.h"
 #include "primitives/tas.h"
 #include "sim/explorer.h"
 #include "sim/fiber.h"
+#include "sim/sim_mem.h"
 #include "sim/sim_run.h"
 #include "sim/strategy.h"
 
@@ -287,6 +291,62 @@ TEST(Explorer, CrashBranchesWhenEnabled) {
   }
   EXPECT_TRUE(has_crash_edge);
   EXPECT_GT(tree.size(), 5u);
+}
+
+// SimMem (sim/sim_mem.h) is the memory policy the checker runs the runtime's
+// constructions over. Every node count of a tree over such a construction
+// rests on the two properties pinned here: each word op is exactly one
+// scheduled step, and an access outside a scheduled fiber takes none.
+TEST(SimMem, EachWordOpIsExactlyOneStep) {
+  struct Mem {
+    sim::SimWord<int64_t> word{5};
+    sim::SimArray<sim::SimWord<uint8_t>> cells;
+  };
+  auto mem = std::make_shared<Mem>();
+  sim::SimRun run(1);
+  std::vector<uint64_t> steps;
+  run.sched.spawn(0, [mem, &steps](sim::Ctx& ctx) {
+    auto one = [&](auto&& op) {
+      uint64_t before = ctx.steps_taken;
+      op();
+      steps.push_back(ctx.steps_taken - before);
+    };
+    one([&] { EXPECT_EQ(mem->word.load(), 5); });
+    one([&] { mem->word.store(7); });
+    one([&] { EXPECT_EQ(mem->word.fetch_add(2), 7); });
+    one([&] { EXPECT_EQ(mem->word.exchange(1), 9); });
+    // An array reaches any cell with no step of its own (no spine load).
+    one([&] { EXPECT_EQ(mem->cells.cell(1000).exchange(1), 0); });
+    one([&] { EXPECT_EQ(mem->cells.peek(1000)->load(), 1); });
+    one([&] { EXPECT_EQ(mem->cells.peek(3)->load(), 0); });
+  });
+  sim::RoundRobinStrategy rr;
+  auto res = run.sched.run(rr, 100);
+  EXPECT_TRUE(res.all_done);
+  EXPECT_EQ(steps, std::vector<uint64_t>(7, 1));
+  EXPECT_EQ(res.steps, 7u);
+}
+
+TEST(SimMem, AccessOutsideAScheduledFiberTakesNoStep) {
+  auto word = std::make_shared<sim::SimWord<int64_t>>();
+  sim::SimRun run(1);
+  run.history.record_steps = true;
+  // A solo fill, as a scenario's setup makes one: no fiber is running.
+  EXPECT_EQ(sim::running_ctx(), nullptr);
+  word->store(3);
+  EXPECT_EQ(word->fetch_add(1), 3);
+  run.sched.spawn(0, [word](sim::Ctx&) { word->fetch_add(1); });
+  EXPECT_EQ(run.ctx(0).steps_taken, 0u);
+  EXPECT_TRUE(run.history.events().empty());
+  // The same access inside the fiber is the process's one step.
+  run.sched.step(0);
+  EXPECT_TRUE(run.sched.all_done());
+  EXPECT_EQ(run.ctx(0).steps_taken, 1u);
+  ASSERT_EQ(run.history.events().size(), 1u);
+  EXPECT_EQ(run.history.events()[0].kind, sim::Event::Kind::kStep);
+  EXPECT_EQ(word->load(), 5);  // outside again: still no step
+  EXPECT_EQ(run.ctx(0).steps_taken, 1u);
+  EXPECT_EQ(sim::running_ctx(), nullptr);
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 #include "baselines/herlihy_wing_queue.h"
 #include "core/max_register_variants.h"
 #include "harness.h"
+#include "runtime/native_tas_family.h"
+#include "sim/sim_mem.h"
 #include "verify/specs.h"
 #include "verify/strong_lin.h"
 
@@ -30,10 +32,12 @@ using verify::Invocation;
 
 verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
                               const verify::Spec& spec, const std::string& object,
-                              int max_depth, size_t max_nodes) {
+                              int max_depth, size_t max_nodes,
+                              std::vector<sim::Choice> prefix = {}) {
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
+  opts.prefix = std::move(prefix);
   sim::ExecTree tree = sim::explore(n, scenario, opts);
   verify::StrongLinOptions slopts;
   slopts.object = object;
@@ -165,6 +169,180 @@ TEST(StrongLinNegative, CollectMaxRegisterRefuted) {
   EXPECT_FALSE(res.strongly_linearizable)
       << "collect-based max register must NOT be strongly linearizable "
          "(Denysyuk-Woelfel impossibility)";
+}
+
+// --- mutants of the serving code's fetch&increment and set ------------------
+//
+// The certified frontier (rt::BasicFetchIncrement) and the taken-prefix hint
+// (rt::BasicSet) are native-only refinements (runtime/native_tas_family.h).
+// strong_lin_positive_test.cpp verifies the runtime classes themselves over
+// sim::SimMem; here each test-local copy changes ONE step of them, and the
+// checker must refute it. The runtime classes carry no mutant switch.
+
+enum class FaiMutant {
+  /// fetch_and_increment publishes frontier i+1 BEFORE its exchange on cell i
+  /// decides the winner.
+  kFrontierBeforeExchange,
+  /// read() returns the certified lower bound (the frontier load) without
+  /// reading the candidate cell, the read that confirms it is still unset.
+  kUnconfirmedRead,
+};
+
+/// rt::BasicFetchIncrement<sim::SimMem> with mutant M's one step changed.
+template <FaiMutant M>
+class MutantFetchIncrement {
+ public:
+  int64_t fetch_and_increment() {
+    for (size_t i = set_bound();; ++i) {
+      if (observed_set(i)) continue;
+      if (M == FaiMutant::kFrontierBeforeExchange) publish(i + 1);  // the bug
+      if (cells_.test_and_set(i) == 0) {
+        if (M != FaiMutant::kFrontierBeforeExchange) publish(i + 1);
+        return static_cast<int64_t>(i);
+      }
+    }
+  }
+
+  int64_t read() const {
+    if (M == FaiMutant::kUnconfirmedRead) return frontier_.load();  // the bug
+    for (;;) {
+      size_t lo = set_bound();
+      if (!observed_set(lo)) return static_cast<int64_t>(lo);
+    }
+  }
+
+ private:
+  void publish(size_t f) { frontier_.store(static_cast<int64_t>(f)); }
+  bool observed_set(size_t i) const { return cells_.read(i) == 1; }
+
+  size_t set_bound() const {
+    const size_t f = static_cast<size_t>(frontier_.load());
+    if (!observed_set(f)) return f;
+    size_t lo = f + 1;
+    size_t step = 1;
+    size_t hi = f + step;
+    while (observed_set(hi)) {
+      lo = hi + 1;
+      step *= 2;
+      hi = f + step;
+    }
+    while (lo < hi) {
+      size_t mid = lo + (hi - lo) / 2;
+      if (observed_set(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  rt::BasicReadableTasArray<sim::SimMem> cells_;
+  sim::SimWord<int64_t> frontier_{0};
+};
+
+/// rt::BasicSet<sim::SimMem> whose take() counts every cell its sweep passed
+/// as dead, the EMPTY ones too, so it can publish a hint past a cell where a
+/// pending put is about to land.
+class HintPastEmptySet {
+ public:
+  static constexpr int64_t kEmpty = INT64_MIN;
+
+  void put(int64_t x) {
+    int64_t m = max_.fetch_and_increment();
+    items_.cell(static_cast<size_t>(m)).v.store(x);
+  }
+
+  int64_t take() {
+    const size_t skip = static_cast<size_t>(hint_.load());
+    int64_t taken_old = 0;
+    int64_t max_old = 0;
+    for (;;) {
+      int64_t taken_new = 0;
+      int64_t max_new = max_.read();
+      size_t dead = skip;
+      for (int64_t c = static_cast<int64_t>(skip); c < max_new; ++c) {
+        int64_t x = items_.peek(static_cast<size_t>(c))->v.load();
+        ++dead;  // the bug: an empty cell is not dead
+        if (x != kEmpty) {
+          if (ts_.test_and_set(static_cast<size_t>(c)) == 0) {
+            publish_hint(dead);
+            return x;
+          }
+          ++taken_new;
+        }
+      }
+      if (taken_new == taken_old && max_new == max_old) {
+        publish_hint(dead);
+        return kEmpty;
+      }
+      taken_old = taken_new;
+      max_old = max_new;
+    }
+  }
+
+ private:
+  void publish_hint(size_t dead) {
+    if (dead > static_cast<size_t>(hint_.load())) hint_.store(static_cast<int64_t>(dead));
+  }
+
+  rt::BasicFetchIncrement<sim::SimMem> max_;
+  sim::SimArray<rt::detail::SetItemCell<sim::SimMem>> items_;
+  rt::BasicReadableTasArray<sim::SimMem> ts_;
+  sim::SimWord<int64_t> hint_{0};
+};
+
+template <FaiMutant M>
+sim::ScenarioFn fai_fai_read() {
+  auto factory = [](sim::World&, int) {
+    return std::make_shared<testing::MemFaiObject<MutantFetchIncrement<M>>>("nfai");
+  };
+  return testing::fixed_scenario(
+      factory, {{{"FAI", unit(), 0}}, {{"FAI", unit(), 1}}, {{"Read", unit(), 2}}});
+}
+
+// P0 and P1 both find cell 0 unset and publish frontier 1 before exchanging;
+// the reader then loads 1, sees cell 1 unset and returns 1 while neither FAI
+// has won. At that node one FAI must already be linearized with response 0,
+// but either may still win cell 0. Guided: P1 has found cell 0 unset (frontier
+// load, probe, loop load) and P0 has also stored frontier 1.
+TEST(StrongLinNegative, FrontierPublishedBeforeExchangeRefuted) {
+  verify::FaiSpec spec;
+  std::vector<sim::Choice> prefix(3, sim::Choice{1, false});
+  prefix.insert(prefix.end(), 4, sim::Choice{0, false});
+  auto res = check(fai_fai_read<FaiMutant::kFrontierBeforeExchange>(), 3, spec,
+                   "nfai", /*max_depth=*/32, /*max_nodes=*/400000, prefix);
+  ASSERT_TRUE(res.decided) << "search budget exhausted";
+  EXPECT_FALSE(res.strongly_linearizable);
+}
+
+// P0 wins cell 0 and P1 cell 1; P1 publishes frontier 2, then P0's late store
+// moves it back to 1. Both FAIs complete, and a read that trusts the frontier
+// returns 1 where the value is 2: not even linearizable.
+TEST(StrongLinNegative, UnconfirmedFrontierReadRefuted) {
+  verify::FaiSpec spec;
+  auto res = check(fai_fai_read<FaiMutant::kUnconfirmedRead>(), 3, spec, "nfai",
+                   /*max_depth=*/32, /*max_nodes=*/400000);
+  ASSERT_TRUE(res.decided) << "search budget exhausted";
+  EXPECT_FALSE(res.strongly_linearizable);
+}
+
+// P0's put draws Max ticket 0 and pauses before its item store. P1's first
+// take sweeps cell 0 empty twice, returns EMPTY and publishes hint 1. The put
+// completes, and P1's second take starts past cell 0 and returns EMPTY with
+// item 7 in the set: not even linearizable. Guided: P0's Max increment (five
+// steps) is done.
+TEST(StrongLinNegative, TakeHintPastAnEmptyCellRefuted) {
+  auto factory = [](sim::World&, int) {
+    return std::make_shared<testing::MemSetObject<HintPastEmptySet>>("nset");
+  };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"Put", num(7), 0}}, {{"Take", unit(), 1}, {"Take", unit(), 1}}});
+  verify::SetSpec spec;
+  auto res = check(scenario, 2, spec, "nset", /*max_depth=*/40, /*max_nodes=*/400000,
+                   std::vector<sim::Choice>(5, sim::Choice{0, false}));
+  ASSERT_TRUE(res.decided) << "search budget exhausted";
+  EXPECT_FALSE(res.strongly_linearizable);
 }
 
 }  // namespace

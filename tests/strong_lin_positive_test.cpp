@@ -20,6 +20,8 @@
 #include "core/sl_set.h"
 #include "core/snapshot_faa.h"
 #include "harness.h"
+#include "runtime/native_tas_family.h"
+#include "sim/sim_mem.h"
 #include "verify/specs.h"
 
 namespace c2sl {
@@ -29,10 +31,12 @@ using verify::Invocation;
 
 verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
                               const verify::Spec& spec, const std::string& object,
-                              int max_depth = 24, size_t max_nodes = 120000) {
+                              int max_depth = 24, size_t max_nodes = 120000,
+                              std::vector<sim::Choice> prefix = {}) {
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
+  opts.prefix = std::move(prefix);
   sim::ExecTree tree = sim::explore(n, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::StrongLinOptions slopts;
@@ -157,6 +161,60 @@ TEST(StrongLin, Theorem10_Set) {
       factory, {{{"Put", num(7), 0}}, {{"Take", unit(), 1}}});
   verify::SetSpec spec;
   auto res = check(scenario, 2, spec, "set", /*max_depth=*/30, /*max_nodes=*/400000);
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+}
+
+// The serving code's own Thm 9 and Thm 10 (runtime/native_tas_family.h),
+// instantiated over the checker's memory policy (sim/sim_mem.h): every access
+// the native fetch&increment and set make is one explored step, so the two
+// native-only refinements — the certified frontier and the taken-prefix hint
+// (docs/PROOFS.md) — are checked as the store runs them.
+
+// The FAI/FAI/Read scenario of Theorem9_FetchIncrement. Its full tree is past
+// 3,000,000 nodes (each op takes 3-8 steps here), so the check explores two
+// guided subtrees, each within the node budget:
+//   * P0 has won cell 0 and not yet stored frontier 1 — the window in which
+//     the frontier is stale. P1 and the reader load frontier 0, probe cell 0
+//     as set and gallop to cell 1, and P0's late store can move the frontier
+//     back below P1's.
+//   * P1 and then P0 have found cell 0 unset (frontier load, probe, the
+//     loop's load) and stand before their exchanges: the exchange race, the
+//     loser's rescan, and the reader's confirming read racing both wins.
+TEST(StrongLin, NativeFetchIncrementOverSimMem) {
+  auto factory = [](sim::World&, int) {
+    return std::make_shared<
+        testing::MemFaiObject<rt::BasicFetchIncrement<sim::SimMem>>>("nfai");
+  };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"FAI", unit(), 0}}, {{"FAI", unit(), 1}}, {{"Read", unit(), 2}}});
+  const sim::Choice p0{0, false};
+  const sim::Choice p1{1, false};
+  const std::vector<std::vector<sim::Choice>> prefixes = {
+      {p0, p0, p0, p0}, {p1, p1, p1, p0, p0, p0}};
+  verify::FaiSpec spec;
+  for (const auto& prefix : prefixes) {
+    auto res = check(scenario, 3, spec, "nfai", /*max_depth=*/32,
+                     /*max_nodes=*/400000, prefix);
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.strongly_linearizable)
+        << "prefix of " << prefix.size() << " steps:\n" << res.report;
+  }
+}
+
+// P0 puts while P1 takes twice. P1's first take publishes its verified-taken
+// prefix: 1 once it won item 7 at cell 0, 0 while the put still sits between
+// its Max increment and its item store. P1's second take starts its sweep
+// from that hint.
+TEST(StrongLin, NativeSetOverSimMem) {
+  auto factory = [](sim::World&, int) {
+    return std::make_shared<testing::MemSetObject<rt::BasicSet<sim::SimMem>>>(
+        "nset");
+  };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"Put", num(7), 0}}, {{"Take", unit(), 1}, {"Take", unit(), 1}}});
+  verify::SetSpec spec;
+  auto res = check(scenario, 2, spec, "nset", /*max_depth=*/40, /*max_nodes=*/400000);
   ASSERT_TRUE(res.decided);
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }

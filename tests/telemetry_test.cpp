@@ -1,13 +1,14 @@
 // The telemetry layer's verification story, in three acts:
 //
-//  1. CHECKER (sim twin, svc::SimTelemetryCounter): an op counter kept in
-//     lane-local plain-register cells. Adding one shared FAA word per op
-//     makes a single-FAA(0) read strongly linearizable on the full execution
-//     tree; the one-pass lane-cell scan read — what metrics_snapshot() does
-//     for ops_total — is REFUTED (pinned). That refutation is the reason
-//     ops_total is a diagnostic nothing may branch on, not a digest read the
-//     hot path pays a shared RMW for (the §3.2 argument, applied to
-//     telemetry).
+//  1. CHECKER: an op counter kept in lane-local cells, read by one pass over
+//     them — what metrics_snapshot() does for ops_total — is REFUTED
+//     strongly linearizable (TelemetrySim.LaneScanReadNotStronglyLinearizable
+//     in tests/service_sim_test.cpp, on the counter twin's one-pass read).
+//     The verified alternative, one shared FAA word per op read by FAA(0), is
+//     the counter-sum digest the C2StoreSim.CounterSumDigest* trees check.
+//     That refutation is the reason ops_total is a diagnostic nothing may
+//     branch on, not a digest read the hot path pays a shared RMW for (the
+//     §3.2 argument, applied to telemetry).
 //
 //  2. NATIVE exactness: on a live C2Store, the op-kind counters and their
 //     total count every instrumented op exactly at quiescence, open-session
@@ -15,8 +16,8 @@
 //     well-formed c2sl-metrics-v1 JSON. (The post-mortem
 //     last-N ops are the trace tail: tests/assert_hook_test.cpp.)
 //
-//  3. HISTOGRAM unit vectors: the nearest-rank rule (pinned since PR 4) and
-//     the log-bucket geometry, on small known vectors.
+//  3. HISTOGRAM unit vectors: the nearest-rank rule and the log-bucket
+//     geometry, on small known vectors.
 //
 // A small multi-threaded stress rides along so the TSAN job exercises the
 // racy snapshot reads against concurrent lane writers. Sections 2 and the
@@ -27,88 +28,13 @@
 #include <thread>
 #include <vector>
 
-#include "harness.h"
 #include "service/c2store.h"
-#include "service/sim_bridge.h"
 #include "telemetry/export.h"
 #include "telemetry/histogram.h"
 #include "telemetry/telemetry.h"
-#include "verify/lin_checker.h"
-#include "verify/specs.h"
 
 namespace c2sl {
 namespace {
-
-// --- 1. checker verdicts on the sim twin ------------------------------------
-
-verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
-                              const verify::Spec& spec, const std::string& object) {
-  sim::ExploreOptions opts;
-  opts.max_depth = 32;
-  opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
-  EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
-  verify::StrongLinOptions slopts;
-  slopts.object = object;
-  return verify::check_strong_linearizability(tree, spec, slopts);
-}
-
-TEST(TelemetrySim, DigestReadStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/false);
-  };
-  // Two concurrent instrumented ops (lane cell write + digest FAA) and a
-  // metrics reader: the reader's FAA(0) is its own fixed linearization point.
-  auto scenario = testing::fixed_scenario(
-      factory,
-      {{{"Inc", unit(), 0}}, {{"Inc", unit(), 1}}, {{"Read", unit(), 2}}});
-  verify::CounterSpec spec;
-  auto res = check(scenario, 3, spec, "tops");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
-}
-
-TEST(TelemetrySim, DigestIncReadRaceStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/false);
-  };
-  // Reader racing back-to-back bumps on one lane: reads must keep their fixed
-  // FAA(0) points through the window where the writer sits between its lane
-  // cell write and its digest step.
-  auto scenario = testing::fixed_scenario(
-      factory, {{{"Inc", unit(), 0}, {"Inc", unit(), 0}},
-                {{"Read", unit(), 1}, {"Read", unit(), 1}}});
-  verify::CounterSpec spec;
-  auto res = check(scenario, 2, spec, "tops");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
-}
-
-// PINNED NEGATIVE CONTROL: the same object, read by the naive one-pass scan
-// over the lane cells (what StoreTelemetry::snapshot does for ops_total). Each
-// cell is monotone and single-writer, so the scan is linearizable — but a
-// reader that already scanned lane 0 as empty cannot commit a return value at
-// any of its own steps: whether the completed Inc on lane 0 counts depends on
-// what the read finds in lane 1 LATER, so no prefix-closed assignment exists.
-// This is why ops_total is documented as a diagnostic, exact only at
-// quiescence.
-TEST(TelemetrySim, LaneScanReadNotStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/true);
-  };
-  auto scenario = testing::fixed_scenario(
-      factory,
-      {{{"Inc", unit(), 0}}, {{"Inc", unit(), 1}}, {{"Read", unit(), 2}}});
-  verify::CounterSpec spec;
-  auto res = check(scenario, 3, spec, "tops");
-  ASSERT_TRUE(res.decided);
-  EXPECT_FALSE(res.strongly_linearizable)
-      << "the one-pass lane scan verified strongly linearizable — the pinned "
-         "refutation (the reason ops_total is only a diagnostic) is gone";
-}
 
 // --- 2. native exactness ----------------------------------------------------
 

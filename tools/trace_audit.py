@@ -147,8 +147,9 @@ def audit(doc, slack_ns, allow_drops, verbose):
     if dropped and not allow_drops:
         raise Refuted(
             f"{dropped} records dropped to ring overflow; the witness "
-            f"history is incomplete (re-run with a larger C2SL_TRACE_CAP, "
-            f"or pass --allow-drops to audit order claims only)")
+            f"history is incomplete (re-run with a larger LaneTrace::kCap "
+            f"in src/telemetry/trace.h, or pass --allow-drops to audit order "
+            f"claims only)")
 
     # --- per-lane sanity: sequential sessions --------------------------------
     by_lane = {}
