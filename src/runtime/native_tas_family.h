@@ -23,6 +23,8 @@
 //     into one frontier word; inc and read start an exponential search
 //     there, and read ends with one CONFIRMING read of the candidate: a 0
 //     there after its prefix was certified pins the value — a fixed own step.
+//     When the search's own last read saw the candidate at 0, that read is
+//     the confirming read, and inc exchanges the candidate without a reload.
 //   * A verified-taken-prefix hint in NativeSet::take. Taken flags never
 //     clear, so take() records the longest all-taken prefix it verified in a
 //     plain register and later sweeps start there. A stale smaller value is
@@ -126,11 +128,12 @@ class BasicFetchIncrement {
   /// algorithm minus provably losing steps.
   int64_t fetch_and_increment() {
     // The increment path needs only the certified lower bound, not read()'s
-    // confirming retry loop. A cell that reads 1 is certified set and its
-    // exchange would lose, so the scan skips it with a load (after a lost
-    // race the next cells are often already won).
-    for (size_t i = set_bound();; ++i) {
-      if (observed_set(i)) continue;
+    // confirming retry loop. A candidate the search just read at 0 is
+    // exchanged at once; otherwise (and after a lost exchange, when the next
+    // cells are often already won) a cell that reads 1 is skipped with a load.
+    bool fresh = false;
+    for (size_t i = set_bound(fresh);; ++i, fresh = false) {
+      if (!fresh && observed_set(i)) continue;
       if (cells_.test_and_set(i) == 0) {
         // c2sl-atomic: store release — certified-frontier publish (no RMW):
         // every cell below i+1 was set by a store that happens-before this
@@ -144,7 +147,17 @@ class BasicFetchIncrement {
   /// O(1) when the frontier is current, O(log lag) otherwise: see the header
   /// comment for the prefix invariant and the confirming-read argument
   /// (proof sketch: docs/PROOFS.md §"fetch&increment").
-  int64_t read() const { return static_cast<int64_t>(first_unset()); }
+  int64_t read() const {
+    for (;;) {
+      bool fresh = false;
+      size_t lo = set_bound(fresh);
+      // Confirm, unless the search's last read already did: a 0 read after
+      // every cell below lo was certified pins the value at exactly lo — the
+      // linearization point. A 1 means other increments completed meanwhile;
+      // rescan (lock-free: only completed wins can invalidate us).
+      if (fresh || !observed_set(lo)) return static_cast<int64_t>(lo);
+    }
+  }
 
  private:
   /// Whether cell i was observed set by this call (an unpublished segment
@@ -159,12 +172,15 @@ class BasicFetchIncrement {
   /// that happens-before this call's later steps (cells never clear).
   /// Exponential search from the frontier f: probe f, then f+1, f+2, f+4, ...
   /// until a 0, then binary-search that last gap. One observation of a 1
-  /// certifies its whole prefix (header comment).
-  size_t set_bound() const {
+  /// certifies its whole prefix (header comment). `fresh` reports whether
+  /// the search's last read was the result's cell reading 0: that read
+  /// postdates every certification below it, so it is a confirming read.
+  size_t set_bound(bool& fresh) const {
     // c2sl-atomic: load acquire — certified-frontier read, pairs with publish:
     // every cell below the loaded value reads as set after this load
     const size_t f =
         static_cast<size_t>(frontier_.load(std::memory_order_acquire));
+    fresh = true;  // the probe of f and the gallop end on a 0-read of lo
     if (!observed_set(f)) return f;
     size_t lo = f + 1;  // every index < lo is certified set
     size_t step = 1;
@@ -176,26 +192,14 @@ class BasicFetchIncrement {
     }
     while (lo < hi) {  // cell hi was observed unset; find the least in [lo, hi]
       size_t mid = lo + (hi - lo) / 2;
-      if (observed_set(mid)) {
-        lo = mid + 1;
-      } else {
+      fresh = !observed_set(mid);
+      if (fresh) {
         hi = mid;
+      } else {
+        lo = mid + 1;
       }
     }
     return lo;
-  }
-
-  /// Least index whose cell reads 0, linearized at the final read.
-  size_t first_unset() const {
-    for (;;) {
-      size_t lo = set_bound();
-      // Confirm: this read postdates the certification of every cell below
-      // lo, so a 0 here pins the implemented value at exactly lo — the
-      // linearization point. A 1 means other increments completed meanwhile;
-      // rescan (lock-free for the same reason as the flat scan: only
-      // completed wins can invalidate us).
-      if (!observed_set(lo)) return lo;
-    }
   }
 
   BasicReadableTasArray<Mem> cells_;

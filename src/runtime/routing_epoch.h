@@ -45,7 +45,14 @@
 // write landing in an old slot during the dual-write window could be missed
 // by the migration replay AND skip its own re-application. The per-epoch
 // shard count is published before the install store and read after a stamp
-// load that observed it, so its loads can stay relaxed.
+// load that observed it, so its loads can stay relaxed. Epoch 0's count is a
+// constructor constant, so shards_of(0) reads no word.
+//
+// One spine for the store and its checker: the spine is written over a
+// memory policy (runtime/native_mem.h). RoutingEpoch is the NativeMem
+// instantiation; the sim twin (svc::SimRoutingEpoch) runs the SimMem one. The
+// codec (EpochCodec: statuses, claim token, stamp encoding, settle loop) does
+// not depend on the policy, as JournalCodec does not for the journal.
 #pragma once
 
 #include <atomic>
@@ -58,7 +65,9 @@
 
 namespace c2sl::rt {
 
-class RoutingEpoch {
+/// The resize protocol's policy-free half: statuses, the claim token, the
+/// stamp codec and the writers' settle loop (header comment).
+class EpochCodec {
  public:
   /// Outcome of try_begin() (and of the service-level resize built on it).
   enum class ResizeStatus {
@@ -76,36 +85,6 @@ class RoutingEpoch {
     int shards = 0;      ///< the NEW shard count
     bool valid() const { return epoch > 0; }
   };
-
-  explicit RoutingEpoch(int initial_shards) {
-    C2SL_CHECK(initial_shards > 0 &&
-                   (initial_shards & (initial_shards - 1)) == 0,
-               "shard count must be a power of two");
-    EpochCell& c0 = cells_.cell(0);
-    // c2sl-atomic: store relaxed — constructor runs single-threaded; epoch 0
-    // is published by the constructor's happens-before edge to every user
-    c0.shards.store(initial_shards, std::memory_order_relaxed);
-  }
-
-  // --- stamp reads ----------------------------------------------------------
-
-  /// Advisory stamp peek for the ref-revalidation hot path: a stale value is
-  /// harmless (correctness rides on the writer's seq_cst recheck), so this
-  /// costs one relaxed load.
-  int64_t stamp_relaxed() const {
-    // c2sl-atomic: load relaxed — advisory revalidation peek; a stale read
-    // only delays a rebind, never misroutes (the seq_cst recheck decides)
-    return stamp_.load(std::memory_order_relaxed);
-  }
-
-  /// The writer-side Dekker recheck: totally ordered against the install
-  /// store, so a writer that raced the migration window is guaranteed to see
-  /// the odd stamp (or the migration replay is guaranteed to see its write).
-  int64_t stamp() const {
-    // c2sl-atomic: load seq_cst — the writer half of the install/recheck
-    // Dekker pair; must totally order against the resizer's install store
-    return stamp_.load(std::memory_order_seq_cst);
-  }
 
   static constexpr bool installing(int64_t stamp) { return (stamp & 1) != 0; }
   /// The newest PUBLISHED epoch encoded in `stamp` (2e and 2e+1 -> e).
@@ -149,11 +128,44 @@ class RoutingEpoch {
       st = stamp();
     }
   }
+};
+
+/// The epoch spine itself over memory policy `Mem` (header comment).
+template <typename Mem>
+class BasicRoutingEpoch : public EpochCodec {
+ public:
+  explicit BasicRoutingEpoch(int initial_shards) : initial_shards_(initial_shards) {
+    C2SL_CHECK(initial_shards > 0 &&
+                   (initial_shards & (initial_shards - 1)) == 0,
+               "shard count must be a power of two");
+  }
+
+  // --- stamp reads ----------------------------------------------------------
+
+  /// Advisory stamp peek for the ref-revalidation hot path: a stale value is
+  /// harmless (correctness rides on the writer's seq_cst recheck), so this
+  /// costs one relaxed load.
+  int64_t stamp_relaxed() const {
+    // c2sl-atomic: load relaxed — advisory revalidation peek; a stale read
+    // only delays a rebind, never misroutes (the seq_cst recheck decides)
+    return stamp_.load(std::memory_order_relaxed);
+  }
+
+  /// The writer-side Dekker recheck: totally ordered against the install
+  /// store, so a writer that raced the migration window is guaranteed to see
+  /// the odd stamp (or the migration replay is guaranteed to see its write).
+  int64_t stamp() const {
+    // c2sl-atomic: load seq_cst — the writer half of the install/recheck
+    // Dekker pair; must totally order against the resizer's install store
+    return stamp_.load(std::memory_order_seq_cst);
+  }
 
   /// Shard count of `epoch`. Only valid for epochs whose install store was
   /// observed through a stamp read (published_epoch / newest_epoch of a read
-  /// stamp) — that observation carries the count's visibility.
+  /// stamp) — that observation carries the count's visibility. Epoch 0's
+  /// count is the constructor's constant: no word is read.
   int shards_of(int64_t epoch) const {
+    if (epoch == 0) return initial_shards_;
     const EpochCell* c = cells_.peek(static_cast<size_t>(epoch));
     C2SL_CHECK(c != nullptr, "epoch cell read before its install");
     // c2sl-atomic: load relaxed — ordered by the stamp read that exposed this
@@ -232,15 +244,19 @@ class RoutingEpoch {
  private:
   /// One epoch's published state. claim is the one-shot test&set (consensus
   /// number 2); shards and poisoned are plain registers. Value-initialised by
-  /// the SegmentedArray, so shards == 0 doubles as "not installed".
+  /// the array, so shards == 0 doubles as "not installed". Cell 0 stays
+  /// unused: epoch 0 has no claim and its count is initial_shards_.
   struct EpochCell {
-    NativeReadableTAS claim;
-    std::atomic<int64_t> shards{0};
-    std::atomic<bool> poisoned{false};
+    BasicReadableTAS<Mem> claim;
+    typename Mem::template Word<int64_t> shards{0};
+    typename Mem::template Word<bool> poisoned{false};
   };
 
-  SegmentedArray<EpochCell> cells_;
-  std::atomic<int64_t> stamp_{0};
+  typename Mem::template Array<EpochCell> cells_;
+  typename Mem::template Word<int64_t> stamp_{0};
+  const int initial_shards_;
 };
+
+using RoutingEpoch = BasicRoutingEpoch<NativeMem>;
 
 }  // namespace c2sl::rt

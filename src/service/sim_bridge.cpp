@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/routing_epoch.h"
 #include "service/c2store.h"
 #include "util/assert.h"
 
@@ -10,7 +9,7 @@ namespace c2sl::svc {
 
 namespace {
 using Journal = rt::JournalCodec;
-using Epoch = rt::RoutingEpoch;
+using Epoch = rt::EpochCodec;
 
 void check_pow2(int shards) {
   C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
@@ -472,17 +471,13 @@ int64_t SimSegmentedTasArray::read(sim::Ctx& ctx, size_t idx) {
 
 SimRoutingEpoch::SimRoutingEpoch(sim::World& world, std::string name, int n,
                                  int initial_shards, int max_shards,
-                                 bool publish_before_replay)
+                                 Variant variant)
     : name_(std::move(name)),
-      initial_shards_(initial_shards),
       max_shards_(max_shards),
-      publish_before_replay_(publish_before_replay) {
-  check_pow2(initial_shards);
+      variant_(variant),
+      epochs_(initial_shards) {
   check_pow2(max_shards);
   C2SL_CHECK(max_shards >= initial_shards, "max shard count below initial");
-  claims_ = world.add<prim::TasArray>(name_ + ".claims", /*readable=*/false);
-  counts_ = world.add<prim::RegArray>(name_ + ".counts");
-  stamp_ = world.add<prim::RegArray>(name_ + ".stamp");
   for (int s = 0; s < max_shards; ++s) {
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".slot" + std::to_string(s), n));
@@ -493,46 +488,30 @@ std::string SimRoutingEpoch::key_object(uint64_t key) const {
   return name_ + ".k" + std::to_string(key);
 }
 
-int64_t SimRoutingEpoch::stamp_read(sim::Ctx& ctx) {
-  // ⊥ (never written) is stamp 0: epoch 0 published, nothing installing —
-  // the native atomic's zero-initialisation.
-  Val v = ctx.world->get(stamp_).read(ctx, 0);
-  return std::holds_alternative<int64_t>(v) ? as_num(v) : 0;
-}
-
-int SimRoutingEpoch::shards_of(sim::Ctx& ctx, int64_t epoch) {
-  // Epoch 0's count is a construction-time constant (the native constructor's
-  // happens-before edge); later epochs read the installed count — only ever
-  // called for epochs exposed by a stamp read, so the cell is never ⊥.
-  if (epoch == 0) return initial_shards_;
-  Val v = ctx.world->get(counts_).read(ctx, static_cast<size_t>(epoch));
-  C2SL_CHECK(std::holds_alternative<int64_t>(v),
-             "epoch count read before its install");
-  return static_cast<int>(as_num(v));
-}
-
-int SimRoutingEpoch::slot_of(sim::Ctx& ctx, uint64_t key, int64_t epoch) {
-  return static_cast<int>(key & (static_cast<uint64_t>(shards_of(ctx, epoch)) - 1));
+int SimRoutingEpoch::slot_of(uint64_t key, int64_t epoch) const {
+  return static_cast<int>(key & (static_cast<uint64_t>(epochs_.shards_of(epoch)) - 1));
 }
 
 void SimRoutingEpoch::write_max(sim::Ctx& ctx, uint64_t key, int64_t v) {
   sim::record_op(ctx, key_object(key), "WriteMax", num(v), [&] {
     // Bind under the published epoch of one stamp read (ShardRef's bind),
     // primary slot write, then the store's own settle loop.
-    auto stamp = [&] { return stamp_read(ctx); };
-    auto route = [&](int64_t epoch) { return slot_of(ctx, key, epoch); };
+    auto stamp = [&] { return epochs_.stamp(); };
+    auto route = [&](int64_t epoch) { return slot_of(key, epoch); };
     auto apply = [&](int s) { regs_[static_cast<size_t>(s)]->write_max(ctx, v); };
     int64_t epoch = Epoch::published_epoch(stamp());
     int slot = route(epoch);
     apply(slot);
-    Epoch::settle(epoch, slot, stamp, route, apply);
+    if (variant_ != Variant::kWriterSkipsSettle) {
+      Epoch::settle(epoch, slot, stamp, route, apply);
+    }
     return unit();
   });
 }
 
 int64_t SimRoutingEpoch::read_max(sim::Ctx& ctx, uint64_t key) {
   Val r = sim::record_op(ctx, key_object(key), "ReadMax", unit(), [&] {
-    int slot = slot_of(ctx, key, Epoch::published_epoch(stamp_read(ctx)));
+    int slot = slot_of(key, Epoch::published_epoch(epochs_.stamp()));
     return num(regs_[static_cast<size_t>(slot)]->read_max(ctx));
   });
   return as_num(r);
@@ -540,31 +519,25 @@ int64_t SimRoutingEpoch::read_max(sim::Ctx& ctx, uint64_t key) {
 
 void SimRoutingEpoch::resize(sim::Ctx& ctx, int new_shards) {
   C2SL_CHECK(new_shards <= max_shards_, "resize beyond max_shards");
-  check_pow2(new_shards);
   sim::record_op(ctx, name_ + ".resize", "Resize", num(new_shards), [&]() -> Val {
-    int64_t st = stamp_read(ctx);
-    if (Epoch::installing(st)) return str("INFLIGHT");
-    int64_t e = Epoch::published_epoch(st);
-    int old_count = shards_of(ctx, e);
-    if (new_shards <= old_count) return str("NOOP");
-    int64_t next = e + 1;
-    if (ctx.world->get(claims_).test_and_set(ctx, static_cast<size_t>(next)) != 0) {
-      return str("LOST");
+    Epoch::Claim claim;
+    switch (epochs_.try_begin(new_shards, claim)) {
+      case Epoch::ResizeStatus::kInstalled: break;
+      case Epoch::ResizeStatus::kNoop: return str("NOOP");
+      case Epoch::ResizeStatus::kInFlight: return str("INFLIGHT");
+      case Epoch::ResizeStatus::kPoisoned: return str("POISONED");
     }
-    // Install: count first, then the install stamp (opens the writers'
-    // dual-write window), replay, then the publish stamp. The broken variant
-    // publishes BEFORE the replay — serve-before-replay — and the checker
-    // refutes it: a fresh reader routes to a new slot and misses a completed
-    // write.
-    prim::RegArray& stamp = ctx.world->get(stamp_);
-    ctx.world->get(counts_).write(ctx, static_cast<size_t>(next), num(new_shards));
-    stamp.write(ctx, 0, num(Epoch::install_stamp(next)));
-    if (publish_before_replay_) stamp.write(ctx, 0, num(Epoch::publish_stamp(next)));
-    for (int j = old_count; j < new_shards; ++j) {
+    // C2Store::migrate's replay, then the publish. The serve-before-replay
+    // variant publishes first: a fresh reader routes to a new slot and
+    // misses a completed write.
+    const bool early = variant_ == Variant::kPublishBeforeReplay;
+    if (early) epochs_.publish(claim);
+    int old_count = epochs_.shards_of(claim.epoch - 1);
+    for (int j = old_count; j < claim.shards; ++j) {
       int64_t mv = regs_[static_cast<size_t>(j & (old_count - 1))]->read_max(ctx);
       if (mv > 0) regs_[static_cast<size_t>(j)]->write_max(ctx, mv);
     }
-    if (!publish_before_replay_) stamp.write(ctx, 0, num(Epoch::publish_stamp(next)));
+    if (!early) epochs_.publish(claim);
     return str("OK");
   });
 }

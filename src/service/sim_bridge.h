@@ -3,12 +3,13 @@
 // (verify/lin_checker, verify/strong_lin) can exercise the service's routing,
 // aggregate, journal and hand-off algorithms on full execution trees. Where a
 // protocol step is not a paper construction, a twin runs the store's own
-// code: the routing functions (shard_router.h), the journal and the sum
-// digest themselves (rt::BasicKeyedVersionDigest and rt::BasicCounterSumDigest
-// instantiated over sim::SimMem, whose every word access is one checker step),
-// the replay fold (detail::SnapReplay), and the epoch stamp codec and settle
-// loop (rt::RoutingEpoch). Strong linearizability is local, so certifying each
-// facet on a shared tree certifies the configuration. The twins:
+// code: the routing functions (shard_router.h), the journal, the sum digest
+// and the routing-epoch spine themselves (rt::BasicKeyedVersionDigest,
+// rt::BasicCounterSumDigest and rt::BasicRoutingEpoch instantiated over
+// sim::SimMem, whose every word access is one checker step), the replay fold
+// (detail::SnapReplay) and the writers' settle loop (rt::EpochCodec::settle).
+// Strong linearizability is local, so certifying each facet on a shared tree
+// certifies the configuration. The twins:
 //
 //   * SimKeyedStore — keyed max-register and counter ops routed by hash_key +
 //     slot_of onto per-shard constructions (tests/service_sim_test.cpp).
@@ -26,7 +27,7 @@
 //   * SimSegmentedTasArray — the publish-once protocol (rt::PublishOnce::get)
 //     at step granularity, or the refuted publish-before-init order.
 //   * SimRoutingEpoch — the online-resize hand-off, or the refuted
-//     serve-before-replay order.
+//     serve-before-replay order and writer without settle.
 #pragma once
 
 #include <memory>
@@ -41,6 +42,7 @@
 #include "primitives/faa.h"
 #include "runtime/counter_sum_digest.h"
 #include "runtime/keyed_version_digest.h"
+#include "runtime/routing_epoch.h"
 #include "service/shard_router.h"
 #include "sim/sim_mem.h"
 
@@ -312,62 +314,65 @@ class SimSegmentedTasArray {
 };
 
 /// Sim twin of the routing-epoch hand-off (runtime/routing_epoch.h + the
-/// epoch-stamped refs in service/c2store.h), at base-object step
-/// granularity. One stamp register drives the whole protocol, read and
-/// written through rt::RoutingEpoch's stamp codec; claims are per-epoch
-/// one-shot test&sets, counts live in a register spine, and per-slot state is
-/// a Thm 1 max register per slot. Routing is the identity mask (slot = key &
-/// (count-1)), which preserves the nesting property the migration relies on
-/// while keeping the trees small.
+/// epoch-stamped refs in service/c2store.h). The spine is the store's own
+/// rt::BasicRoutingEpoch over SimMem — its stamp word, claim cells and count
+/// cells, each access one checker step — and per-slot state is a Thm 1 max
+/// register per slot. Routing is the identity mask (slot = key & (count-1)),
+/// which preserves the nesting property the migration relies on while
+/// keeping the trees small.
 ///
-///   * WriteMax(key, v): route under the PUBLISHED epoch of one stamp read,
-///     slot write_max, then rt::RoutingEpoch::settle — the loop
+///   * WriteMax(key, v): route under the PUBLISHED epoch of one stamp() read,
+///     slot write_max, then rt::EpochCodec::settle — the loop
 ///     detail::ShardRef::settle runs.
-///   * ReadMax(key): route under the published epoch of one stamp read, read
-///     the slot register. (Reads never settle — the linearize-early argument
-///     in the c2store.h header.)
-///   * Resize(new): claim test&set -> count install -> stamp 2e+1 -> replay
-///     parent slots into new slots by write_max -> stamp 2e+2.
+///   * ReadMax(key): route under the published epoch of one stamp() read,
+///     read the slot register. (Reads never settle — the linearize-early
+///     argument in the c2store.h header.)
+///   * Resize(new): try_begin (claim, count install, stamp 2e+1), replay
+///     parent slots into new slots by write_max, publish (stamp 2e+2) — the
+///     sequence C2Store::resize_with_lane runs.
 ///
 /// Ops record on PER-KEY facet objects (`key_object`), so the checker
 /// verifies each key's max-register facet strongly linearizable ACROSS the
-/// migration cut — the epoch hand-off theorem, mechanised. The
-/// `publish_before_replay` variant publishes the new epoch before replaying
-/// (the serve-before-replay bug): a freshly-bound reader routes to the new
-/// slot and reads 0 after a completed write — not even linearizable; the
-/// checker REFUTES it (tests/service_sim_test.cpp pins both verdicts).
+/// migration cut — the epoch hand-off theorem, mechanised. The two broken
+/// variants are each REFUTED (tests/service_sim_test.cpp pins every verdict).
 /// Resize itself records on a separate admin facet no spec checks.
 class SimRoutingEpoch {
  public:
+  enum class Variant {
+    kServing,  ///< the store's order
+    /// Publishes the new epoch before replaying (serve-before-replay): a
+    /// freshly-bound reader routes to the new slot and reads 0 after a
+    /// completed write — not even linearizable.
+    kPublishBeforeReplay,
+    /// Writers skip the settle loop (the Dekker recheck): a write that lands
+    /// in the old slot after the replay read it is lost to the new slot.
+    kWriterSkipsSettle,
+  };
+
   SimRoutingEpoch(sim::World& world, std::string name, int n,
                   int initial_shards, int max_shards,
-                  bool publish_before_replay = false);
+                  Variant variant = Variant::kServing);
 
   /// Recorded as "WriteMax"(v) on key_object(key).
   void write_max(sim::Ctx& ctx, uint64_t key, int64_t v);
   /// Recorded as "ReadMax" on key_object(key).
   int64_t read_max(sim::Ctx& ctx, uint64_t key);
-  /// Recorded as "Resize"(new_shards) -> OK|NOOP|LOST|INFLIGHT on the admin
-  /// facet (`name`.resize); the replay steps are the caller's own base steps.
+  /// Recorded as "Resize"(new_shards) -> OK|NOOP|INFLIGHT|POISONED on the
+  /// admin facet (`name`.resize); the replay steps are the caller's own.
   void resize(sim::Ctx& ctx, int new_shards);
 
   std::string key_object(uint64_t key) const;
 
  private:
-  int64_t stamp_read(sim::Ctx& ctx);
-  int shards_of(sim::Ctx& ctx, int64_t epoch);
   /// Identity-mask routing (slot = key & (count-1)) preserves the nesting
   /// property — a key either keeps its slot or moves to an index >= the old
   /// count — with no hashing noise in the trees.
-  int slot_of(sim::Ctx& ctx, uint64_t key, int64_t epoch);
+  int slot_of(uint64_t key, int64_t epoch) const;
 
   std::string name_;
-  int initial_shards_;
   int max_shards_;
-  bool publish_before_replay_;
-  sim::Handle<prim::TasArray> claims_;  ///< per-epoch one-shot resize claim
-  sim::Handle<prim::RegArray> counts_;  ///< epoch -> shard count (install)
-  sim::Handle<prim::RegArray> stamp_;   ///< cell 0: the stamp word (⊥ = 0)
+  Variant variant_;
+  rt::BasicRoutingEpoch<sim::SimMem> epochs_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;  ///< per-slot Thm 1
 };
 

@@ -6,8 +6,8 @@
 //  2. Segment-boundary edges: fetch&increment values straddling the doublings
 //     (63|64, 191|192, 447|448, ...) — the read, a finger search from the
 //     certified frontier, must agree with the dense increment count at every
-//     step and on a never-incremented object (frontier 0), and the
-//     first_unset confirm loop must hold up under real-thread contention
+//     step and on a never-incremented object (frontier 0), and read()'s
+//     confirm loop must hold up under real-thread contention
 //     right at a boundary.
 //  3. Publication race: threads force the SAME fresh segment concurrently;
 //     the claim must elect exactly one constructor (observed indirectly:

@@ -33,6 +33,7 @@ namespace c2sl {
 namespace {
 
 using verify::Invocation;
+using Variant = svc::SimRoutingEpoch::Variant;
 
 verify::StrongLinResult check_tree(const sim::ExecTree& tree, const verify::Spec& spec,
                                    const std::string& object) {
@@ -578,11 +579,11 @@ TEST(C2StoreSim, NaiveScanWitnessHistoryIsNotLinearizable) {
 
 // --- 5. the routing-epoch hand-off -------------------------------------------
 //
-// SimRoutingEpoch replays the online-resize protocol (runtime/routing_epoch.h
-// + the epoch-stamped refs in service/c2store.h) at base-object step
-// granularity: one stamp register, per-epoch one-shot claims, migration by
-// monotone write_max replay, and the writers' own Dekker settle loop
-// (rt::RoutingEpoch::settle, which ShardRef::settle also runs). Key 1
+// SimRoutingEpoch runs the online-resize protocol (runtime/routing_epoch.h
+// + the epoch-stamped refs in service/c2store.h) over the store's own spine,
+// rt::BasicRoutingEpoch<sim::SimMem>: one stamp word, per-epoch one-shot
+// claims, migration by monotone write_max replay, and the writers' own Dekker
+// settle loop (rt::EpochCodec::settle, which ShardRef::settle also runs). Key 1
 // under the identity mask MOVES on a 1 -> 2 resize (slot 0 -> slot 1), so
 // these schedules force the full hand-off: primary write to the old slot,
 // migration replay, dual-write window, fresh readers on the new slot.
@@ -625,7 +626,7 @@ TEST(C2StoreSim, RoutingEpochRacingResizersKeyFacetStronglyLinearizable) {
     // the hand-off WITH a racing reader is the previous test): what this tree
     // pins is the claim race — exactly one resizer installs, the loser leaves
     // the spine untouched, and the writer's settle loop stays correct when the
-    // install lands under it. The shards_of asserts inside the bridge double
+    // install lands under it. The shards_of checks inside the spine double
     // as the "loser never reads an uninstalled cell" check on every schedule.
     run.sched.spawn(2, [re](sim::Ctx& ctx) { re->write_max(ctx, 1, 1); });
   };
@@ -652,7 +653,7 @@ TEST(C2StoreSim, RoutingEpochServeBeforeReplayRefuted) {
     re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
                                                 /*initial_shards=*/1,
                                                 /*max_shards=*/2,
-                                                /*publish_before_replay=*/true);
+                                                Variant::kPublishBeforeReplay);
     run.sched.spawn(0, [re](sim::Ctx& ctx) { re->write_max(ctx, 1, 1); });
     run.sched.spawn(1, [re](sim::Ctx& ctx) { re->resize(ctx, 2); });
     run.sched.spawn(2, [re](sim::Ctx& ctx) { re->read_max(ctx, 1); });
@@ -668,6 +669,36 @@ TEST(C2StoreSim, RoutingEpochServeBeforeReplayRefuted) {
   EXPECT_FALSE(res.strongly_linearizable)
       << "serve-before-replay must NOT verify — this refutation is why "
          "resize publishes the epoch only after the migration replay";
+}
+
+// PINNED refutation: a writer that skips the settle loop (the Dekker recheck
+// after its primary write) loses its write across the migration. It binds
+// under epoch 0 and writes slot 0 after the resizer's replay has read slot 0;
+// the resizer publishes, and a fresh reader routes to slot 1 and reads 0
+// after the completed write. Not even linearizable; if this starts passing,
+// ShardRef::settle's re-application lost its mechanised justification.
+TEST(C2StoreSim, RoutingEpochWriterWithoutSettleRefuted) {
+  std::shared_ptr<svc::SimRoutingEpoch> re;
+  auto scenario = [&re](sim::SimRun& run) {
+    re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
+                                                /*initial_shards=*/1,
+                                                /*max_shards=*/2,
+                                                Variant::kWriterSkipsSettle);
+    run.sched.spawn(0, [re](sim::Ctx& ctx) { re->write_max(ctx, 1, 1); });
+    run.sched.spawn(1, [re](sim::Ctx& ctx) { re->resize(ctx, 2); });
+    run.sched.spawn(2, [re](sim::Ctx& ctx) { re->read_max(ctx, 1); });
+  };
+  sim::ExploreOptions opts;
+  opts.max_depth = 32;
+  opts.max_nodes = 400000;
+  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  verify::MaxRegisterSpec spec;
+  auto res = check_tree(tree, spec, re->key_object(1));
+  ASSERT_TRUE(res.decided);
+  EXPECT_FALSE(res.strongly_linearizable)
+      << "a writer without the settle loop must NOT verify — this refutation "
+         "is why every mutating op rechecks the stamp after its write";
 }
 
 }  // namespace

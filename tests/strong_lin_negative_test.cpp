@@ -32,12 +32,10 @@ using verify::Invocation;
 
 verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
                               const verify::Spec& spec, const std::string& object,
-                              int max_depth, size_t max_nodes,
-                              std::vector<sim::Choice> prefix = {}) {
+                              int max_depth, size_t max_nodes) {
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  opts.prefix = std::move(prefix);
   sim::ExecTree tree = sim::explore(n, scenario, opts);
   verify::StrongLinOptions slopts;
   slopts.object = object;
@@ -193,8 +191,9 @@ template <FaiMutant M>
 class MutantFetchIncrement {
  public:
   int64_t fetch_and_increment() {
-    for (size_t i = set_bound();; ++i) {
-      if (observed_set(i)) continue;
+    bool fresh = false;
+    for (size_t i = set_bound(fresh);; ++i, fresh = false) {
+      if (!fresh && observed_set(i)) continue;
       if (M == FaiMutant::kFrontierBeforeExchange) publish(i + 1);  // the bug
       if (cells_.test_and_set(i) == 0) {
         if (M != FaiMutant::kFrontierBeforeExchange) publish(i + 1);
@@ -206,8 +205,9 @@ class MutantFetchIncrement {
   int64_t read() const {
     if (M == FaiMutant::kUnconfirmedRead) return frontier_.load();  // the bug
     for (;;) {
-      size_t lo = set_bound();
-      if (!observed_set(lo)) return static_cast<int64_t>(lo);
+      bool fresh = false;
+      size_t lo = set_bound(fresh);
+      if (fresh || !observed_set(lo)) return static_cast<int64_t>(lo);
     }
   }
 
@@ -215,8 +215,9 @@ class MutantFetchIncrement {
   void publish(size_t f) { frontier_.store(static_cast<int64_t>(f)); }
   bool observed_set(size_t i) const { return cells_.read(i) == 1; }
 
-  size_t set_bound() const {
+  size_t set_bound(bool& fresh) const {
     const size_t f = static_cast<size_t>(frontier_.load());
+    fresh = true;
     if (!observed_set(f)) return f;
     size_t lo = f + 1;
     size_t step = 1;
@@ -228,10 +229,11 @@ class MutantFetchIncrement {
     }
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
-      if (observed_set(mid)) {
-        lo = mid + 1;
-      } else {
+      fresh = !observed_set(mid);
+      if (fresh) {
         hi = mid;
+      } else {
+        lo = mid + 1;
       }
     }
     return lo;
@@ -304,14 +306,11 @@ sim::ScenarioFn fai_fai_read() {
 // P0 and P1 both find cell 0 unset and publish frontier 1 before exchanging;
 // the reader then loads 1, sees cell 1 unset and returns 1 while neither FAI
 // has won. At that node one FAI must already be linearized with response 0,
-// but either may still win cell 0. Guided: P1 has found cell 0 unset (frontier
-// load, probe, loop load) and P0 has also stored frontier 1.
+// but either may still win cell 0.
 TEST(StrongLinNegative, FrontierPublishedBeforeExchangeRefuted) {
   verify::FaiSpec spec;
-  std::vector<sim::Choice> prefix(3, sim::Choice{1, false});
-  prefix.insert(prefix.end(), 4, sim::Choice{0, false});
   auto res = check(fai_fai_read<FaiMutant::kFrontierBeforeExchange>(), 3, spec,
-                   "nfai", /*max_depth=*/32, /*max_nodes=*/400000, prefix);
+                   "nfai", /*max_depth=*/32, /*max_nodes=*/400000);
   ASSERT_TRUE(res.decided) << "search budget exhausted";
   EXPECT_FALSE(res.strongly_linearizable);
 }
@@ -330,8 +329,7 @@ TEST(StrongLinNegative, UnconfirmedFrontierReadRefuted) {
 // P0's put draws Max ticket 0 and pauses before its item store. P1's first
 // take sweeps cell 0 empty twice, returns EMPTY and publishes hint 1. The put
 // completes, and P1's second take starts past cell 0 and returns EMPTY with
-// item 7 in the set: not even linearizable. Guided: P0's Max increment (five
-// steps) is done.
+// item 7 in the set: not even linearizable.
 TEST(StrongLinNegative, TakeHintPastAnEmptyCellRefuted) {
   auto factory = [](sim::World&, int) {
     return std::make_shared<testing::MemSetObject<HintPastEmptySet>>("nset");
@@ -339,8 +337,7 @@ TEST(StrongLinNegative, TakeHintPastAnEmptyCellRefuted) {
   auto scenario = testing::fixed_scenario(
       factory, {{{"Put", num(7), 0}}, {{"Take", unit(), 1}, {"Take", unit(), 1}}});
   verify::SetSpec spec;
-  auto res = check(scenario, 2, spec, "nset", /*max_depth=*/40, /*max_nodes=*/400000,
-                   std::vector<sim::Choice>(5, sim::Choice{0, false}));
+  auto res = check(scenario, 2, spec, "nset", /*max_depth=*/40, /*max_nodes=*/400000);
   ASSERT_TRUE(res.decided) << "search budget exhausted";
   EXPECT_FALSE(res.strongly_linearizable);
 }
