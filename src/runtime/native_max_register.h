@@ -1,38 +1,69 @@
-// Native (std::atomic) bounded variant of the §3.1 fetch&add max register.
+// The §3.1 fetch&add max register (Thm 1), bounded to one 64-bit word, and
+// the lane layout it shares with the §3.2 snapshot (runtime/native_snapshot.h).
 //
 // The simulated construction stores unbounded unary lanes in a BigInt register;
 // real hardware fetch&add is 64-bit, so this variant packs n unary lanes of
-// max_value bits each into one std::atomic<uint64_t> — faithful to the paper's
-// algorithm for bounded parameters (n * max_value <= 63), and exactly the
-// "narrow fetch&add" side of the §6 width discussion.
+// max_value bits each into one word — faithful to the paper's algorithm for
+// bounded parameters (n * max_value <= 63), and exactly the "narrow
+// fetch&add" side of the §6 width discussion. write_max of a non-larger value
+// still issues fetch_add(0), mirroring the simulated algorithm (§3.1 step 1).
 //
-// Thread i owns global bits i, n+i, 2n+i, ...; only the owner adds to its lane
-// bits, so fetch_add never carries across lanes. write_max of a non-larger
-// value still issues fetch_add(0), mirroring the simulated algorithm (§3.1
-// step 1).
+// Written once over a memory policy (runtime/native_mem.h): NativeMaxRegister64
+// is the NativeMem instantiation (C2Store's MaxRef and its max digest), and the
+// checker runs BasicMaxRegister64<sim::SimMem> directly and inside every
+// service twin that holds a max register (service/sim_bridge.h).
 #pragma once
 
-#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "runtime/native_mem.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-class NativeMaxRegister64 {
+/// The lane layout of the packed fetch&add words: bit j of lane i sits at bit
+/// j*n + i. Only lane i's owner adds to its bits, so a fetch_add of
+/// spread(next, i) - spread(prev, i) never carries or borrows across lanes:
+/// the wrap-around arithmetic flips exactly the owner's bits.
+struct LaneCodec {
+  int n;     ///< lanes, one per process
+  int bits;  ///< bits per lane (n * bits <= 64)
+
+  /// The word bits of lane i holding `lane` (< 2^bits): one step per set bit.
+  uint64_t spread(uint64_t lane, int i) const {
+    uint64_t out = 0;
+    for (; lane != 0; lane &= lane - 1) {
+      out |= uint64_t{1} << (std::countr_zero(lane) * n + i);
+    }
+    return out;
+  }
+  /// Lane i of `word`.
+  uint64_t extract(uint64_t word, int i) const {
+    uint64_t lane = 0;
+    for (int j = 0; j < bits; ++j) lane |= ((word >> (j * n + i)) & 1) << j;
+    return lane;
+  }
+  /// The largest unary lane of `word`: its highest set bit is row j of some
+  /// lane, and no lane holds more than j + 1.
+  int64_t max_unary(uint64_t word) const { return (std::bit_width(word) + n - 1) / n; }
+};
+
+template <typename Mem>
+class BasicMaxRegister64 {
  public:
-  NativeMaxRegister64(int n, int64_t max_value)
-      : n_(n), max_value_(max_value), prev_(static_cast<size_t>(n)) {
+  BasicMaxRegister64(int n, int64_t max_value)
+      : lanes_{n, static_cast<int>(max_value)}, prev_(static_cast<size_t>(n)) {
     C2SL_CHECK(n > 0 && max_value >= 1, "need n >= 1 and max_value >= 1");
     // Compared by division: the product itself can overflow int64.
     C2SL_CHECK(max_value <= 63 / n, "n * max_value must fit in 63 bits");
   }
 
   void write_max(int proc, int64_t v) {
-    C2SL_CHECK(proc >= 0 && proc < n_, "thread id out of range");
-    C2SL_CHECK(v >= 0 && v <= max_value_, "value out of range");
+    C2SL_CHECK(proc >= 0 && proc < lanes_.n, "thread id out of range");
+    C2SL_CHECK(v >= 0 && v <= lanes_.bits, "value out of range");
     Cell& cell = prev_[static_cast<size_t>(proc)];
     uint64_t k = static_cast<uint64_t>(v);
     if (k <= cell.prev) {
@@ -41,46 +72,31 @@ class NativeMaxRegister64 {
       reg_.fetch_add(0, std::memory_order_seq_cst);
       return;
     }
-    uint64_t delta = 0;
-    for (uint64_t j = cell.prev; j < k; ++j) {
-      delta |= uint64_t{1} << (j * static_cast<uint64_t>(n_) + static_cast<uint64_t>(proc));
-    }
+    uint64_t raised = unary(k) ^ unary(cell.prev);  // unary bits prev .. k-1
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of WriteMax (§4 encoding)
-    reg_.fetch_add(delta, std::memory_order_seq_cst);
+    reg_.fetch_add(lanes_.spread(raised, proc), std::memory_order_seq_cst);
     cell.prev = k;
   }
 
   int64_t read_max() {
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots the whole word
-    uint64_t snapshot = reg_.fetch_add(0, std::memory_order_seq_cst);
-    int64_t best = 0;
-    for (int i = 0; i < n_; ++i) {
-      best = std::max(best, lane_value(snapshot, i));
-    }
-    return best;
-  }
-
-  int64_t lane_value(uint64_t snapshot, int i) const {
-    int64_t v = 0;
-    for (int64_t j = 0; j < max_value_; ++j) {
-      uint64_t bit = static_cast<uint64_t>(j) * static_cast<uint64_t>(n_) +
-                     static_cast<uint64_t>(i);
-      if (snapshot & (uint64_t{1} << bit)) v = j + 1;
-    }
-    return v;
+    return lanes_.max_unary(reg_.fetch_add(0, std::memory_order_seq_cst));
   }
 
  private:
+  static uint64_t unary(uint64_t k) { return (uint64_t{1} << k) - 1; }  // k <= 63
+
   struct alignas(64) Cell {  // per-thread prevLocalMax, no false sharing
     uint64_t prev = 0;
   };
 
-  int n_;
-  int64_t max_value_;
-  std::atomic<uint64_t> reg_{0};
+  LaneCodec lanes_;
+  typename Mem::template Word<uint64_t> reg_{0};
   std::vector<Cell> prev_;
 };
+
+using NativeMaxRegister64 = BasicMaxRegister64<NativeMem>;
 
 }  // namespace c2sl::rt

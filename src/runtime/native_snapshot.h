@@ -1,37 +1,49 @@
-// Native (std::atomic) bounded variant of the §3.2 fetch&add snapshot.
+// The §3.2 fetch&add snapshot (Thm 2), bounded to one 64-bit word.
 //
-// n binary lanes of lane_bits each packed into one std::atomic<uint64_t>
-// (n * lane_bits <= 64). Update computes posAdj − negAdj in two's-complement;
-// because the owner is the only writer of its lane bits, additions never carry
-// and subtractions never borrow across lanes, so the wrap-around arithmetic
-// flips exactly the intended bits (same argument as the BigInt version).
+// n binary lanes of lane_bits each packed into one word (n * lane_bits <= 64)
+// in the max register's lane layout (rt::LaneCodec,
+// runtime/native_max_register.h). Update adds spread(new) − spread(old) in
+// two's-complement; because the owner is the only writer of its lane bits,
+// additions never carry and subtractions never borrow across lanes (same
+// argument as the BigInt version).
+//
+// Written once over a memory policy (runtime/native_mem.h): NativeSnapshot64
+// is the NativeMem instantiation, and the checker runs
+// BasicSnapshot64<sim::SimMem>.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "runtime/native_max_register.h"
+#include "runtime/native_mem.h"
 #include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-class NativeSnapshot64 {
+template <typename Mem>
+class BasicSnapshot64 {
  public:
-  NativeSnapshot64(int n, int lane_bits)
-      : n_(n), lane_bits_(lane_bits), prev_(static_cast<size_t>(n)) {
+  BasicSnapshot64(int n, int lane_bits)
+      : lanes_{n, lane_bits}, prev_(static_cast<size_t>(n)) {
     C2SL_CHECK(n > 0 && lane_bits >= 1, "need n >= 1 and lane_bits >= 1");
     C2SL_CHECK(n * lane_bits <= 64, "n * lane_bits must fit in 64 bits");
   }
 
-  int64_t max_component() const { return (int64_t{1} << lane_bits_) - 1; }
+  /// 2^lane_bits - 1, capped at INT64_MAX: components are non-negative int64.
+  int64_t max_component() const {
+    return static_cast<int64_t>(~uint64_t{0} >> (64 - std::min(lanes_.bits, 63)));
+  }
 
   void update(int proc, int64_t v) {
-    C2SL_CHECK(proc >= 0 && proc < n_, "thread id out of range");
+    C2SL_CHECK(proc >= 0 && proc < lanes_.n, "thread id out of range");
     C2SL_CHECK(v >= 0 && v <= max_component(), "component out of range");
     Cell& cell = prev_[static_cast<size_t>(proc)];
     uint64_t next = static_cast<uint64_t>(v);
-    uint64_t delta = spread(next, proc) - spread(cell.prev, proc);  // wraps safely
+    // Wraps safely: no lane but this one changes.
+    uint64_t delta = lanes_.spread(next, proc) - lanes_.spread(cell.prev, proc);
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of Update (§4 encoding)
     reg_.fetch_add(delta, std::memory_order_seq_cst);
@@ -42,43 +54,23 @@ class NativeSnapshot64 {
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots every component
     uint64_t snapshot = reg_.fetch_add(0, std::memory_order_seq_cst);
-    std::vector<int64_t> view(static_cast<size_t>(n_));
-    for (int i = 0; i < n_; ++i) {
-      view[static_cast<size_t>(i)] = static_cast<int64_t>(extract(snapshot, i));
+    std::vector<int64_t> view(static_cast<size_t>(lanes_.n));
+    for (int i = 0; i < lanes_.n; ++i) {
+      view[static_cast<size_t>(i)] = static_cast<int64_t>(lanes_.extract(snapshot, i));
     }
     return view;
   }
 
  private:
-  uint64_t spread(uint64_t lane, int i) const {
-    uint64_t out = 0;
-    for (int j = 0; j < lane_bits_; ++j) {
-      if (lane & (uint64_t{1} << j)) {
-        out |= uint64_t{1} << (static_cast<uint64_t>(j) * static_cast<uint64_t>(n_) +
-                               static_cast<uint64_t>(i));
-      }
-    }
-    return out;
-  }
-
-  uint64_t extract(uint64_t snapshot, int i) const {
-    uint64_t lane = 0;
-    for (int j = 0; j < lane_bits_; ++j) {
-      uint64_t bit = static_cast<uint64_t>(j) * static_cast<uint64_t>(n_) +
-                     static_cast<uint64_t>(i);
-      if (snapshot & (uint64_t{1} << bit)) lane |= uint64_t{1} << j;
-    }
-    return lane;
-  }
-
   struct alignas(64) Cell {
     uint64_t prev = 0;
   };
 
-  int n_;
-  int lane_bits_;
-  std::atomic<uint64_t> reg_{0};
+  LaneCodec lanes_;
+  typename Mem::template Word<uint64_t> reg_{0};
   std::vector<Cell> prev_;
 };
+
+using NativeSnapshot64 = BasicSnapshot64<NativeMem>;
 
 }  // namespace c2sl::rt

@@ -31,10 +31,11 @@
 //     sound; it keeps unbounded lane recycling (service/lane_registry.h) O(1)
 //     amortized per acquire/release cycle.
 //
-// The array, fetch&increment and set are written once over a memory policy
-// (runtime/native_mem.h): the Native* names are the NativeMem instantiations,
-// and the checker runs BasicFetchIncrement<sim::SimMem> and
-// BasicSet<sim::SimMem>, so both refinements are explored step by step.
+// The array, multi-shot test&set, fetch&increment and set are written once
+// over a memory policy (runtime/native_mem.h): the Native* names are the
+// NativeMem instantiations, and the checker runs BasicMultishotTAS,
+// BasicFetchIncrement and BasicSet over sim::SimMem, so both refinements are
+// explored step by step.
 #pragma once
 
 #include <atomic>
@@ -73,12 +74,13 @@ class BasicReadableTasArray {
 
 using NativeReadableTasArray = BasicReadableTasArray<NativeMem>;
 
-class NativeMultishotTAS {
+template <typename Mem>
+class BasicMultishotTAS {
  public:
   /// `max_resets` bounds reset GENERATIONS, and comes from the 63-bit packing
   /// of the generation max register (n * (max_resets + 1) lane bits), not from
   /// array capacity — the test&set cells themselves are unbounded.
-  NativeMultishotTAS(int n, int64_t max_resets)
+  BasicMultishotTAS(int n, int64_t max_resets)
       : max_resets_(max_resets), curr_(n, generations(n, max_resets)) {}
 
   int64_t test_and_set(int proc) {
@@ -112,9 +114,11 @@ class NativeMultishotTAS {
   size_t index() { return static_cast<size_t>(curr_.read_max()) + 1; }
 
   int64_t max_resets_;
-  NativeMaxRegister64 curr_;
-  NativeReadableTasArray ts_;
+  BasicMaxRegister64<Mem> curr_;
+  BasicReadableTasArray<Mem> ts_;
 };
+
+using NativeMultishotTAS = BasicMultishotTAS<NativeMem>;
 
 template <typename Mem>
 class BasicFetchIncrement {

@@ -41,8 +41,7 @@ SimKeyedStore::SimKeyedStore(sim::World& world, std::string name, int n, int sha
     : name_(std::move(name)), shards_(shards) {
   check_pow2(shards);
   for (int s = 0; s < shards; ++s) {
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".s" + std::to_string(s) + ".maxreg", n));
+    regs_.emplace_back(n);
     ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
         world, name_ + ".s" + std::to_string(s) + ".M"));
     ctrs_.push_back(std::make_unique<core::FetchIncrement>(
@@ -61,7 +60,7 @@ std::string SimKeyedStore::ctr_object(int shard) const {
 void SimKeyedStore::max_write(sim::Ctx& ctx, uint64_t key, int64_t v) {
   int s = shard_of(key);
   sim::record_op(ctx, max_object(s), "WriteMax", num(v), [&] {
-    regs_[static_cast<size_t>(s)]->write_max(ctx, v);
+    regs_[static_cast<size_t>(s)].write_max(ctx.self, v);
     return unit();
   });
 }
@@ -69,7 +68,7 @@ void SimKeyedStore::max_write(sim::Ctx& ctx, uint64_t key, int64_t v) {
 int64_t SimKeyedStore::max_read(sim::Ctx& ctx, uint64_t key) {
   int s = shard_of(key);
   Val r = sim::record_op(ctx, max_object(s), "ReadMax", unit(), [&] {
-    return num(regs_[static_cast<size_t>(s)]->read_max(ctx));
+    return num(regs_[static_cast<size_t>(s)].read_max());
   });
   return as_num(r);
 }
@@ -92,35 +91,30 @@ int64_t SimKeyedStore::counter_read(sim::Ctx& ctx, uint64_t key) {
 
 // --- SimShardedMaxRegister / SimShardedCounter (the aggregate twins) -------
 
-SimShardedMaxRegister::SimShardedMaxRegister(sim::World& world, std::string name,
-                                             int n, int shards, AggRead read)
-    : name_(std::move(name)), shards_(shards), read_(read) {
+SimShardedMaxRegister::SimShardedMaxRegister(std::string name, int n, int shards,
+                                             AggRead read)
+    : name_(std::move(name)), shards_(shards), read_(read), digest_(n) {
   check_pow2(shards);
-  for (int s = 0; s < shards; ++s) {
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".shard" + std::to_string(s), n));
-  }
-  digest_ = std::make_unique<core::MaxRegisterFAA>(world, name_ + ".digest", n);
+  for (int s = 0; s < shards; ++s) regs_.emplace_back(n);
 }
 
 void SimShardedMaxRegister::write_max(sim::Ctx& ctx, int64_t v) {
   // Shard register FIRST, digest second — MaxRef::write's order (pinned by
   // tests/service_sim_test.cpp).
   int s = static_cast<int>(static_cast<uint64_t>(v) & static_cast<uint64_t>(shards_ - 1));
-  regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-  if (read_ == AggRead::kDigest) digest_->write_max(ctx, v);
+  regs_[static_cast<size_t>(s)].write_max(ctx.self, v);
+  if (read_ == AggRead::kDigest) digest_.write_max(ctx.self, v);
 }
 
-int64_t SimShardedMaxRegister::read_max(sim::Ctx& ctx) {
-  if (read_ == AggRead::kDigest) return digest_->read_max(ctx);
-  std::vector<int64_t> view =
-      scan(shards_, read_, [&](int s) { return read_shard(ctx, s); });
+int64_t SimShardedMaxRegister::read_max() {
+  if (read_ == AggRead::kDigest) return digest_.read_max();
+  std::vector<int64_t> view = scan(shards_, read_, [&](int s) { return read_shard(s); });
   return *std::max_element(view.begin(), view.end());
 }
 
-int64_t SimShardedMaxRegister::read_shard(sim::Ctx& ctx, int s) {
+int64_t SimShardedMaxRegister::read_shard(int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
-  return regs_[static_cast<size_t>(s)]->read_max(ctx);
+  return regs_[static_cast<size_t>(s)].read_max();
 }
 
 Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
@@ -128,10 +122,8 @@ Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
     write_max(ctx, as_num(inv.args));
     return unit();
   }
-  if (inv.name == "ReadMax") return num(read_max(ctx));
-  if (inv.name == "ReadShard") {
-    return num(read_shard(ctx, static_cast<int>(as_num(inv.args))));
-  }
+  if (inv.name == "ReadMax") return num(read_max());
+  if (inv.name == "ReadShard") return num(read_shard(static_cast<int>(as_num(inv.args))));
   C2SL_CHECK(false, "unknown operation on sharded max register: " + inv.name);
   return unit();
 }
@@ -195,8 +187,7 @@ SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
         world, name_ + ".M" + std::to_string(s)));
     ctrs_.push_back(std::make_unique<core::FetchIncrement>(
         name_ + ".ctr" + std::to_string(s), *ts_.back()));
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".reg" + std::to_string(s), n));
+    regs_.emplace_back(n);
   }
 }
 
@@ -208,7 +199,7 @@ void SimKeyedSnapshot::inc(sim::Ctx& ctx, int s) {
 }
 
 void SimKeyedSnapshot::write_max(sim::Ctx& ctx, int s, int64_t v) {
-  regs_[static_cast<size_t>(s)]->write_max(ctx, v);
+  regs_[static_cast<size_t>(s)].write_max(ctx.self, v);
   journal_.append(Journal::Kind::kMaxWrite, s, 0, v);
 }
 
@@ -227,9 +218,7 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
     for (int s = 0; s < shards_; ++s) {
       view.push_back(ctrs_[static_cast<size_t>(s)]->read(ctx));
     }
-    for (int s = 0; s < shards_; ++s) {
-      view.push_back(regs_[static_cast<size_t>(s)]->read_max(ctx));
-    }
+    for (int s = 0; s < shards_; ++s) view.push_back(regs_[static_cast<size_t>(s)].read_max());
     return view;
   }
   // The FAA(0) tail read IS the snapshot: everything below is the store's
@@ -469,19 +458,15 @@ int64_t SimSegmentedTasArray::read(sim::Ctx& ctx, size_t idx) {
 
 // --- SimRoutingEpoch (the epoch hand-off) ----------------------------------
 
-SimRoutingEpoch::SimRoutingEpoch(sim::World& world, std::string name, int n,
-                                 int initial_shards, int max_shards,
-                                 Variant variant)
+SimRoutingEpoch::SimRoutingEpoch(std::string name, int n, int initial_shards,
+                                 int max_shards, Variant variant)
     : name_(std::move(name)),
       max_shards_(max_shards),
       variant_(variant),
       epochs_(initial_shards) {
   check_pow2(max_shards);
   C2SL_CHECK(max_shards >= initial_shards, "max shard count below initial");
-  for (int s = 0; s < max_shards; ++s) {
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".slot" + std::to_string(s), n));
-  }
+  for (int s = 0; s < max_shards; ++s) regs_.emplace_back(n);
 }
 
 std::string SimRoutingEpoch::key_object(uint64_t key) const {
@@ -498,7 +483,7 @@ void SimRoutingEpoch::write_max(sim::Ctx& ctx, uint64_t key, int64_t v) {
     // primary slot write, then the store's own settle loop.
     auto stamp = [&] { return epochs_.stamp(); };
     auto route = [&](int64_t epoch) { return slot_of(key, epoch); };
-    auto apply = [&](int s) { regs_[static_cast<size_t>(s)]->write_max(ctx, v); };
+    auto apply = [&](int s) { regs_[static_cast<size_t>(s)].write_max(ctx.self, v); };
     int64_t epoch = Epoch::published_epoch(stamp());
     int slot = route(epoch);
     apply(slot);
@@ -512,7 +497,7 @@ void SimRoutingEpoch::write_max(sim::Ctx& ctx, uint64_t key, int64_t v) {
 int64_t SimRoutingEpoch::read_max(sim::Ctx& ctx, uint64_t key) {
   Val r = sim::record_op(ctx, key_object(key), "ReadMax", unit(), [&] {
     int slot = slot_of(key, Epoch::published_epoch(epochs_.stamp()));
-    return num(regs_[static_cast<size_t>(slot)]->read_max(ctx));
+    return num(regs_[static_cast<size_t>(slot)].read_max());
   });
   return as_num(r);
 }
@@ -534,8 +519,8 @@ void SimRoutingEpoch::resize(sim::Ctx& ctx, int new_shards) {
     if (early) epochs_.publish(claim);
     int old_count = epochs_.shards_of(claim.epoch - 1);
     for (int j = old_count; j < claim.shards; ++j) {
-      int64_t mv = regs_[static_cast<size_t>(j & (old_count - 1))]->read_max(ctx);
-      if (mv > 0) regs_[static_cast<size_t>(j)]->write_max(ctx, mv);
+      int64_t mv = regs_[static_cast<size_t>(j & (old_count - 1))].read_max();
+      if (mv > 0) regs_[static_cast<size_t>(j)].write_max(ctx.self, mv);
     }
     if (!early) epochs_.publish(claim);
     return str("OK");

@@ -1,13 +1,15 @@
-// Sim-mode C2Store bridge: small configurations of the service layer rebuilt
-// over the *simulated* paper constructions, so the bounded model checkers
-// (verify/lin_checker, verify/strong_lin) can exercise the service's routing,
-// aggregate, journal and hand-off algorithms on full execution trees. Where a
-// protocol step is not a paper construction, a twin runs the store's own
-// code: the routing functions (shard_router.h), the journal, the sum digest
-// and the routing-epoch spine themselves (rt::BasicKeyedVersionDigest,
-// rt::BasicCounterSumDigest and rt::BasicRoutingEpoch instantiated over
-// sim::SimMem, whose every word access is one checker step), the replay fold
-// (detail::SnapReplay) and the writers' settle loop (rt::EpochCodec::settle).
+// Sim-mode C2Store bridge: small configurations of the service layer, so the
+// bounded model checkers (verify/lin_checker, verify/strong_lin) can exercise
+// the service's routing, aggregate, journal and hand-off algorithms on full
+// execution trees. The twins run the store's own code: the routing functions
+// (shard_router.h), the max register, the journal, the sum digest and the
+// routing-epoch spine themselves (rt::BasicMaxRegister64,
+// rt::BasicKeyedVersionDigest, rt::BasicCounterSumDigest and
+// rt::BasicRoutingEpoch instantiated over sim::SimMem, whose every word access
+// is one checker step), the replay fold (detail::SnapReplay) and the writers'
+// settle loop (rt::EpochCodec::settle). The counters and the lane set are the
+// *simulated* paper constructions (Thm 9, Thm 10): docs/PROOFS.md, "The
+// memory policy", has why.
 // Strong linearizability is local, so certifying each facet on a shared tree
 // certifies the configuration. The twins:
 //
@@ -30,23 +32,30 @@
 //     serve-before-replay order and writer without settle.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/fetch_increment.h"
-#include "core/max_register_faa.h"
 #include "core/object_api.h"
 #include "core/readable_tas.h"
 #include "core/sl_set.h"
 #include "primitives/faa.h"
 #include "runtime/counter_sum_digest.h"
 #include "runtime/keyed_version_digest.h"
+#include "runtime/native_max_register.h"
 #include "runtime/routing_epoch.h"
 #include "service/shard_router.h"
 #include "sim/sim_mem.h"
 
 namespace c2sl::svc {
+
+/// The store's max register (ShardObjects::max, C2Store's max digest) over
+/// SimMem, each op one fetch&add step, at the widest lane n processes allow.
+struct SimMaxRegister : rt::BasicMaxRegister64<sim::SimMem> {
+  explicit SimMaxRegister(int n) : BasicMaxRegister64(n, 63 / n) {}
+};
 
 /// The per-key service path: each op routes by the store's hash_key +
 /// slot_of and records on its shard's facet ("<name>.s<k>.max" /
@@ -68,7 +77,7 @@ class SimKeyedStore {
  private:
   std::string name_;
   int shards_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
+  std::deque<SimMaxRegister> regs_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
 };
@@ -90,20 +99,18 @@ enum class AggRead {
   kOnePass,
 };
 
-/// Aggregate twin over per-shard Thm 1 max registers ("<name>.shard<s>"),
-/// plus the digest register ("<name>.digest") that only kDigest writes and
-/// reads. WriteMax routes by v & (shards-1); ReadMax reads as `read` says;
+/// Aggregate twin over per-shard Thm 1 max registers, plus the digest
+/// register that only kDigest writes and reads (all SimMaxRegister). WriteMax routes by v & (shards-1); ReadMax reads as `read` says;
 /// "ReadShard"(s) reads one shard register in every mode, so tests can pin
 /// the cross-facet write order (shard first, digest second: the digest may
 /// lag a shard register but never leads them all).
 class SimShardedMaxRegister : public core::ConcurrentObject {
  public:
-  SimShardedMaxRegister(sim::World& world, std::string name, int n, int shards,
-                        AggRead read);
+  SimShardedMaxRegister(std::string name, int n, int shards, AggRead read);
 
   void write_max(sim::Ctx& ctx, int64_t v);
-  int64_t read_max(sim::Ctx& ctx);
-  int64_t read_shard(sim::Ctx& ctx, int s);
+  int64_t read_max();
+  int64_t read_shard(int s);
 
   std::string object_name() const override { return name_; }
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
@@ -112,8 +119,8 @@ class SimShardedMaxRegister : public core::ConcurrentObject {
   std::string name_;
   int shards_;
   AggRead read_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-  std::unique_ptr<core::MaxRegisterFAA> digest_;
+  std::deque<SimMaxRegister> regs_;
+  SimMaxRegister digest_;
 };
 
 /// Aggregate twin over per-shard Thm 9 counters ("<name>.M<s>" /
@@ -146,7 +153,7 @@ class SimShardedCounter : public core::ConcurrentObject {
 
 /// Sim twin of the write journal behind C2Session::snapshot()
 /// (runtime/keyed_version_digest.h): keyed writes land on their per-shard
-/// paper construction FIRST and then append one immutable entry to the
+/// object FIRST and then append one immutable entry to the
 /// store's own journal, instantiated over SimMem — the tail fetch&add IS the
 /// write's linearization point on the snapshot facet, and the cells hold the
 /// native packed words. Snap reads the tail once (version(): FAA(0), its own
@@ -189,7 +196,7 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   bool naive_loop_;
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
+  std::deque<SimMaxRegister> regs_;
   rt::BasicKeyedVersionDigest<sim::SimMem> journal_;
 };
 
@@ -316,8 +323,8 @@ class SimSegmentedTasArray {
 /// Sim twin of the routing-epoch hand-off (runtime/routing_epoch.h + the
 /// epoch-stamped refs in service/c2store.h). The spine is the store's own
 /// rt::BasicRoutingEpoch over SimMem — its stamp word, claim cells and count
-/// cells, each access one checker step — and per-slot state is a Thm 1 max
-/// register per slot. Routing is the identity mask (slot = key & (count-1)),
+/// cells, each access one checker step — and per-slot state is the store's
+/// max register (SimMaxRegister) per slot. Routing is the identity mask (slot = key & (count-1)),
 /// which preserves the nesting property the migration relies on while
 /// keeping the trees small.
 ///
@@ -349,8 +356,7 @@ class SimRoutingEpoch {
     kWriterSkipsSettle,
   };
 
-  SimRoutingEpoch(sim::World& world, std::string name, int n,
-                  int initial_shards, int max_shards,
+  SimRoutingEpoch(std::string name, int n, int initial_shards, int max_shards,
                   Variant variant = Variant::kServing);
 
   /// Recorded as "WriteMax"(v) on key_object(key).
@@ -373,7 +379,7 @@ class SimRoutingEpoch {
   int max_shards_;
   Variant variant_;
   rt::BasicRoutingEpoch<sim::SimMem> epochs_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;  ///< per-slot Thm 1
+  std::deque<SimMaxRegister> regs_;  ///< per-slot Thm 1
 };
 
 }  // namespace c2sl::svc

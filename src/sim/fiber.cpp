@@ -11,7 +11,7 @@
 namespace c2sl::sim {
 
 Fiber::Fiber(std::function<void()> body, size_t stack_bytes)
-    : stack_(stack_bytes), body_(std::move(body)) {
+    : stack_(new char[stack_bytes]), stack_bytes_(stack_bytes), body_(std::move(body)) {
   C2SL_ASSERT(stack_bytes >= 16 * 1024);
 }
 
@@ -59,8 +59,8 @@ void Fiber::resume() {
   if (!started_) {
     started_ = true;
     C2SL_ASSERT(getcontext(&self_) == 0);
-    self_.uc_stack.ss_sp = stack_.data();
-    self_.uc_stack.ss_size = stack_.size();
+    self_.uc_stack.ss_sp = stack_.get();
+    self_.uc_stack.ss_size = stack_bytes_;
     self_.uc_link = &caller_;
     auto addr = reinterpret_cast<uintptr_t>(this);
     makecontext(&self_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -68,8 +68,7 @@ void Fiber::resume() {
                 static_cast<unsigned int>(addr & 0xffffffffu));
   }
 #if C2SL_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.data(),
-                                 stack_.size());
+  __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.get(), stack_bytes_);
 #endif
   C2SL_ASSERT(swapcontext(&caller_, &self_) == 0);
 #if C2SL_ASAN_FIBERS

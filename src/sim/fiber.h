@@ -10,8 +10,8 @@
 
 #include <exception>
 #include <functional>
+#include <memory>
 #include <ucontext.h>
-#include <vector>
 
 // AddressSanitizer must be told about every switch onto a user-managed stack,
 // or its shadow bookkeeping (and the unwinder's __asan_handle_no_return on a
@@ -64,7 +64,10 @@ class Fiber {
 
   ucontext_t self_{};
   ucontext_t caller_{};
-  std::vector<char> stack_;
+  /// Left uninitialised: every replay builds fresh fibers, and zero-filling
+  /// a 256 KiB stack each time dominated the explorer's system time.
+  std::unique_ptr<char[]> stack_;
+  size_t stack_bytes_;
 #if C2SL_ASAN_FIBERS
   // ASAN fiber-switch protocol state: the fake-stack handles saved when each
   // side leaves its stack, and the caller's stack bounds as reported by

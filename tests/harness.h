@@ -132,6 +132,70 @@ class MemSetObject : public core::ConcurrentObject {
   Set set_;
 };
 
+/// The packed fetch&add words and the multi-shot test&set over a memory
+/// policy (rt::BasicMaxRegister64 / BasicSnapshot64 / BasicMultishotTAS over
+/// sim::SimMem), constructed from (n, bound); the calling process's id picks
+/// its lane. Ops as verify::MaxRegisterSpec, SnapshotSpec and TasSpec name
+/// them.
+template <typename Reg>
+class MemMaxRegisterObject : public core::ConcurrentObject {
+ public:
+  MemMaxRegisterObject(std::string name, int n, int64_t max_value)
+      : name_(std::move(name)), reg_(n, max_value) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override {
+    if (inv.name == "WriteMax") {
+      reg_.write_max(ctx.self, as_num(inv.args));
+      return unit();
+    }
+    C2SL_CHECK(inv.name == "ReadMax", "unknown operation: " + inv.name);
+    return num(reg_.read_max());
+  }
+
+ private:
+  std::string name_;
+  Reg reg_;
+};
+
+template <typename Snap>
+class MemSnapshotObject : public core::ConcurrentObject {
+ public:
+  MemSnapshotObject(std::string name, int n, int lane_bits)
+      : name_(std::move(name)), snap_(n, lane_bits) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override {
+    if (inv.name == "Update") {
+      snap_.update(ctx.self, as_num(inv.args));
+      return unit();
+    }
+    C2SL_CHECK(inv.name == "Scan", "unknown operation: " + inv.name);
+    return vec(snap_.scan());
+  }
+
+ private:
+  std::string name_;
+  Snap snap_;
+};
+
+template <typename Tas>
+class MemMultishotObject : public core::ConcurrentObject {
+ public:
+  MemMultishotObject(std::string name, int n, int64_t max_resets)
+      : name_(std::move(name)), tas_(n, max_resets) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override {
+    if (inv.name == "TAS") return num(tas_.test_and_set(ctx.self));
+    if (inv.name == "Read") return num(tas_.read());
+    C2SL_CHECK(inv.name == "Reset", "unknown operation: " + inv.name);
+    tas_.reset(ctx.self);
+    return unit();
+  }
+
+ private:
+  std::string name_;
+  Tas tas_;
+};
+
 /// Random-schedule linearizability sweep: many seeds, one verdict.
 inline ::testing::AssertionResult lin_sweep(const ObjectFactory& factory, const OpGen& gen,
                                             const verify::Spec& spec,

@@ -111,6 +111,17 @@ TEST(NativeMaxRegister, OverflowingPackingBoundsRejected) {
   EXPECT_EQ(widest.read_max(), 63);
 }
 
+// One lane may take all 64 bits: its components span every non-negative
+// int64 (2^64 - 1 does not fit one).
+TEST(NativeSnapshot, SingleLaneTakesTheWholeWord) {
+  rt::NativeSnapshot64 snap(1, 64);
+  EXPECT_EQ(snap.max_component(), INT64_MAX);
+  snap.update(0, INT64_MAX);
+  EXPECT_EQ(snap.scan(), std::vector<int64_t>{INT64_MAX});
+  snap.update(0, 5);
+  EXPECT_EQ(snap.scan(), std::vector<int64_t>{5});
+}
+
 TEST(NativeSnapshot, StressHistoriesLinearizable) {
   const int threads = 3;
   const int ops = 5;

@@ -55,8 +55,8 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
 
 /// The aggregate twins: per-shard objects plus a digest, read as `read` says.
 testing::ObjectFactory max_twin(std::string name, int shards, svc::AggRead read) {
-  return [=](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, name, n, shards, read);
+  return [=](sim::World&, int n) {
+    return std::make_shared<svc::SimShardedMaxRegister>(name, n, shards, read);
   };
 }
 testing::ObjectFactory counter_twin(std::string name, svc::AggRead read) {
@@ -594,7 +594,7 @@ TEST(C2StoreSim, NaiveScanWitnessHistoryIsNotLinearizable) {
 TEST(C2StoreSim, RoutingEpochHandoffStronglyLinearizable) {
   std::shared_ptr<svc::SimRoutingEpoch> re;
   auto scenario = [&re](sim::SimRun& run) {
-    re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
+    re = std::make_shared<svc::SimRoutingEpoch>("re", run.n(),
                                                 /*initial_shards=*/1,
                                                 /*max_shards=*/2);
     run.sched.spawn(0, [re](sim::Ctx& ctx) { re->write_max(ctx, 1, 1); });
@@ -617,7 +617,7 @@ TEST(C2StoreSim, RoutingEpochHandoffStronglyLinearizable) {
 TEST(C2StoreSim, RoutingEpochRacingResizersKeyFacetStronglyLinearizable) {
   std::shared_ptr<svc::SimRoutingEpoch> re;
   auto scenario = [&re](sim::SimRun& run) {
-    re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
+    re = std::make_shared<svc::SimRoutingEpoch>("re", run.n(),
                                                 /*initial_shards=*/1,
                                                 /*max_shards=*/2);
     run.sched.spawn(0, [re](sim::Ctx& ctx) { re->resize(ctx, 2); });
@@ -650,7 +650,7 @@ TEST(C2StoreSim, RoutingEpochRacingResizersKeyFacetStronglyLinearizable) {
 TEST(C2StoreSim, RoutingEpochServeBeforeReplayRefuted) {
   std::shared_ptr<svc::SimRoutingEpoch> re;
   auto scenario = [&re](sim::SimRun& run) {
-    re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
+    re = std::make_shared<svc::SimRoutingEpoch>("re", run.n(),
                                                 /*initial_shards=*/1,
                                                 /*max_shards=*/2,
                                                 Variant::kPublishBeforeReplay);
@@ -680,7 +680,7 @@ TEST(C2StoreSim, RoutingEpochServeBeforeReplayRefuted) {
 TEST(C2StoreSim, RoutingEpochWriterWithoutSettleRefuted) {
   std::shared_ptr<svc::SimRoutingEpoch> re;
   auto scenario = [&re](sim::SimRun& run) {
-    re = std::make_shared<svc::SimRoutingEpoch>(run.world, "re", run.n(),
+    re = std::make_shared<svc::SimRoutingEpoch>("re", run.n(),
                                                 /*initial_shards=*/1,
                                                 /*max_shards=*/2,
                                                 Variant::kWriterSkipsSettle);

@@ -20,6 +20,7 @@
 #include "core/sl_set.h"
 #include "core/snapshot_faa.h"
 #include "harness.h"
+#include "runtime/native_snapshot.h"
 #include "runtime/native_tas_family.h"
 #include "sim/sim_mem.h"
 #include "verify/specs.h"
@@ -42,32 +43,52 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   return verify::check_strong_linearizability(tree, spec, slopts);
 }
 
+// Theorems 1 and 2 and Corollary 7 each check two factories on one scenario:
+// the paper's construction over simulated primitives, then the runtime's
+// bounded one-word class (runtime/native_max_register.h, native_snapshot.h,
+// native_tas_family.h) over SimMem.
 TEST(StrongLin, Theorem1_MaxRegisterFAA) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<core::MaxRegisterFAA>(w, "maxreg", n);
-  };
-  auto scenario = testing::fixed_scenario(
-      factory, {{{"WriteMax", num(2), 0}, {"ReadMax", unit(), 0}},
-                {{"WriteMax", num(5), 1}},
-                {{"ReadMax", unit(), 2}, {"WriteMax", num(1), 2}}});
-  verify::MaxRegisterSpec spec;
-  auto res = check(scenario, 3, spec, "maxreg");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  const testing::ObjectFactory factories[] = {
+      [](sim::World& w, int n) {
+        return std::make_shared<core::MaxRegisterFAA>(w, "maxreg", n);
+      },
+      [](sim::World&, int n) {
+        return std::make_shared<
+            testing::MemMaxRegisterObject<rt::BasicMaxRegister64<sim::SimMem>>>(
+            "maxreg", n, 63 / n);
+      }};
+  for (const auto& factory : factories) {
+    auto scenario = testing::fixed_scenario(
+        factory, {{{"WriteMax", num(2), 0}, {"ReadMax", unit(), 0}},
+                  {{"WriteMax", num(5), 1}},
+                  {{"ReadMax", unit(), 2}, {"WriteMax", num(1), 2}}});
+    verify::MaxRegisterSpec spec;
+    auto res = check(scenario, 3, spec, "maxreg");
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  }
 }
 
 TEST(StrongLin, Theorem2_SnapshotFAA) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<core::SnapshotFAA>(w, "snap", n);
-  };
-  auto scenario = testing::fixed_scenario(
-      factory, {{{"Update", num(1), 0}, {"Scan", unit(), 0}},
-                {{"Update", num(2), 1}, {"Update", num(3), 1}},
-                {{"Scan", unit(), 2}}});
-  verify::SnapshotSpec spec(3);
-  auto res = check(scenario, 3, spec, "snap");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  const testing::ObjectFactory factories[] = {
+      [](sim::World& w, int n) {
+        return std::make_shared<core::SnapshotFAA>(w, "snap", n);
+      },
+      [](sim::World&, int n) {
+        return std::make_shared<
+            testing::MemSnapshotObject<rt::BasicSnapshot64<sim::SimMem>>>(
+            "snap", n, 64 / n);
+      }};
+  for (const auto& factory : factories) {
+    auto scenario = testing::fixed_scenario(
+        factory, {{{"Update", num(1), 0}, {"Scan", unit(), 0}},
+                  {{"Update", num(2), 1}, {"Update", num(3), 1}},
+                  {{"Scan", unit(), 2}}});
+    verify::SnapshotSpec spec(3);
+    auto res = check(scenario, 3, spec, "snap");
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  }
 }
 
 TEST(StrongLin, Theorem5_ReadableTAS) {
@@ -119,13 +140,21 @@ TEST(StrongLin, Corollary7_MultishotTAS_Implemented) {
     std::string object_name() const override { return "mtas"; }
     Val apply(sim::Ctx& c, const Invocation& i) override { return mtas.apply(c, i); }
   };
-  auto factory = [](sim::World& w, int n) { return std::make_shared<Bundle>(w, n); };
-  auto scenario = testing::fixed_scenario(
-      factory, {{{"TAS", unit(), 0}, {"Reset", unit(), 0}}, {{"TAS", unit(), 1}}});
-  verify::TasSpec spec(/*multi_shot=*/true);
-  auto res = check(scenario, 2, spec, "mtas", /*max_depth=*/26, /*max_nodes=*/400000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  const testing::ObjectFactory factories[] = {
+      [](sim::World& w, int n) { return std::make_shared<Bundle>(w, n); },
+      [](sim::World&, int n) {
+        return std::make_shared<
+            testing::MemMultishotObject<rt::BasicMultishotTAS<sim::SimMem>>>(
+            "mtas", n, 63 / n - 1);
+      }};
+  for (const auto& factory : factories) {
+    auto scenario = testing::fixed_scenario(
+        factory, {{{"TAS", unit(), 0}, {"Reset", unit(), 0}}, {{"TAS", unit(), 1}}});
+    verify::TasSpec spec(/*multi_shot=*/true);
+    auto res = check(scenario, 2, spec, "mtas", /*max_depth=*/26, /*max_nodes=*/400000);
+    ASSERT_TRUE(res.decided);
+    EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  }
 }
 
 TEST(StrongLin, Theorem9_FetchIncrement) {
