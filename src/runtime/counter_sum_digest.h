@@ -3,11 +3,11 @@
 // word in service/c2store.h.
 //
 // The paper's §3.2 snapshot packs per-process components into ONE fetch&add
-// register so a scan is a single FAA(0) read (a multi-word collect cannot be
-// strongly linearizable: tests/service_sim_test.cpp pins the refutations).
-// For a SUM the packing degenerates: addition is both the per-component
-// update and the combiner, so every lane shares one word — each add is
-// fetch_add(1), the read one fetch_add(0), each a fixed own-step
+// register so a scan is one atomic read of one word (a multi-word collect
+// cannot be strongly linearizable: tests/service_sim_test.cpp pins the
+// refutations). For a SUM the packing degenerates: addition is both the
+// per-component update and the combiner, so every lane shares one word — each
+// add is fetch_add(1), the read one seq_cst load, each a fixed own-step
 // linearization point. 63 bits bound the total (~9.2e18 adds), so there is no
 // per-lane width budget. Per-lane counts are telemetry's (its counter_inc
 // cells).
@@ -44,12 +44,14 @@ class BasicCounterSumDigest {
     total_.fetch_add(1, std::memory_order_seq_cst);
   }
 
-  /// The digest read: one FAA(0) on the total word — wait-free, strongly
-  /// linearizable (the §3.2 single-word-scan move, degenerate sum form).
+  /// The digest read: one seq_cst load of the total word — wait-free,
+  /// strongly linearizable (the §3.2 single-word-scan move, degenerate sum
+  /// form).
   int64_t read() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) read IS the digest's atomic scan step
-    return total_.fetch_add(0, std::memory_order_seq_cst);
+    // c2sl-atomic: load seq_cst — the digest's atomic scan step: every add is
+    // a seq_cst RMW, so the load reads the last one before it in S and
+    // acquires every add it counts (release sequence)
+    return total_.load(std::memory_order_seq_cst);
   }
 
  private:

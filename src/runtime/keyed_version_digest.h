@@ -12,10 +12,11 @@
 //   * every keyed write appends one immutable entry to a ticket-indexed
 //     journal — the ticket fetch&add on the tail word IS the write's
 //     linearization point (fixed own-step);
-//   * a snapshot reads the tail once with FAA(0) — its linearization point —
-//     and deterministically REPLAYS entries below that ticket into per-shard
-//     accumulators. Two snapshots that read the same tail return identical
-//     vectors; prefix closure holds because every op's point is its own step.
+//   * a snapshot reads the tail once with one seq_cst load — its
+//     linearization point — and deterministically REPLAYS entries below
+//     that ticket into per-shard accumulators. Two snapshots that read the
+//     same tail return identical vectors; prefix closure holds because
+//     every op's point is its own step.
 //
 // The tail word is the class's "version digest": it advances by one per keyed
 // write (two for a wide transfer, below) and bounds the replay exactly.
@@ -206,12 +207,12 @@ class BasicKeyedVersionDigest : public JournalCodec {
     return t;
   }
 
-  /// The version-digest read: one FAA(0) on the tail — wait-free, and the
-  /// linearization point of any snapshot that replays up to the result.
+  /// The version-digest read: one seq_cst load of the tail — wait-free, and
+  /// the linearization point of any snapshot that replays up to the result.
   int64_t version() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) read IS the snapshot's atomic step
-    return tail_.fetch_add(0, std::memory_order_seq_cst);
+    // c2sl-atomic: load seq_cst — the snapshot's atomic step: every ticket is
+    // a seq_cst FAA, so the load reads the last one before it in S
+    return tail_.load(std::memory_order_seq_cst);
   }
 
   /// Entry whose first ticket is `ticket` (< some tail read). Spins until

@@ -5,8 +5,12 @@
 // real hardware fetch&add is 64-bit, so this variant packs n unary lanes of
 // max_value bits each into one word — faithful to the paper's algorithm for
 // bounded parameters (n * max_value <= 63), and exactly the "narrow
-// fetch&add" side of the §6 width discussion. write_max of a non-larger value
-// still issues fetch_add(0), mirroring the simulated algorithm (§3.1 step 1).
+// fetch&add" side of the §6 width discussion. Two steps of the verbatim
+// algorithm are refined away (docs/PROOFS.md, "The native refinements"):
+// read_max is one seq_cst load instead of fetch_add(0), and a write_max at or
+// below the lane's own last write takes no shared step at all (the paper
+// calls that write's fetch_add(0) "not needed for correctness", §3.1).
+// core::MaxRegisterFAA keeps both steps verbatim.
 //
 // Written once over a memory policy (runtime/native_mem.h): NativeMaxRegister64
 // is the NativeMem instantiation (C2Store's MaxRef and its max digest), and the
@@ -66,12 +70,10 @@ class BasicMaxRegister64 {
     C2SL_CHECK(v >= 0 && v <= lanes_.bits, "value out of range");
     Cell& cell = prev_[static_cast<size_t>(proc)];
     uint64_t k = static_cast<uint64_t>(v);
-    if (k <= cell.prev) {
-      C2SL_TEL_PRIM_FAA();
-      // c2sl-atomic: faa seq_cst — no-op FAA(0) is still the WriteMax step
-      reg_.fetch_add(0, std::memory_order_seq_cst);
-      return;
-    }
+    // No shared step: the lane already holds k (its own completed FAA, or
+    // the initial 0), so the op's effect and response are fixed at
+    // invocation, its linearization point.
+    if (k <= cell.prev) return;
     uint64_t raised = unary(k) ^ unary(cell.prev);  // unary bits prev .. k-1
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of WriteMax (§4 encoding)
@@ -80,9 +82,9 @@ class BasicMaxRegister64 {
   }
 
   int64_t read_max() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots the whole word
-    return lanes_.max_unary(reg_.fetch_add(0, std::memory_order_seq_cst));
+    // c2sl-atomic: load seq_cst — linearization point of ReadMax: every
+    // writer is a seq_cst FAA, so the load reads the last one before it in S
+    return lanes_.max_unary(reg_.load(std::memory_order_seq_cst));
   }
 
  private:

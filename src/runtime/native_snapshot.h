@@ -5,7 +5,8 @@
 // runtime/native_max_register.h). Update adds spread(new) − spread(old) in
 // two's-complement; because the owner is the only writer of its lane bits,
 // additions never carry and subtractions never borrow across lanes (same
-// argument as the BigInt version).
+// argument as the BigInt version). Scan is one seq_cst load of the word where
+// the paper's is fetch_add(0) (docs/PROOFS.md, "The native refinements").
 //
 // Written once over a memory policy (runtime/native_mem.h): NativeSnapshot64
 // is the NativeMem instantiation, and the checker runs
@@ -51,9 +52,9 @@ class BasicSnapshot64 {
   }
 
   std::vector<int64_t> scan() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots every component
-    uint64_t snapshot = reg_.fetch_add(0, std::memory_order_seq_cst);
+    // c2sl-atomic: load seq_cst — linearization point of Scan: every writer
+    // is a seq_cst FAA, so the load reads the last one before it in S
+    uint64_t snapshot = reg_.load(std::memory_order_seq_cst);
     std::vector<int64_t> view(static_cast<size_t>(lanes_.n));
     for (int i = 0; i < lanes_.n; ++i) {
       view[static_cast<size_t>(i)] = static_cast<int64_t>(lanes_.extract(snapshot, i));

@@ -15,7 +15,7 @@
 // of NativeMaxRegister64 (a WIDTH constraint, §6), not array capacities.
 //
 // Two native-only refinements skip steps whose outcome is already fixed
-// (docs/PROOFS.md, "The two native refinements", has both arguments):
+// (docs/PROOFS.md, "The native refinements", has both arguments):
 //
 //   * O(1) fetch&increment from a certified frontier. The set cells always
 //     form a PREFIX [0, value), so one observation of a 1 at index i

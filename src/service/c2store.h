@@ -95,9 +95,9 @@
 // Aggregates: global_max() and counter_sum() read store-level DIGESTS that
 // every write also updates — global_max an extra NativeMaxRegister64 (every
 // MaxRef::write lands there too), counter_sum a CounterSumDigest (every
-// CounterRef::inc also fetch_adds the digest word) — so each global read is a
-// single fetch&add(0): wait-free and strongly linearizable, exactly the
-// paper's "pack it into one FAA word" move (§3.1/§3.2). The digests are keyed
+// CounterRef::inc also fetch_adds the digest word) — so each global read is
+// one seq_cst load: wait-free and strongly linearizable, exactly the paper's
+// "pack it into one FAA word" move (§3.1/§3.2). The digests are keyed
 // by lane (max) or not at all (sum), never by slot, so they are
 // EPOCH-INDEPENDENT: a resize cannot tear them, and they stay exact across
 // any number of migrations (the in-window slot duplication never reaches
@@ -112,8 +112,8 @@
 // session.transfer(a, b, d) atomically moves d between two counter keys'
 // ledger balances. Both ride the store's write journal
 // (runtime/keyed_version_digest.h): every keyed write appends one entry whose
-// tail fetch&add is its linearization point, and a snapshot linearizes at a
-// single tail FAA(0), then deterministically replays the journal prefix into
+// tail fetch&add is its linearization point, and a snapshot linearizes at
+// one seq_cst load of the tail, then deterministically replays the journal prefix into
 // session-local per-shard accumulators. The journal facet is EPOCH-
 // INDEPENDENT BY CONSTRUCTION: entries and snapshot components are bucketed
 // under the INITIAL mask forever, so the snapshot/transfer story never reads
@@ -346,8 +346,8 @@ struct SnapReplay {
   /// entry, or the simulated twin's read of its cells). Deterministic: entry
   /// content is fixed at ticket time, so every replayer that reaches `tail`
   /// computes the same vectors regardless of how its cursor got there —
-  /// which is what makes two same-tail snapshots identical and the FAA(0)
-  /// tail read a legitimate linearization point. Bucket indices are
+  /// which is what makes two same-tail snapshots identical and the tail
+  /// load a legitimate linearization point. Bucket indices are
   /// INITIAL-mask for every entry kind, so no entry indexes outside the
   /// vectors. A wide transfer spans two tickets drawn by one FAA, so no tail
   /// splits it and the cursor steps over both.
@@ -385,7 +385,7 @@ struct SnapReplay {
 /// (runtime/keyed_version_digest.h). Binding routes every key ONCE under the
 /// initial mask (duplicates allowed, order preserved; the empty list is valid
 /// and reads as the empty vector). read() is strongly linearizable as ONE
-/// operation: it linearizes at its single tail FAA(0) and deterministically
+/// operation: it linearizes at its one tail load and deterministically
 /// replays the journal prefix below it — it never reads routing state, so it
 /// is trivially resize-proof (no torn table reads are even expressible).
 /// Reads never materialise shards — an untouched key reads as 0 and
@@ -602,7 +602,7 @@ class C2Store {
   }
 
   // --- aggregates ---
-  /// Digest read: one fetch&add(0); wait-free, strongly linearizable as its
+  /// Digest read: one seq_cst load; wait-free, strongly linearizable as its
   /// own facet, and epoch-independent (lane-keyed — exact across resizes).
   /// Cross-facet caveat: MaxRef::write updates the shard register BEFORE the
   /// digest, so a client that reads a value via MaxRef::read can briefly
@@ -611,7 +611,7 @@ class C2Store {
   /// (shard first, digest never ahead of any shard) is pinned by
   /// tests/service_sim_test.cpp — reordering it fails loudly there.
   int64_t global_max();
-  /// Sum digest read: one fetch&add(0) on the CounterSumDigest word —
+  /// Sum digest read: one seq_cst load of the CounterSumDigest word —
   /// wait-free, strongly linearizable as its own facet (checker-verified via
   /// the sim twin), and epoch-independent (exact across resizes — the only
   /// exact whole-store count once a resize has duplicated in-window
@@ -699,7 +699,7 @@ class C2Store {
 
   /// Folds journal entries [r.cursor, tail) into r's accumulators; replay is
   /// a deterministic function of `tail`, which is what makes every snapshot's
-  /// tail FAA(0) its linearization point (defined in c2store.cpp).
+  /// tail load its linearization point (defined in c2store.cpp).
   void replay_journal(detail::SnapReplay& r, int64_t tail);
 
   /// The claimed-epoch migration: for every NEW slot, replay its parent
@@ -1039,7 +1039,7 @@ inline std::vector<int64_t> SnapshotRef::read() {
                  static_cast<int64_t>(slots_.size()));
   tel::TraceScope tr(trc_, tel::TraceOp::kSnapshot, -1,
                      static_cast<int64_t>(slots_.size()));
-  // The single tail FAA(0) IS the snapshot's linearization point; everything
+  // The one tail load IS the snapshot's linearization point; everything
   // after is a deterministic function of its result.
   int64_t tail = store_->journal_.version();
   store_->replay_journal(*replay_, tail);
@@ -1064,7 +1064,7 @@ inline int64_t C2Session::global_max() {
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kGlobalMax, -1, 0);
   tel::TraceScope tr(trc_lane_, tel::TraceOp::kGlobalMax, -1, 0);
   int64_t v = store_->global_max();
-  // The digest FAA(0) value is its own witness: the max facet is monotone,
+  // The digest's loaded value is its own witness: the max facet is monotone,
   // so the auditor checks these never regress under real-time order.
   tr.set_result(v);
   tr.set_witness(v);
@@ -1075,7 +1075,7 @@ inline int64_t C2Session::counter_sum() {
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kCounterSum, -1, 0);
   tel::TraceScope tr(trc_lane_, tel::TraceOp::kCounterSum, -1, 0);
   int64_t v = store_->counter_sum();
-  // The sum digest FAA(0) value is its own witness (monotone: incs only).
+  // The sum digest's loaded value is its own witness (monotone: incs only).
   tr.set_result(v);
   tr.set_witness(v);
   return v;

@@ -221,7 +221,7 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
     for (int s = 0; s < shards_; ++s) view.push_back(regs_[static_cast<size_t>(s)].read_max());
     return view;
   }
-  // The FAA(0) tail read IS the snapshot: everything below is the store's
+  // The tail load IS the snapshot: everything below is the store's
   // own deterministic replay of entries fixed at their ticket fetch&add.
   detail::SnapReplay r(shards_);
   r.fold(journal_.version(), [&](int64_t t) { return journal_.entry(t); });

@@ -156,15 +156,16 @@ class SimShardedCounter : public core::ConcurrentObject {
 /// object FIRST and then append one immutable entry to the
 /// store's own journal, instantiated over SimMem — the tail fetch&add IS the
 /// write's linearization point on the snapshot facet, and the cells hold the
-/// native packed words. Snap reads the tail once (version(): FAA(0), its own
-/// fixed step) and replays the entries below it with the store's own
-/// detail::SnapReplay::fold over entry(), whose acquire-spin on a
+/// native packed words. Snap reads the tail once (version(): one seq_cst
+/// load, its own fixed step) and replays the entries below it with the
+/// store's own detail::SnapReplay::fold over entry(), whose acquire-spin on a
 /// not-yet-deposited cell is one checker step per poll (entry CONTENT is
-/// fixed at ticket time, so the replay is a pure function of the tail read). Xfer appends ONE entry
-/// moving value between two shard balances — which is why every snapshot
-/// conserves the transferred sum: no cut can separate the debit from the
-/// credit. An amount outside [kInlineMin, kInlineMax] takes the native wide
-/// path: two tickets from one fetch&add, amount cell before header.
+/// fixed at ticket time, so the replay is a pure function of the tail read).
+/// Xfer appends ONE entry moving value between two shard balances — which
+/// is why every snapshot conserves the transferred sum: no cut can separate
+/// the debit from the credit. An amount outside [kInlineMin, kInlineMax]
+/// takes the native wide path: two tickets from one fetch&add, amount cell
+/// before header.
 ///
 /// With `naive_loop` Snap instead does the obvious thing — one pass of direct
 /// per-shard reads — and the checker REFUTES it (not even linearizable: a
@@ -184,7 +185,7 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   void inc(sim::Ctx& ctx, int s);                      ///< shard ctr, then journal
   void write_max(sim::Ctx& ctx, int s, int64_t v);     ///< shard reg, then journal
   void transfer(sim::Ctx& ctx, int from, int to, int64_t d);  ///< journal only
-  std::vector<int64_t> snap(sim::Ctx& ctx);  ///< tail FAA(0) + replay (or loop)
+  std::vector<int64_t> snap(sim::Ctx& ctx);  ///< tail load + replay (or loop)
   int64_t read_shard(sim::Ctx& ctx, int s);  ///< direct shard counter read
 
   std::string object_name() const override { return name_; }

@@ -1,8 +1,10 @@
 #include "sim/fiber.h"
 
 #include <cstdint>
+#include <vector>
 
 #if C2SL_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -10,9 +12,29 @@
 
 namespace c2sl::sim {
 
-Fiber::Fiber(std::function<void()> body, size_t stack_bytes)
-    : stack_(new char[stack_bytes]), stack_bytes_(stack_bytes), body_(std::move(body)) {
-  C2SL_ASSERT(stack_bytes >= 16 * 1024);
+namespace {
+/// Stacks of destroyed fibers, for the next fibers on this thread. The explorer builds fresh fibers for every replay, and a fresh
+/// 256 KiB stack faults in fresh pages each time (under ASAN it is also an
+/// mmap and an munmap).
+std::vector<std::unique_ptr<char[]>>& stack_pool() {
+  thread_local std::vector<std::unique_ptr<char[]>> pool;
+  return pool;
+}
+}  // namespace
+
+Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {
+  std::vector<std::unique_ptr<char[]>>& pool = stack_pool();
+  if (pool.empty()) {
+    stack_.reset(new char[kStackBytes]);
+    return;
+  }
+  stack_ = std::move(pool.back());
+  pool.pop_back();
+#if C2SL_ASAN_FIBERS
+  // The stack may still carry the redzone poison of frames its last fiber
+  // left on it when it switched away for good.
+  ASAN_UNPOISON_MEMORY_REGION(stack_.get(), kStackBytes);
+#endif
 }
 
 Fiber::~Fiber() {
@@ -21,6 +43,7 @@ Fiber::~Fiber() {
   // still reclaimed here but destructors of objects on the fiber stack are
   // skipped. The Scheduler's destructor guarantees this never happens in
   // practice.
+  stack_pool().push_back(std::move(stack_));
 }
 
 void Fiber::trampoline(unsigned int hi, unsigned int lo) {
@@ -60,7 +83,7 @@ void Fiber::resume() {
     started_ = true;
     C2SL_ASSERT(getcontext(&self_) == 0);
     self_.uc_stack.ss_sp = stack_.get();
-    self_.uc_stack.ss_size = stack_bytes_;
+    self_.uc_stack.ss_size = kStackBytes;
     self_.uc_link = &caller_;
     auto addr = reinterpret_cast<uintptr_t>(this);
     makecontext(&self_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -68,7 +91,7 @@ void Fiber::resume() {
                 static_cast<unsigned int>(addr & 0xffffffffu));
   }
 #if C2SL_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.get(), stack_bytes_);
+  __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.get(), kStackBytes);
 #endif
   C2SL_ASSERT(swapcontext(&caller_, &self_) == 0);
 #if C2SL_ASAN_FIBERS

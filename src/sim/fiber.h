@@ -40,7 +40,9 @@ struct CrashUnwind {};
 
 class Fiber {
  public:
-  explicit Fiber(std::function<void()> body, size_t stack_bytes = 256 * 1024);
+  static constexpr size_t kStackBytes = 256 * 1024;
+
+  explicit Fiber(std::function<void()> body);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -64,10 +66,10 @@ class Fiber {
 
   ucontext_t self_{};
   ucontext_t caller_{};
-  /// Left uninitialised: every replay builds fresh fibers, and zero-filling
-  /// a 256 KiB stack each time dominated the explorer's system time.
+  /// kStackBytes, left uninitialised (nothing reads a stack slot before
+  /// writing it), and reused: it goes back to a per-thread pool when its
+  /// fiber is destroyed (fiber.cpp).
   std::unique_ptr<char[]> stack_;
-  size_t stack_bytes_;
 #if C2SL_ASAN_FIBERS
   // ASAN fiber-switch protocol state: the fake-stack handles saved when each
   // side leaves its stack, and the caller's stack bounds as reported by

@@ -40,7 +40,7 @@ namespace c2sl::tel {
 /// Per-thread primitive invocation counts. Plain data — snapshot by copy,
 /// diff by subtraction (c2bench's per-op ledger does both).
 struct PrimCounts {
-  uint64_t faa = 0;   ///< fetch&add (including the fetch&add(0) read idiom)
+  uint64_t faa = 0;   ///< fetch&add (reads of a fetch&add word are loads)
   uint64_t tas = 0;   ///< test&set / single-use exchange
   uint64_t swap = 0;  ///< multi-use swap (exchange on a swap register)
 };

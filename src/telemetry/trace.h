@@ -3,7 +3,7 @@
 // Strong linearizability (the paper's whole point) means every operation
 // fixes its place in the total order at one of its OWN steps. That makes the
 // order *witnessable at runtime*: the journal ticket a keyed write draws from
-// rt::KeyedVersionDigest, the FAA(0) value an aggregate read returns, the
+// rt::KeyedVersionDigest, the digest value an aggregate read loads, the
 // journal tail a snapshot pins — each IS the op's linearization evidence, not
 // a reconstruction. This layer records that evidence per op, so an offline
 // auditor (tools/trace_audit.py) can validate a *production* history in

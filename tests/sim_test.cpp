@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "primitives/faa.h"
 #include "primitives/register.h"
 #include "primitives/tas.h"
+#include "runtime/counter_sum_digest.h"
+#include "runtime/keyed_version_digest.h"
+#include "runtime/native_max_register.h"
+#include "runtime/native_snapshot.h"
 #include "sim/explorer.h"
 #include "sim/fiber.h"
 #include "sim/sim_mem.h"
@@ -325,6 +330,47 @@ TEST(SimMem, EachWordOpIsExactlyOneStep) {
   EXPECT_TRUE(res.all_done);
   EXPECT_EQ(steps, std::vector<uint64_t>(7, 1));
   EXPECT_EQ(res.steps, 7u);
+}
+
+// The runtime's reads of a fetch&add word are one load, and a max write that
+// changes nothing takes no step (docs/PROOFS.md, "The native refinements").
+// Every tree over these classes counts exactly these steps.
+TEST(SimMem, NativeReadsAreOneLoadAndANoOpMaxWriteTakesNoStep) {
+  struct Objects {
+    rt::BasicMaxRegister64<sim::SimMem> max{2, 31};
+    rt::BasicSnapshot64<sim::SimMem> snap{2, 32};
+    rt::BasicCounterSumDigest<sim::SimMem> sum;
+    rt::BasicKeyedVersionDigest<sim::SimMem> journal;
+  };
+  auto obj = std::make_shared<Objects>();
+  sim::SimRun run(1);
+  run.history.record_steps = true;
+  std::vector<std::vector<std::string>> steps;  // step names, per call
+  run.sched.spawn(0, [obj, &run, &steps](sim::Ctx&) {
+    auto one = [&](auto&& op) {
+      size_t before = run.history.events().size();
+      op();
+      std::vector<std::string> names;
+      for (size_t i = before; i < run.history.events().size(); ++i) {
+        names.push_back(run.history.events()[i].name);
+      }
+      steps.push_back(names);
+    };
+    one([&] { obj->max.write_max(0, 5); });  // raises the lane
+    one([&] { obj->max.write_max(0, 5); });  // no-op: equal
+    one([&] { obj->max.write_max(0, 3); });  // no-op: below
+    one([&] { obj->max.write_max(1, 0); });  // no-op: the initial 0
+    one([&] { EXPECT_EQ(obj->max.read_max(), 5); });
+    one([&] { EXPECT_EQ(obj->snap.scan(), (std::vector<int64_t>{0, 0})); });
+    one([&] { EXPECT_EQ(obj->sum.read(), 0); });
+    one([&] { EXPECT_EQ(obj->journal.version(), 0); });
+  });
+  sim::RoundRobinStrategy rr;
+  auto res = run.sched.run(rr, 100);
+  EXPECT_TRUE(res.all_done);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(steps, (std::vector<Names>{{"fetch&add"}, {}, {}, {}, {"load"},
+                                        {"load"}, {"load"}, {"load"}}));
 }
 
 TEST(SimMem, AccessOutsideAScheduledFiberTakesNoStep) {
