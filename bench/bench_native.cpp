@@ -13,7 +13,6 @@
 // usual console output.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -78,7 +77,7 @@ void NAT_Snapshot(benchmark::State& state) {
 }
 BENCHMARK(NAT_Snapshot)
     ->Setup([](const benchmark::State& s) {
-      share<rt::NativeSnapshot64>(s.threads(), std::min(8, 64 / s.threads()));
+      share<rt::NativeSnapshot64>(s.threads());
     })
     ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 

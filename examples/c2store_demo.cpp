@@ -84,9 +84,8 @@ int main(int argc, char** argv) try {
   }
   const int threads = positional[0];
   const uint64_t ops = static_cast<uint64_t>(positional[1]);
-  // One lane per worker, and every lane's max register and TAS generations
-  // pack into one 63-bit word (C2StoreConfig), so at least one value bit and
-  // one reset generation per lane leaves room for 31 lanes.
+  // One lane per worker; the store packs up to 64 lanes into its 64-bit
+  // words (C2StoreConfig), and the demo keeps to a 31-thread run.
   C2SL_CHECK(threads >= 1 && threads <= 31, "threads must be in 1..31");
 
   // Direct API taste: open a session (RAII lane), bind typed key-bound refs
@@ -110,7 +109,8 @@ int main(int argc, char** argv) try {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 16;
   cfg.max_threads = threads;
-  cfg.max_value = std::min<int64_t>(cfg.max_value, 63 / threads);
+  cfg.max_value = std::min(cfg.max_value, rt::lane_max(threads));
+  cfg.tas_max_resets = std::min(cfg.tas_max_resets, rt::lane_max(threads) - 1);
   svc::C2Store store(cfg);
 
   // Transfer and snapshot keys: one representative per shard, so the

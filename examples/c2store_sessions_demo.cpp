@@ -22,6 +22,7 @@
 // --trace-out FILE drains the store's linearization-witness trace after all
 // workers leave and writes it as c2sl-trace-v1 JSON — under handoff churn the
 // kSessionOpen/kSessionClose point events show each lane changing hands.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,7 +65,7 @@ int main(int argc, char** argv) try {
   }
   int lanes = pos.size() > 0 ? std::atoi(pos[0]) : 2;
   if (lanes < 1) lanes = 1;
-  if (lanes > 31) lanes = 31;  // 63-bit lane packing budget
+  if (lanes > 31) lanes = 31;
   int workers = pos.size() > 1 ? std::atoi(pos[1]) : 3 * lanes;
   if (workers < lanes) workers = lanes;
   const int ops = pos.size() > 2 ? std::atoi(pos[2]) : 2000;
@@ -72,8 +73,8 @@ int main(int argc, char** argv) try {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 16;
   cfg.max_threads = lanes;  // workers > lanes: joins must wait their turn
-  cfg.max_value = 63 / lanes;
-  cfg.tas_max_resets = 63 / lanes - 1;  // lane-packing budget scales down too
+  cfg.max_value = std::min(rt::lane_max(lanes), rt::JournalCodec::kMaxValue);
+  cfg.tas_max_resets = rt::lane_max(lanes) - 1;  // lane-packing budget
   svc::C2Store store(cfg);
 
   std::vector<std::thread> pool;

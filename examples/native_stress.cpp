@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
               lin.linearizable ? "YES" : "NO");
 
   // --- snapshot from fetch&add (Thm 2, bounded lanes) ----------------------
-  rt::NativeSnapshot64 snap(threads <= 8 ? threads : 8, 4);
+  rt::NativeSnapshot64 snap(threads <= 8 ? threads : 8);
   auto snap_hist = rt::run_stress(threads <= 8 ? threads : 8, 1000, [&](int t, int j) {
     rt::TimedOp op;
     if (j % 2 == 0) {

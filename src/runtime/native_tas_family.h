@@ -11,8 +11,9 @@
 // Arrays are UNBOUNDED: every construction stores its cells in a
 // SegmentedArray (runtime/segmented_array.h) of lazily-published doubling
 // segments, matching the paper's "infinite array" model with no capacity
-// configuration. The only remaining bounds are the 63-bit lane-packing limits
-// of NativeMaxRegister64 (a WIDTH constraint, §6), not array capacities.
+// configuration. The only remaining bound is the multi-shot test&set's reset
+// budget, the lane-packing limit of its generation register (rt::lane_max in
+// runtime/native_snapshot.h: a WIDTH constraint, §6), not an array capacity.
 //
 // Two native-only refinements skip steps whose outcome is already fixed
 // (docs/PROOFS.md, "The native refinements", has both arguments):
@@ -77,9 +78,9 @@ using NativeReadableTasArray = BasicReadableTasArray<NativeMem>;
 template <typename Mem>
 class BasicMultishotTAS {
  public:
-  /// `max_resets` bounds reset GENERATIONS, and comes from the 63-bit packing
-  /// of the generation max register (n * (max_resets + 1) lane bits), not from
-  /// array capacity — the test&set cells themselves are unbounded.
+  /// `max_resets` bounds reset GENERATIONS, and comes from the packing of the
+  /// generation max register (max_resets + 1 <= lane_max(n)), not from array
+  /// capacity — the test&set cells themselves are unbounded.
   BasicMultishotTAS(int n, int64_t max_resets)
       : max_resets_(max_resets), curr_(n, generations(n, max_resets)) {}
 
@@ -103,11 +104,10 @@ class BasicMultishotTAS {
   int64_t max_resets() const { return max_resets_; }
 
  private:
-  /// max_resets + 1, bounded by division first: the sum and the max
-  /// register's product can both overflow int64.
+  /// max_resets + 1, bounded before the sum so it cannot overflow int64.
   static int64_t generations(int n, int64_t max_resets) {
-    C2SL_CHECK(n > 0 && max_resets >= 0 && max_resets <= 63 / n - 1,
-               "n * (max_resets + 1) must fit in 63 bits");
+    C2SL_CHECK(max_resets >= 0 && max_resets <= lane_max(n) - 1,
+               "max_resets must be in 0 .. lane_max(n) - 1");
     return max_resets + 1;
   }
 

@@ -1,5 +1,6 @@
 #include "service/c2store.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "telemetry/trace_export.h"
@@ -18,14 +19,16 @@ C2StoreConfig C2Store::validate(C2StoreConfig cfg) {
   // would fail a keyed write inside the journal after its shard step.
   C2SL_CHECK(cfg.initial_shards <= rt::KeyedVersionDigest::kMaxBuckets,
              "initial_shards must be at most 2^24 (the journal's bucket field)");
-  C2SL_CHECK(cfg.max_threads >= 1, "need at least one session lane");
-  C2SL_CHECK(cfg.max_value >= 1, "max_value must be at least 1");
-  C2SL_CHECK(cfg.tas_max_resets >= 0, "tas_max_resets must be non-negative");
-  // Compared by division: the products themselves can overflow int64.
-  C2SL_CHECK(cfg.max_value <= 63 / cfg.max_threads,
-             "max_threads * max_value must fit in 63 bits");
-  C2SL_CHECK(cfg.tas_max_resets <= 63 / cfg.max_threads - 1,
-             "max_threads * (tas_max_resets + 1) must fit in 63 bits");
+  C2SL_CHECK(cfg.max_threads >= 1 && cfg.max_threads <= 64,
+             "max_threads must be in 1..64 (one lane each in a 64-bit word)");
+  const int64_t lane = rt::lane_max(cfg.max_threads);
+  // A max write's value also goes into its journal entry: past the entry's
+  // value field it would fail in append after its shard step.
+  C2SL_CHECK(cfg.max_value >= 1 &&
+                 cfg.max_value <= std::min(lane, rt::JournalCodec::kMaxValue),
+             "max_value must be in 1..min(2^(64/max_threads) - 1, 2^37 - 1)");
+  C2SL_CHECK(cfg.tas_max_resets >= 0 && cfg.tas_max_resets <= lane - 1,
+             "tas_max_resets must be in 0..2^(64/max_threads) - 2");
   return cfg;
 }
 

@@ -13,7 +13,7 @@
 //   s.counter("hits").inc();
 //   s.resize(64);                            // grow the store, live (PR 9)
 //
-// All lane-indexed constructions (max-register unary lanes, TAS reset
+// All lane-indexed constructions (max-register lanes, TAS reset
 // writers) need a caller lane below cfg.max_threads. That lane is no longer a
 // raw `int tid` parameter on every call — a C2Session acquires one from the
 // LaneRegistry (a NativeSet filled with every lane: take to acquire, put to
@@ -155,18 +155,21 @@ namespace c2sl::svc {
 /// shard table itself are backed by segmented, lazily-grown arrays
 /// (runtime/segmented_array.h) and are unbounded — a store and its sessions
 /// can run indefinitely, and resize() grows the shard count under live
-/// traffic. The two remaining numeric bounds are 63-bit lane-PACKING limits
-/// of the fetch&add max registers (§6 width discussion), not array
-/// capacities.
+/// traffic. The two remaining numeric bounds are lane-PACKING limits of the
+/// fetch&add words (§6 width discussion), not array capacities: with n =
+/// max_threads lanes of 64/n bits each, one lane holds rt::lane_max(n) =
+/// 2^(64/n) - 1 (8 lanes: 255, 4 lanes: 65,535).
 struct C2StoreConfig {
   int initial_shards = 16;  ///< power of two, at most 2^24 (the journal's
                             ///< bucket field); a starting hint — see resize()
-  int max_threads = 8;      ///< maximum CONCURRENT sessions (lane owners)
+  int max_threads = 8;      ///< maximum CONCURRENT sessions (lane owners),
+                            ///< 1..64
 
-  /// Per-shard max register bound; max_threads * max_value must fit in 63 bits.
+  /// Per-shard max register bound: at most rt::lane_max(max_threads), and at
+  /// most 2^37 - 1 (the journal's value field, rt::JournalCodec::kMaxValue).
   int64_t max_value = 7;
-  /// Per-shard multi-shot TAS reset budget; max_threads * (tas_max_resets + 1)
-  /// must fit in 63 bits.
+  /// Per-shard multi-shot TAS reset budget: at most
+  /// rt::lane_max(max_threads) - 1 (the generation register's bound).
   int64_t tas_max_resets = 6;
 };
 

@@ -1,6 +1,6 @@
 // LaneRegistry — consensus-number-2 lane lifecycle for the C2Store service.
 //
-// Every lane-indexed construction in this repo (NativeMaxRegister64's unary
+// Every lane-indexed construction in this repo (NativeMaxRegister64's
 // lanes, NativeMultishotTAS's reset writers) needs its caller to present a
 // lane id below max_lanes, and before this registry existed that obligation
 // leaked out of the store as a raw `int tid` parameter on half the public
@@ -102,7 +102,7 @@ class LaneRegistry {
   /// caller when one is waiting (direct handoff, no free-set round trip),
   /// else to the free set. The caller must own it (acquired and not yet
   /// released) — a double release would let two sessions share a lane and
-  /// silently corrupt each other's unary lanes, which is precisely the bug
+  /// silently corrupt each other's register lanes, which is precisely the bug
   /// class the registry exists to remove.
   void release(int lane);
 

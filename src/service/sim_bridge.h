@@ -52,9 +52,9 @@
 namespace c2sl::svc {
 
 /// The store's max register (ShardObjects::max, C2Store's max digest) over
-/// SimMem, each op one fetch&add step, at the widest lane n processes allow.
+/// SimMem, each op one shared step, at the widest lane n processes allow.
 struct SimMaxRegister : rt::BasicMaxRegister64<sim::SimMem> {
-  explicit SimMaxRegister(int n) : BasicMaxRegister64(n, 63 / n) {}
+  explicit SimMaxRegister(int n) : BasicMaxRegister64(n, rt::lane_max(n)) {}
 };
 
 /// The per-key service path: each op routes by the store's hash_key +

@@ -1,6 +1,7 @@
 #include "sim/fiber.h"
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #if C2SL_ASAN_FIBERS
@@ -9,6 +10,10 @@
 #endif
 
 #include "util/assert.h"
+
+#if C2SL_FIBER_ASM
+extern "C" void c2sl_fiber_switch(void** save, void* next) noexcept;  // fiber_switch.S
+#endif
 
 namespace c2sl::sim {
 
@@ -20,6 +25,15 @@ std::vector<std::unique_ptr<char[]>>& stack_pool() {
   thread_local std::vector<std::unique_ptr<char[]>> pool;
   return pool;
 }
+
+/// The fiber a first resume() enters, for Fiber::entry to pick up.
+thread_local Fiber* entering = nullptr;
+
+#if C2SL_FIBER_ASM
+void jump(void*& save, void* next) { c2sl_fiber_switch(&save, next); }
+#else
+void jump(ucontext_t& save, ucontext_t& next) { C2SL_ASSERT(swapcontext(&save, &next) == 0); }
+#endif
 }  // namespace
 
 Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {
@@ -46,10 +60,11 @@ Fiber::~Fiber() {
   stack_pool().push_back(std::move(stack_));
 }
 
-void Fiber::trampoline(unsigned int hi, unsigned int lo) {
-  auto addr = (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(addr)->run_body();
-  // Returning from the trampoline resumes uc_link (== caller_).
+void Fiber::entry() {
+  Fiber* self = entering;
+  self->run_body();
+  jump(self->self_, self->caller_);  // for good: nothing resumes it again
+  __builtin_unreachable();
 }
 
 void Fiber::run_body() {
@@ -69,7 +84,7 @@ void Fiber::run_body() {
   finished_ = true;
 #if C2SL_ASAN_FIBERS
   // The fiber is dying: nullptr fake-stack pointer tells ASAN to destroy this
-  // stack's fake frames. Returning resumes uc_link on the caller's stack.
+  // stack's fake frames. Fiber::entry then switches to the caller's stack.
   __sanitizer_start_switch_fiber(nullptr, caller_stack_bottom_,
                                  caller_stack_size_);
 #endif
@@ -81,19 +96,27 @@ void Fiber::resume() {
   inside_ = true;
   if (!started_) {
     started_ = true;
+    entering = this;
+#if C2SL_FIBER_ASM
+    // The frame the switch pops: the ABI's initial x87 control word and
+    // MXCSR, zeroed r15..r12, rbx and rbp, then entry as the return address,
+    // under a 0 that ends unwinds and leaves entry's stack 8 mod 16.
+    auto top = reinterpret_cast<uintptr_t>(stack_.get() + kStackBytes) & ~uintptr_t{15};
+    const uint64_t frame[] = {0x037F, 0x1F80, 0, 0, 0, 0, 0, 0,
+                              reinterpret_cast<uint64_t>(&Fiber::entry), 0};
+    self_ = reinterpret_cast<char*>(top) - sizeof frame;
+    std::memcpy(self_, frame, sizeof frame);
+#else
     C2SL_ASSERT(getcontext(&self_) == 0);
     self_.uc_stack.ss_sp = stack_.get();
     self_.uc_stack.ss_size = kStackBytes;
-    self_.uc_link = &caller_;
-    auto addr = reinterpret_cast<uintptr_t>(this);
-    makecontext(&self_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                static_cast<unsigned int>(addr >> 32),
-                static_cast<unsigned int>(addr & 0xffffffffu));
+    makecontext(&self_, &Fiber::entry, 0);
+#endif
   }
 #if C2SL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.get(), kStackBytes);
 #endif
-  C2SL_ASSERT(swapcontext(&caller_, &self_) == 0);
+  jump(caller_, self_);
 #if C2SL_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(caller_fake_stack_, nullptr, nullptr);
 #endif
@@ -111,7 +134,7 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&fiber_fake_stack_, caller_stack_bottom_,
                                  caller_stack_size_);
 #endif
-  C2SL_ASSERT(swapcontext(&self_, &caller_) == 0);
+  jump(self_, caller_);
 #if C2SL_ASAN_FIBERS
   // Back on the fiber stack; the caller may have moved between resumes, so
   // refresh its bounds.

@@ -1,4 +1,6 @@
-// Stackful cooperative fibers over POSIX ucontext.
+// Stackful cooperative fibers. On x86-64 a switch saves the callee-saved
+// registers and swaps stack pointers (fiber_switch.S); elsewhere it is
+// swapcontext, which also makes a signal-mask system call per switch.
 //
 // The simulator runs every simulated process on its own fiber so that the
 // paper's algorithms can be written as ordinary sequential code. Exactly one
@@ -11,7 +13,13 @@
 #include <exception>
 #include <functional>
 #include <memory>
+
+#if defined(__x86_64__)
+#define C2SL_FIBER_ASM 1
+#else
+#define C2SL_FIBER_ASM 0
 #include <ucontext.h>
+#endif
 
 // AddressSanitizer must be told about every switch onto a user-managed stack,
 // or its shadow bookkeeping (and the unwinder's __asan_handle_no_return on a
@@ -61,11 +69,16 @@ class Fiber {
   std::exception_ptr exception() const { return exception_; }
 
  private:
-  static void trampoline(unsigned int hi, unsigned int lo);
+  [[noreturn]] static void entry();
   void run_body();
 
-  ucontext_t self_{};
-  ucontext_t caller_{};
+#if C2SL_FIBER_ASM
+  using Context = void*;  ///< the stack pointer a switch away saved
+#else
+  using Context = ucontext_t;
+#endif
+  Context self_{};
+  Context caller_{};
   /// kStackBytes, left uninitialised (nothing reads a stack slot before
   /// writing it), and reused: it goes back to a per-thread pool when its
   /// fiber is destroyed (fiber.cpp).

@@ -8,6 +8,7 @@
 // would hold handles across ops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -26,8 +27,9 @@ svc::C2StoreConfig stress_config(int threads) {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 8;
   cfg.max_threads = threads;
-  cfg.max_value = 63 / threads;
-  cfg.tas_max_resets = 63 / threads - 1;
+  // The widest lanes the store packs, so raising writes carry inside a lane.
+  cfg.max_value = std::min(rt::lane_max(threads), rt::JournalCodec::kMaxValue);
+  cfg.tas_max_resets = rt::lane_max(threads) - 1;
   return cfg;
 }
 
@@ -107,7 +109,7 @@ TEST(C2StoreStress, ConcurrentInitAcrossShards) {
     auto& session = sessions[static_cast<size_t>(t)];
     uint64_t key = static_cast<uint64_t>(t * per_thread + j);
     session.counter_inc(key);
-    session.max_write(key, (t + j) % (63 / threads));
+    session.max_write(key, (t + j) * 977 % (store.config().max_value + 1));
     return op;
   });
   EXPECT_EQ(store.counter_sum(), threads * per_thread);
@@ -176,7 +178,7 @@ TEST(C2StoreStress, GlobalMaxBoundedAndMonotone) {
   const int per_thread = 200;
   svc::C2Store store(stress_config(threads));
   auto sessions = open_sessions(store, threads);
-  const int64_t bound = 63 / threads;
+  const int64_t bound = store.config().max_value;
   std::atomic<bool> ok{true};
   std::vector<Rng> rngs;
   for (int t = 0; t < threads; ++t) rngs.emplace_back(1700 + t);

@@ -74,7 +74,7 @@ svc::C2StoreConfig small_config() {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 8;
   cfg.max_threads = 4;
-  cfg.max_value = 10;  // 4 * 10 <= 63
+  cfg.max_value = 10;  // lane_max(4) = 65,535
   cfg.tas_max_resets = 6;
   return cfg;
 }
@@ -114,18 +114,53 @@ TEST(C2Store, InvalidConfigsRejectedUpFront) {
   bad([](svc::C2StoreConfig& c) { c.tas_max_resets = -1; });
   bad([](svc::C2StoreConfig& c) { c.max_value = 0; });
   bad([](svc::C2StoreConfig& c) { c.max_threads = 0; });
+  bad([](svc::C2StoreConfig& c) { c.max_threads = 65; });  // 64 lanes per word
   bad([](svc::C2StoreConfig& c) { c.initial_shards = 12; });  // not a power of two
+  // One past each packing edge (lane_max(n) = 2^(64/n) - 1; the edges
+  // themselves are accepted in PackingEdgesHoldTheirValues).
   bad([](svc::C2StoreConfig& c) {
     c.max_threads = 8;
-    c.max_value = 8;  // 64 bits > 63
+    c.max_value = 256;  // an 8-bit lane holds 255
   });
-  // Packing bounds whose products overflow int64 must not wrap into range.
+  bad([](svc::C2StoreConfig& c) {
+    c.max_threads = 8;
+    c.tas_max_resets = 255;  // generations 0..255 need value 256
+  });
+  bad([](svc::C2StoreConfig& c) { c.max_value = 65536; });  // 4 lanes of 16 bits
+  bad([](svc::C2StoreConfig& c) {
+    c.max_threads = 1;  // the 64-bit lane is wider than the journal's value field
+    c.max_value = rt::JournalCodec::kMaxValue + 1;
+  });
+  // Bounds near INT64_MAX must not wrap into range.
   bad([](svc::C2StoreConfig& c) {
     c.max_threads = 2;
     c.max_value = int64_t{1} << 62;  // 2 * 2^62 wraps to INT64_MIN
   });
   bad([](svc::C2StoreConfig& c) { c.max_value = INT64_MAX; });
   bad([](svc::C2StoreConfig& c) { c.tas_max_resets = INT64_MAX; });  // + 1 wraps
+}
+
+// Each packing edge is accepted, and a value at the edge reads back through
+// every read path: the shard register, the max digest and the journal replay.
+TEST(C2Store, PackingEdgesHoldTheirValues) {
+  auto holds = [](int lanes, int64_t max_value, int64_t resets) {
+    svc::C2StoreConfig cfg = small_config();
+    cfg.max_threads = lanes;
+    cfg.max_value = max_value;
+    cfg.tas_max_resets = resets;
+    svc::C2Store store(cfg);
+    svc::C2Session s = store.open_session();
+    s.max_write(uint64_t{5}, max_value - 1);
+    s.max_write(uint64_t{5}, max_value);
+    EXPECT_EQ(s.max_read(uint64_t{5}), max_value) << lanes << " lanes";
+    EXPECT_EQ(store.global_max(), max_value) << lanes << " lanes";
+    EXPECT_EQ(s.snapshot({svc::SnapKey::max(5)}), std::vector<int64_t>{max_value})
+        << lanes << " lanes";
+  };
+  ASSERT_EQ(rt::JournalCodec::kMaxValue, (int64_t{1} << 37) - 1);
+  holds(8, 255, 254);
+  holds(4, 65535, 65534);
+  holds(1, rt::JournalCodec::kMaxValue, INT64_MAX - 1);
 }
 
 // Journal entries carry initial-mask buckets in 24 bits. A larger store must
@@ -391,7 +426,7 @@ TEST(C2Store, TasWinnerResetAndBudget) {
 TEST(C2Store, TasResetBudgetExhaustionIsTyped) {
   svc::C2StoreConfig cfg = small_config();
   cfg.tas_max_resets = 2;
-  cfg.max_value = 10;  // 4 * (2+1) <= 63 and 4 * 10 <= 63 both hold
+  cfg.max_value = 10;
   svc::C2Store store(cfg);
   svc::C2Session s = store.open_session();
   svc::TasRef t = s.tas(uint64_t{9});

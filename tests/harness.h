@@ -134,8 +134,8 @@ class MemSetObject : public core::ConcurrentObject {
 
 /// The packed fetch&add words and the multi-shot test&set over a memory
 /// policy (rt::BasicMaxRegister64 / BasicSnapshot64 / BasicMultishotTAS over
-/// sim::SimMem), constructed from (n, bound); the calling process's id picks
-/// its lane. Ops as verify::MaxRegisterSpec, SnapshotSpec and TasSpec name
+/// sim::SimMem), constructed from (n, bound) or, for the snapshot, from n; the
+/// calling process's id picks its lane. Ops as verify::MaxRegisterSpec, SnapshotSpec and TasSpec name
 /// them.
 template <typename Reg>
 class MemMaxRegisterObject : public core::ConcurrentObject {
@@ -160,8 +160,7 @@ class MemMaxRegisterObject : public core::ConcurrentObject {
 template <typename Snap>
 class MemSnapshotObject : public core::ConcurrentObject {
  public:
-  MemSnapshotObject(std::string name, int n, int lane_bits)
-      : name_(std::move(name)), snap_(n, lane_bits) {}
+  MemSnapshotObject(std::string name, int n) : name_(std::move(name)), snap_(n) {}
   std::string object_name() const override { return name_; }
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override {
     if (inv.name == "Update") {

@@ -99,23 +99,67 @@ TEST(NativeMaxRegister, MonotoneReadsHighVolume) {
   EXPECT_TRUE(monotone.load());
 }
 
-// Lane-packing bounds whose products overflow int64 must be rejected at
-// construction, not wrap into range (2 * 2^62 wraps to INT64_MIN, and a
-// register built from it would loop 2^62 times per lane in read_max).
+// The packing bound is lane_max(n) = 2^(64/n) - 1, capped at INT64_MAX: each
+// register accepts its edge and rejects one past it, and a bound whose + 1
+// would overflow int64 is rejected, not wrapped into range.
 TEST(NativeMaxRegister, OverflowingPackingBoundsRejected) {
-  EXPECT_THROW(rt::NativeMaxRegister64(2, int64_t{1} << 62), PreconditionError);
-  EXPECT_THROW(rt::NativeMaxRegister64(1, INT64_MAX), PreconditionError);
+  EXPECT_EQ(rt::lane_max(8), 255);
+  EXPECT_EQ(rt::lane_max(4), 65535);
+  EXPECT_EQ(rt::lane_max(2), int64_t{0xFFFFFFFF});
+  EXPECT_EQ(rt::lane_max(1), INT64_MAX);
+  EXPECT_EQ(rt::lane_max(64), 1);
+  EXPECT_THROW(rt::lane_max(0), PreconditionError);
+  EXPECT_THROW(rt::lane_max(65), PreconditionError);
+  EXPECT_THROW(rt::NativeMaxRegister64(8, 256), PreconditionError);
+  EXPECT_THROW(rt::NativeMaxRegister64(4, 65536), PreconditionError);
+  EXPECT_THROW(rt::NativeMaxRegister64(2, int64_t{1} << 32), PreconditionError);
+  EXPECT_THROW(rt::NativeMaxRegister64(65, 1), PreconditionError);
+  EXPECT_THROW(rt::NativeSnapshot64(0), PreconditionError);
   EXPECT_THROW(rt::NativeMultishotTAS(1, INT64_MAX), PreconditionError);
-  rt::NativeMaxRegister64 widest(1, 63);  // exactly 63 bits still fits
-  widest.write_max(0, 63);
-  EXPECT_EQ(widest.read_max(), 63);
+  EXPECT_THROW(rt::NativeMultishotTAS(4, 65535), PreconditionError);
+  rt::NativeMultishotTAS most_resets(4, 65534);  // 2^16 - 2 resets still fit
+  EXPECT_EQ(most_resets.max_resets(), 65534);
+
+  rt::NativeMaxRegister64 eight(8, 255);
+  eight.write_max(7, 255);
+  eight.write_max(0, 254);
+  EXPECT_EQ(eight.read_max(), 255);
+  rt::NativeMaxRegister64 four(4, 65535);
+  four.write_max(1, 65535);
+  four.write_max(3, 40000);
+  EXPECT_EQ(four.read_max(), 65535);
+  rt::NativeMaxRegister64 widest(1, INT64_MAX);  // one lane, all 63 value bits
+  widest.write_max(0, INT64_MAX - 1);
+  EXPECT_EQ(widest.read_max(), INT64_MAX - 1);
+  widest.write_max(0, INT64_MAX);
+  EXPECT_EQ(widest.read_max(), INT64_MAX);
+}
+
+// An update adds only inside its own lane: the carry of a binary lane going
+// 0x7FFF -> 0x8000 never reaches a neighbour, nor does the borrow of the top
+// lane going back down.
+TEST(NativeMaxRegister, RaisingWritesCarryInsideTheirLane) {
+  rt::NativeSnapshot64 snap(4);
+  snap.update(0, 0x7FFF);
+  snap.update(3, 0x8000);
+  snap.update(0, 0x8000);
+  snap.update(3, 0x7FFF);
+  snap.update(1, 1);
+  EXPECT_EQ(snap.scan(), (std::vector<int64_t>{0x8000, 1, 0, 0x7FFF}));
+  rt::NativeMaxRegister64 reg(4, 65535);
+  reg.write_max(2, 0x00FF);
+  reg.write_max(2, 0x0100);
+  reg.write_max(1, 0x00FF);
+  EXPECT_EQ(reg.read_max(), 0x0100);
+  reg.write_max(3, 0xFFFF);
+  EXPECT_EQ(reg.read_max(), 0xFFFF);
 }
 
 // One lane may take all 64 bits: its components span every non-negative
 // int64 (2^64 - 1 does not fit one).
 TEST(NativeSnapshot, SingleLaneTakesTheWholeWord) {
-  rt::NativeSnapshot64 snap(1, 64);
-  EXPECT_EQ(snap.max_component(), INT64_MAX);
+  rt::NativeSnapshot64 snap(1);
+  EXPECT_EQ(rt::lane_max(1), INT64_MAX);
   snap.update(0, INT64_MAX);
   EXPECT_EQ(snap.scan(), std::vector<int64_t>{INT64_MAX});
   snap.update(0, 5);
@@ -126,7 +170,7 @@ TEST(NativeSnapshot, StressHistoriesLinearizable) {
   const int threads = 3;
   const int ops = 5;
   for (int round = 0; round < 8; ++round) {
-    rt::NativeSnapshot64 snap(threads, 4);  // 3 lanes x 4 bits
+    rt::NativeSnapshot64 snap(threads);  // 3 lanes x 21 bits
     std::vector<Rng> rngs;
     for (int t = 0; t < threads; ++t) rngs.emplace_back(2000 * round + t);
     std::vector<std::vector<int64_t>> scan_results(

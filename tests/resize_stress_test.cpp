@@ -24,8 +24,9 @@ svc::C2StoreConfig stress_config(int threads) {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 8;
   cfg.max_threads = threads;
-  cfg.max_value = 63 / threads;
-  cfg.tas_max_resets = 63 / threads - 1;
+  // The widest lanes the store packs, so raising writes carry inside a lane.
+  cfg.max_value = std::min(rt::lane_max(threads), rt::JournalCodec::kMaxValue);
+  cfg.tas_max_resets = rt::lane_max(threads) - 1;
   return cfg;
 }
 
@@ -68,7 +69,7 @@ TEST(ResizeStress, WritersVsResizeStorm) {
   const uint64_t key_space = 64;
   svc::C2Store store(stress_config(threads));
   auto sessions = open_sessions(store, threads);
-  const int64_t max_bound = 63 / threads;
+  const int64_t max_bound = store.config().max_value;
 
   // Epoch-0 routing and snapshot representatives, captured before any resize.
   std::vector<uint64_t> reps = representative_keys(store);

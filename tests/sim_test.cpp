@@ -332,13 +332,14 @@ TEST(SimMem, EachWordOpIsExactlyOneStep) {
   EXPECT_EQ(res.steps, 7u);
 }
 
-// The runtime's reads of a fetch&add word are one load, and a max write that
-// changes nothing takes no step (docs/PROOFS.md, "The native refinements").
-// Every tree over these classes counts exactly these steps.
+// The runtime's reads of a fetch&add word are one load, a raising max write
+// is one fetch&add however far it raises its binary lane, and a max write
+// that changes nothing takes no step (docs/PROOFS.md, "The native
+// refinements"). Every tree over these classes counts exactly these steps.
 TEST(SimMem, NativeReadsAreOneLoadAndANoOpMaxWriteTakesNoStep) {
   struct Objects {
-    rt::BasicMaxRegister64<sim::SimMem> max{2, 31};
-    rt::BasicSnapshot64<sim::SimMem> snap{2, 32};
+    rt::BasicMaxRegister64<sim::SimMem> max{2, rt::lane_max(2)};
+    rt::BasicSnapshot64<sim::SimMem> snap{2};
     rt::BasicCounterSumDigest<sim::SimMem> sum;
     rt::BasicKeyedVersionDigest<sim::SimMem> journal;
   };
@@ -361,6 +362,9 @@ TEST(SimMem, NativeReadsAreOneLoadAndANoOpMaxWriteTakesNoStep) {
     one([&] { obj->max.write_max(0, 3); });  // no-op: below
     one([&] { obj->max.write_max(1, 0); });  // no-op: the initial 0
     one([&] { EXPECT_EQ(obj->max.read_max(), 5); });
+    // A raise that fills all 32 bits of the lane: still one fetch&add.
+    one([&] { obj->max.write_max(1, rt::lane_max(2)); });
+    one([&] { EXPECT_EQ(obj->max.read_max(), rt::lane_max(2)); });
     one([&] { EXPECT_EQ(obj->snap.scan(), (std::vector<int64_t>{0, 0})); });
     one([&] { EXPECT_EQ(obj->sum.read(), 0); });
     one([&] { EXPECT_EQ(obj->journal.version(), 0); });
@@ -370,7 +374,8 @@ TEST(SimMem, NativeReadsAreOneLoadAndANoOpMaxWriteTakesNoStep) {
   EXPECT_TRUE(res.all_done);
   using Names = std::vector<std::string>;
   EXPECT_EQ(steps, (std::vector<Names>{{"fetch&add"}, {}, {}, {}, {"load"},
-                                        {"load"}, {"load"}, {"load"}}));
+                                        {"fetch&add"}, {"load"}, {"load"},
+                                        {"load"}, {"load"}}));
 }
 
 TEST(SimMem, AccessOutsideAScheduledFiberTakesNoStep) {

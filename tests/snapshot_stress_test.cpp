@@ -6,6 +6,7 @@
 // are deterministic; volumes are sized to stay fast under the sanitizers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -20,8 +21,9 @@ svc::C2StoreConfig stress_config(int threads) {
   svc::C2StoreConfig cfg;
   cfg.initial_shards = 8;
   cfg.max_threads = threads;
-  cfg.max_value = 63 / threads;
-  cfg.tas_max_resets = 63 / threads - 1;
+  // The widest lanes the store packs, so raising writes carry inside a lane.
+  cfg.max_value = std::min(rt::lane_max(threads), rt::JournalCodec::kMaxValue);
+  cfg.tas_max_resets = rt::lane_max(threads) - 1;
   return cfg;
 }
 

@@ -55,7 +55,7 @@ TEST(StrongLin, Theorem1_MaxRegisterFAA) {
       [](sim::World&, int n) {
         return std::make_shared<
             testing::MemMaxRegisterObject<rt::BasicMaxRegister64<sim::SimMem>>>(
-            "maxreg", n, 63 / n);
+            "maxreg", n, rt::lane_max(n));
       }};
   // The second scenario's P0 writes below its own earlier value while the
   // others read and write: the native class's no-op WriteMax(3) takes no
@@ -86,7 +86,7 @@ TEST(StrongLin, Theorem2_SnapshotFAA) {
       [](sim::World&, int n) {
         return std::make_shared<
             testing::MemSnapshotObject<rt::BasicSnapshot64<sim::SimMem>>>(
-            "snap", n, 64 / n);
+            "snap", n);
       }};
   for (const auto& factory : factories) {
     auto scenario = testing::fixed_scenario(
@@ -154,7 +154,7 @@ TEST(StrongLin, Corollary7_MultishotTAS_Implemented) {
       [](sim::World&, int n) {
         return std::make_shared<
             testing::MemMultishotObject<rt::BasicMultishotTAS<sim::SimMem>>>(
-            "mtas", n, 63 / n - 1);
+            "mtas", n, rt::lane_max(n) - 1);
       }};
   for (const auto& factory : factories) {
     auto scenario = testing::fixed_scenario(

@@ -4,8 +4,9 @@
 Scans the C++ tree with a real tokenizer (comment/string/raw-string safe; see
 tools/c2sl_lint/) and enforces four rules as hard failures:
 
-  1. no-CAS        compare_exchange_* / atomic_compare_exchange* / inline asm
-                   only under src/baselines/ and src/primitives/swap_cas.h;
+  1. no-CAS        compare_exchange_* / atomic_compare_exchange* / inline asm,
+                   and atomic instructions in *.S / *.s sources, only under
+                   src/baselines/ and src/primitives/swap_cas.h;
   2. annotations   every atomic site in src/runtime|service|telemetry carries
                    a `// c2sl-atomic: <kind> <order> — <rationale>` that
                    matches the code's operation and memory order;

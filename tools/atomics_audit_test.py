@@ -162,6 +162,25 @@ class RepoRulesTest(unittest.TestCase):
         findings = self._findings("no-cas")
         self.assertTrue(any("asm" in f.message for f in findings))
 
+    def test_atomic_instructions_in_assembly_sources_are_flagged(self):
+        self.repo.write("src/sim/switch.S",
+                        "/* cmpxchg in a comment is prose */\n"
+                        "  movq %rsp, (%rdi)  // xchg in a comment too\n"
+                        "# xadd on a preprocessor-style line\n"
+                        "  lock cmpxchgq %rsi, (%rdi)\n"
+                        "retry: xaddq %rax, (%rdi); xchg %rax, (%rsi)\n"
+                        "  LOCK incq (%rdi)\n")
+        found = sorted((f.line, f.message.split("'")[1])
+                       for f in self._findings("no-cas"))
+        self.assertEqual(found, [(4, "cmpxchgq"), (5, "xaddq"), (5, "xchg"),
+                                 (6, "lock")])
+
+    def test_plain_assembly_source_passes(self):
+        self.repo.write("src/sim/switch.s",
+                        "  pushq %rbp\n  movq %rsi, %rsp\n  popq %rbp\n"
+                        "  ret\n")
+        self.assertEqual(self._findings("no-cas"), [])
+
     def test_cas_in_allowlist_passes(self):
         self.repo.write("src/baselines/cas_counter.h",
                         "bool ok = a.compare_exchange_strong(e, d);\n")

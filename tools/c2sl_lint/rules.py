@@ -7,6 +7,10 @@ Rule 1 — no-CAS: `compare_exchange_*` / `atomic_compare_exchange*` /
          Identifier-based, so aliasing the atomic object or wrapping the call
          in a macro cannot smuggle one in — the member name itself must
          appear somewhere in code tokens, and comments/strings never match.
+         Assembly sources (*.S, *.s) are scanned statement by statement: a
+         cmpxchg form there is a CAS, and any other atomic instruction (a
+         lock prefix, xchg, xadd) is an atomic site no annotation, inventory
+         or profile hook can cover, so both fail outside the allowlist.
 
 Rule 2 — annotation audit: every atomic site under src/runtime/,
          src/service/ and src/telemetry/ must be covered by a
@@ -34,7 +38,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .scanner import OP_TO_KINDS, RMW_OPS, scan_tree
+from .scanner import ASM_SUFFIXES, OP_TO_KINDS, RMW_OPS, scan_tree
 
 INVENTORY_SCHEMA = "c2sl-atomics-v1"
 
@@ -80,6 +84,18 @@ def check_no_cas(scans, allow_prefixes=CAS_ALLOWLIST_PREFIXES,
     findings = []
     for rel, (_sites, _anns, _macros, cas_hits, asm_hits) in scans.items():
         if _allowlisted(rel, allow_prefixes, allow_files):
+            continue
+        if rel.endswith(ASM_SUFFIXES):
+            for line, op in cas_hits:
+                findings.append(Finding(
+                    "no-cas", rel, line,
+                    f"forbidden CAS instruction '{op}' in an assembly "
+                    "source (consensus number ∞)"))
+            for line, op in asm_hits:
+                findings.append(Finding(
+                    "no-cas", rel, line,
+                    f"atomic instruction '{op}' in an assembly source: the "
+                    "atomics audit cannot annotate, inventory or profile it"))
             continue
         for line, ident in cas_hits:
             findings.append(Finding(

@@ -438,22 +438,67 @@ def _bind_annotations(sites, annotations):
         s.ann_line = chosen.line
 
 
-def iter_cpp_files(root, subdirs):
+CPP_SUFFIXES = (".h", ".hpp", ".cpp", ".cc", ".cxx")
+ASM_SUFFIXES = (".S", ".s")
+
+# An atomic instruction in an assembly source: a lock prefix, or an xchg /
+# xadd / cmpxchg form (xchg with memory is locked implicitly). Matched as a
+# statement's first mnemonic, after an optional label.
+_ASM_ATOMIC = re.compile(
+    r"^(?:[A-Za-z_.$][\w.$]*:)?\s*(lock|xchg\w*|xadd\w*|cmpxchg\w*)\b",
+    re.IGNORECASE)
+
+
+def iter_cpp_files(root, subdirs, suffixes=CPP_SUFFIXES):
     for sub in subdirs:
         base = os.path.join(root, sub)
         if not os.path.isdir(base):
             continue
         for dirpath, _dirnames, filenames in os.walk(base):
             for name in sorted(filenames):
-                if name.endswith((".h", ".hpp", ".cpp", ".cc", ".cxx")):
+                if name.endswith(suffixes):
                     yield os.path.join(dirpath, name)
 
 
+def scan_asm_file(path, text=None):
+    """Scans one assembly source (preprocessed .S or plain .s) in scan_file's
+    shape: no atomic sites, annotations or macros (none can be annotated
+    there), cmpxchg forms as cas_hits and every other atomic instruction as
+    asm_hits, each as (line, mnemonic)."""
+    if text is None:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    # C comments (a .S goes through the C preprocessor), kept line-aligned.
+    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"),
+                  text, flags=re.DOTALL)
+    cas_hits = []
+    asm_hits = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("//", 1)[0]
+        if line.lstrip().startswith("#"):  # preprocessor line or # comment
+            continue
+        for stmt in line.split(";"):
+            m = _ASM_ATOMIC.match(stmt.strip())
+            if not m:
+                continue
+            cas = re.search(r"\bcmpxchg\w*", stmt, re.IGNORECASE)
+            if cas:  # also behind a lock prefix
+                cas_hits.append((lineno, cas.group(0).lower()))
+            else:
+                asm_hits.append((lineno, m.group(1).lower()))
+    return [], [], [], cas_hits, asm_hits
+
+
 def scan_tree(root, subdirs):
-    """Scans every C++ file under root/<subdir> for each subdir. Returns a
-    dict: file -> scan_file() tuple, ordered by path."""
+    """Scans every C++ and assembly file under root/<subdir> for each
+    subdir. Returns a dict: file -> scan_file() / scan_asm_file() tuple,
+    ordered by path."""
     out = {}
-    for path in sorted(iter_cpp_files(root, subdirs)):
+    paths = list(iter_cpp_files(root, subdirs, CPP_SUFFIXES + ASM_SUFFIXES))
+    for path in sorted(paths):
         rel = os.path.relpath(path, root).replace(os.sep, "/")
-        out[rel] = scan_file(path, root)
+        if path.endswith(ASM_SUFFIXES):
+            out[rel] = scan_asm_file(path)
+        else:
+            out[rel] = scan_file(path, root)
     return out
