@@ -9,21 +9,21 @@
 // layer) from releasers to waiters, first-come-first-served in waiter order:
 //
 //   enqueue():   w = Tail.fetch&add(1)           — the waiter's ticket. This
-//                single FAA is the whole enqueue and its linearization point:
-//                a fixed own-step, so the enqueue facet is strongly
-//                linearizable (checker-verified on the sim twin,
-//                svc::SimHandoffQueue, tests/handoff_queue_test.cpp).
+//                single FAA is the whole enqueue and its linearization point,
+//                a fixed own-step.
 //   hand(v):     guard Head < Tail, then h = Head.fetch&add(1) — the handoff's
 //                commitment: slot h is THIS handoff's target, decided at the
 //                FAA regardless of the future. The value moves by one
 //                exchange on cell h. Contrast Herlihy–Wing's dequeue, which
 //                SCANS for the first ready slot and therefore decides its
 //                target by future publication order — linearizable but not
-//                strongly linearizable (Theorem 17 regime; the scan-order
-//                variant of the sim twin is the pinned refutation).
+//                strongly linearizable (Theorem 17 regime; Herlihy–Wing is
+//                the pinned refutation on the same trees).
 //   await(w):    park on cell w until a value or a revocation arrives.
 //   cancel(w):   exchange a tombstone into cell w; returns the value instead
-//                if a delivery won the race (the caller then owns it).
+//                if a delivery won the race (the caller then owns it). It
+//                can void a hand() committed to slot w (FIFO in commitment
+//                order only around timeouts: docs/PROOFS.md).
 //
 // Cell state machine (each cell is written at most once by each party, all
 // transitions are exchanges, so both sides of every race learn the outcome
@@ -45,16 +45,22 @@
 // svc::LaneRegistry::release; without it a waiter that polled the fallback
 // just before the publish parks forever.
 //
-// Parking uses std::atomic<int64_t>::wait/notify_one on the waiter's own
-// cell. Parking is a SCHEDULING concern, not part of the linearizability
-// story: every protocol decision above is made by a swap or fetch&add; the
-// wait merely stops the waiter from burning cycles until its cell changes.
-// Wakeups are targeted (one notify per delivery or revocation, to exactly
-// the affected waiter — no thundering herd), so parks are bounded by
-// enqueues and enqueues by acquisitions + revocations; the TSAN stress in
+// Parking uses wait/notify_one on the waiter's own cell. Parking is a
+// SCHEDULING concern, not part of the linearizability story: every protocol
+// decision above is made by a swap or fetch&add; the wait merely stops the
+// waiter from burning cycles until its cell changes. Wakeups are targeted
+// (one notify per delivery or revocation, to exactly the affected waiter —
+// no thundering herd), so parks are bounded by enqueues and enqueues by
+// acquisitions + revocations; the TSAN stress in
 // tests/c2store_stress_test.cpp asserts both bounds through the counters
 // below. Timed waits (await_until) poll their own cell with a bounded
 // backoff instead, because C++ atomic waits have no deadline form.
+//
+// Written once over a memory policy (runtime/native_mem.h): HandoffQueue is
+// the NativeMem instantiation, and tests/handoff_queue_test.cpp checks
+// BasicHandoffQueue<SimMem>, whose wait is one step offered once the cell
+// changed (sim/sim_mem.h). The diagnostics counters stay std::atomic, so
+// they take no step.
 #pragma once
 
 #include <atomic>
@@ -62,12 +68,14 @@
 #include <cstdint>
 #include <thread>
 
+#include "runtime/native_mem.h"
 #include "runtime/segmented_array.h"
 #include "util/assert.h"
 
 namespace c2sl::rt {
 
-class HandoffQueue {
+template <typename Mem>
+class BasicHandoffQueue {
  public:
   /// await()/cancel() outcome: the waiter's slot was revoked by an
   /// overshooting hand() — the fallback path was refilled, retry there.
@@ -79,9 +87,9 @@ class HandoffQueue {
   /// value that raced in) before abandoning it.
   static constexpr int64_t kTimedOut = -3;
 
-  HandoffQueue() = default;
-  HandoffQueue(const HandoffQueue&) = delete;
-  HandoffQueue& operator=(const HandoffQueue&) = delete;
+  BasicHandoffQueue() = default;
+  BasicHandoffQueue(const BasicHandoffQueue&) = delete;
+  BasicHandoffQueue& operator=(const BasicHandoffQueue&) = delete;
 
   /// Registers the caller as a waiter; returns its ticket. The fetch&add IS
   /// the enqueue — after it, every hand() is obliged to serve this ticket
@@ -150,7 +158,7 @@ class HandoffQueue {
   int64_t await(size_t t) {
     int64_t claimed = claim(t);
     if (claimed != kCellClaimed) return settle(claimed);
-    std::atomic<int64_t>& c = cell(t);
+    Word& c = cell(t);
     // c2sl-atomic: faa relaxed noprofile — diagnostics counter, no protocol role
     parks_.fetch_add(1, std::memory_order_relaxed);
     // c2sl-atomic: load seq_cst — poll own cell for the deposited value
@@ -172,7 +180,7 @@ class HandoffQueue {
   int64_t await_until(size_t t, std::chrono::steady_clock::time_point deadline) {
     int64_t claimed = claim(t);
     if (claimed != kCellClaimed) return settle(claimed);
-    std::atomic<int64_t>& c = cell(t);
+    Word& c = cell(t);
     // c2sl-atomic: faa relaxed noprofile — diagnostics counter, no protocol role
     parks_.fetch_add(1, std::memory_order_relaxed);
     std::chrono::microseconds backoff{1};
@@ -234,11 +242,12 @@ class HandoffQueue {
   static int64_t encode(int64_t v) { return v + kValueBase; }
   static int64_t decode(int64_t c) { return c - kValueBase; }
 
+  using Word = typename Mem::template Word<int64_t>;
   struct Cell {
-    std::atomic<int64_t> v{kCellEmpty};
+    Word v{kCellEmpty};
   };
 
-  std::atomic<int64_t>& cell(size_t i) { return cells_.cell(i).v; }
+  Word& cell(size_t i) { return cells_.cell(i).v; }
 
   /// The waiter's claim: announce presence on the cell. Returns kCellClaimed
   /// when the waiter should park, else the pre-claim content (a value or a
@@ -258,15 +267,17 @@ class HandoffQueue {
   }
 
   /// Waiter tickets (enqueue count). Monotone; ticket w exists iff tail > w.
-  std::atomic<int64_t> tail_{0};
+  Word tail_{0};
   /// Handoff tickets (hand commitments). Monotone; slot h is targeted by
   /// exactly the hand() whose fetch&add returned h.
-  std::atomic<int64_t> head_{0};
-  SegmentedArray<Cell> cells_;
+  Word head_{0};
+  typename Mem::template Array<Cell> cells_;
 
   std::atomic<int64_t> deliveries_{0};
   std::atomic<int64_t> revocations_{0};
   std::atomic<int64_t> parks_{0};
 };
+
+using HandoffQueue = BasicHandoffQueue<NativeMem>;
 
 }  // namespace c2sl::rt

@@ -24,7 +24,8 @@
 // many session opens/closes over its lifetime. Under full-lane contention,
 // open_session() BLOCKS on the registry's consensus-2 handoff queue
 // (runtime/handoff_queue.h): a closing session hands its lane directly to the
-// oldest waiter, FIFO-fair, instead of racing opportunistic reopeners.
+// oldest waiter, FIFO-fair (commitment order around timeouts), instead of
+// racing opportunistic reopeners.
 //
 // ROUTING EPOCHS (PR 9). The shard count is a starting hint, not a capacity
 // commitment: C2Session::resize(new_shards) grows the store under live
@@ -572,7 +573,7 @@ class C2Store {
   /// Acquires a lane, BLOCKING while all cfg.max_threads lanes are held: the
   /// caller enqueues on the registry's consensus-2 handoff queue and parks
   /// until a closing session hands its lane over directly — FIFO-fair under
-  /// full-lane contention, no busy-spinning and no caller-side retry loop
+  /// full-lane contention (commitment order around timeouts), no busy-spinning and no caller-side retry loop
   /// (service/lane_registry.h, runtime/handoff_queue.h). Never fails for
   /// exhaustion; use try_open_session() / open_session_for() to bound the
   /// wait. CAUTION — waiting replaces the old exhaustion error, so a caller

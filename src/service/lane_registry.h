@@ -23,8 +23,9 @@
 //   acquire_blocking(): try_acquire, else enqueue a handoff ticket, re-poll
 //               the free set once (closing the race against a release that
 //               missed the enqueue), and park on the ticket's cell until a
-//               released lane is handed over — FIFO-fair in enqueue order,
-//               no busy-spinning (the park is a targeted futex-style wait;
+//               released lane is handed over — FIFO-fair in enqueue order
+//               (commitment order around timeouts: docs/PROOFS.md), no
+//               busy-spinning (the park is a targeted futex-style wait;
 //               wakeups per acquisition are bounded, asserted by the TSAN
 //               stress in tests/c2store_stress_test.cpp). acquire_for() is
 //               the deadline form; its timeout path cancels the ticket and
@@ -40,8 +41,8 @@
 // tests/lane_registry_test.cpp verifies exactly this with the bounded model
 // checker on the simulated twin (svc::SimLaneRegistry), and stress-tests the
 // native implementation for uniqueness under contention;
-// tests/handoff_queue_test.cpp carries the queue's own checker story
-// (enqueue/handoff facets verified, scan-order delivery refuted).
+// tests/handoff_queue_test.cpp runs the queue's own code under the checker
+// (ticket-order FIFO verified without cancels, Herlihy–Wing refuted).
 //
 // Khanchandani–Wattenhofer's CAS-from-consensus-2 reduction is the conceptual
 // licence: lane assignment is itself a consensus-2 problem, so it belongs
@@ -89,7 +90,7 @@ class LaneRegistry {
   /// Like try_acquire(), but when every lane is held the caller enqueues a
   /// handoff ticket and PARKS until a release hands it a lane directly.
   /// FIFO-fair in enqueue order (modulo revocation retries, which re-enqueue
-  /// at the back after re-polling the refilled free set); never busy-spins.
+  /// at the back, and timeouts: docs/PROOFS.md); never busy-spins.
   int acquire_blocking();
 
   /// Deadline form of acquire_blocking(): returns kNone when `deadline`

@@ -291,83 +291,6 @@ void SimLaneRegistry::release(sim::Ctx& ctx, int64_t lane) {
   });
 }
 
-// --- SimHandoffQueue (the blocking-acquisition handoff queue) ---------------
-
-namespace {
-/// Cell markers. A cell holds ⊥ (never touched), num(wid) (announced waiter),
-/// "TAKEN" (collected by a handoff) or "REVOKED" (overshot slot).
-const char* kHandoffTaken = "TAKEN";
-const char* kHandoffRevoked = "REVOKED";
-}  // namespace
-
-SimHandoffQueue::SimHandoffQueue(sim::World& world, std::string name,
-                                 bool scan_delivery)
-    : name_(std::move(name)), scan_delivery_(scan_delivery) {
-  tail_ = world.add<prim::FetchAddInt>(name_ + ".tail");
-  head_ = world.add<prim::FetchAddInt>(name_ + ".head");
-  cells_ = world.add<prim::SwapRegArray>(name_ + ".cells");
-}
-
-Val SimHandoffQueue::enq(sim::Ctx& ctx, int64_t wid) {
-  C2SL_CHECK(wid > 0, "waiter ids must be positive (0 and markers collide)");
-  // The Tail fetch&add IS the enqueue: ticket t commits this waiter to FIFO
-  // position t at a fixed own-step. The announcement swap that follows only
-  // publishes the id for the handoff to collect — a handoff that arrives
-  // first simply waits at the rendezvous (mirroring the native queue, where
-  // the roles are swapped and the WAITER waits for the deposit).
-  int64_t t = ctx.world->get(tail_).fetch_add(ctx, 1);
-  ctx.world->get(cells_).swap(ctx, static_cast<size_t>(t), num(wid));
-  return str("OK");
-}
-
-Val SimHandoffQueue::hand(sim::Ctx& ctx) {
-  prim::SwapRegArray& cells = ctx.world->get(cells_);
-  if (scan_delivery_) {
-    // Publication-order delivery, Herlihy–Wing style: serve the first
-    // ANNOUNCED waiter. With two tickets drawn but neither announced, which
-    // waiter is served depends on future cell writes — no prefix-closed
-    // linearization exists (the checker's pinned refutation).
-    for (;;) {
-      int64_t n = ctx.world->get(tail_).read(ctx);
-      for (int64_t i = 0; i < n; ++i) {
-        Val x = cells.swap(ctx, static_cast<size_t>(i), str(kHandoffTaken));
-        if (std::holds_alternative<int64_t>(x)) return x;
-      }
-    }
-  }
-  // Ticket-order delivery (the verified design). Guard reads: head first,
-  // then tail — when no waiter is visible the EMPTY response linearizes at
-  // the tail read (every ticket below the earlier head observation was
-  // already committed to some handoff's fetch&add).
-  int64_t h0 = ctx.world->get(head_).read(ctx);
-  int64_t e0 = ctx.world->get(tail_).read(ctx);
-  if (h0 >= e0) return str("EMPTY");
-  // The Head fetch&add commits this handoff to slot h — the linearization
-  // point, fixed regardless of the future.
-  int64_t h = ctx.world->get(head_).fetch_add(ctx, 1);
-  if (h >= ctx.world->get(tail_).read(ctx)) {
-    // Overshoot (only reachable with concurrent handoffs racing one guard):
-    // kill the slot so its eventual waiter retries, report no delivery.
-    cells.swap(ctx, static_cast<size_t>(h), str(kHandoffRevoked));
-    return str("EMPTY");
-  }
-  // Collect the committed waiter's id: the swap takes an announced id
-  // directly; an empty cell means waiter h sits between its ticket and its
-  // announcement — its swap will return our TAKEN marker and leave the id.
-  Val v = cells.swap(ctx, static_cast<size_t>(h), str(kHandoffTaken));
-  while (!std::holds_alternative<int64_t>(v)) {
-    v = cells.read(ctx, static_cast<size_t>(h));
-  }
-  return v;
-}
-
-Val SimHandoffQueue::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "Enq") return enq(ctx, as_num(inv.args));
-  if (inv.name == "Deq") return hand(ctx);
-  C2SL_CHECK(false, "unknown operation on handoff queue: " + inv.name);
-  return unit();
-}
-
 // --- SimSegmentedTasArray (segment publication protocol) --------------------
 
 SimSegmentedTasArray::SimSegmentedTasArray(sim::World& world, std::string name,

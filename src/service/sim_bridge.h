@@ -24,8 +24,6 @@
 //     transfer(), or the refuted per-key loop (tests/snapshot_sim_test.cpp).
 //   * SimLaneRegistry — the Thm 10 lane set behind open_session()
 //     (tests/lane_registry_test.cpp).
-//   * SimHandoffQueue — the FIFO hand-off behind blocking open_session(), or
-//     the refuted publication-order scan (tests/handoff_queue_test.cpp).
 //   * SimSegmentedTasArray — the publish-once protocol (rt::PublishOnce::get)
 //     at step granularity, or the refuted publish-before-init order.
 //   * SimRoutingEpoch — the online-resize hand-off, or the refuted
@@ -244,39 +242,6 @@ class SimLaneRegistry {
   int max_lanes_;
   std::unique_ptr<FaaMax> free_max_;
   std::unique_ptr<core::SLSet> free_;  ///< Thm 10 set of lanes not held
-};
-
-/// Sim twin of rt::HandoffQueue. Records "Enq" (waiter registration, arg =
-/// waiter id > 0: one Tail fetch&add, then the id announced on its ticket's
-/// swap cell) and "Deq" (handoff: one Head fetch&add commits to the oldest
-/// ticket, then collects the id) on one queue facet object, checkable
-/// against verify::QueueSpec: FIFO in ticket order, both linearization
-/// points fixed own-step fetch&adds. The data direction is inverted relative
-/// to the native queue (there the DELIVERER deposits a lane; here the WAITER
-/// deposits its id) because the checkable response is "which waiter got
-/// served" — the commitment structure is identical. With `scan_delivery`
-/// the handoff instead sweeps announced cells Herlihy–Wing style: its target
-/// is decided by future cell writes, and the checker REFUTES it.
-class SimHandoffQueue : public core::ConcurrentObject {
- public:
-  SimHandoffQueue(sim::World& world, std::string name, bool scan_delivery = false);
-
-  /// Recorded as "Enq"(wid) -> "OK"; linearizes at the Tail fetch&add.
-  Val enq(sim::Ctx& ctx, int64_t wid);
-  /// Recorded as "Deq" -> wid | "EMPTY"; linearizes at the Head fetch&add
-  /// (ticket-order commitment) — or, in the scan_delivery variant, wherever
-  /// the future lets it (which is exactly what the checker refutes).
-  Val hand(sim::Ctx& ctx);
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::string name_;
-  bool scan_delivery_;
-  sim::Handle<prim::FetchAddInt> tail_;   ///< waiter tickets (enqueue FAAs)
-  sim::Handle<prim::FetchAddInt> head_;   ///< handoff tickets (commitment FAAs)
-  sim::Handle<prim::SwapRegArray> cells_; ///< single-use rendezvous slots
 };
 
 /// Sim twin of rt::SegmentedArray<NativeReadableTAS> and the publish-once

@@ -47,6 +47,8 @@ struct Ctx {
   std::function<void(Ctx&)> pre_step_hook;
   bool in_hook = false;
 
+  std::function<bool()> blocked;  ///< set by SimWord::wait: no step while true
+
   /// Total base-object steps this process has taken (drives wait-freedom
   /// step-bound measurements).
   uint64_t steps_taken = 0;

@@ -37,7 +37,7 @@ struct ExecNode {
   Choice incoming;            ///< choice on the edge from parent (root: unset)
   std::vector<int> children;
   std::vector<Event> suffix;  ///< events appended relative to the parent node
-  bool all_done = false;      ///< every program finished at this node
+  bool all_done = false;      ///< no process can move: finished, crashed or blocked
   bool truncated = false;     ///< children omitted (depth or node budget hit)
   int depth = 0;
 };

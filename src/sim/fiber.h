@@ -1,6 +1,7 @@
 // Stackful cooperative fibers. On x86-64 a switch saves the callee-saved
 // registers and swaps stack pointers (fiber_switch.S); elsewhere it is
 // swapcontext, which also makes a signal-mask system call per switch.
+// -DC2SL_FIBER_ASM=0 selects swapcontext on x86-64 too.
 //
 // The simulator runs every simulated process on its own fiber so that the
 // paper's algorithms can be written as ordinary sequential code. Exactly one
@@ -14,10 +15,12 @@
 #include <functional>
 #include <memory>
 
-#if defined(__x86_64__)
+#if !defined(C2SL_FIBER_ASM) && defined(__x86_64__)
 #define C2SL_FIBER_ASM 1
-#else
+#elif !defined(C2SL_FIBER_ASM)
 #define C2SL_FIBER_ASM 0
+#endif
+#if !C2SL_FIBER_ASM
 #include <ucontext.h>
 #endif
 

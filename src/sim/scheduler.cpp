@@ -26,6 +26,15 @@ void mem_step(const char* op) {
   if (t_running != nullptr) t_running->gate(kObject, op);
 }
 
+void mem_wait(std::function<bool()> unchanged) {
+  if (t_running == nullptr) {
+    C2SL_CHECK(!unchanged(), "wait on an unchanged SimMem word outside a scheduled fiber");
+    return;
+  }
+  t_running->blocked = std::move(unchanged);  // cleared when the step is granted
+  mem_step("wait");
+}
+
 void Ctx::gate(const std::string& object_name, const std::string& desc) {
   if (pre_step_hook && !in_hook) {
     in_hook = true;
@@ -99,13 +108,15 @@ void Scheduler::spawn(ProcId p, std::function<void(Ctx&)> program) {
   running_ = -1;
 }
 
+bool Scheduler::can_step(const Proc& proc) {
+  return proc.spawned && !proc.crashed && proc.fiber && !proc.fiber->finished() &&
+         !(proc.ctx.blocked && proc.ctx.blocked());
+}
+
 std::vector<ProcId> Scheduler::runnable() const {
   std::vector<ProcId> out;
   for (size_t p = 0; p < procs_.size(); ++p) {
-    const Proc& proc = procs_[p];
-    if (proc.spawned && !proc.crashed && proc.fiber && !proc.fiber->finished()) {
-      out.push_back(static_cast<ProcId>(p));
-    }
+    if (can_step(procs_[p])) out.push_back(static_cast<ProcId>(p));
   }
   return out;
 }
@@ -113,8 +124,7 @@ std::vector<ProcId> Scheduler::runnable() const {
 bool Scheduler::step(ProcId p) {
   C2SL_ASSERT(p >= 0 && static_cast<size_t>(p) < procs_.size());
   Proc& proc = procs_[static_cast<size_t>(p)];
-  C2SL_ASSERT_MSG(proc.spawned && !proc.crashed && proc.fiber && !proc.fiber->finished(),
-                  "step() on a non-runnable process");
+  C2SL_ASSERT_MSG(can_step(proc), "step() on a non-runnable process");
   ++total_steps_;
   RunningScope scope(&proc.ctx);
   running_ = p;
@@ -165,6 +175,7 @@ void Scheduler::gate_impl(ProcId p) {
   C2SL_ASSERT_MSG(running_ == p, "gate reached outside the running fiber");
   if (proc.crash_requested) throw CrashUnwind{};
   proc.fiber->yield();  // park until the scheduler grants the step
+  proc.ctx.blocked = nullptr;
   if (proc.crash_requested) throw CrashUnwind{};
 }
 

@@ -53,7 +53,8 @@ class Scheduler {
   /// subsequent resume correspond to exactly one atomic step).
   void spawn(ProcId p, std::function<void(Ctx&)> program);
 
-  /// Processes that are parked at a gate (have a pending step) and not crashed.
+  /// Processes that are parked at a gate (have a pending step), not crashed,
+  /// and not blocked in a wait on an unchanged word (Ctx::blocked).
   std::vector<ProcId> runnable() const;
 
   bool all_done() const { return runnable().empty(); }
@@ -89,6 +90,8 @@ class Scheduler {
     bool crashed = false;
     bool crash_requested = false;
   };
+
+  static bool can_step(const Proc& proc);
 
   World& world_;
   History& history_;

@@ -5,7 +5,9 @@
 //     Ctx::gate of the fiber the scheduler is running (running_ctx()). The
 //     memory order is ignored: the checker explores sequential consistency
 //     only (docs/PROOFS.md, "The memory policy"). An access outside any
-//     scheduled fiber (a scenario's setup) takes no step.
+//     scheduled fiber (a scenario's setup) takes no step. wait(old) is one
+//     step the scheduler offers only once the word differs from `old`
+//     (futex semantics); notify_one() is none, the change itself unblocks.
 //   * Array<T>: the paper's infinite array. cell(i) and peek(i) take no step
 //     (there is no spine), cells start value-initialised, peek is never null.
 //
@@ -16,12 +18,17 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <functional>
 
 namespace c2sl::sim {
 
 /// One step of the running fiber on a SimMem word (`op` names the access in
 /// the step trace); no step outside a scheduled fiber.
 void mem_step(const char* op);
+
+/// A blocking wait's step, not offered while `unchanged()` holds. Outside a
+/// scheduled fiber it takes no step, and an unchanged word is a checked error.
+void mem_wait(std::function<bool()> unchanged);
 
 template <typename T>
 class SimWord {
@@ -51,6 +58,10 @@ class SimWord {
     v_ = v;
     return old;
   }
+  void wait(T old, std::memory_order = std::memory_order_seq_cst) const {
+    mem_wait([this, old] { return v_ == old; });
+  }
+  void notify_one() {}
 
  private:
   T v_{};

@@ -321,6 +321,58 @@ std::vector<Transition> QueueSpec::next(const std::string& state,
   return {};
 }
 
+// --------------------------------------------------------------- handoff queue
+
+// State encoding: the list "head,w0,s0,w1,s1,..." in ticket order, where a
+// waiter's status s is its delivered value (hand values are >= 0) or a marker.
+
+namespace {
+constexpr int64_t kWaiting = -1, kRevoked = -2, kCancelled = -3;
+}  // namespace
+
+std::string HandoffSpec::initial() const { return "0"; }
+
+std::vector<Transition> HandoffSpec::next(const std::string& state,
+                                          const Invocation& inv) const {
+  std::vector<int64_t> st = parse_list(state);
+  const size_t n = st.size() / 2;  // waiters
+  auto status = [&](size_t i) -> int64_t& { return st[2 * i + 2]; };
+  if (inv.name == "Hand") {
+    size_t i = static_cast<size_t>(st[0]);
+    while (i < n && status(i) == kCancelled) ++i;
+    if (i < n) {
+      status(i) = as_num(inv.args);
+      st[0] = static_cast<int64_t>(i) + 1;
+      return {{render_list(st), kOk}};
+    }
+    st[0] = static_cast<int64_t>(i);
+    std::string alone = render_list(st);
+    ++st[0];  // overshoot: the next ticket is revoked
+    return {{alone, kEmpty}, {render_list(st), kEmpty}};
+  }
+  if (inv.name != "Enq" && inv.name != "Await" && inv.name != "Cancel") return {};
+  const int64_t id = as_num(inv.args);
+  size_t w = 0;
+  while (w < n && st[2 * w + 1] != id) ++w;
+  if (inv.name == "Enq") {
+    if (w < n) return {};  // waiter ids are distinct
+    st.push_back(id);
+    st.push_back(static_cast<int64_t>(n) < st[0] ? kRevoked : kWaiting);
+    return {{render_list(st), kOk}};
+  }
+  if (w == n) {
+    if (inv.name == "Await") return {};
+    return {{state, str("NONE")}};
+  }
+  const int64_t s = status(w);
+  if (s == kWaiting || s == kCancelled) {
+    if (inv.name == "Await") return {};  // enabled once decided
+    status(w) = kCancelled;
+    return {{render_list(st), str("CANCELLED")}};
+  }
+  return {{state, s == kRevoked ? str("REVOKED") : num(s)}};
+}
+
 // ----------------------------------------------------------------------- stack
 
 std::string StackSpec::initial() const { return ""; }

@@ -156,6 +156,22 @@ class QueueSpec : public Spec {
   int k_;
 };
 
+/// The handoff queue (runtime/handoff_queue.h), waiters served in ticket
+/// order. State: the waiters (waiting, delivered v, revoked or cancelled)
+/// and the head ticket. "Enq"(w) -> "OK" (distinct ids; revoked if below
+/// head). "Hand"(v) -> "OK" delivers v to the waiter at head, skipping
+/// cancelled ones, else "EMPTY" with head kept or advanced by one (an
+/// overshoot, revoking the next ticket). "Await"(w) -> v | "REVOKED" once
+/// decided. "Cancel"(w) -> "CANCELLED" | v | "REVOKED", or "NONE" before
+/// w's Enq. Where the queue keeps this order: docs/PROOFS.md.
+class HandoffSpec : public Spec {
+ public:
+  std::string name() const override { return "handoff_queue"; }
+  std::string initial() const override;
+  std::vector<Transition> next(const std::string& state,
+                               const Invocation& inv) const override;
+};
+
 class StackSpec : public Spec {
  public:
   std::string name() const override { return "stack"; }

@@ -6,19 +6,18 @@
 //  2. Native threaded tests: a parked waiter is woken by a handoff; racing
 //     deliverers produce exactly one delivery, and an overshot (revoked)
 //     slot sends its eventual waiter into the documented retry path.
-//  3. The acceptance facets: the sim twin (svc::SimHandoffQueue — Tail/Head
-//     fetch&add tickets + swap rendezvous cells, same commitment structure,
-//     simulated base objects) is STRONGLY linearizable against
-//     verify::QueueSpec on full bounded execution trees: both the enqueue
-//     (Tail FAA) and the handoff (Head FAA) linearize at fixed own-steps.
-//  4. The pinned refutation (negative control): the `scan_delivery` variant
-//     replaces the Head fetch&add with Herlihy–Wing's publication-order scan;
-//     its delivery target is decided by FUTURE announcement writes, so no
-//     prefix-closed linearization exists and the checker refutes it — on the
-//     same schedule family where the ticket-order design verifies.
-//  5. The positive control: baselines/herlihy_wing_queue on that same family
-//     keeps refuting (the known Theorem-17 exhibit), so a checker or bridge
-//     regression cannot silently blank both verdicts.
+//  3. The checker runs rt::BasicHandoffQueue over sim::SimMem — the serving
+//     code, each word access one step and a park one blocking step — on
+//     whole execution trees against verify::HandoffSpec: racing enqueues,
+//     ticket-order FIFO delivery, awaits, the overshoot that revokes the next
+//     ticket, and a cancel racing a hand are strongly linearizable. Two pins
+//     mark where ticket-order FIFO stops: a cancel that voids a committed
+//     hand, and a third concurrent hand whose overshoot revokes a ticket
+//     past one that is still served.
+//  4. The negative control: baselines/herlihy_wing_queue, whose dequeue
+//     scans for the first announced slot, keeps refuting on the
+//     three-process family (the known Theorem-17 exhibit), so a checker or
+//     explorer regression cannot silently pass everything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +27,7 @@
 #include "baselines/herlihy_wing_queue.h"
 #include "harness.h"
 #include "runtime/handoff_queue.h"
-#include "service/sim_bridge.h"
+#include "sim/sim_mem.h"
 #include "verify/specs.h"
 #include "verify/strong_lin.h"
 
@@ -137,105 +136,183 @@ TEST(HandoffQueue, RacingDeliverersProduceOneDeliveryAndRevokedSlotsRetry) {
   (void)revoked_rounds;
 }
 
-// --- 3. the sim facets: strongly linearizable -------------------------------
+// --- 3. the checker runs the queue itself ---------------------------------
 
-verify::StrongLinResult check_queue(const sim::ScenarioFn& scenario, int n,
-                                    const std::string& object, int max_depth,
-                                    size_t max_nodes) {
+using HandoffObject = testing::MemHandoffObject<rt::BasicHandoffQueue<sim::SimMem>>;
+
+Invocation enq(int64_t w) { return {"Enq", num(w)}; }
+Invocation hand(int64_t v) { return {"Hand", num(v)}; }
+Invocation await(int64_t w) { return {"Await", num(w)}; }
+Invocation cancel(int64_t w) { return {"Cancel", num(w)}; }
+
+struct Checked {
+  sim::ExecTree tree;
+  verify::StrongLinResult res;
+};
+
+/// Explores the scenario's tree to `max_depth` and checks `object` on it
+/// against `spec`.
+Checked check(const testing::ObjectFactory& factory,
+              std::vector<std::vector<Invocation>> per_proc, const std::string& object,
+              const verify::Spec& spec, int max_depth, size_t max_nodes) {
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
-  EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
-  verify::QueueSpec spec;
+  int n = static_cast<int>(per_proc.size());
+  Checked out;
+  out.tree = sim::explore(n, testing::fixed_scenario(factory, std::move(per_proc)), opts);
+  EXPECT_FALSE(out.tree.budget_exhausted) << "tree budget too small: " << out.tree.size();
   verify::StrongLinOptions slopts;
   slopts.object = object;
   slopts.max_search_nodes = 30'000'000;
-  return verify::check_strong_linearizability(tree, spec, slopts);
+  out.res = verify::check_strong_linearizability(out.tree, spec, slopts);
+  return out;
 }
 
-// Two concurrent enqueuers race one handoff: the handoff's Head fetch&add
-// commits it to ticket 0 no matter how the announcements land afterwards, so
-// a prefix-closed linearization exists (contrast the scan variant below,
-// refuted on this exact schedule family).
+/// Every handoff op finishes or blocks within a few steps, so its trees are
+/// explored whole: no node may be cut by the depth bound.
+Checked check_handoff(std::vector<std::vector<Invocation>> per_proc) {
+  auto factory = [](sim::World&, int) { return std::make_shared<HandoffObject>("hq"); };
+  Checked c = check(factory, std::move(per_proc), "hq", verify::HandoffSpec{},
+                    /*max_depth=*/32, /*max_nodes=*/400000);
+  for (const sim::ExecNode& node : c.tree.nodes) {
+    EXPECT_FALSE(node.truncated) << "node " << node.id << " cut at depth " << node.depth;
+  }
+  return c;
+}
+
+// Two concurrent enqueuers race one hand: the hand's Head fetch&add commits
+// it to ticket 0 no matter how the waiters' claims land afterwards.
 TEST(HandoffQueueSim, ConcurrentEnqueuersOneHandoffStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimHandoffQueue>(w, "hq");
-  };
-  auto scenario = testing::fixed_scenario(factory, {{{"Enq", num(1), 0}},
-                                                    {{"Enq", num(2), 1}},
-                                                    {{"Deq", unit(), 2}}});
-  auto res = check_queue(scenario, 3, "hq", /*max_depth=*/20, /*max_nodes=*/800000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  auto c = check_handoff({{enq(1)}, {enq(2)}, {hand(5)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
 }
 
-// One enqueuer, two handoffs in program order: deliveries must come back in
-// ticket order (1 then 2) through every interleaving, including the windows
-// where a handoff overlaps the enqueuer between its ticket and announcement.
+// The same race with the first waiter awaiting: its Await is enabled only
+// once its outcome is fixed, so a waiter that the hand passed over stays
+// blocked and the run ends with its Await pending.
+TEST(HandoffQueueSim, AwaitingEnqueuerRacingSecondEnqueuerStronglyLinearizable) {
+  auto c = check_handoff({{enq(1), await(1)}, {enq(2)}, {hand(5)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
+}
+
+// One enqueuer, two hands in program order: values reach the waiters in
+// ticket order through every interleaving, including the windows where a
+// hand overlaps a waiter between its ticket and its claim, and where a
+// waiter parks before its value arrives.
 TEST(HandoffQueueSim, SequentialEnqueuesHandedFifoStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimHandoffQueue>(w, "hq");
-  };
-  auto scenario = testing::fixed_scenario(
-      factory,
-      {{{"Enq", num(1), 0}, {"Enq", num(2), 0}},
-       {{"Deq", unit(), 1}, {"Deq", unit(), 1}}});
-  auto res = check_queue(scenario, 2, "hq", /*max_depth=*/26, /*max_nodes=*/800000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  auto c = check_handoff({{enq(1), enq(2)}, {hand(5), hand(6)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
+  auto awaited =
+      check_handoff({{enq(1), enq(2), await(1), await(2)}, {hand(5), hand(6)}});
+  ASSERT_TRUE(awaited.res.decided);
+  EXPECT_TRUE(awaited.res.strongly_linearizable) << awaited.res.report;
 }
 
-// The empty path: a handoff racing a single enqueue either commits to ticket 0
-// or reports EMPTY from its guard reads — both at fixed own-steps.
+// The empty path: a hand racing a single enqueue either commits to ticket 0
+// or reports EMPTY from its guard reads, both at fixed own steps.
 TEST(HandoffQueueSim, HandoffRacingEnqueueStronglyLinearizable) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimHandoffQueue>(w, "hq");
-  };
-  auto scenario = testing::fixed_scenario(factory, {{{"Enq", num(1), 0}},
-                                                    {{"Deq", unit(), 1}}});
-  auto res = check_queue(scenario, 2, "hq", /*max_depth=*/16, /*max_nodes=*/400000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  auto c = check_handoff({{hand(5)}, {enq(1), await(1)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
 }
 
-// --- 4. pinned refutation: publication-order (scan) delivery ----------------
-
-// PINNED: with both tickets drawn but neither announced, the scan serves
-// whichever waiter publishes first — the delivery target is decided by future
-// steps, so no prefix-closed linearization function exists (the Herlihy–Wing
-// failure mode, Theorem 17 regime). This is why rt::HandoffQueue commits via
-// the Head fetch&add. If this starts passing, the checker or the bridge broke.
-TEST(HandoffQueueSim, ScanDeliveryRefuted) {
-  auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimHandoffQueue>(w, "hq", /*scan_delivery=*/true);
-  };
-  auto scenario = testing::fixed_scenario(factory, {{{"Enq", num(1), 0}},
-                                                    {{"Enq", num(2), 1}},
-                                                    {{"Deq", unit(), 2}}});
-  auto res = check_queue(scenario, 3, "hq", /*max_depth=*/16, /*max_nodes=*/800000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_FALSE(res.strongly_linearizable)
-      << "publication-order delivery must NOT verify — this refutation is why "
-         "the handoff commits at its own Head fetch&add";
+// The overshoot: two hands pass the guard on one waiter, the loser's Head
+// ticket lands past Tail, and it revokes that slot, so the waiter that later
+// draws the ticket is told to retry. At least one leaf must show it.
+TEST(HandoffQueueSim, OvershootRevokesTheNextTicketStronglyLinearizable) {
+  auto c = check_handoff({{enq(1)}, {hand(5)}, {hand(6), enq(2), await(2)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
+  bool revoked = false;
+  for (const sim::ExecNode& node : c.tree.nodes) {
+    if (!node.children.empty()) continue;
+    for (const sim::OpRecord& op :
+         verify::operations_from_events(c.tree.history_at(node.id))) {
+      revoked |= op.complete && op.name == "Await" && op.resp == str("REVOKED");
+    }
+  }
+  EXPECT_TRUE(revoked) << "no leaf reached the overshoot's revocation";
 }
 
-// --- 5. positive control: Herlihy–Wing on the same schedule family ----------
+// A cancel racing the only hand: the tombstone exchange and the hand's value
+// exchange on the same cell decide between CANCELLED (the hand then reports
+// EMPTY) and the value (the canceller owns it).
+TEST(HandoffQueueSim, CancelRacingOneHandStronglyLinearizable) {
+  auto c = check_handoff({{enq(1), cancel(1)}, {hand(5)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
+}
 
-// The known Theorem-17 exhibit must keep refuting on the exact schedule shape
-// used above. If both this and ScanDeliveryRefuted ever flip, the checker (or
-// the explorer) regressed; if only this one flips, the baseline was touched.
+// PINNED: a cancel can void a committed handoff. Hand(5) commits to ticket
+// 0 and Hand(6) to ticket 1; Hand(6) delivers to ticket 1 while ticket 0 is
+// still waiting, which ticket-order FIFO forbids unless ticket 0 is already
+// gone; ticket 0's waiter then cancels and Hand(5) finds the tombstone and
+// reports EMPTY. Around timed-out waiters the queue is FIFO in commitment
+// order only (docs/PROOFS.md, "The handoff queue").
+TEST(HandoffQueueSim, CancellationVoidsStrictFifoRefuted) {
+  auto c = check_handoff({{enq(1)}, {enq(2)}, {hand(5)}, {hand(6), cancel(1)}});
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_FALSE(c.res.strongly_linearizable)
+      << "a cancel after a younger waiter was served must refute ticket-order FIFO";
+}
+
+// PINNED: HandoffSpec's one head index covers at most two concurrent hands.
+// Three hands pass the guard on one waiter and draw Head tickets 0, 1 and 2.
+// The third re-reads Tail first, overshoots and revokes slot 2 while the
+// second still holds slot 1 undecided. A later waiter draws ticket 1 and is
+// served; the next finds slot 2 revoked. A ticket past a served one was
+// revoked, which no single head can express: this one history is not even
+// linearizable against the spec, so the ticket-order claim stops at two
+// concurrent hands (docs/PROOFS.md, "The handoff queue").
+TEST(HandoffQueueSim, ThirdConcurrentHandOutrunsHandoffSpec) {
+  sim::SimRun run(4);
+  auto factory = [](sim::World&, int) { return std::make_shared<HandoffObject>("hq"); };
+  testing::fixed_scenario(factory, {{enq(1)},
+                                    {hand(5)},
+                                    {hand(6)},
+                                    {hand(7), enq(2), enq(3), await(3)}})(run);
+  std::vector<sim::Choice> script;
+  // Guards of all three hands, Head tickets 0, 1, 2 in order, then the third
+  // hand's overshoot and its process's enqueue of ticket 1 before the second
+  // hand re-reads Tail.
+  for (sim::ProcId p : {0, 1, 1, 2, 2, 3, 3, 1, 2, 3, 3, 3, 3, 2, 2, 3, 3, 1, 1}) {
+    script.push_back({p, false});
+  }
+  sim::ReplayStrategy replay(script);
+  EXPECT_TRUE(run.sched.run(replay, script.size()).all_done);
+  std::vector<sim::OpRecord> ops = run.history.operations();
+  ASSERT_EQ(ops.size(), 7u);
+  EXPECT_EQ(ops[2].resp, str("OK")) << "Hand(6) serves the waiter on ticket 1";
+  EXPECT_EQ(ops[3].resp, str("EMPTY")) << "Hand(7) overshot";
+  EXPECT_EQ(ops[6].resp, str("REVOKED")) << "Await(3) finds slot 2 revoked";
+  auto lin = verify::check_object_linearizability(ops, "hq", verify::HandoffSpec{});
+  ASSERT_TRUE(lin.decided);
+  EXPECT_FALSE(lin.linearizable);
+}
+
+// --- 4. negative control: Herlihy–Wing on the same schedule family --------
+
+// PINNED: Herlihy–Wing's dequeue scans for the first announced slot (ticket
+// fetch&add, cell write, then a swap-scan from 0 to Tail). With both tickets
+// drawn but neither announced, which enqueuer it serves is decided by future
+// cell writes, so no prefix-closed linearization exists (Theorem 17). That
+// refutation is why rt::HandoffQueue commits each hand at its own Head
+// fetch&add. If this starts passing, the checker or the explorer broke.
 TEST(HandoffQueueSim, HerlihyWingPositiveControlStillRefuted) {
   auto factory = [](sim::World& w, int) {
     return std::make_shared<baselines::HerlihyWingQueue>(w, "queue");
   };
-  auto scenario = testing::fixed_scenario(factory, {{{"Enq", num(1), 0}},
-                                                    {{"Enq", num(2), 1}},
-                                                    {{"Deq", unit(), 2}}});
-  auto res = check_queue(scenario, 3, "queue", /*max_depth=*/14, /*max_nodes=*/500000);
-  ASSERT_TRUE(res.decided);
-  EXPECT_FALSE(res.strongly_linearizable)
-      << "Herlihy-Wing must NOT be strongly linearizable (Theorem 17)";
+  auto c = check(factory,
+                 {{{"Enq", num(1), 0}}, {{"Enq", num(2), 1}}, {{"Deq", unit(), 2}}},
+                 "queue", verify::QueueSpec{}, /*max_depth=*/14, /*max_nodes=*/500000);
+  ASSERT_TRUE(c.res.decided);
+  EXPECT_FALSE(c.res.strongly_linearizable)
+      << "publication-order delivery must NOT verify (Theorem 17) — this "
+         "refutation is why the handoff commits at its own Head fetch&add";
 }
 
 }  // namespace

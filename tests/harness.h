@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,6 +131,43 @@ class MemSetObject : public core::ConcurrentObject {
  private:
   std::string name_;
   Set set_;
+};
+
+/// The handoff queue over a memory policy (rt::BasicHandoffQueue<sim::SimMem>
+/// or a mutant), in the serving direction verify::HandoffSpec names:
+/// "Enq"(w) -> "OK", "Hand"(v) -> "OK" | "EMPTY", "Await"(w) -> v |
+/// "REVOKED", "Cancel"(w) -> "CANCELLED" | v | "REVOKED", or "NONE" before
+/// w's enqueue. Waiter w's ticket is kept here, set in the step of its
+/// enqueue's fetch&add, so any process may cancel w.
+template <typename Queue>
+class MemHandoffObject : public core::ConcurrentObject {
+ public:
+  explicit MemHandoffObject(std::string name) : name_(std::move(name)) {}
+  std::string object_name() const override { return name_; }
+  Val apply(sim::Ctx&, const verify::Invocation& inv) override {
+    if (inv.name == "Hand") return str(q_.hand(as_num(inv.args)) ? "OK" : "EMPTY");
+    int64_t w = as_num(inv.args);
+    if (inv.name == "Enq") {
+      tickets_[w] = q_.enqueue();
+      return str("OK");
+    }
+    auto it = tickets_.find(w);
+    if (inv.name == "Await") {
+      C2SL_CHECK(it != tickets_.end(), "Await before the waiter's Enq");
+      return outcome(q_.await(it->second));
+    }
+    C2SL_CHECK(inv.name == "Cancel", "unknown operation: " + inv.name);
+    if (it == tickets_.end()) return str("NONE");
+    int64_t r = q_.cancel(it->second);
+    return r == Queue::kCancelled ? str("CANCELLED") : outcome(r);
+  }
+
+ private:
+  static Val outcome(int64_t r) { return r == Queue::kRevoked ? str("REVOKED") : num(r); }
+
+  std::string name_;
+  Queue q_;
+  std::map<int64_t, size_t> tickets_;
 };
 
 /// The packed fetch&add words and the multi-shot test&set over a memory

@@ -400,5 +400,63 @@ TEST(SimMem, AccessOutsideAScheduledFiberTakesNoStep) {
   EXPECT_EQ(sim::running_ctx(), nullptr);
 }
 
+// A wait has futex semantics (sim/sim_mem.h): while the word still equals
+// `old` the waiter is not runnable, so a parked waiter adds no branch to a
+// tree; once the word changes, the wait is exactly one step. notify_one()
+// takes none.
+TEST(SimMem, WaitIsOneStepOfferedOnlyOnceTheWordChanges) {
+  auto word = std::make_shared<sim::SimWord<int64_t>>(0);
+  sim::SimRun run(2);
+  uint64_t wait_steps = 0;
+  run.sched.spawn(0, [word, &wait_steps](sim::Ctx& ctx) {
+    uint64_t before = ctx.steps_taken;
+    word->wait(0);
+    wait_steps = ctx.steps_taken - before;
+  });
+  run.sched.spawn(1, [word](sim::Ctx& ctx) {
+    word->store(1);
+    word->notify_one();
+    EXPECT_EQ(ctx.steps_taken, 1u);
+  });
+  EXPECT_EQ(run.sched.runnable(), std::vector<sim::ProcId>{1});
+  run.sched.step(1);
+  EXPECT_EQ(run.sched.runnable(), std::vector<sim::ProcId>{0});
+  run.sched.step(0);
+  EXPECT_TRUE(run.sched.all_done());
+  EXPECT_EQ(wait_steps, 1u);
+}
+
+// A run in which every process is blocked ends: no process can move, and
+// the blocked ops stay pending in the history.
+TEST(SimMem, ARunWithEveryProcessBlockedEndsWithTheirOpsPending) {
+  auto word = std::make_shared<sim::SimWord<int64_t>>(0);
+  sim::SimRun run(2);
+  for (int p = 0; p < 2; ++p) {
+    run.sched.spawn(p, [word](sim::Ctx& ctx) {
+      sim::record_op(ctx, "w", "Wait", unit(), [&] {
+        word->wait(0);
+        return unit();
+      });
+    });
+  }
+  sim::RoundRobinStrategy rr;
+  auto res = run.sched.run(rr, 100);
+  EXPECT_TRUE(res.all_done);
+  EXPECT_EQ(res.steps, 0u);
+  std::vector<sim::OpRecord> ops = run.history.operations();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_FALSE(ops[0].complete);
+  EXPECT_FALSE(ops[1].complete);
+}
+
+// Outside a scheduled fiber no one could change the word: a wait on an
+// unchanged word is a checked error instead of a hang, and a wait on a
+// changed one returns at once.
+TEST(SimMem, SoloWaitOnAnUnchangedWordIsACheckedError) {
+  sim::SimWord<int64_t> word{4};
+  EXPECT_THROW(word.wait(4), PreconditionError);
+  word.wait(3);
+}
+
 }  // namespace
 }  // namespace c2sl

@@ -177,6 +177,90 @@ TEST(QueueSpec, KOutOfOrderWindow) {
   EXPECT_EQ(spec.next("9", {"Deq", unit(), 0}).size(), 1u);
 }
 
+/// Applies `inv` to `state` where the spec allows exactly one transition.
+Transition only(const verify::Spec& spec, const std::string& state, const Invocation& inv) {
+  std::vector<Transition> ts = spec.next(state, inv);
+  EXPECT_EQ(ts.size(), 1u) << inv.name << " in state " << state;
+  return ts.empty() ? Transition{state, unit()} : ts[0];
+}
+
+TEST(HandoffSpec, HandsServeWaitersInTicketOrder) {
+  verify::HandoffSpec spec;
+  std::string s = spec.initial();
+  for (int64_t w : {1, 2}) {
+    Transition t = only(spec, s, {"Enq", num(w), 0});
+    EXPECT_EQ(t.resp, str("OK"));
+    s = t.state;
+  }
+  for (int64_t v : {5, 6}) {
+    Transition t = only(spec, s, {"Hand", num(v), 0});
+    EXPECT_EQ(t.resp, str("OK"));
+    s = t.state;
+  }
+  EXPECT_EQ(only(spec, s, {"Await", num(1), 0}).resp, num(5));
+  EXPECT_EQ(only(spec, s, {"Await", num(2), 0}).resp, num(6));
+  EXPECT_TRUE(spec.next(s, {"Enq", num(1), 0}).empty()) << "waiter ids are distinct";
+}
+
+TEST(HandoffSpec, EmptyHandLeavesHeadOrOvershootsAndRevokesTheNextTicket) {
+  verify::HandoffSpec spec;
+  std::vector<Transition> hands = spec.next(spec.initial(), {"Hand", num(5), 0});
+  ASSERT_EQ(hands.size(), 2u);
+  EXPECT_EQ(hands[0].resp, str("EMPTY"));
+  EXPECT_EQ(hands[1].resp, str("EMPTY"));
+  // Head left alone: the next waiter waits, and the next hand serves it.
+  std::string alone = only(spec, hands[0].state, {"Enq", num(1), 0}).state;
+  EXPECT_TRUE(spec.next(alone, {"Await", num(1), 0}).empty());
+  alone = only(spec, alone, {"Hand", num(6), 0}).state;
+  EXPECT_EQ(only(spec, alone, {"Await", num(1), 0}).resp, num(6));
+  // Overshoot: the next ticket enters revoked, and a hand finds no waiter.
+  std::string over = only(spec, hands[1].state, {"Enq", num(1), 0}).state;
+  EXPECT_EQ(only(spec, over, {"Await", num(1), 0}).resp, str("REVOKED"));
+  std::vector<Transition> after = spec.next(over, {"Hand", num(6), 0});
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(responses(after), (std::vector<Val>{str("EMPTY"), str("EMPTY")}));
+}
+
+TEST(HandoffSpec, AwaitIsEnabledOnlyOnceItsOutcomeIsFixed) {
+  verify::HandoffSpec spec;
+  EXPECT_TRUE(spec.next(spec.initial(), {"Await", num(1), 0}).empty());
+  std::string s = only(spec, spec.initial(), {"Enq", num(1), 0}).state;
+  EXPECT_TRUE(spec.next(s, {"Await", num(1), 0}).empty()) << "still waiting";
+  s = only(spec, s, {"Hand", num(5), 0}).state;
+  Transition t = only(spec, s, {"Await", num(1), 0});
+  EXPECT_EQ(t.resp, num(5));
+  EXPECT_EQ(t.state, s);
+}
+
+TEST(HandoffSpec, EveryCancelOutcome) {
+  verify::HandoffSpec spec;
+  // Before the waiter's enqueue.
+  Transition none = only(spec, spec.initial(), {"Cancel", num(1), 0});
+  EXPECT_EQ(none.resp, str("NONE"));
+  EXPECT_EQ(none.state, spec.initial());
+  // A waiting waiter is cancelled; hands skip it, and no Await follows.
+  std::string s = only(spec, spec.initial(), {"Enq", num(1), 0}).state;
+  s = only(spec, s, {"Enq", num(2), 0}).state;
+  s = only(spec, s, {"Cancel", num(1), 0}).state;
+  EXPECT_TRUE(spec.next(s, {"Await", num(1), 0}).empty());
+  EXPECT_EQ(only(spec, s, {"Cancel", num(1), 0}).resp, str("CANCELLED"));
+  s = only(spec, s, {"Hand", num(5), 0}).state;
+  EXPECT_EQ(only(spec, s, {"Await", num(2), 0}).resp, num(5));
+  // A delivered waiter's cancel returns the value; the canceller owns it.
+  EXPECT_EQ(only(spec, s, {"Cancel", num(2), 0}).resp, num(5));
+  // Only cancelled waiters ahead: the hand finds no one.
+  std::vector<Transition> hands = spec.next(
+      only(spec, only(spec, spec.initial(), {"Enq", num(3), 0}).state, {"Cancel", num(3), 0})
+          .state,
+      {"Hand", num(7), 0});
+  EXPECT_EQ(responses(hands), (std::vector<Val>{str("EMPTY"), str("EMPTY")}));
+  // A revoked waiter's cancel reports the revocation.
+  std::string over = spec.next(spec.initial(), {"Hand", num(5), 0})[1].state;
+  over = only(spec, over, {"Enq", num(4), 0}).state;
+  EXPECT_EQ(only(spec, over, {"Cancel", num(4), 0}).resp, str("REVOKED"));
+  EXPECT_TRUE(spec.next(spec.initial(), {"Deq", unit(), 0}).empty());
+}
+
 TEST(StackSpec, Lifo) {
   verify::StackSpec spec;
   auto p = spec.next("1,2", {"Push", num(3), 0});
