@@ -5,32 +5,34 @@
 //     NativeSet's taken flags, routing-epoch resize claims and the
 //     PublishOnce claim below — is this cell.
 //
-//   * PublishOnce<T>: an object created on first use by whichever thread
-//     gets there first, built from that cell plus a register write (§4.1's
-//     point: lazy creation needs one readable test&set and a pointer store,
-//     never a CAS). get(make) runs
+//   * BasicPublishOnce<Mem, T>: an object created on first use by whichever
+//     thread gets there first, built from that cell plus a register write
+//     (§4.1's point: lazy creation needs one readable test&set and a pointer
+//     store, never a CAS). get(make) runs
 //
 //         claim → construct → publish → (on throw) poison; losers spin
 //
 //     The claim winner CONSTRUCTS FIRST and PUBLISHES SECOND with a release
 //     pointer store; losers spin on the pointer (the winner is at most a few
 //     stores away). Readers that must not allocate call peek(): one acquire
-//     load, never constructs, nullptr until the publish.
+//     load, never constructs, nullptr until the publish. It is written once
+//     over a memory policy `Mem` (runtime/native_mem.h); PublishOnce<T> is
+//     the NativeMem instantiation.
 //
 // The init-before-publish order is load-bearing, not style: publishing first
 // would let a concurrent reader observe uninitialised state (garbage that can
 // masquerade as already-set cells, breaking even plain linearizability). The
-// bounded model checker pins exactly this function: its simulated twin
-// (svc::SimSegmentedTasArray, service/sim_bridge.h) verifies strongly
-// linearizable in publication order and is REFUTED with the two writes swapped
-// (tests/service_sim_test.cpp). SegmentedArray segments and C2Store shard
-// slots both publish through get(), so that verdict covers both
+// bounded model checker runs this class itself over sim::SimMem, with segment
+// cells that start as garbage: it verifies strongly linearizable in
+// publication order, and a test-local copy with the publish moved before the
+// init is REFUTED (tests/service_sim_test.cpp). SegmentedArray segments and
+// C2Store shard slots both publish through get(), so that verdict covers both
 // (docs/PROOFS.md, "segment publication").
 //
 // A winner whose construction throws poisons the cell and rethrows; the claim
 // is spent, so every later get() throws PreconditionError instead of spinning
-// forever, and peek() stays nullptr. No CAS anywhere — the no-CAS grep test
-// (tests/c2store_test.cpp) scans this file.
+// forever, and peek() stays nullptr (the checker pins this path too). No CAS
+// anywhere — the no-CAS grep test (tests/c2store_test.cpp) scans this file.
 #pragma once
 
 #include <atomic>
@@ -77,15 +79,15 @@ static_assert(std::atomic<uint8_t>::is_always_lock_free,
 /// A T (or, for T = U[], an array of U) created once on first use and owned
 /// by the cell. `Align` pads the cell so neighbouring cells in an array do not
 /// share a cache line (the publication writes stay private to one line).
-template <typename T, size_t Align = 64>
-class alignas(Align) PublishOnce {
+template <typename Mem, typename T, size_t Align = 64>
+class alignas(Align) BasicPublishOnce {
  public:
   using Elem = std::remove_extent_t<T>;
 
-  PublishOnce() = default;
-  PublishOnce(const PublishOnce&) = delete;
-  PublishOnce& operator=(const PublishOnce&) = delete;
-  ~PublishOnce() {
+  BasicPublishOnce() = default;
+  BasicPublishOnce(const BasicPublishOnce&) = delete;
+  BasicPublishOnce& operator=(const BasicPublishOnce&) = delete;
+  ~BasicPublishOnce() {
     // c2sl-atomic: load relaxed — destructor runs single-threaded by contract
     std::default_delete<T>{}(obj_.load(std::memory_order_relaxed));
   }
@@ -139,9 +141,15 @@ class alignas(Align) PublishOnce {
     return p;
   }
 
-  NativeReadableTAS claim_;           // one-shot: the construct-and-publish winner
-  std::atomic<bool> poisoned_{false};  // the winner threw before publishing
-  std::atomic<Elem*> obj_{nullptr};    // owning; published by a register write
+  template <typename W>
+  using Word = typename Mem::template Word<W>;
+
+  BasicReadableTAS<Mem> claim_;  // one-shot: the construct-and-publish winner
+  Word<bool> poisoned_{false};   // the winner threw before publishing
+  Word<Elem*> obj_{nullptr};     // owning; published by a register write
 };
+
+template <typename T, size_t Align = 64>
+using PublishOnce = BasicPublishOnce<NativeMem, T, Align>;
 
 }  // namespace c2sl::rt

@@ -18,8 +18,8 @@
 // spin on the pointer, and readers that must not allocate treat an
 // unpublished segment as "all cells initial" (peek() returns nullptr). C2Store
 // shard slots publish through the same function, so the checker verdict on
-// its init-before-publish order (svc::SimSegmentedTasArray, pinned in
-// tests/service_sim_test.cpp; prose in docs/PROOFS.md) covers both. No CAS
+// its init-before-publish order (rt::BasicPublishOnce over sim::SimMem, pinned
+// in tests/service_sim_test.cpp; prose in docs/PROOFS.md) covers both. No CAS
 // anywhere — the no-CAS grep test (tests/c2store_test.cpp) scans this file.
 //
 // Why doubling segments (and not, say, a linked list of fixed blocks): the

@@ -291,94 +291,6 @@ void SimLaneRegistry::release(sim::Ctx& ctx, int64_t lane) {
   });
 }
 
-// --- SimSegmentedTasArray (segment publication protocol) --------------------
-
-SimSegmentedTasArray::SimSegmentedTasArray(sim::World& world, std::string name,
-                                           bool publish_before_init)
-    : name_(std::move(name)), publish_before_init_(publish_before_init) {
-  claims_ = world.add<prim::TasArray>(name_ + ".claims", /*readable=*/false);
-  spine_ = world.add<prim::RegArray>(name_ + ".spine");
-  cells_ = world.add<prim::SwapRegArray>(name_ + ".cells");
-}
-
-std::string SimSegmentedTasArray::cell_object(size_t idx) const {
-  return name_ + "[" + std::to_string(idx) + "]";
-}
-
-int SimSegmentedTasArray::segment_of(size_t idx) {
-  int s = 0;
-  while (idx + 1 >= (size_t{2} << s)) ++s;  // base-1 doubling: [2^s-1, 2^(s+1)-1)
-  return s;
-}
-
-size_t SimSegmentedTasArray::segment_start(int s) { return (size_t{1} << s) - 1; }
-
-size_t SimSegmentedTasArray::segment_size(int s) { return size_t{1} << s; }
-
-/// ⊥ models uninitialised memory. The adversarial reading is "garbage that
-/// happens to look set": in the publication-order protocol no step ever
-/// observes it (every cells_ access is gated behind an observed publish, which
-/// the winner issues only AFTER initialising every cell), so the mapping is
-/// dead code there — while in the broken variant it surfaces as a spec
-/// violation the checker catches.
-int64_t SimSegmentedTasArray::cell_value(const Val& raw) const {
-  if (is_unit(raw)) return 1;  // garbage
-  return as_num(raw);
-}
-
-void SimSegmentedTasArray::ensure_segment(sim::Ctx& ctx, int s) {
-  if (!is_unit(ctx.world->get(spine_).read(ctx, static_cast<size_t>(s)))) {
-    return;  // already published
-  }
-  prim::TasArray& claims = ctx.world->get(claims_);
-  if (claims.test_and_set(ctx, static_cast<size_t>(s)) == 0) {
-    // Claim won: initialise every cell, then publish — the same two-phase
-    // order as rt::PublishOnce::get. The broken variant swaps the
-    // phases; tests/service_sim_test.cpp pins its refutation.
-    prim::SwapRegArray& cells = ctx.world->get(cells_);
-    prim::RegArray& spine = ctx.world->get(spine_);
-    if (publish_before_init_) {
-      spine.write(ctx, static_cast<size_t>(s), num(1));
-    }
-    const size_t start = segment_start(s);
-    for (size_t c = 0; c < segment_size(s); ++c) {
-      cells.write(ctx, start + c, num(0));
-    }
-    if (!publish_before_init_) {
-      spine.write(ctx, static_cast<size_t>(s), num(1));
-    }
-    return;
-  }
-  // Claim lost: the winner's publish is at most a few steps away; spin on the
-  // spine register, mirroring the native losers' spin on the segment pointer.
-  // (Under the bounded explorer, schedules that starve the winner truncate at
-  // the depth budget — the spin itself is safe, each probe is one step.)
-  while (is_unit(ctx.world->get(spine_).read(ctx, static_cast<size_t>(s)))) {
-  }
-}
-
-int64_t SimSegmentedTasArray::test_and_set(sim::Ctx& ctx, size_t idx) {
-  Val r = sim::record_op(ctx, cell_object(idx), "TAS", unit(), [&] {
-    ensure_segment(ctx, segment_of(idx));
-    return num(cell_value(ctx.world->get(cells_).swap(ctx, idx, num(1))));
-  });
-  return as_num(r);
-}
-
-int64_t SimSegmentedTasArray::read(sim::Ctx& ctx, size_t idx) {
-  Val r = sim::record_op(ctx, cell_object(idx), "Read", unit(), [&]() -> Val {
-    // Publication gate first: an unpublished segment's cells are all logically
-    // 0, and the spine read IS the atomic step that justifies returning 0
-    // (no cell of an unpublished segment has ever been swapped).
-    if (is_unit(ctx.world->get(spine_).read(
-            ctx, static_cast<size_t>(segment_of(idx))))) {
-      return num(0);
-    }
-    return num(cell_value(ctx.world->get(cells_).read(ctx, idx)));
-  });
-  return as_num(r);
-}
-
 // --- SimRoutingEpoch (the epoch hand-off) ----------------------------------
 
 SimRoutingEpoch::SimRoutingEpoch(std::string name, int n, int initial_shards,

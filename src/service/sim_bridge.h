@@ -24,10 +24,12 @@
 //     transfer(), or the refuted per-key loop (tests/snapshot_sim_test.cpp).
 //   * SimLaneRegistry — the Thm 10 lane set behind open_session()
 //     (tests/lane_registry_test.cpp).
-//   * SimSegmentedTasArray — the publish-once protocol (rt::PublishOnce::get)
-//     at step granularity, or the refuted publish-before-init order.
 //   * SimRoutingEpoch — the online-resize hand-off, or the refuted
 //     serve-before-replay order and writer without settle.
+//
+// Lazy publication needs no twin: tests/service_sim_test.cpp runs
+// rt::BasicPublishOnce over sim::SimMem, the code that publishes segments and
+// shard slots.
 #pragma once
 
 #include <deque>
@@ -98,7 +100,8 @@ enum class AggRead {
 };
 
 /// Aggregate twin over per-shard Thm 1 max registers, plus the digest
-/// register that only kDigest writes and reads (all SimMaxRegister). WriteMax routes by v & (shards-1); ReadMax reads as `read` says;
+/// register that only kDigest writes and reads (all SimMaxRegister).
+/// WriteMax routes by v & (shards-1). ReadMax reads as `read` says.
 /// "ReadShard"(s) reads one shard register in every mode, so tests can pin
 /// the cross-facet write order (shard first, digest second: the digest may
 /// lag a shard register but never leads them all).
@@ -244,55 +247,13 @@ class SimLaneRegistry {
   std::unique_ptr<core::SLSet> free_;  ///< Thm 10 set of lanes not held
 };
 
-/// Sim twin of rt::SegmentedArray<NativeReadableTAS> and the publish-once
-/// protocol behind it (rt::PublishOnce::get, which publishes segments and
-/// shard slots alike): doubling segments (base 1 here, so segment s covers
-/// [2^s − 1, 2^(s+1) − 1)), each published by the winner of a per-segment
-/// claim test&set through a register write, with cells INITIALISED BEFORE
-/// the publish. Uninitialised cells read as garbage (an adversarial 1). The
-/// `publish_before_init` variant swaps the two phases: a reader that passes
-/// the gate early observes garbage, and the checker REFUTES it. Methods
-/// record on PER-INDEX facet objects (`cell_object(idx)`), so the checker
-/// certifies each cell as a readable test&set via verify::TasSpec.
-class SimSegmentedTasArray {
- public:
-  SimSegmentedTasArray(sim::World& world, std::string name,
-                       bool publish_before_init = false);
-
-  /// Recorded as "TAS" -> 0|1 on `cell_object(idx)`.
-  int64_t test_and_set(sim::Ctx& ctx, size_t idx);
-  /// Recorded as "Read" -> 0|1 on `cell_object(idx)`. Never allocates: an
-  /// unpublished segment reads as 0 at the spine-read step, mirroring the
-  /// native peek() path.
-  int64_t read(sim::Ctx& ctx, size_t idx);
-
-  std::string cell_object(size_t idx) const;
-
-  static int segment_of(size_t idx);
-  static size_t segment_start(int s);
-  static size_t segment_size(int s);
-
- private:
-  void ensure_segment(sim::Ctx& ctx, int s);
-  int64_t cell_value(const Val& raw) const;
-
-  std::string name_;
-  bool publish_before_init_;
-  sim::Handle<prim::TasArray> claims_;     ///< per-segment one-shot claim
-  sim::Handle<prim::RegArray> spine_;      ///< per-segment published flag
-  /// Cell states: ⊥ = uninitialised memory (garbage), 0 = initialised unset,
-  /// 1 = set. SwapRegArray so test&set is one swap step, like the native
-  /// exchange.
-  sim::Handle<prim::SwapRegArray> cells_;
-};
-
 /// Sim twin of the routing-epoch hand-off (runtime/routing_epoch.h + the
 /// epoch-stamped refs in service/c2store.h). The spine is the store's own
 /// rt::BasicRoutingEpoch over SimMem — its stamp word, claim cells and count
 /// cells, each access one checker step — and per-slot state is the store's
-/// max register (SimMaxRegister) per slot. Routing is the identity mask (slot = key & (count-1)),
-/// which preserves the nesting property the migration relies on while
-/// keeping the trees small.
+/// max register (SimMaxRegister) per slot. Routing is the identity mask
+/// (slot = key & (count-1)), which preserves the nesting property the
+/// migration relies on while keeping the trees small.
 ///
 ///   * WriteMax(key, v): route under the PUBLISHED epoch of one stamp() read,
 ///     slot write_max, then rt::EpochCodec::settle — the loop

@@ -24,8 +24,15 @@
 // register instead of collecting per-process registers.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <memory>
+#include <stdexcept>
+
 #include "harness.h"
+#include "runtime/publish_once.h"
 #include "service/sim_bridge.h"
+#include "sim/sim_mem.h"
 #include "verify/lin_checker.h"
 #include "verify/specs.h"
 
@@ -398,64 +405,185 @@ TEST(TelemetrySim, LaneScanReadNotStronglyLinearizable) {
 
 // --- 3b. segment publication (the unbounded-array growth protocol) ----------
 //
-// The native runtime's SegmentedArray grows by publishing doubling segments:
-// a per-segment claim test&set elects one initialiser, which INITIALISES every
-// cell and THEN publishes through a register write; accessors gate on the
-// publication and treat an unpublished segment as all-initial. The sim twin
-// (svc::SimSegmentedTasArray) replays that protocol at base-object step
-// granularity with uninitialised cells modelled as garbage. Verified here:
+// The native runtime's SegmentedArray grows by publishing doubling segments,
+// and C2Store materialises its shard slots, through one function:
+// rt::PublishOnce::get. A claim test&set elects one initialiser, which
+// CONSTRUCTS every cell and THEN publishes through a register write;
+// accessors gate on peek() and treat an unpublished segment as all-initial.
+// The checker runs that code, rt::BasicPublishOnce over sim::SimMem, under a
+// small adapter (Segments): base-1 doubling segments of readable test&set
+// cells, each cell constructed at 1 (uninitialised memory: garbage that looks
+// set) and zeroed by the winner's `make`, one store step per cell, as
+// value-initialisation does natively. Verified here:
 //
-//   (i)  the publication-order protocol is strongly linearizable, per cell
-//        facet, including the interleavings where the claim race and the cell
-//        operations overlap — and across distinct segments;
-//   (ii) the deliberately-broken variant (publish BEFORE init — the tempting
-//        "make the segment visible early" reorder) is REFUTED: a reader
-//        passes the gate early, observes garbage, and the late initialisation
-//        erases observed state. PINNED so the reorder fails loudly here
-//        instead of only contradicting runtime/segmented_array.h's comment.
+//   (i)   the publication-order protocol is strongly linearizable, per cell
+//         facet, including the interleavings where the claim race and the
+//         cell operations overlap — and across distinct segments;
+//   (ii)  a copy with the publish moved BEFORE the init (the tempting "make
+//         the segment visible early" reorder) is REFUTED: a reader passes the
+//         gate early, observes garbage, and the late initialisation erases
+//         observed state. PINNED so the reorder fails loudly here instead of
+//         only contradicting runtime/publish_once.h's comment;
+//   (iii) a `make` that throws poisons the cell: no get returns a pointer,
+//         the losers raise the named PreconditionError instead of spinning,
+//         and peek() stays null.
 
-TEST(C2StoreSim, SegmentPublicationStronglyLinearizable) {
-  // Two processes race TAS on index 1 — the first cell of a 2-cell segment —
-  // so the claim race, both init writes, the publish and both cell exchanges
-  // all interleave. Each cell facet must admit a prefix-closed linearization.
-  std::shared_ptr<svc::SimSegmentedTasArray> arr;
-  auto scenario = [&arr](sim::SimRun& run) {
-    arr = std::make_shared<svc::SimSegmentedTasArray>(run.world, "seg");
-    run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
-    run.sched.spawn(1, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
-  };
+/// One segment cell, a readable test&set byte as rt::BasicReadableTAS (TAS is
+/// one exchange, Read one load), constructed at 1: garbage that looks set.
+/// Construction takes no step; only MakeSegment's store makes the cell fresh.
+struct GarbageCell : sim::SimWord<uint8_t> {
+  GarbageCell() : SimWord(1) {}
+};
+
+/// The `make` of segment s (2^s cells): allocate, then zero each cell with one
+/// store step. The two halves are separate so PublishBeforeInit can publish
+/// between them. The whole make reports the segment it returns in `*built`.
+struct MakeSegment {
+  int s;
+  GarbageCell** built;
+  std::unique_ptr<GarbageCell[]> allocate() const {
+    return std::make_unique<GarbageCell[]>(size_t{1} << s);
+  }
+  void initialise(GarbageCell* cells) const {
+    for (size_t c = 0; c < (size_t{1} << s); ++c) cells[c].store(0);
+  }
+  std::unique_ptr<GarbageCell[]> operator()() const {
+    auto cells = allocate();
+    initialise(cells.get());
+    *built = cells.get();
+    return cells;
+  }
+};
+
+/// rt::SegmentedArray<ReadableTAS> at base 1 (segment s covers
+/// [2^s − 1, 2^(s+1) − 1)) over a spine of publication cells `Slot`. Ops
+/// record on per-index facets (`cell_object(idx)`), so the checker certifies
+/// each cell as a readable test&set via verify::TasSpec.
+template <typename Slot>
+class Segments {
+ public:
+  /// A replay can end with the winner parked at its publish step: `make` has
+  /// returned and the slot has taken the pointer out of its unique_ptr, but
+  /// the store, a SimMem step, unwinds instead of running. (A native store
+  /// cannot fail there.) The segment is then owned by no one, so free it.
+  /// peek() outside a running fiber takes no step.
+  ~Segments() {
+    for (int s = 0; s < 2; ++s) {
+      if (built_[s] != nullptr && spine_[s].peek() != built_[s]) delete[] built_[s];
+    }
+  }
+
+  static std::string cell_object(size_t idx) {
+    return "seg[" + std::to_string(idx) + "]";
+  }
+
+  /// Recorded as "TAS" -> 0|1: the slot's get, then the cell's exchange.
+  int64_t test_and_set(sim::Ctx& ctx, size_t idx) {
+    return as_num(sim::record_op(ctx, cell_object(idx), "TAS", unit(), [&] {
+      const int s = segment_of(idx);
+      GarbageCell* seg = spine_[s].get(MakeSegment{s, &built_[s]});
+      return num(seg[idx - start(s)].exchange(1));
+    }));
+  }
+
+  /// Recorded as "Read" -> 0|1. Never constructs: an unpublished segment
+  /// reads as 0, and the peek is the step that justifies it.
+  int64_t read(sim::Ctx& ctx, size_t idx) {
+    return as_num(sim::record_op(ctx, cell_object(idx), "Read", unit(), [&] {
+      const int s = segment_of(idx);
+      GarbageCell* seg = spine_[s].peek();
+      return num(seg ? seg[idx - start(s)].load() : 0);
+    }));
+  }
+
+ private:
+  static int segment_of(size_t idx) { return std::bit_width(idx + 1) - 1; }
+  static size_t start(int s) { return (size_t{1} << s) - 1; }
+
+  Slot spine_[2];  // indices 0..2
+  GarbageCell* built_[2] = {};  // what each segment's make returned
+};
+
+using ServingSlot = rt::BasicPublishOnce<sim::SimMem, GarbageCell[]>;
+using ServingSegments = Segments<ServingSlot>;
+
+/// rt::BasicPublishOnce<sim::SimMem, GarbageCell[]> with ONE step moved: the
+/// winner publishes the pointer before its init stores. The runtime class
+/// carries no mutant switch.
+class PublishBeforeInit {
+ public:
+  GarbageCell* peek() const { return obj_.load(); }
+
+  GarbageCell* get(const MakeSegment& make) {
+    if (GarbageCell* p = peek()) return p;
+    if (claim_.test_and_set() == 0) {
+      owned_ = make.allocate();
+      obj_.store(owned_.get());  // the bug: published before initialised
+      make.initialise(owned_.get());
+      return owned_.get();
+    }
+    GarbageCell* p = nullptr;
+    while (!(p = peek())) {
+      C2SL_CHECK(!poisoned_.load(), "lazy initialization failed");
+    }
+    return p;
+  }
+
+ private:
+  rt::BasicReadableTAS<sim::SimMem> claim_;
+  sim::SimWord<bool> poisoned_{false};  // never set: this make cannot throw
+  sim::SimWord<GarbageCell*> obj_{nullptr};
+  std::unique_ptr<GarbageCell[]> owned_;
+};
+
+/// Explores `scenario` on two processes at the depth that bounds the
+/// publication losers' spins.
+sim::ExecTree explore_publication(const sim::ScenarioFn& scenario) {
   sim::ExploreOptions opts;
-  opts.max_depth = 24;  // bounds the publication-loser's spin branches
+  opts.max_depth = 24;
   opts.max_nodes = 400000;
   sim::ExecTree tree = sim::explore(2, scenario, opts);
-  ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
-  verify::TasSpec spec;
-  auto res = check_tree(tree, spec, arr->cell_object(1));
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+  EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  return tree;
 }
 
-TEST(C2StoreSim, SegmentPublicationReadersNeverSeeGarbage) {
-  // A reader races the whole publication: before the publish it must report 0
-  // from the gate alone (never touching an uninitialised cell), after it the
-  // initialised cell. The second read pins monotonicity across the window
-  // where the broken variant would leak garbage.
-  std::shared_ptr<svc::SimSegmentedTasArray> arr;
-  auto scenario = [&arr](sim::SimRun& run) {
-    arr = std::make_shared<svc::SimSegmentedTasArray>(run.world, "seg");
+/// Process 0 sets cell 1 while process 1 reads it twice: a reader racing the
+/// whole publication. Before the publish it must report 0 from the gate
+/// alone (never touching an uninitialised cell), after it the initialised
+/// cell; the second read pins monotonicity across the window where the
+/// broken order leaks garbage.
+template <typename Slot>
+sim::ExecTree tas_against_two_reads() {
+  return explore_publication([](sim::SimRun& run) {
+    auto arr = std::make_shared<Segments<Slot>>();
     run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
     run.sched.spawn(1, [arr](sim::Ctx& ctx) {
       arr->read(ctx, 1);
       arr->read(ctx, 1);
     });
-  };
-  sim::ExploreOptions opts;
-  opts.max_depth = 24;
-  opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
-  ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  });
+}
+
+TEST(C2StoreSim, SegmentPublicationStronglyLinearizable) {
+  // Two processes race TAS on index 1 — the first cell of a 2-cell segment —
+  // so the claim race, both init writes, the publish, the loser's spin (its
+  // pointer and poison loads) and both cell exchanges all interleave. Each
+  // cell facet must admit a prefix-closed linearization.
+  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+    auto arr = std::make_shared<ServingSegments>();
+    run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
+    run.sched.spawn(1, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
+  });
   verify::TasSpec spec;
-  auto res = check_tree(tree, spec, arr->cell_object(1));
+  auto res = check_tree(tree, spec, ServingSegments::cell_object(1));
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+}
+
+TEST(C2StoreSim, SegmentPublicationReadersNeverSeeGarbage) {
+  sim::ExecTree tree = tas_against_two_reads<ServingSlot>();
+  verify::TasSpec spec;
+  auto res = check_tree(tree, spec, ServingSegments::cell_object(1));
   ASSERT_TRUE(res.decided);
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }
@@ -464,23 +592,17 @@ TEST(C2StoreSim, SegmentPublicationAcrossSegmentsIndependent) {
   // Ops on indices 0 and 1 live in DIFFERENT segments (base-1 doubling):
   // two unrelated publications in flight at once. Strong linearizability is
   // local — each cell facet verifies on the shared tree.
-  std::shared_ptr<svc::SimSegmentedTasArray> arr;
-  auto scenario = [&arr](sim::SimRun& run) {
-    arr = std::make_shared<svc::SimSegmentedTasArray>(run.world, "seg");
+  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+    auto arr = std::make_shared<ServingSegments>();
     run.sched.spawn(0, [arr](sim::Ctx& ctx) {
       arr->test_and_set(ctx, 0);
       arr->read(ctx, 1);
     });
     run.sched.spawn(1, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
-  };
-  sim::ExploreOptions opts;
-  opts.max_depth = 24;
-  opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
-  ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  });
   verify::TasSpec spec;
   for (size_t idx : {size_t{0}, size_t{1}}) {
-    auto res = check_tree(tree, spec, arr->cell_object(idx));
+    auto res = check_tree(tree, spec, ServingSegments::cell_object(idx));
     ASSERT_TRUE(res.decided);
     EXPECT_TRUE(res.strongly_linearizable)
         << "cell facet " << idx << ":\n" << res.report;
@@ -492,31 +614,76 @@ TEST(C2StoreSim, SegmentPublicationAcrossSegmentsIndependent) {
 // in the explored tree: Read -> 1 (garbage) followed by Read -> 0 (the
 // winner's late init write erased the observed state) with no Reset — not
 // even linearizable, so certainly not strongly linearizable. If this starts
-// passing, either the bridge stopped modelling uninitialised cells or the
-// checker broke.
+// passing, either the cells stopped starting as garbage or the checker broke.
 TEST(C2StoreSim, SegmentPublishBeforeInitRefuted) {
-  std::shared_ptr<svc::SimSegmentedTasArray> arr;
-  auto scenario = [&arr](sim::SimRun& run) {
-    arr = std::make_shared<svc::SimSegmentedTasArray>(run.world, "seg",
-                                                      /*publish_before_init=*/true);
-    run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
-    run.sched.spawn(1, [arr](sim::Ctx& ctx) {
-      arr->read(ctx, 1);
-      arr->read(ctx, 1);
-    });
-  };
-  sim::ExploreOptions opts;
-  opts.max_depth = 24;
-  opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
-  ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  sim::ExecTree tree = tas_against_two_reads<PublishBeforeInit>();
   verify::TasSpec spec;
-  auto res = check_tree(tree, spec, arr->cell_object(1));
+  auto res = check_tree(tree, spec, Segments<PublishBeforeInit>::cell_object(1));
   ASSERT_TRUE(res.decided);
   EXPECT_FALSE(res.strongly_linearizable)
       << "publish-before-init must NOT verify — this refutation is why "
          "PublishOnce::get (segments and shard slots alike) constructs "
          "before the pointer store";
+}
+
+/// What a failing `make` throws.
+struct MakeFailed : std::runtime_error {
+  MakeFailed() : std::runtime_error("make failed") {}
+};
+
+// Two processes call get on one cell whose `make` takes one step and throws.
+// The loser, spinning on the pointer, must see the poison flag and raise the
+// named error; the winner rethrows make's own. Checked on every complete leaf
+// (truncated leaves are spins the depth bound cut, not finished runs).
+TEST(C2StoreSim, PublishOncePoisonReachesEveryLoser) {
+  struct Poisoned {
+    rt::BasicPublishOnce<sim::SimMem, int> cell;
+    sim::SimWord<int> made{0};  // the one step of the failing make
+  };
+  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+    auto obj = std::make_shared<Poisoned>();
+    for (int p = 0; p < 2; ++p) {
+      run.sched.spawn(p, [obj](sim::Ctx& ctx) {
+        sim::record_op(ctx, "pub", "Get", unit(), [&] {
+          try {
+            obj->cell.get([&]() -> std::unique_ptr<int> {
+              obj->made.store(1);
+              throw MakeFailed();
+            });
+            return str("pointer");
+          } catch (const PreconditionError&) {
+            return str("PreconditionError");
+          } catch (const MakeFailed&) {
+            return str("MakeFailed");
+          }
+        });
+        sim::record_op(ctx, "pub", "Peek", unit(), [&] {
+          return str(obj->cell.peek() ? "pointer" : "null");
+        });
+      });
+    }
+  });
+  int complete = 0;
+  for (const sim::ExecNode& node : tree.nodes) {
+    if (!node.all_done) continue;
+    ++complete;
+    std::map<sim::OpId, std::string> op_name;
+    std::map<std::string, int> gets;
+    int null_peeks = 0;
+    for (const sim::Event& e : tree.history_at(node.id)) {
+      if (e.kind == sim::Event::Kind::kInvoke) op_name[e.op] = e.name;
+      if (e.kind != sim::Event::Kind::kRespond) continue;
+      if (op_name[e.op] == "Get") ++gets[as_str(e.payload)];
+      if (op_name[e.op] == "Peek" && as_str(e.payload) == "null") ++null_peeks;
+    }
+    const std::string leaf = "leaf " + std::to_string(node.id);
+    EXPECT_EQ(gets["pointer"], 0) << leaf << ": a get returned a pointer";
+    EXPECT_EQ(gets["MakeFailed"], 1) << leaf << ": the winner must rethrow make's error";
+    EXPECT_EQ(gets["PreconditionError"], 1)
+        << leaf << ": the loser must raise the named error";
+    EXPECT_EQ(null_peeks, 2) << leaf << ": a poisoned cell publishes nothing";
+  }
+  EXPECT_GT(complete, 0) << "no run finished: a loser spins past the depth bound";
 }
 
 // --- 4. the max twin, AggRead::kOnePass: not even linearizable ---------------

@@ -302,10 +302,15 @@ TEST(Explorer, CrashBranchesWhenEnabled) {
 // constructions over. Every node count of a tree over such a construction
 // rests on the two properties pinned here: each word op is exactly one
 // scheduled step, and an access outside a scheduled fiber takes none.
+// Constructing a word takes no step either, even inside a running fiber: the
+// publication trees (tests/service_sim_test.cpp) model a fresh segment's
+// uninitialised memory as cells constructed at a garbage value, and count
+// only the winner's init stores and the pointer word's load and store.
 TEST(SimMem, EachWordOpIsExactlyOneStep) {
   struct Mem {
     sim::SimWord<int64_t> word{5};
     sim::SimArray<sim::SimWord<uint8_t>> cells;
+    sim::SimWord<int64_t*> ptr{nullptr};
   };
   auto mem = std::make_shared<Mem>();
   sim::SimRun run(1);
@@ -324,12 +329,24 @@ TEST(SimMem, EachWordOpIsExactlyOneStep) {
     one([&] { EXPECT_EQ(mem->cells.cell(1000).exchange(1), 0); });
     one([&] { EXPECT_EQ(mem->cells.peek(1000)->load(), 1); });
     one([&] { EXPECT_EQ(mem->cells.peek(3)->load(), 0); });
+    // A word built here, mid-run, takes no step until it is accessed.
+    uint64_t before = ctx.steps_taken;
+    auto fresh = std::make_unique<sim::SimWord<uint8_t>[]>(4);
+    sim::SimWord<uint8_t> garbage{1};
+    EXPECT_EQ(ctx.steps_taken, before);
+    one([&] { EXPECT_EQ(garbage.load(), 1); });
+    one([&] { fresh[3].store(0); });
+    // A pointer word: one step per load and per store.
+    int64_t target = 0;
+    one([&] { EXPECT_EQ(mem->ptr.load(), nullptr); });
+    one([&] { mem->ptr.store(&target); });
+    one([&] { EXPECT_EQ(mem->ptr.load(), &target); });
   });
   sim::RoundRobinStrategy rr;
   auto res = run.sched.run(rr, 100);
   EXPECT_TRUE(res.all_done);
-  EXPECT_EQ(steps, std::vector<uint64_t>(7, 1));
-  EXPECT_EQ(res.steps, 7u);
+  EXPECT_EQ(steps, std::vector<uint64_t>(12, 1));
+  EXPECT_EQ(res.steps, 12u);
 }
 
 // The runtime's reads of a fetch&add word are one load, a raising max write
