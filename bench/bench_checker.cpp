@@ -69,19 +69,19 @@ void CHK_StrongLinChecker_TreeSize(benchmark::State& state) {
     }
   };
   verify::MaxRegisterSpec spec;
-  uint64_t tree_nodes = 0;
+  uint64_t configurations = 0;
   for (auto _ : state) {
     sim::ExploreOptions opts;
     opts.max_depth = 24;
     opts.max_nodes = 400000;
-    sim::ExecTree tree = sim::explore(3, scenario, opts);
-    tree_nodes = tree.size();
+    sim::ExecGraph tree = sim::explore(3, scenario, opts);
+    configurations = tree.size();
     verify::StrongLinOptions slopts;
     slopts.object = "maxreg";
     auto res = verify::check_strong_linearizability(tree, spec, slopts);
     benchmark::DoNotOptimize(res.strongly_linearizable);
   }
-  state.counters["tree_nodes"] = benchmark::Counter(static_cast<double>(tree_nodes));
+  state.counters["configurations"] = benchmark::Counter(static_cast<double>(configurations));
 }
 BENCHMARK(CHK_StrongLinChecker_TreeSize)->Arg(1)->Arg(2);
 

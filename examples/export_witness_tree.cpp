@@ -1,4 +1,4 @@
-// Tooling demo: export an execution tree to Graphviz DOT, highlighting the
+// Tooling demo: export an execution graph to Graphviz DOT, highlighting the
 // strong-linearizability conflict node the checker found. Applied to the
 // Herlihy-Wing queue (the paper's §5 exhibit).
 //
@@ -34,7 +34,7 @@ int main() {
   sim::ExploreOptions opts;
   opts.max_depth = 8;
   opts.max_nodes = 4000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
 
   verify::QueueSpec spec;
   verify::StrongLinOptions slopts;
@@ -45,7 +45,7 @@ int main() {
   dot_opts.highlight_node = res.witness_node;
   std::fputs(sim::to_dot(tree, dot_opts).c_str(), stdout);
 
-  std::fprintf(stderr, "tree nodes: %zu; strongly linearizable at this depth: %s\n",
+  std::fprintf(stderr, "configurations: %zu; strongly linearizable at this depth: %s\n",
                tree.size(),
                res.decided ? (res.strongly_linearizable ? "yes" : "NO") : "undecided");
   return 0;

@@ -52,7 +52,7 @@ void check_and_report(const char* name, bool use_faa) {
   sim::ExploreOptions opts;
   opts.max_depth = 24;
   opts.max_nodes = 800000;
-  sim::ExecTree tree = sim::explore(3, scenario_for(use_faa), opts);
+  sim::ExecGraph tree = sim::explore(3, scenario_for(use_faa), opts);
 
   verify::MaxRegisterSpec spec;
   verify::StrongLinOptions slopts;
@@ -60,13 +60,13 @@ void check_and_report(const char* name, bool use_faa) {
   slopts.max_search_nodes = 30'000'000;
   auto res = verify::check_strong_linearizability(tree, spec, slopts);
 
-  std::printf("%-28s explored %zu executions-tree nodes\n", name, tree.size());
+  std::printf("%-28s explored %zu configurations\n", name, tree.size());
   if (!res.decided) {
     std::printf("  verdict: UNDECIDED (budget)\n\n");
     return;
   }
   if (res.strongly_linearizable) {
-    std::printf("  verdict: STRONGLY LINEARIZABLE on the full bounded tree\n\n");
+    std::printf("  verdict: STRONGLY LINEARIZABLE on every bounded execution\n\n");
   } else {
     std::printf("  verdict: NOT strongly linearizable.\n  %s\n",
                 res.report.c_str());

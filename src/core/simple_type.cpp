@@ -10,13 +10,13 @@ namespace c2sl::core {
 // ------------------------------------------------------------------ NodeArena
 
 int64_t NodeArena::append(sim::Ctx& ctx, const STNode& node) {
-  ctx.gate(name(), "append");
+  ctx.gate(*this, "append");
   nodes_.push_back(node);
   return static_cast<int64_t>(nodes_.size()) - 1;
 }
 
 STNode NodeArena::get(sim::Ctx& ctx, int64_t id) {
-  ctx.gate(name(), "get(" + std::to_string(id) + ")");
+  ctx.gate(*this, "get(" + std::to_string(id) + ")");
   C2SL_ASSERT(id >= 0 && static_cast<size_t>(id) < nodes_.size());
   return nodes_[static_cast<size_t>(id)];
 }

@@ -26,7 +26,7 @@ class TasArray : public sim::SimObject {
   explicit TasArray(bool readable = true) : readable_(readable) {}
 
   int64_t test_and_set(sim::Ctx& ctx, size_t idx) {
-    ctx.gate(name(), "TS[" + std::to_string(idx) + "].test&set");
+    ctx.gate(*this, "TS[" + std::to_string(idx) + "].test&set");
     ensure(idx);
     int64_t old = states_[idx];
     states_[idx] = 1;
@@ -35,7 +35,7 @@ class TasArray : public sim::SimObject {
 
   int64_t read(sim::Ctx& ctx, size_t idx) {
     C2SL_CHECK(readable_, "read() on non-readable test&set array: " + name());
-    ctx.gate(name(), "TS[" + std::to_string(idx) + "].read");
+    ctx.gate(*this, "TS[" + std::to_string(idx) + "].read");
     ensure(idx);
     return states_[idx];
   }
@@ -73,13 +73,13 @@ class RegArray : public sim::SimObject {
   RegArray() = default;
 
   Val read(sim::Ctx& ctx, size_t idx) {
-    ctx.gate(name(), "R[" + std::to_string(idx) + "].read");
+    ctx.gate(*this, "R[" + std::to_string(idx) + "].read");
     ensure(idx);
     return values_[idx];
   }
 
   void write(sim::Ctx& ctx, size_t idx, Val v) {
-    ctx.gate(name(), "R[" + std::to_string(idx) + "].write(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "R[" + std::to_string(idx) + "].write(" + c2sl::to_string(v) + ")");
     ensure(idx);
     values_[idx] = std::move(v);
   }
@@ -126,19 +126,19 @@ class SwapRegArray : public sim::SimObject {
   SwapRegArray() = default;
 
   Val read(sim::Ctx& ctx, size_t idx) {
-    ctx.gate(name(), "S[" + std::to_string(idx) + "].read");
+    ctx.gate(*this, "S[" + std::to_string(idx) + "].read");
     ensure(idx);
     return values_[idx];
   }
 
   void write(sim::Ctx& ctx, size_t idx, Val v) {
-    ctx.gate(name(), "S[" + std::to_string(idx) + "].write(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "S[" + std::to_string(idx) + "].write(" + c2sl::to_string(v) + ")");
     ensure(idx);
     values_[idx] = std::move(v);
   }
 
   Val swap(sim::Ctx& ctx, size_t idx, Val v) {
-    ctx.gate(name(), "S[" + std::to_string(idx) + "].swap(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "S[" + std::to_string(idx) + "].swap(" + c2sl::to_string(v) + ")");
     ensure(idx);
     Val old = std::move(values_[idx]);
     values_[idx] = std::move(v);

@@ -20,12 +20,12 @@ class MaxRegObj : public sim::SimObject {
   explicit MaxRegObj(int64_t initial = 0) : value_(initial) {}
 
   void write_max(sim::Ctx& ctx, int64_t v) {
-    ctx.gate(name(), "writeMax(" + std::to_string(v) + ")");
+    ctx.gate(*this, "writeMax(" + std::to_string(v) + ")");
     value_ = std::max(value_, v);
   }
 
   int64_t read_max(sim::Ctx& ctx) {
-    ctx.gate(name(), "readMax");
+    ctx.gate(*this, "readMax");
     return value_;
   }
 
@@ -46,13 +46,13 @@ class SnapshotObj : public sim::SimObject {
   explicit SnapshotObj(int n) : view_(static_cast<size_t>(n), 0) {}
 
   void update(sim::Ctx& ctx, int64_t v) {
-    ctx.gate(name(), "update(" + std::to_string(v) + ")");
+    ctx.gate(*this, "update(" + std::to_string(v) + ")");
     C2SL_ASSERT(ctx.self >= 0 && static_cast<size_t>(ctx.self) < view_.size());
     view_[static_cast<size_t>(ctx.self)] = v;
   }
 
   std::vector<int64_t> scan(sim::Ctx& ctx) {
-    ctx.gate(name(), "scan");
+    ctx.gate(*this, "scan");
     return view_;
   }
 

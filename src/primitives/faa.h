@@ -22,7 +22,7 @@ class FetchAddBig : public sim::SimObject {
   /// Atomically adds `delta` (which may be negative, cf. posAdj − negAdj in
   /// §3.2) and returns the previous value.
   BigInt fetch_add(sim::Ctx& ctx, const BigInt& delta) {
-    ctx.gate(name(), delta.is_zero() ? "fetch&add(0)" : "fetch&add(" + delta.to_hex() + ")");
+    ctx.gate(*this, delta.is_zero() ? "fetch&add(0)" : "fetch&add(" + delta.to_hex() + ")");
     BigInt old = value_;
     value_ += delta;
     return old;
@@ -45,7 +45,7 @@ class FetchAddInt : public sim::SimObject {
   explicit FetchAddInt(int64_t initial = 0) : value_(initial) {}
 
   int64_t fetch_add(sim::Ctx& ctx, int64_t delta) {
-    ctx.gate(name(), "fetch&add(" + std::to_string(delta) + ")");
+    ctx.gate(*this, "fetch&add(" + std::to_string(delta) + ")");
     int64_t old = value_;
     value_ = static_cast<int64_t>(static_cast<uint64_t>(value_) +
                                   static_cast<uint64_t>(delta));

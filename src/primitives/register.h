@@ -15,12 +15,12 @@ class RWRegister : public sim::SimObject {
   explicit RWRegister(Val initial = Val{}) : value_(std::move(initial)) {}
 
   Val read(sim::Ctx& ctx) {
-    ctx.gate(name(), "read");
+    ctx.gate(*this, "read");
     return value_;
   }
 
   void write(sim::Ctx& ctx, Val v) {
-    ctx.gate(name(), "write(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "write(" + c2sl::to_string(v) + ")");
     value_ = std::move(v);
   }
 

@@ -18,14 +18,14 @@ class SwapReg : public sim::SimObject {
 
   /// Atomically replaces the value and returns the previous one.
   Val swap(sim::Ctx& ctx, Val v) {
-    ctx.gate(name(), "swap(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "swap(" + c2sl::to_string(v) + ")");
     Val old = std::move(value_);
     value_ = std::move(v);
     return old;
   }
 
   Val read(sim::Ctx& ctx) {
-    ctx.gate(name(), "read");
+    ctx.gate(*this, "read");
     return value_;
   }
 
@@ -48,7 +48,7 @@ class CasReg : public sim::SimObject {
   /// Installs `desired` iff the current value equals `expected`; returns
   /// whether the installation happened.
   bool compare_and_swap(sim::Ctx& ctx, const Val& expected, Val desired) {
-    ctx.gate(name(), "cas(" + c2sl::to_string(expected) + " -> " +
+    ctx.gate(*this, "cas(" + c2sl::to_string(expected) + " -> " +
                          c2sl::to_string(desired) + ")");
     if (value_ == expected) {
       value_ = std::move(desired);
@@ -58,12 +58,12 @@ class CasReg : public sim::SimObject {
   }
 
   Val read(sim::Ctx& ctx) {
-    ctx.gate(name(), "read");
+    ctx.gate(*this, "read");
     return value_;
   }
 
   void write(sim::Ctx& ctx, Val v) {
-    ctx.gate(name(), "write(" + c2sl::to_string(v) + ")");
+    ctx.gate(*this, "write(" + c2sl::to_string(v) + ")");
     value_ = std::move(v);
   }
 

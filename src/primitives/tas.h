@@ -30,7 +30,7 @@ class TestAndSet : public sim::SimObject {
   /// Returns the previous state (0 exactly once) and sets the state to 1.
   int64_t test_and_set(sim::Ctx& ctx) {
     note_participant(ctx.self);
-    ctx.gate(name(), "test&set");
+    ctx.gate(*this, "test&set");
     int64_t old = state_;
     state_ = 1;
     return old;
@@ -38,7 +38,7 @@ class TestAndSet : public sim::SimObject {
 
   int64_t read(sim::Ctx& ctx) {
     C2SL_CHECK(readable_, "read() on a non-readable test&set: " + name());
-    ctx.gate(name(), "read");
+    ctx.gate(*this, "read");
     return state_;
   }
 

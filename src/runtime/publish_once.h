@@ -125,11 +125,10 @@ class alignas(Align) BasicPublishOnce {
         poisoned_.store(true, std::memory_order_seq_cst);
         throw;
       }
-      Elem* p = built.release();
       // c2sl-atomic: store release — the publish: the constructed object
       // becomes visible to every acquire load of the pointer
-      obj_.store(p, std::memory_order_release);
-      return p;
+      obj_.store(built.get(), std::memory_order_release);
+      return built.release();  // owned by the cell only once the store ran
     }
     Elem* p = nullptr;
     while (!(p = peek())) {

@@ -39,8 +39,8 @@
 // the induced linearization is prefix-closed: the registry is strongly
 // linearizable.
 // tests/lane_registry_test.cpp verifies exactly this with the bounded model
-// checker on the simulated twin (svc::SimLaneRegistry), and stress-tests the
-// native implementation for uniqueness under contention;
+// checker on the set itself (rt::BasicSet over sim::SimMem), and stress-tests
+// the native implementation for uniqueness under contention;
 // tests/handoff_queue_test.cpp runs the queue's own code under the checker
 // (ticket-order FIFO verified without cancels, Herlihy–Wing refuted).
 //

@@ -37,16 +37,10 @@ std::vector<int64_t> scan(int shards, AggRead read, const ReadShard& read_shard)
 
 // --- SimKeyedStore ----------------------------------------------------------
 
-SimKeyedStore::SimKeyedStore(sim::World& world, std::string name, int n, int shards)
-    : name_(std::move(name)), shards_(shards) {
+SimKeyedStore::SimKeyedStore(std::string name, int n, int shards)
+    : name_(std::move(name)), shards_(shards), ctrs_(static_cast<size_t>(shards)) {
   check_pow2(shards);
-  for (int s = 0; s < shards; ++s) {
-    regs_.emplace_back(n);
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".s" + std::to_string(s) + ".M"));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".s" + std::to_string(s) + ".fai", *ts_.back()));
-  }
+  for (int s = 0; s < shards; ++s) regs_.emplace_back(n);
 }
 
 std::string SimKeyedStore::max_object(int shard) const {
@@ -76,7 +70,7 @@ int64_t SimKeyedStore::max_read(sim::Ctx& ctx, uint64_t key) {
 int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
   int s = shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "FAI", unit(), [&] {
-    return num(ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx));
+    return num(ctrs_[static_cast<size_t>(s)].fetch_and_increment());
   });
   return as_num(r);
 }
@@ -84,7 +78,7 @@ int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
 int64_t SimKeyedStore::counter_read(sim::Ctx& ctx, uint64_t key) {
   int s = shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "Read", unit(), [&] {
-    return num(ctrs_[static_cast<size_t>(s)]->read(ctx));
+    return num(ctrs_[static_cast<size_t>(s)].read());
   });
   return as_num(r);
 }
@@ -128,16 +122,10 @@ Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   return unit();
 }
 
-SimShardedCounter::SimShardedCounter(sim::World& world, std::string name,
-                                     int shards, AggRead read)
-    : name_(std::move(name)), shards_(shards), read_(read) {
+SimShardedCounter::SimShardedCounter(std::string name, int shards, AggRead read)
+    : name_(std::move(name)), shards_(shards), read_(read),
+      ctrs_(static_cast<size_t>(shards)) {
   check_pow2(shards);
-  for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
-  }
 }
 
 void SimShardedCounter::inc(sim::Ctx& ctx) {
@@ -145,22 +133,20 @@ void SimShardedCounter::inc(sim::Ctx& ctx) {
   // tests/service_sim_test.cpp).
   int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
                            static_cast<uint64_t>(shards_ - 1));
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
+  ctrs_[static_cast<size_t>(s)].fetch_and_increment();
   if (read_ == AggRead::kDigest) digest_.add(ctx.self);
 }
 
-int64_t SimShardedCounter::read(sim::Ctx& ctx) {
+int64_t SimShardedCounter::read() {
   if (read_ == AggRead::kDigest) return digest_.read();
   int64_t sum = 0;
-  for (int64_t v : scan(shards_, read_, [&](int s) { return read_shard(ctx, s); })) {
-    sum += v;
-  }
+  for (int64_t v : scan(shards_, read_, [&](int s) { return read_shard(s); })) sum += v;
   return sum;
 }
 
-int64_t SimShardedCounter::read_shard(sim::Ctx& ctx, int s) {
+int64_t SimShardedCounter::read_shard(int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
-  return ctrs_[static_cast<size_t>(s)]->read(ctx);
+  return ctrs_[static_cast<size_t>(s)].read();
 }
 
 Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
@@ -168,33 +154,25 @@ Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
     this->inc(ctx);
     return unit();
   }
-  if (inv.name == "Read") return num(read(ctx));
-  if (inv.name == "ReadShard") {
-    return num(read_shard(ctx, static_cast<int>(as_num(inv.args))));
-  }
+  if (inv.name == "Read") return num(read());
+  if (inv.name == "ReadShard") return num(read_shard(static_cast<int>(as_num(inv.args))));
   C2SL_CHECK(false, "unknown operation on sharded counter: " + inv.name);
   return unit();
 }
 
 // --- SimKeyedSnapshot (the snapshot write journal) --------------------------
 
-SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
-                                   int shards, bool naive_loop)
-    : name_(std::move(name)), shards_(shards), naive_loop_(naive_loop) {
+SimKeyedSnapshot::SimKeyedSnapshot(std::string name, int n, int shards, bool naive_loop)
+    : name_(std::move(name)), shards_(shards), naive_loop_(naive_loop),
+      ctrs_(static_cast<size_t>(shards)) {
   C2SL_CHECK(shards >= 1 && shards <= 8, "spec packing supports up to 8 shards");
-  for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
-    regs_.emplace_back(n);
-  }
+  for (int s = 0; s < shards; ++s) regs_.emplace_back(n);
 }
 
-void SimKeyedSnapshot::inc(sim::Ctx& ctx, int s) {
+void SimKeyedSnapshot::inc(int s) {
   // Shard object FIRST, journal LAST — the pinned cross-facet order shared
   // with the max/sum digests: the journal never runs ahead of the keyed reads.
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
+  ctrs_[static_cast<size_t>(s)].fetch_and_increment();
   journal_.append(Journal::Kind::kCounterInc, s, 0, 1);
 }
 
@@ -203,21 +181,19 @@ void SimKeyedSnapshot::write_max(sim::Ctx& ctx, int s, int64_t v) {
   journal_.append(Journal::Kind::kMaxWrite, s, 0, v);
 }
 
-void SimKeyedSnapshot::transfer(sim::Ctx&, int from, int to, int64_t d) {
+void SimKeyedSnapshot::transfer(int from, int to, int64_t d) {
   // Journal-only: the ONE entry is what makes the debit and credit
   // inseparable at every snapshot cut (the conservation contract).
   journal_.append(Journal::Kind::kTransfer, from, to, d);
 }
 
-std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
+std::vector<int64_t> SimKeyedSnapshot::snap() {
   std::vector<int64_t> view;
   if (naive_loop_) {
     // Negative control: one pass of direct per-shard reads. Each read is
     // individually fine; the VECTOR is torn by any write landing between two
     // of them — the checker refutes this (not even linearizable).
-    for (int s = 0; s < shards_; ++s) {
-      view.push_back(ctrs_[static_cast<size_t>(s)]->read(ctx));
-    }
+    for (int s = 0; s < shards_; ++s) view.push_back(read_shard(s));
     for (int s = 0; s < shards_; ++s) view.push_back(regs_[static_cast<size_t>(s)].read_max());
     return view;
   }
@@ -230,14 +206,14 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
   return view;
 }
 
-int64_t SimKeyedSnapshot::read_shard(sim::Ctx& ctx, int s) {
+int64_t SimKeyedSnapshot::read_shard(int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
-  return ctrs_[static_cast<size_t>(s)]->read(ctx);
+  return ctrs_[static_cast<size_t>(s)].read();
 }
 
 Val SimKeyedSnapshot::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   if (inv.name == "Inc") {
-    this->inc(ctx, static_cast<int>(as_num(inv.args)));
+    this->inc(static_cast<int>(as_num(inv.args)));
     return unit();
   }
   if (inv.name == "WriteMax") {
@@ -247,48 +223,13 @@ Val SimKeyedSnapshot::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   }
   if (inv.name == "Xfer") {
     int64_t p = as_num(inv.args);
-    transfer(ctx, static_cast<int>(p & 7), static_cast<int>((p >> 3) & 7), p >> 6);
+    transfer(static_cast<int>(p & 7), static_cast<int>((p >> 3) & 7), p >> 6);
     return unit();
   }
-  if (inv.name == "Snap") return vec(snap(ctx));
-  if (inv.name == "ReadShard") {
-    return num(read_shard(ctx, static_cast<int>(as_num(inv.args))));
-  }
+  if (inv.name == "Snap") return vec(snap());
+  if (inv.name == "ReadShard") return num(read_shard(static_cast<int>(as_num(inv.args))));
   C2SL_CHECK(false, "unknown operation on keyed snapshot: " + inv.name);
   return unit();
-}
-
-// --- SimLaneRegistry --------------------------------------------------------
-
-SimLaneRegistry::SimLaneRegistry(sim::World& world, std::string name, int max_lanes)
-    : name_(std::move(name)), max_lanes_(max_lanes) {
-  C2SL_CHECK(max_lanes >= 1, "need at least one lane");
-  free_max_ = std::make_unique<FaaMax>(world, name_ + ".fmax");
-  free_ = std::make_unique<core::SLSet>(world, name_ + ".free", *free_max_);
-  // Fill the set with every lane during initialisation (before the execution
-  // starts), through a free-running solo context that records no history.
-  sim::Ctx init;
-  init.world = &world;
-  for (int64_t l = 0; l < max_lanes; ++l) free_->put(init, l);
-}
-
-int64_t SimLaneRegistry::acquire(sim::Ctx& ctx) {
-  Val r = sim::record_op(ctx, name_, "Acquire", unit(), [&]() -> Val {
-    // One Take: a lane linearizes at its winning test&set, kNone at the
-    // Take's stabilised EMPTY point, where every lane is held.
-    Val lane = free_->take(ctx);
-    if (!std::holds_alternative<std::string>(lane)) return lane;
-    return num(kNone);
-  });
-  return as_num(r);
-}
-
-void SimLaneRegistry::release(sim::Ctx& ctx, int64_t lane) {
-  C2SL_CHECK(lane >= 0 && lane < max_lanes_, "lane out of range");
-  sim::record_op(ctx, name_, "Release", num(lane), [&] {
-    free_->put(ctx, lane);
-    return unit();
-  });
 }
 
 // --- SimRoutingEpoch (the epoch hand-off) ----------------------------------

@@ -1,17 +1,15 @@
 // Sim-mode C2Store bridge: small configurations of the service layer, so the
 // bounded model checkers (verify/lin_checker, verify/strong_lin) can exercise
-// the service's routing, aggregate, journal and hand-off algorithms on full
-// execution trees. The twins run the store's own code: the routing functions
-// (shard_router.h), the max register, the journal, the sum digest and the
-// routing-epoch spine themselves (rt::BasicMaxRegister64,
-// rt::BasicKeyedVersionDigest, rt::BasicCounterSumDigest and
-// rt::BasicRoutingEpoch instantiated over sim::SimMem, whose every word access
-// is one checker step), the replay fold (detail::SnapReplay) and the writers'
-// settle loop (rt::EpochCodec::settle). The counters and the lane set are the
-// *simulated* paper constructions (Thm 9, Thm 10): docs/PROOFS.md, "The
-// memory policy", has why.
-// Strong linearizability is local, so certifying each facet on a shared tree
-// certifies the configuration. The twins:
+// the service's routing, aggregate, journal and hand-off algorithms on every
+// execution. The twins run the store's own code: the routing functions
+// (shard_router.h), the max register, the shard counter, the journal, the
+// sum digest and the routing-epoch spine themselves (rt::BasicMaxRegister64,
+// rt::BasicFetchIncrement, rt::BasicKeyedVersionDigest,
+// rt::BasicCounterSumDigest and rt::BasicRoutingEpoch instantiated over
+// sim::SimMem, whose every word access is one checker step), the replay fold
+// (detail::SnapReplay) and the writers' settle loop (rt::EpochCodec::settle).
+// Strong linearizability is local, so certifying each facet on a shared
+// graph certifies the configuration. The twins:
 //
 //   * SimKeyedStore — keyed max-register and counter ops routed by hash_key +
 //     slot_of onto per-shard constructions (tests/service_sim_test.cpp).
@@ -22,29 +20,24 @@
 //     the lane-cell ops_total read: tests/service_sim_test.cpp).
 //   * SimKeyedSnapshot — the write journal behind C2Session::snapshot() and
 //     transfer(), or the refuted per-key loop (tests/snapshot_sim_test.cpp).
-//   * SimLaneRegistry — the Thm 10 lane set behind open_session()
-//     (tests/lane_registry_test.cpp).
 //   * SimRoutingEpoch — the online-resize hand-off, or the refuted
 //     serve-before-replay order and writer without settle.
 //
-// Lazy publication needs no twin: tests/service_sim_test.cpp runs
-// rt::BasicPublishOnce over sim::SimMem, the code that publishes segments and
-// shard slots.
+// Lazy publication, the lane set and the handoff queue need no twin: their
+// tests run rt::BasicPublishOnce, rt::BasicSet and rt::BasicHandoffQueue over
+// sim::SimMem directly (tests/service_sim_test.cpp, lane_registry_test.cpp,
+// handoff_queue_test.cpp).
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/fetch_increment.h"
 #include "core/object_api.h"
-#include "core/readable_tas.h"
-#include "core/sl_set.h"
-#include "primitives/faa.h"
 #include "runtime/counter_sum_digest.h"
 #include "runtime/keyed_version_digest.h"
 #include "runtime/native_max_register.h"
+#include "runtime/native_tas_family.h"
 #include "runtime/routing_epoch.h"
 #include "service/shard_router.h"
 #include "sim/sim_mem.h"
@@ -57,12 +50,15 @@ struct SimMaxRegister : rt::BasicMaxRegister64<sim::SimMem> {
   explicit SimMaxRegister(int n) : BasicMaxRegister64(n, rt::lane_max(n)) {}
 };
 
+/// The store's shard counter (ShardObjects::counter) over SimMem.
+using SimFetchIncrement = rt::BasicFetchIncrement<sim::SimMem>;
+
 /// The per-key service path: each op routes by the store's hash_key +
 /// slot_of and records on its shard's facet ("<name>.s<k>.max" /
 /// "<name>.s<k>.ctr"), the configuration the checker PASSES.
 class SimKeyedStore {
  public:
-  SimKeyedStore(sim::World& world, std::string name, int n, int shards);
+  SimKeyedStore(std::string name, int n, int shards);
 
   // Each call is recorded as one high-level op on its shard's facet.
   void max_write(sim::Ctx& ctx, uint64_t key, int64_t v);
@@ -78,8 +74,7 @@ class SimKeyedStore {
   std::string name_;
   int shards_;
   std::deque<SimMaxRegister> regs_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::deque<SimFetchIncrement> ctrs_;
 };
 
 /// How an aggregate twin serves its global read.
@@ -124,21 +119,20 @@ class SimShardedMaxRegister : public core::ConcurrentObject {
   SimMaxRegister digest_;
 };
 
-/// Aggregate twin over per-shard Thm 9 counters ("<name>.M<s>" /
-/// "<name>.ctr<s>"), plus the store's own sum digest (rt::CounterSumDigest's
-/// code over SimMem) that only kDigest writes and reads. Inc routes by
+/// Aggregate twin over per-shard counters (SimFetchIncrement), plus the
+/// store's own sum digest (rt::CounterSumDigest's code over SimMem) that only
+/// kDigest writes and reads. Inc routes by
 /// calling process id; Read reads as `read` says (the scans sum a collect);
 /// "ReadShard"(s) reads one shard counter in every mode. With one shard per
 /// incrementing process, kOnePass is the lane-cell ops_total read of
 /// telemetry/telemetry.h, which the checker refutes.
 class SimShardedCounter : public core::ConcurrentObject {
  public:
-  SimShardedCounter(sim::World& world, std::string name, int shards,
-                    AggRead read);
+  SimShardedCounter(std::string name, int shards, AggRead read);
 
   void inc(sim::Ctx& ctx);
-  int64_t read(sim::Ctx& ctx);
-  int64_t read_shard(sim::Ctx& ctx, int s);
+  int64_t read();
+  int64_t read_shard(int s);
 
   std::string object_name() const override { return name_; }
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
@@ -147,8 +141,7 @@ class SimShardedCounter : public core::ConcurrentObject {
   std::string name_;
   int shards_;
   AggRead read_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::deque<SimFetchIncrement> ctrs_;
   rt::BasicCounterSumDigest<sim::SimMem> digest_;
 };
 
@@ -180,14 +173,13 @@ class SimShardedCounter : public core::ConcurrentObject {
 /// order pins (shard first, journal last — same contract as the digests).
 class SimKeyedSnapshot : public core::ConcurrentObject {
  public:
-  SimKeyedSnapshot(sim::World& world, std::string name, int n, int shards,
-                   bool naive_loop = false);
+  SimKeyedSnapshot(std::string name, int n, int shards, bool naive_loop = false);
 
-  void inc(sim::Ctx& ctx, int s);                      ///< shard ctr, then journal
-  void write_max(sim::Ctx& ctx, int s, int64_t v);     ///< shard reg, then journal
-  void transfer(sim::Ctx& ctx, int from, int to, int64_t d);  ///< journal only
-  std::vector<int64_t> snap(sim::Ctx& ctx);  ///< tail load + replay (or loop)
-  int64_t read_shard(sim::Ctx& ctx, int s);  ///< direct shard counter read
+  void inc(int s);                             ///< shard ctr, then journal
+  void write_max(sim::Ctx& ctx, int s, int64_t v);  ///< shard reg, then journal
+  void transfer(int from, int to, int64_t d);  ///< journal only
+  std::vector<int64_t> snap();                 ///< tail load + replay (or loop)
+  int64_t read_shard(int s);                   ///< direct shard counter read
 
   std::string object_name() const override { return name_; }
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
@@ -196,55 +188,9 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   std::string name_;
   int shards_;
   bool naive_loop_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::deque<SimFetchIncrement> ctrs_;
   std::deque<SimMaxRegister> regs_;
   rt::BasicKeyedVersionDigest<sim::SimMem> journal_;
-};
-
-/// Sim twin of svc::LaneRegistry: the constructor fills an SLSet with every
-/// lane through a solo context; Acquire is one SLSet::Take, reporting -1 when
-/// the set stabilises empty; Release is SLSet::Put. The checker verifies both
-/// strongly linearizable against verify::LaneRegistrySpec. Methods record
-/// themselves as high-level ops, SimKeyedStore-style: spawn fibers that call
-/// acquire/release directly.
-class SimLaneRegistry {
- public:
-  static constexpr int64_t kNone = -1;
-
-  SimLaneRegistry(sim::World& world, std::string name, int max_lanes);
-
-  /// Recorded as "Acquire" -> lane | -1 on object `name`.
-  int64_t acquire(sim::Ctx& ctx);
-  /// Recorded as "Release"(lane) -> () on object `name`.
-  void release(sim::Ctx& ctx, int64_t lane);
-
-  std::string object_name() const { return name_; }
-  int max_lanes() const { return max_lanes_; }
-
- private:
-  std::string name_;
-  /// The set's Max. Thm 10 takes any strongly linearizable readable
-  /// fetch&increment; a fetch&add word is one, at one step per op — the step
-  /// count of the native set's Max (rt::NativeFetchIncrement works from its
-  /// certified frontier, one probe once current), where the Thm 9 scan over
-  /// a pre-filled set would pay a step per lane on every read.
-  class FaaMax : public core::FaiIface {
-   public:
-    FaaMax(sim::World& world, const std::string& name)
-        : word_(world.add<prim::FetchAddInt>(name)) {}
-    int64_t fetch_and_increment(sim::Ctx& ctx) override {
-      return ctx.world->get(word_).fetch_add(ctx, 1);
-    }
-    int64_t read(sim::Ctx& ctx) override { return ctx.world->get(word_).read(ctx); }
-
-   private:
-    sim::Handle<prim::FetchAddInt> word_;
-  };
-
-  int max_lanes_;
-  std::unique_ptr<FaaMax> free_max_;
-  std::unique_ptr<core::SLSet> free_;  ///< Thm 10 set of lanes not held
 };
 
 /// Sim twin of the routing-epoch hand-off (runtime/routing_epoch.h + the

@@ -53,8 +53,17 @@ struct Ctx {
   /// step-bound measurements).
   uint64_t steps_taken = 0;
 
+  /// What each of this process's steps found, in order: a primitive's state
+  /// before the step, a SimMem word's value (sim/sim_mem.h). The code is
+  /// deterministic, so the log fixes the process's local state; the explorer
+  /// keys configurations on it (sim/explorer.h).
+  std::string found;
+
   /// Atomic-step gate: called by every simulated primitive exactly once, at the
-  /// operation's atomic point. Defined in scheduler.cpp.
+  /// operation's atomic point; logs `obj`'s state as the step finds it.
+  /// Defined in scheduler.cpp.
+  void gate(const SimObject& obj, const std::string& desc);
+  /// The same gate for a step whose caller logs what it found (SimMem).
   void gate(const std::string& object_name, const std::string& desc);
 
   /// History helpers used by test drivers (not by implementations; inner

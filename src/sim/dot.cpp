@@ -15,22 +15,26 @@ std::string escape(const std::string& s) {
   return out;
 }
 
+std::string label(std::string head, const std::vector<Event>& events, size_t max_chars) {
+  for (const Event& e : events) {
+    std::string line = to_string(e);
+    if (line.size() > max_chars) line = line.substr(0, max_chars) + "...";
+    head += "\\n" + escape(line);
+  }
+  return head;
+}
+
 }  // namespace
 
-std::string to_dot(const ExecTree& tree, const DotOptions& opts) {
-  std::string out = "digraph exec_tree {\n  node [shape=box, fontsize=9];\n";
-  for (const ExecNode& node : tree.nodes) {
-    std::string label = "#" + std::to_string(node.id);
-    if (node.all_done) label += " (done)";
-    if (node.truncated) label += " (truncated)";
-    for (const Event& e : node.suffix) {
-      std::string line = to_string(e);
-      if (line.size() > opts.max_label_chars) {
-        line = line.substr(0, opts.max_label_chars) + "...";
-      }
-      label += "\\n" + escape(line);
-    }
-    out += "  n" + std::to_string(node.id) + " [label=\"" + label + "\"";
+std::string to_dot(const ExecGraph& graph, const DotOptions& opts) {
+  std::string out = "digraph exec_graph {\n  node [shape=box, fontsize=9];\n";
+  for (const ExecNode& node : graph.nodes) {
+    std::string head = "#" + std::to_string(node.id);
+    if (node.all_done) head += " (done)";
+    if (node.truncated) head += " (truncated)";
+    const std::vector<Event> none;
+    out += "  n" + std::to_string(node.id) + " [label=\"" +
+           label(head, node.id == 0 ? graph.root_events : none, opts.max_label_chars) + "\"";
     if (node.id == opts.highlight_node) {
       out += ", style=filled, fillcolor=salmon";
     } else if (node.all_done) {
@@ -38,12 +42,15 @@ std::string to_dot(const ExecTree& tree, const DotOptions& opts) {
     }
     out += "];\n";
   }
-  for (const ExecNode& node : tree.nodes) {
-    if (node.parent < 0) continue;
-    std::string edge_label = "p" + std::to_string(node.incoming.proc);
-    if (node.incoming.crash) edge_label += " CRASH";
-    out += "  n" + std::to_string(node.parent) + " -> n" + std::to_string(node.id) +
-           " [label=\"" + edge_label + "\", fontsize=8];\n";
+  for (const ExecNode& node : graph.nodes) {
+    for (const ExecEdge& edge : node.edges) {
+      std::string head = "p" + std::to_string(edge.choice.proc);
+      if (edge.choice.crash) head += " CRASH";
+      out += "  n" + std::to_string(node.id) + " -> n" + std::to_string(edge.to) +
+             " [label=\"" + label(head, edge.suffix, opts.max_label_chars) + "\", fontsize=8";
+      if (graph.nodes[static_cast<size_t>(edge.to)].parent != node.id) out += ", style=dashed";
+      out += "];\n";
+    }
   }
   out += "}\n";
   return out;

@@ -1,6 +1,7 @@
-// Graphviz export of execution trees — tooling for inspecting checker
-// counterexamples: each node shows the events appended on its incoming edge;
-// highlighted nodes mark a checker-reported witness.
+// Graphviz export of execution graphs — tooling for inspecting checker
+// counterexamples: the root shows the root history, each edge its choice and
+// the events appended on it (an edge into an already-known configuration is
+// dashed); highlighted nodes mark a checker-reported witness.
 #pragma once
 
 #include <string>
@@ -16,7 +17,7 @@ struct DotOptions {
   size_t max_label_chars = 60;
 };
 
-/// Renders the tree in DOT format (pipe into `dot -Tsvg`).
-std::string to_dot(const ExecTree& tree, const DotOptions& opts = {});
+/// Renders the graph in DOT format (pipe into `dot -Tsvg`).
+std::string to_dot(const ExecGraph& graph, const DotOptions& opts = {});
 
 }  // namespace c2sl::sim

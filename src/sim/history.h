@@ -3,7 +3,7 @@
 // ordered by a global sequence number. Histories are the interface between the
 // simulator and the verification tooling: the linearizability checker consumes
 // the operation table (operations()), the strong-linearizability checker
-// consumes the raw event sequence of every node of an execution tree.
+// consumes the raw event sequence of every edge of an execution graph.
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,10 @@ void mem_step(const char* op) {
   if (t_running != nullptr) t_running->gate(kObject, op);
 }
 
+void mem_found(const void* found, size_t n) {
+  if (t_running != nullptr) t_running->found.append(static_cast<const char*>(found), n);
+}
+
 void mem_wait(std::function<bool()> unchanged) {
   if (t_running == nullptr) {
     C2SL_CHECK(!unchanged(), "wait on an unchanged SimMem word outside a scheduled fiber");
@@ -33,6 +37,13 @@ void mem_wait(std::function<bool()> unchanged) {
   }
   t_running->blocked = std::move(unchanged);  // cleared when the step is granted
   mem_step("wait");
+}
+
+void Ctx::gate(const SimObject& obj, const std::string& desc) {
+  gate(obj.name(), desc);
+  if (sched == nullptr) return;  // solo runs key no configuration
+  const std::string state = obj.state_string();
+  found += std::to_string(state.size()) + ':' + state;
 }
 
 void Ctx::gate(const std::string& object_name, const std::string& desc) {
@@ -179,9 +190,18 @@ void Scheduler::gate_impl(ProcId p) {
   if (proc.crash_requested) throw CrashUnwind{};
 }
 
+std::string Scheduler::configuration() const {
+  std::string key;
+  for (const Proc& proc : procs_) {
+    key += !proc.spawned ? 'n' : proc.crashed ? 'c' : proc.fiber->finished() ? 'f' : 'r';
+    key += std::to_string(proc.ctx.found.size()) + ':' + proc.ctx.found;
+  }
+  return key;
+}
+
 std::string read_object_state(Ctx& ctx, size_t idx) {
   SimObject& obj = ctx.world->at(idx);
-  ctx.gate(obj.name(), "read_state");
+  ctx.gate(obj, "read_state");
   return obj.state_string();
 }
 

@@ -79,6 +79,12 @@ class Scheduler {
 
   uint64_t total_steps() const { return total_steps_; }
 
+  /// The configuration key: per process, whether it is unspawned, running,
+  /// finished or crashed, and its found-value log (Ctx::found). Deterministic
+  /// code makes the log fix the process's local state, and the logs together
+  /// fix every shared value (docs/PROOFS.md, "Reading a checker verdict").
+  std::string configuration() const;
+
   /// Called by Ctx::gate().
   void gate_impl(ProcId p);
 

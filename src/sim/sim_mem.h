@@ -12,13 +12,21 @@
 //     (there is no spine), cells start value-initialised, peek is never null.
 //
 // A word's value lives in the word, not in a World: the explorer replays each
-// node from the scenario's start, so a word needs only its gate.
+// configuration from the scenario's start, so a word needs only its gate.
+// Each step appends the value it FINDS (a store: the value it overwrites) to
+// the process's found-value log, which keys the explorer's configurations
+// (sim/explorer.h). A pointer word logs only null or non-null, so it may be
+// written only while null: which object it then holds is fixed by the
+// writer's own log.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <type_traits>
+
+#include "util/assert.h"
 
 namespace c2sl::sim {
 
@@ -30,40 +38,59 @@ void mem_step(const char* op);
 /// scheduled fiber it takes no step, and an unchanged word is a checked error.
 void mem_wait(std::function<bool()> unchanged);
 
+/// Appends the `n` bytes at `found` to the running fiber's found-value log;
+/// nothing outside a scheduled fiber.
+void mem_found(const void* found, size_t n);
+
 template <typename T>
 class SimWord {
+  static_assert(std::is_pointer_v<T> || std::has_unique_object_representations_v<T>,
+                "a found value is logged by its bytes");
+
  public:
   constexpr SimWord() = default;
   constexpr SimWord(T v) : v_(v) {}  // NOLINT: implicit, like std::atomic<T>
   SimWord(const SimWord&) = delete;
   SimWord& operator=(const SimWord&) = delete;
 
-  T load(std::memory_order = std::memory_order_seq_cst) const {
-    mem_step("load");
-    return v_;
-  }
+  T load(std::memory_order = std::memory_order_seq_cst) const { return step("load"); }
   void store(T v, std::memory_order = std::memory_order_seq_cst) {
-    mem_step("store");
-    v_ = v;
+    step("store");
+    write(v);
   }
   T fetch_add(T d, std::memory_order = std::memory_order_seq_cst) {
-    mem_step("fetch&add");
-    T old = v_;
-    v_ = static_cast<T>(v_ + d);
+    const T old = step("fetch&add");
+    v_ = static_cast<T>(old + d);
     return old;
   }
   T exchange(T v, std::memory_order = std::memory_order_seq_cst) {
-    mem_step("exchange");
-    T old = v_;
-    v_ = v;
+    const T old = step("exchange");
+    write(v);
     return old;
   }
   void wait(T old, std::memory_order = std::memory_order_seq_cst) const {
     mem_wait([this, old] { return v_ == old; });
+    log_found();
   }
   void notify_one() {}
 
  private:
+  T step(const char* op) const {
+    mem_step(op);
+    log_found();
+    return v_;
+  }
+  void log_found() const {
+    const auto found = [this] {
+      if constexpr (std::is_pointer_v<T>) return v_ != nullptr; else return v_;
+    }();
+    mem_found(&found, sizeof found);
+  }
+  void write(T v) {
+    if constexpr (std::is_pointer_v<T>) C2SL_CHECK(v_ == nullptr, "a pointer word is written once");
+    v_ = v;
+  }
+
   T v_{};
 };
 

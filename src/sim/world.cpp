@@ -13,15 +13,4 @@ std::unique_ptr<World> World::clone() const {
   return w;
 }
 
-std::string World::state_string() const {
-  std::string out;
-  for (const auto& obj : objects_) {
-    out += obj->name();
-    out += '=';
-    out += obj->state_string();
-    out += ';';
-  }
-  return out;
-}
-
 }  // namespace c2sl::sim

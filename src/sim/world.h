@@ -7,10 +7,11 @@
 //     receive a Ctx pointing at a concrete world per call),
 //   * World::clone() yields a deep copy with identical indices — this is what
 //     Lemma 12's algorithm B uses to "simulate dec_i locally starting from the
-//     collected states", and what the execution-tree explorer uses for node
-//     fingerprints,
+//     collected states",
 //   * every object is *readable* (Lemma 16): its full state serialises through
 //     state_string(), and can be installed into a clone via set_state_string().
+//     A step logs its object's state_string() as it finds it, which is how the
+//     explorer keys configurations (Ctx::found, sim/explorer.h).
 #pragma once
 
 #include <memory>
@@ -79,10 +80,6 @@ class World {
 
   /// Deep copy preserving indices.
   std::unique_ptr<World> clone() const;
-
-  /// Concatenated serialisation of all objects — an execution-state fingerprint
-  /// (process program counters are NOT included; see explorer notes).
-  std::string state_string() const;
 
  private:
   std::vector<std::unique_ptr<SimObject>> objects_;

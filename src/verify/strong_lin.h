@@ -4,25 +4,29 @@
 // a function L mapping each execution to a linearization such that L is
 // prefix-closed: if α is a prefix of β then L(α) is a prefix of L(β).
 //
-// Over a bounded execution tree (sim/explorer.h) this is decidable exactly:
-// assign to every node v a linearization L(v) of v's history such that along
-// every edge the parent's assignment is a prefix of the child's. The checker
-// searches for such an assignment with backtracking; failure is memoised per
-// (node, assignment) pair.
+// Over a bounded execution graph (sim/explorer.h) this is decidable exactly:
+// entering each node by each of its edges, extend the source's linearization
+// into a valid one of the node's history, so that along every path the
+// assignment grows by prefixes. The checker searches for such an assignment
+// with backtracking. Ops are named by (process, per-process index), real-time
+// order is taken per edge, and both verdicts are memoised per (node, spec
+// state, pending ops already linearized with their responses): what a node
+// still demands depends on nothing else (docs/PROOFS.md, "Reading a checker
+// verdict").
 //
-//  * If the whole tree is explored (no truncation) and no assignment exists,
+//  * If the whole graph is explored (no truncation) and no assignment exists,
 //    the implementation is NOT strongly linearizable, and the checker reports a
 //    witness: a node whose every valid linearization fails in some extension.
 //    This is how the library mechanically refutes strong linearizability of the
 //    Herlihy–Wing queue and of the AADGMS snapshot (§1, §5 discussion).
 //  * If an assignment exists, the implementation is strongly linearizable on
-//    the explored tree — bounded evidence for the paper's positive theorems
-//    (1, 2, 5, 6, 9, 10).
+//    the explored executions — bounded evidence for the paper's positive
+//    theorems (1, 2, 5, 6, 9, 10).
 //
-// Caveat recorded in DESIGN.md: a truncated tree makes the positive verdict
-// weaker (prefix-closure holds only as far as explored), while the negative
-// verdict is always sound (a conflict in a subtree is a conflict in the whole
-// tree — linearizations must already diverge there).
+// Caveat: a truncated graph makes the positive verdict weaker (prefix-closure
+// holds only as far as explored), while the negative verdict is always sound
+// (a conflict in a subtree is a conflict in the whole tree — linearizations
+// must already diverge there).
 #pragma once
 
 #include <string>
@@ -47,7 +51,7 @@ struct StrongLinResult {
   std::string report;
 };
 
-StrongLinResult check_strong_linearizability(const sim::ExecTree& tree, const Spec& spec,
+StrongLinResult check_strong_linearizability(const sim::ExecGraph& graph, const Spec& spec,
                                              const StrongLinOptions& opts = {});
 
 }  // namespace c2sl::verify

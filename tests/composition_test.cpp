@@ -84,22 +84,22 @@ TEST(Composition, ExhaustiveSmallConfigAllLeavesLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 16;
   opts.max_nodes = 50000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted);
 
   verify::MaxRegisterSpec maxreg_spec;
   verify::TasSpec tas_spec;
   int leaves = 0;
-  for (const auto& node : tree.nodes) {
-    if (!node.children.empty() || !node.all_done) continue;
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.edges.empty() || !node.all_done) return;
     ++leaves;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
+    auto ops = verify::operations_from_events(history);
     EXPECT_TRUE(
         verify::check_object_linearizability(ops, "maxreg", maxreg_spec).linearizable)
         << "leaf " << node.id;
     EXPECT_TRUE(verify::check_object_linearizability(ops, "rtas", tas_spec).linearizable)
         << "leaf " << node.id;
-  }
+  });
   EXPECT_GT(leaves, 1);
 }
 
@@ -114,15 +114,15 @@ TEST(Composition, DotExportRendersTree) {
   };
   sim::ExploreOptions opts;
   opts.max_depth = 8;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   sim::DotOptions dot_opts;
   dot_opts.highlight_node = 1;
   std::string dot = sim::to_dot(tree, dot_opts);
-  EXPECT_NE(dot.find("digraph exec_tree"), std::string::npos);
+  EXPECT_NE(dot.find("digraph exec_graph"), std::string::npos);
   EXPECT_NE(dot.find("salmon"), std::string::npos);   // highlighted node
   EXPECT_NE(dot.find("palegreen"), std::string::npos);  // completed leaves
   EXPECT_NE(dot.find("->"), std::string::npos);
-  // One node line per tree node.
+  // One label per configuration, at least.
   size_t count = 0;
   for (size_t pos = dot.find("[label="); pos != std::string::npos;
        pos = dot.find("[label=", pos + 1)) {

@@ -144,22 +144,22 @@ TEST_P(ExhaustiveLin, AllLeavesLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = c.max_depth;
   opts.max_nodes = c.max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
+  sim::ExecGraph tree = sim::explore(n, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << c.name << ": raise max_nodes";
 
   int leaves = 0;
-  for (const auto& node : tree.nodes) {
-    if (!node.children.empty() || !node.all_done) continue;
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.edges.empty() || !node.all_done) return;
     ++leaves;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
+    auto ops = verify::operations_from_events(history);
     auto lin = verify::check_object_linearizability(ops, c.object, *c.spec);
     ASSERT_TRUE(lin.decided) << c.name;
     ASSERT_TRUE(lin.linearizable)
         << c.name << " leaf " << node.id << "\n"
         << lin.explanation;
-  }
+  });
   EXPECT_GT(leaves, 1) << c.name;
-  RecordProperty("tree_nodes", static_cast<int>(tree.size()));
+  RecordProperty("configurations", static_cast<int>(tree.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllObjects, ExhaustiveLin, ::testing::Range(0, 7),

@@ -53,17 +53,16 @@ TEST(GuidedExploration, PrefixRootCarriesPrefixEvents) {
   sim::ExploreOptions opts;
   opts.prefix = recorder.recorded();
   opts.max_depth = 12;
-  sim::ExecTree tree = sim::explore(3, tas_scenario(), opts);
+  sim::ExecGraph tree = sim::explore(3, tas_scenario(), opts);
   EXPECT_EQ(tree.prefix.size(), 2u);
   EXPECT_EQ(tree.history_at(0).size(), prefix_events);
   // Leaves reach completion: 3 invocations, 3 responses.
-  for (const auto& node : tree.nodes) {
-    if (node.children.empty() && node.all_done) {
-      auto ops = verify::operations_from_events(tree.history_at(node.id));
-      EXPECT_EQ(ops.size(), 3u);
-      for (const auto& op : ops) EXPECT_TRUE(op.complete);
-    }
-  }
+  tree.for_each_path([](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.edges.empty() || !node.all_done) return;
+    auto ops = verify::operations_from_events(history);
+    EXPECT_EQ(ops.size(), 3u);
+    for (const auto& op : ops) EXPECT_TRUE(op.complete);
+  });
 }
 
 TEST(GuidedExploration, SubtreeVerdictConsistentWithFullTree) {
@@ -82,7 +81,7 @@ TEST(GuidedExploration, SubtreeVerdictConsistentWithFullTree) {
     sim::ExploreOptions opts;
     opts.prefix = recorder.recorded();
     opts.max_depth = 12;
-    sim::ExecTree tree = sim::explore(3, tas_scenario(), opts);
+    sim::ExecGraph tree = sim::explore(3, tas_scenario(), opts);
     verify::StrongLinOptions slopts;
     slopts.object = "rtas";
     auto res = verify::check_strong_linearizability(tree, spec, slopts);

@@ -146,7 +146,7 @@ Invocation await(int64_t w) { return {"Await", num(w)}; }
 Invocation cancel(int64_t w) { return {"Cancel", num(w)}; }
 
 struct Checked {
-  sim::ExecTree tree;
+  sim::ExecGraph tree;
   verify::StrongLinResult res;
 };
 
@@ -228,13 +228,12 @@ TEST(HandoffQueueSim, OvershootRevokesTheNextTicketStronglyLinearizable) {
   ASSERT_TRUE(c.res.decided);
   EXPECT_TRUE(c.res.strongly_linearizable) << c.res.report;
   bool revoked = false;
-  for (const sim::ExecNode& node : c.tree.nodes) {
-    if (!node.children.empty()) continue;
-    for (const sim::OpRecord& op :
-         verify::operations_from_events(c.tree.history_at(node.id))) {
+  c.tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.edges.empty()) return;
+    for (const sim::OpRecord& op : verify::operations_from_events(history)) {
       revoked |= op.complete && op.name == "Await" && op.resp == str("REVOKED");
     }
-  }
+  });
   EXPECT_TRUE(revoked) << "no leaf reached the overshoot's revocation";
 }
 

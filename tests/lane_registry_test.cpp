@@ -4,13 +4,13 @@
 //  1. Native unit tests: fresh lane order, recycling, exhaustion, release
 //     checks.
 //  2. Native stress: lanes stay exclusive under real-thread churn.
-//  3. The acceptance facet: the simulated twin (svc::SimLaneRegistry — an
-//     Algorithm 2 set filled with every lane, same algorithm, simulated base
-//     objects) is STRONGLY linearizable against verify::LaneRegistrySpec on
-//     full bounded execution trees, recycling and "none free" paths included.
-//     Every operation linearizes at a fixed own-step (winning exchange /
-//     Items write / stabilised EMPTY read), so the linearization is
-//     prefix-closed — this test checks that claim mechanically.
+//  3. The acceptance facet: the registry's free set, rt::BasicSet over
+//     sim::SimMem filled with every lane as the constructor fills it, is
+//     STRONGLY linearizable against verify::LaneRegistrySpec on every bounded
+//     execution, recycling and "none free" paths included. Every operation
+//     linearizes at a fixed own-step (winning exchange / Items write /
+//     stabilised EMPTY read), so the linearization is prefix-closed — this
+//     test checks that claim mechanically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,7 @@
 #include "harness.h"
 #include "runtime/stress.h"
 #include "service/lane_registry.h"
-#include "service/sim_bridge.h"
+#include "sim/sim_mem.h"
 #include "verify/specs.h"
 #include "verify/strong_lin.h"
 
@@ -154,17 +154,46 @@ TEST(LaneRegistryStress, LanesStayExclusiveUnderChurn) {
 
 // --- 3. the sim facet: strongly linearizable --------------------------------
 
+/// LaneRegistry's free set under the checker: rt::BasicSet<sim::SimMem>,
+/// filled with every lane before the run as the constructor fills it (outside
+/// a fiber, a fill takes no step). Acquire is one take, kNone when the set
+/// stabilises empty; Release is one put. Both record on `lanes`.
+class SimLanes {
+ public:
+  static constexpr int64_t kNone = svc::LaneRegistry::kNone;
+
+  explicit SimLanes(int max_lanes) {
+    for (int64_t l = 0; l < max_lanes; ++l) free_.put(l);
+  }
+  int64_t acquire(sim::Ctx& ctx) {
+    return as_num(sim::record_op(ctx, "lanes", "Acquire", unit(), [&] {
+      int64_t lane = free_.take();
+      return num(lane == Set::kEmpty ? kNone : lane);
+    }));
+  }
+  void release(sim::Ctx& ctx, int64_t lane) {
+    sim::record_op(ctx, "lanes", "Release", num(lane), [&] {
+      free_.put(lane);
+      return unit();
+    });
+  }
+
+ private:
+  using Set = rt::BasicSet<sim::SimMem>;
+  Set free_;
+};
+
 verify::StrongLinResult check_lanes(const sim::ScenarioFn& scenario, int n,
-                                    int max_lanes, const std::string& object) {
+                                    int max_lanes) {
   sim::ExploreOptions opts;
   opts.max_depth = 40;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
-  EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  sim::ExecGraph graph = sim::explore(n, scenario, opts);
+  EXPECT_FALSE(graph.budget_exhausted) << "graph budget too small: " << graph.size();
   verify::LaneRegistrySpec spec(max_lanes);
   verify::StrongLinOptions slopts;
-  slopts.object = object;
-  return verify::check_strong_linearizability(tree, spec, slopts);
+  slopts.object = "lanes";
+  return verify::check_strong_linearizability(graph, spec, slopts);
 }
 
 // One lane, two processes: every interleaving of {first take, recycle after
@@ -173,28 +202,25 @@ verify::StrongLinResult check_lanes(const sim::ScenarioFn& scenario, int n,
 // acquire races P0's release.
 TEST(LaneRegistrySim, AcquireReleaseStronglyLinearizable) {
   auto scenario = [](sim::SimRun& run) {
-    auto reg = std::make_shared<svc::SimLaneRegistry>(run.world, "lanes", 1);
-    run.sched.spawn(0, [reg](sim::Ctx& ctx) {
-      int64_t a = reg->acquire(ctx);  // first 0, recycled 0, or kNone — races P1
-      if (a != svc::SimLaneRegistry::kNone) reg->release(ctx, a);
-    });
-    run.sched.spawn(1, [reg](sim::Ctx& ctx) {
-      int64_t b = reg->acquire(ctx);  // 0 (first or recycled) or kNone
-      if (b != svc::SimLaneRegistry::kNone) reg->release(ctx, b);
-    });
+    auto reg = std::make_shared<SimLanes>(1);
+    for (int p = 0; p < 2; ++p) {
+      run.sched.spawn(p, [reg](sim::Ctx& ctx) {
+        int64_t a = reg->acquire(ctx);  // first 0, recycled 0, or kNone
+        if (a != SimLanes::kNone) reg->release(ctx, a);
+      });
+    }
   };
-  auto res = check_lanes(scenario, 2, 1, "lanes");
+  auto res = check_lanes(scenario, 2, 1);
   ASSERT_TRUE(res.decided);
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }
 
 // Two lanes, two processes: concurrent fresh acquires must hand out distinct
 // lanes; P0 then releases and re-acquires, racing its own freed lane against
-// the lane P1 may not have taken yet. (Three processes overflow the node
-// budget — the tree is branching^depth.)
+// the lane P1 may not have taken yet.
 TEST(LaneRegistrySim, ConcurrentAcquiresGetDistinctLanes) {
   auto scenario = [](sim::SimRun& run) {
-    auto reg = std::make_shared<svc::SimLaneRegistry>(run.world, "lanes", 2);
+    auto reg = std::make_shared<SimLanes>(2);
     run.sched.spawn(0, [reg](sim::Ctx& ctx) {
       int64_t a = reg->acquire(ctx);
       reg->release(ctx, a);      // two lanes fit two procs: a != kNone
@@ -202,7 +228,22 @@ TEST(LaneRegistrySim, ConcurrentAcquiresGetDistinctLanes) {
     });
     run.sched.spawn(1, [reg](sim::Ctx& ctx) { reg->acquire(ctx); });
   };
-  auto res = check_lanes(scenario, 2, 2, "lanes");
+  auto res = check_lanes(scenario, 2, 2);
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+}
+
+// Three acquirers on two lanes: two of them win distinct lanes and the third
+// gets kNone, at the stabilised EMPTY read of its take, in every complete
+// execution.
+TEST(LaneRegistrySim, ThreeAcquirersOnTwoLanesOneGetsNone) {
+  auto scenario = [](sim::SimRun& run) {
+    auto reg = std::make_shared<SimLanes>(2);
+    for (int p = 0; p < 3; ++p) {
+      run.sched.spawn(p, [reg](sim::Ctx& ctx) { reg->acquire(ctx); });
+    }
+  };
+  auto res = check_lanes(scenario, 3, 2);
   ASSERT_TRUE(res.decided);
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }

@@ -42,7 +42,7 @@ namespace {
 using verify::Invocation;
 using Variant = svc::SimRoutingEpoch::Variant;
 
-verify::StrongLinResult check_tree(const sim::ExecTree& tree, const verify::Spec& spec,
+verify::StrongLinResult check_tree(const sim::ExecGraph& tree, const verify::Spec& spec,
                                    const std::string& object) {
   verify::StrongLinOptions slopts;
   slopts.object = object;
@@ -55,7 +55,7 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
+  sim::ExecGraph tree = sim::explore(n, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   return check_tree(tree, spec, object);
 }
@@ -67,8 +67,8 @@ testing::ObjectFactory max_twin(std::string name, int shards, svc::AggRead read)
   };
 }
 testing::ObjectFactory counter_twin(std::string name, svc::AggRead read) {
-  return [=](sim::World& w, int) {
-    return std::make_shared<svc::SimShardedCounter>(w, name, /*shards=*/2, read);
+  return [=](sim::World&, int) {
+    return std::make_shared<svc::SimShardedCounter>(name, /*shards=*/2, read);
   };
 }
 
@@ -87,7 +87,7 @@ TEST(C2StoreSim, KeyedStorePerShardMaxStronglyLinearizable) {
   auto [ka, kb] = keys_on_distinct_shards();
   std::shared_ptr<svc::SimKeyedStore> store;
   auto scenario = [ka = ka, kb = kb, &store](sim::SimRun& run) {
-    store = std::make_shared<svc::SimKeyedStore>(run.world, "c2", run.n(), 2);
+    store = std::make_shared<svc::SimKeyedStore>("c2", run.n(), 2);
     run.sched.spawn(0, [store, ka](sim::Ctx& ctx) { store->max_write(ctx, ka, 2); });
     run.sched.spawn(1, [store, ka, kb](sim::Ctx& ctx) {
       store->max_write(ctx, kb, 1);
@@ -98,7 +98,7 @@ TEST(C2StoreSim, KeyedStorePerShardMaxStronglyLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::MaxRegisterSpec spec;
   // Strong linearizability is local: certify each shard facet on the SAME tree.
@@ -114,7 +114,7 @@ TEST(C2StoreSim, KeyedStorePerShardCounterStronglyLinearizable) {
   auto [ka, kb] = keys_on_distinct_shards();
   std::shared_ptr<svc::SimKeyedStore> store;
   auto scenario = [ka = ka, kb = kb, &store](sim::SimRun& run) {
-    store = std::make_shared<svc::SimKeyedStore>(run.world, "c2", run.n(), 2);
+    store = std::make_shared<svc::SimKeyedStore>("c2", run.n(), 2);
     run.sched.spawn(0, [store, ka](sim::Ctx& ctx) { store->counter_inc(ctx, ka); });
     run.sched.spawn(1, [store, ka, kb](sim::Ctx& ctx) {
       store->counter_inc(ctx, kb);
@@ -125,7 +125,7 @@ TEST(C2StoreSim, KeyedStorePerShardCounterStronglyLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::FaiSpec spec;
   for (int s = 0; s < 2; ++s) {
@@ -178,17 +178,16 @@ TEST(C2StoreSim, GlobalMaxDigestConcurrentWritersStronglyLinearizable) {
 // contradicting a header comment.
 
 /// P1's two read responses (program order), one pair per completed execution.
-std::vector<std::pair<int64_t, int64_t>> observer_read_pairs(const sim::ExecTree& tree) {
+std::vector<std::pair<int64_t, int64_t>> observer_read_pairs(const sim::ExecGraph& tree) {
   std::vector<std::pair<int64_t, int64_t>> out;
-  for (const auto& node : tree.nodes) {
-    if (!node.all_done) continue;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.all_done) return;
     std::vector<int64_t> resp;
-    for (const auto& r : ops) {
+    for (const auto& r : verify::operations_from_events(history)) {
       if (r.proc == 1 && r.complete && r.name != "WriteMax") resp.push_back(as_num(r.resp));
     }
     if (resp.size() == 2) out.emplace_back(resp[0], resp[1]);
-  }
+  });
   return out;
 }
 
@@ -203,7 +202,7 @@ TEST(C2StoreSim, DigestNeverLeadsTheShardRegisters) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   auto pairs = observer_read_pairs(tree);
   ASSERT_FALSE(pairs.empty());
@@ -226,7 +225,7 @@ TEST(C2StoreSim, ShardRegisterMayLeadTheDigest) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   auto pairs = observer_read_pairs(tree);
   bool lag_witnessed = false;
@@ -287,7 +286,7 @@ TEST(C2StoreSim, SumDigestNeverLeadsTheShardCounters) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   auto pairs = observer_read_pairs(tree);
   ASSERT_FALSE(pairs.empty());
@@ -309,7 +308,7 @@ TEST(C2StoreSim, ShardCounterMayLeadTheSumDigest) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   auto pairs = observer_read_pairs(tree);
   bool lag_witnessed = false;
@@ -437,10 +436,9 @@ struct GarbageCell : sim::SimWord<uint8_t> {
 
 /// The `make` of segment s (2^s cells): allocate, then zero each cell with one
 /// store step. The two halves are separate so PublishBeforeInit can publish
-/// between them. The whole make reports the segment it returns in `*built`.
+/// between them.
 struct MakeSegment {
   int s;
-  GarbageCell** built;
   std::unique_ptr<GarbageCell[]> allocate() const {
     return std::make_unique<GarbageCell[]>(size_t{1} << s);
   }
@@ -450,7 +448,6 @@ struct MakeSegment {
   std::unique_ptr<GarbageCell[]> operator()() const {
     auto cells = allocate();
     initialise(cells.get());
-    *built = cells.get();
     return cells;
   }
 };
@@ -462,17 +459,6 @@ struct MakeSegment {
 template <typename Slot>
 class Segments {
  public:
-  /// A replay can end with the winner parked at its publish step: `make` has
-  /// returned and the slot has taken the pointer out of its unique_ptr, but
-  /// the store, a SimMem step, unwinds instead of running. (A native store
-  /// cannot fail there.) The segment is then owned by no one, so free it.
-  /// peek() outside a running fiber takes no step.
-  ~Segments() {
-    for (int s = 0; s < 2; ++s) {
-      if (built_[s] != nullptr && spine_[s].peek() != built_[s]) delete[] built_[s];
-    }
-  }
-
   static std::string cell_object(size_t idx) {
     return "seg[" + std::to_string(idx) + "]";
   }
@@ -481,7 +467,7 @@ class Segments {
   int64_t test_and_set(sim::Ctx& ctx, size_t idx) {
     return as_num(sim::record_op(ctx, cell_object(idx), "TAS", unit(), [&] {
       const int s = segment_of(idx);
-      GarbageCell* seg = spine_[s].get(MakeSegment{s, &built_[s]});
+      GarbageCell* seg = spine_[s].get(MakeSegment{s});
       return num(seg[idx - start(s)].exchange(1));
     }));
   }
@@ -501,7 +487,6 @@ class Segments {
   static size_t start(int s) { return (size_t{1} << s) - 1; }
 
   Slot spine_[2];  // indices 0..2
-  GarbageCell* built_[2] = {};  // what each segment's make returned
 };
 
 using ServingSlot = rt::BasicPublishOnce<sim::SimMem, GarbageCell[]>;
@@ -538,11 +523,11 @@ class PublishBeforeInit {
 
 /// Explores `scenario` on two processes at the depth that bounds the
 /// publication losers' spins.
-sim::ExecTree explore_publication(const sim::ScenarioFn& scenario) {
+sim::ExecGraph explore_publication(const sim::ScenarioFn& scenario) {
   sim::ExploreOptions opts;
   opts.max_depth = 24;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   return tree;
 }
@@ -553,7 +538,7 @@ sim::ExecTree explore_publication(const sim::ScenarioFn& scenario) {
 /// cell; the second read pins monotonicity across the window where the
 /// broken order leaks garbage.
 template <typename Slot>
-sim::ExecTree tas_against_two_reads() {
+sim::ExecGraph tas_against_two_reads() {
   return explore_publication([](sim::SimRun& run) {
     auto arr = std::make_shared<Segments<Slot>>();
     run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
@@ -569,7 +554,7 @@ TEST(C2StoreSim, SegmentPublicationStronglyLinearizable) {
   // so the claim race, both init writes, the publish, the loser's spin (its
   // pointer and poison loads) and both cell exchanges all interleave. Each
   // cell facet must admit a prefix-closed linearization.
-  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+  sim::ExecGraph tree = explore_publication([](sim::SimRun& run) {
     auto arr = std::make_shared<ServingSegments>();
     run.sched.spawn(0, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
     run.sched.spawn(1, [arr](sim::Ctx& ctx) { arr->test_and_set(ctx, 1); });
@@ -581,7 +566,7 @@ TEST(C2StoreSim, SegmentPublicationStronglyLinearizable) {
 }
 
 TEST(C2StoreSim, SegmentPublicationReadersNeverSeeGarbage) {
-  sim::ExecTree tree = tas_against_two_reads<ServingSlot>();
+  sim::ExecGraph tree = tas_against_two_reads<ServingSlot>();
   verify::TasSpec spec;
   auto res = check_tree(tree, spec, ServingSegments::cell_object(1));
   ASSERT_TRUE(res.decided);
@@ -592,7 +577,7 @@ TEST(C2StoreSim, SegmentPublicationAcrossSegmentsIndependent) {
   // Ops on indices 0 and 1 live in DIFFERENT segments (base-1 doubling):
   // two unrelated publications in flight at once. Strong linearizability is
   // local — each cell facet verifies on the shared tree.
-  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+  sim::ExecGraph tree = explore_publication([](sim::SimRun& run) {
     auto arr = std::make_shared<ServingSegments>();
     run.sched.spawn(0, [arr](sim::Ctx& ctx) {
       arr->test_and_set(ctx, 0);
@@ -616,7 +601,7 @@ TEST(C2StoreSim, SegmentPublicationAcrossSegmentsIndependent) {
 // even linearizable, so certainly not strongly linearizable. If this starts
 // passing, either the cells stopped starting as garbage or the checker broke.
 TEST(C2StoreSim, SegmentPublishBeforeInitRefuted) {
-  sim::ExecTree tree = tas_against_two_reads<PublishBeforeInit>();
+  sim::ExecGraph tree = tas_against_two_reads<PublishBeforeInit>();
   verify::TasSpec spec;
   auto res = check_tree(tree, spec, Segments<PublishBeforeInit>::cell_object(1));
   ASSERT_TRUE(res.decided);
@@ -640,7 +625,7 @@ TEST(C2StoreSim, PublishOncePoisonReachesEveryLoser) {
     rt::BasicPublishOnce<sim::SimMem, int> cell;
     sim::SimWord<int> made{0};  // the one step of the failing make
   };
-  sim::ExecTree tree = explore_publication([](sim::SimRun& run) {
+  sim::ExecGraph tree = explore_publication([](sim::SimRun& run) {
     auto obj = std::make_shared<Poisoned>();
     for (int p = 0; p < 2; ++p) {
       run.sched.spawn(p, [obj](sim::Ctx& ctx) {
@@ -664,13 +649,13 @@ TEST(C2StoreSim, PublishOncePoisonReachesEveryLoser) {
     }
   });
   int complete = 0;
-  for (const sim::ExecNode& node : tree.nodes) {
-    if (!node.all_done) continue;
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.all_done) return;
     ++complete;
     std::map<sim::OpId, std::string> op_name;
     std::map<std::string, int> gets;
     int null_peeks = 0;
-    for (const sim::Event& e : tree.history_at(node.id)) {
+    for (const sim::Event& e : history) {
       if (e.kind == sim::Event::Kind::kInvoke) op_name[e.op] = e.name;
       if (e.kind != sim::Event::Kind::kRespond) continue;
       if (op_name[e.op] == "Get") ++gets[as_str(e.payload)];
@@ -682,7 +667,7 @@ TEST(C2StoreSim, PublishOncePoisonReachesEveryLoser) {
     EXPECT_EQ(gets["PreconditionError"], 1)
         << leaf << ": the loser must raise the named error";
     EXPECT_EQ(null_peeks, 2) << leaf << ": a poisoned cell publishes nothing";
-  }
+  });
   EXPECT_GT(complete, 0) << "no run finished: a loser spins past the depth bound";
 }
 
@@ -771,7 +756,7 @@ TEST(C2StoreSim, RoutingEpochHandoffStronglyLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::MaxRegisterSpec spec;
   auto res = check_tree(tree, spec, re->key_object(1));
@@ -789,9 +774,8 @@ TEST(C2StoreSim, RoutingEpochRacingResizersKeyFacetStronglyLinearizable) {
                                                 /*max_shards=*/2);
     run.sched.spawn(0, [re](sim::Ctx& ctx) { re->resize(ctx, 2); });
     run.sched.spawn(1, [re](sim::Ctx& ctx) { re->resize(ctx, 2); });
-    // A writer only (the read variant of this schedule blows the node budget;
-    // the hand-off WITH a racing reader is the previous test): what this tree
-    // pins is the claim race — exactly one resizer installs, the loser leaves
+    // A writer only (the hand-off WITH a racing reader is the previous
+    // test): what this tree pins is the claim race — exactly one resizer installs, the loser leaves
     // the spine untouched, and the writer's settle loop stays correct when the
     // install lands under it. The shards_of checks inside the spine double
     // as the "loser never reads an uninstalled cell" check on every schedule.
@@ -800,7 +784,7 @@ TEST(C2StoreSim, RoutingEpochRacingResizersKeyFacetStronglyLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::MaxRegisterSpec spec;
   auto res = check_tree(tree, spec, re->key_object(1));
@@ -828,7 +812,7 @@ TEST(C2StoreSim, RoutingEpochServeBeforeReplayRefuted) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::MaxRegisterSpec spec;
   auto res = check_tree(tree, spec, re->key_object(1));
@@ -858,7 +842,7 @@ TEST(C2StoreSim, RoutingEpochWriterWithoutSettleRefuted) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::MaxRegisterSpec spec;
   auto res = check_tree(tree, spec, re->key_object(1));

@@ -4,6 +4,7 @@
 // the properties established here.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -233,7 +234,8 @@ TEST(World, StateStringInstallRoundTrip) {
 
 TEST(Explorer, EnumeratesAllInterleavings) {
   // Two processes, one fetch&add step each: executions are the 2 orders, the
-  // tree has 1 root + 2 + 2 nodes (each leaf reached after both steps).
+  // graph has 1 root + 2 + 2 nodes (each leaf reached after both steps). The
+  // two orders find different values, so their leaves do not merge.
   sim::ScenarioFn scenario = [](sim::SimRun& run) {
     auto reg = run.world.add<prim::FetchAddInt>("ctr");
     for (int p = 0; p < 2; ++p) {
@@ -241,16 +243,45 @@ TEST(Explorer, EnumeratesAllInterleavings) {
     }
   };
   sim::ExploreOptions opts;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   EXPECT_EQ(tree.size(), 5u);
   int leaves = 0;
   for (const auto& node : tree.nodes) {
-    if (node.children.empty()) {
+    if (node.edges.empty()) {
       ++leaves;
       EXPECT_TRUE(node.all_done);
     }
   }
   EXPECT_EQ(leaves, 2);
+}
+
+// Executions that reach one configuration share a node. Two processes that
+// each load k distinct words reach (i, j) loads done in C(i+j, i) orders, all
+// finding the same values: (k+1)^2 configurations, while the path walk still
+// yields one history per execution, the tree's node count.
+TEST(Explorer, MergesEqualConfigurationsAndWalksEveryPath) {
+  constexpr int k = 3;
+  sim::ScenarioFn scenario = [](sim::SimRun& run) {
+    auto words = std::make_shared<std::array<sim::SimWord<int64_t>, 2 * k>>();
+    for (int p = 0; p < 2; ++p) {
+      run.sched.spawn(p, [words, p](sim::Ctx&) {
+        for (int w = 0; w < k; ++w) (*words)[static_cast<size_t>(p * k + w)].load();
+      });
+    }
+  };
+  sim::ExecGraph graph = sim::explore(2, scenario, sim::ExploreOptions{});
+  EXPECT_EQ(graph.size(), size_t{(k + 1) * (k + 1)});
+  size_t tree_nodes = 0;  // sum of C(i+j, i) over 0 <= i, j <= k
+  for (int i = 0; i <= k; ++i) {
+    size_t c = 1;  // C(i+j, i), stepping j
+    for (int j = 0; j <= k; ++j) {
+      tree_nodes += c;
+      c = c * static_cast<size_t>(i + j + 1) / static_cast<size_t>(j + 1);
+    }
+  }
+  size_t walked = 0;
+  graph.for_each_path([&](const sim::ExecNode&, const std::vector<sim::Event>&) { ++walked; });
+  EXPECT_EQ(walked, tree_nodes);
 }
 
 TEST(Explorer, HistoryAtConcatenatesSuffixes) {
@@ -266,13 +297,13 @@ TEST(Explorer, HistoryAtConcatenatesSuffixes) {
     }
   };
   sim::ExploreOptions opts;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   // Root history: both invocations (spawn runs prologues).
   auto root_events = tree.history_at(0);
   EXPECT_EQ(root_events.size(), 2u);
   // A leaf history contains 2 invocations + 2 responses.
   for (const auto& node : tree.nodes) {
-    if (node.children.empty()) {
+    if (node.edges.empty()) {
       auto events = tree.history_at(node.id);
       EXPECT_EQ(events.size(), 4u);
     }
@@ -289,10 +320,10 @@ TEST(Explorer, CrashBranchesWhenEnabled) {
   sim::ExploreOptions opts;
   opts.include_crashes = true;
   opts.max_crashes = 1;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   bool has_crash_edge = false;
   for (const auto& node : tree.nodes) {
-    if (node.parent != -1 && node.incoming.crash) has_crash_edge = true;
+    for (const auto& edge : node.edges) has_crash_edge |= edge.choice.crash;
   }
   EXPECT_TRUE(has_crash_edge);
   EXPECT_GT(tree.size(), 5u);

@@ -94,7 +94,7 @@ TEST(SimpleTypeBackend, StronglyLinearizableOverAtomicSnapshot) {
   sim::ExploreOptions opts;
   opts.max_depth = 24;
   opts.max_nodes = 300000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted);
   verify::StrongLinOptions slopts;
   slopts.object = "ctr";
@@ -127,7 +127,7 @@ TEST(SimpleTypeBackend, AadgmsBackendProbedForConflicts) {
     opts.prefix = recorder.recorded();
     opts.max_depth = 8;
     opts.max_nodes = 30000;
-    sim::ExecTree tree = sim::explore(3, scenario, opts);
+    sim::ExecGraph tree = sim::explore(3, scenario, opts);
     verify::StrongLinOptions slopts;
     slopts.object = "ctr";
     slopts.max_search_nodes = 2'000'000;

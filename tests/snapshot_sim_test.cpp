@@ -35,7 +35,7 @@ namespace {
 
 using verify::Invocation;
 
-verify::StrongLinResult check_tree(const sim::ExecTree& tree, const verify::Spec& spec,
+verify::StrongLinResult check_tree(const sim::ExecGraph& tree, const verify::Spec& spec,
                                    const std::string& object) {
   verify::StrongLinOptions slopts;
   slopts.object = object;
@@ -48,15 +48,14 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
+  sim::ExecGraph tree = sim::explore(n, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   return check_tree(tree, spec, object);
 }
 
 testing::ObjectFactory snap_factory(int shards, bool naive_loop = false) {
-  return [shards, naive_loop](sim::World& w, int n) {
-    return std::make_shared<svc::SimKeyedSnapshot>(w, "ksnap", n, shards,
-                                                   naive_loop);
+  return [shards, naive_loop](sim::World&, int n) {
+    return std::make_shared<svc::SimKeyedSnapshot>("ksnap", n, shards, naive_loop);
   };
 }
 
@@ -146,8 +145,8 @@ TEST(SnapshotSim, EverySnapshotConservesTheTransferredSum) {
   // entirely inside the replayed prefix or entirely outside it. The
   // snapshotter's own wide transfer precedes its snapshot, so every replay
   // steps over its two cells among the racing narrow entries. (A wide
-  // transfer racing the snapshot is the tree above; racing here too
-  // outgrows the node budget.)
+  // transfer racing the snapshot is the tree above and, with three
+  // processes, WideTransferRacingThreeProcessesStronglyLinearizable below.)
   auto scenario = testing::fixed_scenario(
       snap_factory(2), {{{"Xfer", num(xfer_arg(0, 1, 2)), 0}},
                         {{"Xfer", num(xfer_arg(1, 0, 1)), 1}},
@@ -156,13 +155,14 @@ TEST(SnapshotSim, EverySnapshotConservesTheTransferredSum) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   int snaps_seen = 0;
-  for (const auto& node : tree.nodes) {
-    if (!node.all_done) continue;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
-    for (const auto& r : ops) {
+  size_t executions = 0;
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    ++executions;
+    if (!node.all_done) return;
+    for (const auto& r : verify::operations_from_events(history)) {
       if (r.name != "Snap" || !r.complete) continue;
       const std::vector<int64_t>& view = as_vec(r.resp);
       ASSERT_EQ(view.size(), 4u);
@@ -171,8 +171,24 @@ TEST(SnapshotSim, EverySnapshotConservesTheTransferredSum) {
           << view[1] << ")";
       ++snaps_seen;
     }
-  }
+  });
   EXPECT_GT(snaps_seen, 0);
+  // One history per execution: the walk yields every node of the tree of
+  // executions, 168,867 of them over 7,983 configurations.
+  EXPECT_EQ(executions, 168867u);
+}
+
+TEST(SnapshotSim, WideTransferRacingThreeProcessesStronglyLinearizable) {
+  // The sweep above with the wide transfer moved off the snapshotter: P1's
+  // two-cell deposit now races both narrow transfers and the snapshot.
+  auto scenario = testing::fixed_scenario(
+      snap_factory(2), {{{"Xfer", num(xfer_arg(0, 1, 2)), 0}},
+                        {{"Xfer", num(xfer_arg(1, 0, kWide)), 1}},
+                        {{"Xfer", num(xfer_arg(0, 1, 1)), 2}, {"Snap", unit(), 2}}});
+  verify::KeyedSnapshotSpec spec(2);
+  auto res = check(scenario, 3, spec, "ksnap");
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }
 
 // --- 3. the naive per-key read loop, pinned refuted -------------------------
@@ -246,19 +262,18 @@ TEST(SnapshotSim, NaiveLoopWitnessHistoryIsNotLinearizable) {
 /// P1's two read responses (program order), one pair per completed execution:
 /// the snapshot's shard-0 counter entry and the direct shard read, in the
 /// order P1 issued them.
-std::vector<std::pair<int64_t, int64_t>> observer_pairs(const sim::ExecTree& tree) {
+std::vector<std::pair<int64_t, int64_t>> observer_pairs(const sim::ExecGraph& tree) {
   std::vector<std::pair<int64_t, int64_t>> out;
-  for (const auto& node : tree.nodes) {
-    if (!node.all_done) continue;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.all_done) return;
     std::vector<int64_t> resp;
-    for (const auto& r : ops) {
+    for (const auto& r : verify::operations_from_events(history)) {
       if (r.proc != 1 || !r.complete) continue;
       if (r.name == "Snap") resp.push_back(as_vec(r.resp)[0]);
       if (r.name == "ReadShard") resp.push_back(as_num(r.resp));
     }
     if (resp.size() == 2) out.emplace_back(resp[0], resp[1]);
-  }
+  });
   return out;
 }
 
@@ -273,7 +288,7 @@ TEST(SnapshotSim, JournalNeverLeadsTheShardCounters) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   auto pairs = observer_pairs(tree);
   ASSERT_FALSE(pairs.empty());
@@ -294,18 +309,11 @@ TEST(SnapshotSim, ShardCounterMayLeadTheJournal) {
   sim::ExploreOptions opts;
   opts.max_depth = 32;
   opts.max_nodes = 400000;
-  sim::ExecTree tree = sim::explore(2, scenario, opts);
+  sim::ExecGraph tree = sim::explore(2, scenario, opts);
   ASSERT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
+  auto pairs = observer_pairs(tree);
   bool lag_witnessed = false;
-  for (const auto& node : tree.nodes) {
-    if (!node.all_done) continue;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
-    int64_t shard = -1, snap_v = -1;
-    for (const auto& r : ops) {
-      if (r.proc != 1 || !r.complete) continue;
-      if (r.name == "ReadShard") shard = as_num(r.resp);
-      if (r.name == "Snap") snap_v = as_vec(r.resp)[0];
-    }
+  for (auto [shard, snap_v] : pairs) {
     if (shard == 1 && snap_v == 0) lag_witnessed = true;
   }
   EXPECT_TRUE(lag_witnessed)

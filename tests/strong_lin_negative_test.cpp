@@ -16,10 +16,14 @@
 // assumptions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baselines/aadgms_snapshot.h"
 #include "baselines/herlihy_wing_queue.h"
 #include "core/max_register_variants.h"
 #include "harness.h"
+#include "runtime/native_snapshot.h"
 #include "runtime/native_tas_family.h"
 #include "sim/sim_mem.h"
 #include "verify/specs.h"
@@ -36,7 +40,7 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
+  sim::ExecGraph tree = sim::explore(n, scenario, opts);
   verify::StrongLinOptions slopts;
   slopts.object = object;
   slopts.max_search_nodes = 30'000'000;
@@ -74,16 +78,16 @@ TEST(StrongLinNegative, HerlihyWingQueueStillLinearizable) {
   sim::ExploreOptions opts;
   opts.max_depth = 14;
   opts.max_nodes = 500000;
-  sim::ExecTree tree = sim::explore(3, scenario, opts);
+  sim::ExecGraph tree = sim::explore(3, scenario, opts);
   verify::QueueSpec spec;
   int checked = 0;
-  for (const auto& node : tree.nodes) {
-    if (!node.all_done) continue;
-    auto ops = verify::operations_from_events(tree.history_at(node.id));
+  tree.for_each_path([&](const sim::ExecNode& node, const std::vector<sim::Event>& history) {
+    if (!node.all_done) return;
+    auto ops = verify::operations_from_events(history);
     auto lin = verify::check_linearizability(verify::filter_object(ops, "queue"), spec);
     EXPECT_TRUE(lin.linearizable) << "node " << node.id << "\n" << lin.explanation;
     ++checked;
-  }
+  });
   EXPECT_GT(checked, 0);
 }
 
@@ -117,7 +121,7 @@ TEST(StrongLinNegative, AadgmsSnapshotRefutedGuided) {
       opts.prefix = recorder.recorded();
       opts.max_depth = 12;
       opts.max_nodes = 60000;
-      sim::ExecTree tree = sim::explore(3, scenario, opts);
+      sim::ExecGraph tree = sim::explore(3, scenario, opts);
       verify::StrongLinOptions slopts;
       slopts.object = "snap";
       slopts.max_search_nodes = 4'000'000;
@@ -340,6 +344,74 @@ TEST(StrongLinNegative, TakeHintPastAnEmptyCellRefuted) {
   auto res = check(scenario, 2, spec, "nset", /*max_depth=*/40, /*max_nodes=*/400000);
   ASSERT_TRUE(res.decided) << "search budget exhausted";
   EXPECT_FALSE(res.strongly_linearizable);
+}
+
+// --- a mutant whose fault lives only in process-local state ----------------
+//
+// The explorer merges executions that reach one configuration, keyed on what
+// each process's steps found (sim/explorer.h). A lane's `prev` is a plain
+// field no other process reads, so only that key can tell two writers' orders
+// apart. This copy of rt::BasicMaxRegister64<sim::SimMem> corrupts it: a
+// raising write whose fetch&add finds another lane already non-zero records
+// prev = v + 1, so the lane's next write of v + 1 takes no step.
+class CorruptPrevMaxRegister {
+ public:
+  CorruptPrevMaxRegister(int n, int64_t) : n_(n), width_(64 / n), prev_(static_cast<size_t>(n)) {}
+
+  void write_max(int proc, int64_t v) {
+    uint64_t& prev = prev_[static_cast<size_t>(proc)];
+    const auto next = static_cast<uint64_t>(v);
+    if (next <= prev) return;
+    const uint64_t lane = rt::lane_max(n_);
+    const uint64_t old = reg_.fetch_add((next - prev) << (proc * width_));
+    const bool others = (old & ~(lane << (proc * width_))) != 0;
+    prev = others ? next + 1 : next;  // the bug
+  }
+
+  int64_t read_max() {
+    const uint64_t word = reg_.load();
+    int64_t m = 0;
+    for (int i = 0; i < n_; ++i) {
+      m = std::max(m, static_cast<int64_t>((word >> (i * width_)) & rt::lane_max(n_)));
+    }
+    return m;
+  }
+
+ private:
+  int n_;
+  int width_;
+  sim::SimWord<uint64_t> reg_{0};
+  std::vector<uint64_t> prev_;
+};
+
+// P0 writes 1 then 2, P1 writes 1, P2 reads twice. Only where P1's fetch&add
+// lands first does P0's lane record prev = 2 and skip its write of 2, so a
+// read invoked after that write returns 1: not even linearizable. From the
+// other order P0's second write lands, so that subtree verifies.
+TEST(StrongLinNegative, CorruptedLanePrevRefutedOnlyWhenItsWriterFindsAnotherLane) {
+  auto factory = [](sim::World&, int n) {
+    return std::make_shared<testing::MemMaxRegisterObject<CorruptPrevMaxRegister>>(
+        "maxreg", n, rt::lane_max(n));
+  };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"WriteMax", num(1), 0}, {"WriteMax", num(2), 0}},
+                {{"WriteMax", num(1), 1}},
+                {{"ReadMax", unit(), 2}, {"ReadMax", unit(), 2}}});
+  verify::MaxRegisterSpec spec;
+  auto res = check(scenario, 3, spec, "maxreg", /*max_depth=*/32, /*max_nodes=*/400000);
+  ASSERT_TRUE(res.decided);
+  EXPECT_FALSE(res.strongly_linearizable);
+  // The first step of each writer is its fetch&add.
+  for (sim::ProcId first : {0, 1}) {
+    sim::ExploreOptions opts;
+    opts.prefix = {sim::Choice{first, false}};
+    verify::StrongLinOptions slopts;
+    slopts.object = "maxreg";
+    auto sub = verify::check_strong_linearizability(sim::explore(3, scenario, opts), spec,
+                                                    slopts);
+    ASSERT_TRUE(sub.decided);
+    EXPECT_EQ(sub.strongly_linearizable, first == 0) << "P" << first << " writes first";
+  }
 }
 
 }  // namespace

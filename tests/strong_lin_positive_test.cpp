@@ -36,7 +36,7 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   sim::ExploreOptions opts;
   opts.max_depth = max_depth;
   opts.max_nodes = max_nodes;
-  sim::ExecTree tree = sim::explore(n, scenario, opts);
+  sim::ExecGraph tree = sim::explore(n, scenario, opts);
   EXPECT_FALSE(tree.budget_exhausted) << "tree budget too small: " << tree.size();
   verify::StrongLinOptions slopts;
   slopts.object = object;

@@ -11,8 +11,7 @@ namespace c2sl {
 namespace {
 
 using sim::Event;
-using sim::ExecNode;
-using sim::ExecTree;
+using sim::ExecGraph;
 
 Event inv(sim::ProcId p, sim::OpId op, uint64_t seq, std::string name, Val args) {
   return Event{Event::Kind::kInvoke, p, op, seq, "obj", std::move(name), std::move(args)};
@@ -22,20 +21,12 @@ Event resp(sim::ProcId p, sim::OpId op, uint64_t seq, Val r) {
   return Event{Event::Kind::kRespond, p, op, seq, "", "", std::move(r)};
 }
 
-int add_node(ExecTree& tree, int parent, std::vector<Event> suffix) {
-  ExecNode node;
-  node.id = static_cast<int>(tree.nodes.size());
-  node.parent = parent;
-  node.suffix = std::move(suffix);
-  node.depth = parent == -1 ? 0 : tree.nodes[static_cast<size_t>(parent)].depth + 1;
-  int id = node.id;
-  if (parent != -1) tree.nodes[static_cast<size_t>(parent)].children.push_back(id);
-  tree.nodes.push_back(std::move(node));
-  return id;
+int add_node(ExecGraph& tree, int parent, std::vector<Event> suffix) {
+  return tree.add_node(parent, sim::Choice{}, std::move(suffix));
 }
 
 TEST(StrongLinChecker, SingletonTreeWithValidHistory) {
-  ExecTree tree;
+  ExecGraph tree;
   add_node(tree, -1,
            {inv(0, 0, 0, "WriteMax", num(3)), resp(0, 0, 1, unit()),
             inv(0, 1, 2, "ReadMax", unit()), resp(0, 1, 3, num(3))});
@@ -47,7 +38,7 @@ TEST(StrongLinChecker, SingletonTreeWithValidHistory) {
 
 TEST(StrongLinChecker, SingletonTreeWithInvalidHistory) {
   // ReadMax returns a value never written: not even linearizable.
-  ExecTree tree;
+  ExecGraph tree;
   add_node(tree, -1,
            {inv(0, 0, 0, "ReadMax", unit()), resp(0, 0, 1, num(9))});
   verify::MaxRegisterSpec spec;
@@ -68,7 +59,7 @@ TEST(StrongLinChecker, SingletonTreeWithInvalidHistory) {
 // so L(root) itself must already be [Enq(1), Enq(2)] (prefix property), which
 // kills child B. No prefix-closed assignment exists.
 TEST(StrongLinChecker, DetectsPrefixClosureConflict) {
-  ExecTree tree;
+  ExecGraph tree;
   int root = add_node(tree, -1,
                       {inv(0, 0, 0, "Enq", num(1)),                    // pending
                        inv(1, 1, 1, "Enq", num(2)), resp(1, 1, 2, str("OK"))});
@@ -89,7 +80,7 @@ TEST(StrongLinChecker, DetectsPrefixClosureConflict) {
 // pending at the root too, L(root) can be empty and each child picks its own
 // order.
 TEST(StrongLinChecker, NoConflictWhenBothPending) {
-  ExecTree tree;
+  ExecGraph tree;
   int root = add_node(tree, -1,
                       {inv(0, 0, 0, "Enq", num(1)), inv(1, 1, 1, "Enq", num(2))});
   add_node(tree, root,
@@ -107,7 +98,7 @@ TEST(StrongLinChecker, NoConflictWhenBothPending) {
 // A chain (no branching) is strongly linearizable iff every prefix is
 // linearizable — prefix-closure along one path.
 TEST(StrongLinChecker, ChainRequiresMonotoneLinearizations) {
-  ExecTree tree;
+  ExecGraph tree;
   int root = add_node(tree, -1, {inv(0, 0, 0, "TAS", unit())});
   int mid = add_node(tree, root, {resp(0, 0, 1, num(0))});
   add_node(tree, mid, {inv(1, 1, 2, "TAS", unit()), resp(1, 1, 3, num(1))});
@@ -116,7 +107,7 @@ TEST(StrongLinChecker, ChainRequiresMonotoneLinearizations) {
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 
   // Two winners along the chain: invalid at the leaf.
-  ExecTree bad;
+  ExecGraph bad;
   int broot = add_node(bad, -1, {inv(0, 0, 0, "TAS", unit()), resp(0, 0, 1, num(0))});
   add_node(bad, broot, {inv(1, 1, 2, "TAS", unit()), resp(1, 1, 3, num(0))});
   auto res2 = verify::check_strong_linearizability(bad, spec);
@@ -125,7 +116,7 @@ TEST(StrongLinChecker, ChainRequiresMonotoneLinearizations) {
 
 // Object filtering: foreign-object operations in the history are ignored.
 TEST(StrongLinChecker, ObjectFilter) {
-  ExecTree tree;
+  ExecGraph tree;
   std::vector<Event> events = {inv(0, 0, 0, "ReadMax", unit()), resp(0, 0, 1, num(0))};
   Event foreign = inv(1, 1, 2, "Deq", unit());
   foreign.object = "other";
@@ -140,7 +131,7 @@ TEST(StrongLinChecker, ObjectFilter) {
 
 // Budget exhaustion is reported as undecided, never as a verdict.
 TEST(StrongLinChecker, BudgetUndecided) {
-  ExecTree tree;
+  ExecGraph tree;
   int root = add_node(tree, -1, {inv(0, 0, 0, "Enq", num(1)), inv(1, 1, 1, "Enq", num(2))});
   add_node(tree, root, {resp(0, 0, 2, str("OK"))});
   verify::QueueSpec spec;
