@@ -1030,6 +1030,9 @@ inline int64_t C2Session::transfer_hashed(uint64_t from_hash, uint64_t to_hash,
   int from = store_->journal_slot(from_hash);
   int to = store_->journal_slot(to_hash);
   tel::TraceScope tr(trc_lane_, tel::TraceOp::kTransfer, from, amount);
+  static_assert(rt::KeyedVersionDigest::kMaxBuckets - 1 <=
+                    tel::TraceSlot::kMaxKeyB,
+                "a journal bucket fits the trace slot's key_b field");
   tr.set_key_b(static_cast<int32_t>(to));
   int64_t ticket = store_->journal_.append(
       rt::KeyedVersionDigest::Kind::kTransfer, from, to, amount);

@@ -71,38 +71,37 @@ std::string trace_to_json(const TraceDump& dump, std::string_view source) {
 
 namespace {
 
-void print_record(std::FILE* out, uint64_t i, const TraceRecord& r,
-                  const char* note) {
-  std::fprintf(out,
-               "    #%" PRIu64 " %s key=%" PRId64 " arg=%" PRId64
-               " result=%" PRId64 " witness=%" PRId64 "%s\n",
-               i, op_name(r.op), r.key, r.arg, r.result, r.witness, note);
+void print_slot(std::FILE* out, uint64_t i, const TraceSlot& s) {
+  switch (s.op()) {
+    case TraceSlot::kTick:
+      std::fprintf(out, "    #%" PRIu64 " tick=%" PRId64 "\n", i, s.arg);
+      return;
+    case TraceSlot::kEpoch:
+      std::fprintf(out, "    #%" PRIu64 " epoch=%" PRId64 "\n", i, s.arg);
+      return;
+    default:
+      std::fprintf(out,
+                   "    #%" PRIu64 " %s key=%" PRId32 " arg=%" PRId64
+                   " result=%" PRId64 " witness=%" PRId64 "\n",
+                   i, op_name(static_cast<int32_t>(s.op())), s.key, s.arg,
+                   s.result, s.witness);
+  }
 }
 
 }  // namespace
 
 void dump_trace_tail(std::FILE* out, const StoreTrace& trace, int max_lanes) {
-  std::fprintf(out,
-               "c2sl trace tail (last %d records per lane, then the pending "
-               "op):\n",
-               kTraceTail);
+  std::fprintf(out, "c2sl trace tail (last %d slots per lane):\n", kTraceTail);
   for (int lane = 0; lane < max_lanes; ++lane) {
     const LaneTrace* lt = trace.peek_lane(lane);
     if (lt == nullptr) continue;
-    LaneTraceDump ld;
-    uint64_t first = lt->drain_into(ld, kTraceTail);
-    TraceRecord pending;
-    int64_t pending_at = lt->pending(pending);
-    if (ld.records.empty() && pending_at < 0) continue;
-    std::fprintf(out, "  lane %d (%" PRIu64 " records, %" PRIu64
-                      " dropped):\n",
-                 lane, first + ld.records.size(), ld.dropped);
-    for (size_t k = 0; k < ld.records.size(); ++k) {
-      print_record(out, first + k, ld.records[k], "");
-    }
-    if (pending_at >= 0) {
-      print_record(out, static_cast<uint64_t>(pending_at), pending,
-                   " (pending)");
+    std::vector<TraceSlot> tail;
+    uint64_t first = lt->copy_slots(tail, kTraceTail);
+    if (tail.empty()) continue;
+    std::fprintf(out, "  lane %d (%" PRIu64 " slots, %" PRIu64 " dropped):\n",
+                 lane, first + tail.size(), lt->dropped());
+    for (size_t k = 0; k < tail.size(); ++k) {
+      print_slot(out, first + k, tail[k]);
     }
   }
 }

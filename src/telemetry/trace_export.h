@@ -22,15 +22,15 @@ namespace c2sl::tel {
 /// the store's trace epoch (ticks * ns_per_tick), records in lane order.
 std::string trace_to_json(const TraceDump& dump, std::string_view source);
 
-/// Records per lane in the post-mortem tail (before the pending op).
+/// Slots per lane in the post-mortem tail.
 inline constexpr int kTraceTail = 64;
 
 #if C2SL_CAPTURE
 
-/// Prints each lane's last kTraceTail published records, then its pending
-/// one (the lane's last op, awaiting its response tick), with arguments and
-/// witnesses, to `out`. C2Store wires it into the assert-failure hook, so a
-/// failed invariant ships the ops and linearization evidence around it.
+/// Prints each lane's last kTraceTail published slots to `out`: ops with
+/// their arguments and witnesses, ticks and epoch changes. C2Store wires it
+/// into the assert-failure hook, so a failed invariant ships the ops and
+/// linearization evidence around it.
 void dump_trace_tail(std::FILE* out, const StoreTrace& trace, int max_lanes);
 
 #else

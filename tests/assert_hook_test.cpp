@@ -1,9 +1,9 @@
 // The failure-hook contract (util/assert.h + telemetry/trace_export.h): a
 // failing C2SL_ASSERT must ship each lane's witness-trace tail — its last
-// records AND its pending one, the lane's last op — to stderr before
-// aborting, and the hook slot must survive the install/uninstall races its
-// comment promises to tolerate (last installer wins; a dying owner never
-// clobbers a successor's registration).
+// slots, the lane's last op included — to stderr before aborting, and the
+// hook slot must survive the install/uninstall races its comment promises to
+// tolerate (last installer wins; a dying owner never clobbers a successor's
+// registration).
 //
 // The death tests fork (gtest "fast" style — each test file is its own
 // single-threaded binary here, so forking is safe) and match the child's
@@ -50,7 +50,7 @@ TEST(AssertHookDeathTest, FailingAssertDumpsTheTraceTail) {
       AllOf(HasSubstr("c2sl assertion failed"),
             HasSubstr("c2sl trace tail"), HasSubstr("lane 0"),
             HasSubstr("session_open"), HasSubstr("max_write"),
-            HasSubstr("counter_inc"), HasSubstr("(pending)")));
+            HasSubstr("counter_inc"), Not(HasSubstr("(pending)"))));
 }
 
 TEST(AssertHookDeathTest, DumpCarriesOpArguments) {
@@ -117,12 +117,15 @@ TEST(AssertHookDeathTest, LastInstallerWinsAcrossTwoStores) {
             Not(HasSubstr("max_write"))));
 }
 
-TEST(AssertHookDeathTest, TailCopiesOnlyTheLastRecordsThenThePendingOp) {
-  // One open and 100 writes, then one inc: the inc's scope committed the
-  // last write, so 101 records are published (#0..#100) and the inc is the
-  // pending #101. The dump starts at #(101 - kTraceTail) = #37, in order,
-  // and ends with the pending inc.
+TEST(AssertHookDeathTest, TailCopiesOnlyTheLastSlots) {
+  // One open (tick + event), 100 writes (the first emits epoch 0, and one in
+  // kTickPeriod after the open's tick is stamped), then one inc: every op is
+  // published by its own scope, so the lane's last slot is the inc. The dump
+  // starts kTraceTail slots before the end, in order.
   static_assert(tel::kTraceTail == 64);
+  constexpr int kK = tel::LaneTrace::kTickPeriod;
+  constexpr int kSlots = 2 + 1 + 100 + 100 / kK + (101 % kK == 0) + 1;
+  static_assert(kSlots == 110);  // kK == 16: writes #16..#96 are stamped
   EXPECT_DEATH(
       {
         svc::C2Store store(small_config());
@@ -132,11 +135,12 @@ TEST(AssertHookDeathTest, TailCopiesOnlyTheLastRecordsThenThePendingOp) {
         s.counter(uint64_t{2}).inc();
         C2SL_ASSERT(false);
       },
-      AllOf(HasSubstr("lane 0 (101 records, 0 dropped)"),
-            Not(HasSubstr("#36 ")),
-            ContainsRegex("#37 max_write[^\n]*\n    #38 max_write"),
-            ContainsRegex("#100 max_write[^\n]*\n    #101 counter_inc"
-                          "[^\n]*\\(pending\\)")));
+      AllOf(HasSubstr("lane 0 (110 slots, 0 dropped)"),
+            Not(HasSubstr("#45 ")), HasSubstr("#46 "),
+            ContainsRegex("#108 max_write[^\n]*\n    #109 counter_inc"
+                          "[^\n]*\n"),
+            ContainsRegex("tick=[0-9]+\n"),
+            Not(HasSubstr("(pending)"))));
 }
 
 #endif  // C2SL_CAPTURE

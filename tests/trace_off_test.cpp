@@ -61,13 +61,12 @@ constexpr bool off_capture_path_is_constant_evaluable() {
   // A lifecycle point event exactly as open/close/resize record one.
   trace.record_event(tlane, tel::TraceOp::kSessionOpen, -1, 0, 0, -1, -1);
   tel::LaneTrace standalone;
-  standalone.flush();  // the writer-side flush is part of the hot-path API
   // The assert hook's post-mortem.
   tel::dump_trace_tail(nullptr, trace, /*max_lanes=*/8);
 
   return tel::trace_now() == 0 && trace.lane(7) == nullptr &&
-         trace.peek_lane(0) == nullptr && standalone.begin_append() == nullptr &&
-         standalone.published() == 0 && standalone.dropped() == 0;
+         trace.peek_lane(0) == nullptr && standalone.published() == 0 &&
+         standalone.dropped() == 0;
 }
 
 static_assert(off_capture_path_is_constant_evaluable(),
@@ -89,12 +88,13 @@ TEST(TraceOff, DumpAndExportersReportDisabled) {
   EXPECT_NE(json.find("\"records_total\":0"), std::string::npos);
 }
 
-// The record struct keeps its one-cache-line layout in both flavours: a
-// trace file written by an ON build parses against the same struct shape
-// tools compiled OFF would assume.
+// The decoded record and the lane slot keep their layouts in both flavours:
+// a trace written by an ON build parses against the same struct shapes tools
+// compiled OFF would assume.
 TEST(TraceOff, RecordLayoutIsFlavourIndependent) {
   static_assert(sizeof(tel::TraceRecord) == 64);
   static_assert(std::is_trivially_copyable_v<tel::TraceRecord>);
+  static_assert(sizeof(tel::TraceSlot) == 32);
   tel::TraceRecord r;
   EXPECT_EQ(r.witness, -1);
 }

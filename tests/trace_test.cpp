@@ -1,30 +1,34 @@
 // Linearization-witness tracing, native verification (tools/trace_audit.py
 // carries the offline order proofs; this suite pins the CAPTURE layer):
 //
-//  1. RECORD LAYOUT: one record is one 64-byte cache line, and a committed
-//     record carries exactly what its TraceScope setters staged.
-//  2. OVERFLOW accounting: past LaneTrace::kCap appends never block and never
-//     tear — each is counted in `dropped`, published stays pinned at the cap,
+//  1. LAYOUT: a lane slot is 32 bytes and round-trips its packed fields, the
+//     decoded record is one 64-byte cache line, and a scope writes exactly
+//     what its setters staged, once, at destruction.
+//  2. DECODE: sampled ticks only widen intervals — each decoded [t0, t1]
+//     contains the op's true interval, point events stay points, and two ops
+//     with a stamped op between them keep their real-time precedence.
+//  3. OVERFLOW accounting: past LaneTrace::kCap appends never block and never
+//     tear — each dropped op is counted, published stays pinned at the cap,
 //     and the drain reports both (the auditor refuses lossy traces, so a
 //     dropped record can never silently pass an audit).
-//  3. DRAIN-WHILE-WRITING: a concurrent drain — full, tail-only, or of the
-//     pending record — sees only fully-written records (SPSC release/acquire
-//     publication; the TSAN job runs this test to certify the claimed
-//     data-race freedom).
-//  4. WITNESS plumbing on a live C2Store: every journal-facet op carries a
+//  4. DRAIN-WHILE-WRITING: a concurrent drain — decoded or a raw tail — sees
+//     only fully-written slots (SPSC release/acquire publication; the TSAN
+//     job runs this test to certify the claimed data-race freedom).
+//  5. WITNESS plumbing on a live C2Store: every journal-facet op carries a
 //     witness, witnesses are strictly increasing per lane in program order
 //     (strong linearizability's own-step property made visible), reads stay
 //     deliberately unwitnessed, transfers carry both buckets and their own
-//     ticket, resize events carry the epoch, and the exporter emits the
-//     documented c2sl-trace-v1 shape.
+//     ticket, epochs are lane events emitted once per change, and the
+//     exporter emits the documented c2sl-trace-v1 shape.
 //
-// Everything but the flavour-independent record checks needs the live layer,
+// Everything but the flavour-independent layout checks needs the live layer,
 // so a C2SL_CAPTURE=0 build compiles it out (tests/trace_off_test.cpp
 // covers that flavour).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +40,7 @@
 namespace c2sl {
 namespace {
 
-// --- 1. record layout --------------------------------------------------------
+// --- 1. layout ---------------------------------------------------------------
 
 TEST(TraceRecordTest, OneCacheLinePlainLayout) {
   static_assert(sizeof(tel::TraceRecord) == 64);
@@ -46,6 +50,22 @@ TEST(TraceRecordTest, OneCacheLinePlainLayout) {
   EXPECT_EQ(r.key_b, -1);
   EXPECT_EQ(r.witness, -1);
   EXPECT_EQ(r.epoch, -1);
+}
+
+TEST(TraceSlotTest, ThirtyTwoBytesWithPackedOpAndKeyB) {
+  static_assert(sizeof(tel::TraceSlot) == 32);
+  static_assert(std::is_trivially_copyable_v<tel::TraceSlot>);
+  static_assert(tel::TraceSlot::kMaxKeyB == (int32_t{1} << 24) - 1);
+  const uint32_t ops[] = {0, tel::kTraceOpCount - 1, tel::TraceSlot::kEpoch,
+                          tel::TraceSlot::kTick};
+  for (uint32_t op : ops) {
+    for (int32_t b : {-1, 0, tel::TraceSlot::kMaxKeyB}) {
+      tel::TraceSlot s;
+      s.head = tel::TraceSlot::pack(op, b);
+      EXPECT_EQ(s.op(), op);
+      EXPECT_EQ(s.key_b(), b);
+    }
+  }
 }
 
 TEST(TraceScopeTest, NullLaneIsInert) {
@@ -64,23 +84,21 @@ TEST(TraceScopeTest, CommitsExactlyWhatTheSettersStaged) {
     tr.set_key_b(11);
     tr.set_result(7);
     tr.set_witness(7);
+    EXPECT_EQ(lt->published(), 0u)
+        << "the scope writes its slot once, at destruction";
+  }
+  // The lane's first op is stamped: its tick slot, then its own.
+  EXPECT_EQ(lt->published(), 2u);
+  {
+    tel::TraceScope tr(lt, tel::TraceOp::kCounterInc, /*key=*/5, /*arg=*/1);
+    tr.set_witness(8);
     tr.set_epoch(2);
   }
-  // Single-tick capture: the record stays pending until the lane's next
-  // activity stamps its response; an explicit flush() is that activity here.
-  // Until then only pending() — the post-mortem view — sees it.
-  EXPECT_EQ(lt->published(), 0u);
-  tel::TraceRecord p;
-  ASSERT_EQ(lt->pending(p), 0);
-  EXPECT_EQ(p.op, static_cast<int32_t>(tel::TraceOp::kTransfer));
-  EXPECT_EQ(p.key_b, 11);
-  EXPECT_EQ(p.witness, 7);
-  lt->flush();
-  EXPECT_EQ(lt->pending(p), -1) << "a committed record is no longer pending";
-  ASSERT_EQ(lt->published(), 1u);
+  // No tick (one op in kTickPeriod is stamped), one epoch change.
+  EXPECT_EQ(lt->published(), 4u);
   tel::LaneTraceDump ld;
   lt->drain_into(ld);
-  ASSERT_EQ(ld.records.size(), 1u);
+  ASSERT_EQ(ld.records.size(), 2u);
   const tel::TraceRecord& r = ld.records[0];
   EXPECT_EQ(r.op, static_cast<int32_t>(tel::TraceOp::kTransfer));
   EXPECT_EQ(r.key, 3);
@@ -88,41 +106,112 @@ TEST(TraceScopeTest, CommitsExactlyWhatTheSettersStaged) {
   EXPECT_EQ(r.arg, 40);
   EXPECT_EQ(r.result, 7);
   EXPECT_EQ(r.witness, 7);
-  EXPECT_EQ(r.epoch, 2);
+  EXPECT_EQ(r.epoch, -1) << "transfers carry no epoch";
   EXPECT_GE(r.t1, r.t0);
+  const tel::TraceRecord& inc = ld.records[1];
+  EXPECT_EQ(inc.op, static_cast<int32_t>(tel::TraceOp::kCounterInc));
+  EXPECT_EQ(inc.key_b, -1);
+  EXPECT_EQ(inc.witness, 8);
+  EXPECT_EQ(inc.epoch, 2) << "the lane's epoch event decodes into the record";
+  EXPECT_EQ(inc.t0, r.t0) << "unstamped: the lane's last tick is its bound";
 }
 
-// --- 2. overflow drop accounting ---------------------------------------------
+TEST(TraceScopeTest, KeysRoundTripThroughTheSlot) {
+  tel::StoreTrace trace;
+  tel::LaneTrace* lt = trace.lane(0);
+  const int64_t keys[] = {-1, 0, INT32_MAX};
+  const int32_t keys_b[] = {-1, 0, tel::TraceSlot::kMaxKeyB};
+  for (int64_t key : keys) {
+    for (int32_t b : keys_b) {
+      tel::TraceScope tr(lt, tel::TraceOp::kTransfer, key, /*arg=*/1);
+      tr.set_key_b(b);
+    }
+  }
+  tel::LaneTraceDump ld;
+  lt->drain_into(ld);
+  ASSERT_EQ(ld.records.size(), 9u);
+  for (size_t i = 0; i < ld.records.size(); ++i) {
+    EXPECT_EQ(ld.records[i].key, keys[i / 3]);
+    EXPECT_EQ(ld.records[i].key_b, keys_b[i % 3]);
+  }
+}
+
+// --- 2. decode: sampled ticks only widen intervals ---------------------------
+
+TEST(LaneTraceTest, DecodedIntervalsContainTheTrueOnes) {
+  tel::StoreTrace trace;
+  tel::LaneTrace* lt = trace.lane(0);
+  constexpr int kK = tel::LaneTrace::kTickPeriod;
+  constexpr int kOps = 3 * kK + 5;
+  std::vector<int64_t> invoke, response;
+  for (int i = 0; i < kOps; ++i) {
+    if (i == kOps / 2) {  // a point event mid-stream stamps a tick of its own
+      trace.record_event(lt, tel::TraceOp::kSessionOpen, -1, 0, 0, -1, -1);
+    }
+    tel::TraceScope tr(lt, tel::TraceOp::kCounterRead, /*key=*/1, /*arg=*/0);
+    invoke.push_back(tel::trace_now());  // after the scope's invoke
+    tr.set_result(i);
+    response.push_back(tel::trace_now());  // before its response
+  }
+  tel::LaneTraceDump ld;
+  lt->drain_into(ld);
+  ASSERT_EQ(ld.records.size(), static_cast<size_t>(kOps) + 1);
+  std::vector<tel::TraceRecord> ops;
+  for (const tel::TraceRecord& r : ld.records) {
+    if (r.op == static_cast<int32_t>(tel::TraceOp::kSessionOpen)) {
+      EXPECT_EQ(r.t0, r.t1) << "point events stay points";
+    } else {
+      ops.push_back(r);
+    }
+  }
+  ASSERT_EQ(ops.size(), static_cast<size_t>(kOps));
+  for (int i = 0; i < kOps; ++i) {
+    EXPECT_EQ(ops[i].result, i);
+    EXPECT_LE(ops[i].t0, invoke[i]) << "op " << i;
+    EXPECT_GE(ops[i].t1, response[i]) << "op " << i;
+  }
+  // Among any kK consecutive ops one is stamped, so ops i and i + kK + 1
+  // have a tick between them: a's response bound is no later than it, b's
+  // invoke bound no earlier, and the precedence stays witnessed.
+  for (int i = 0, j = kK + 1; j < kOps; ++i, ++j) {
+    EXPECT_LE(ops[i].t1, ops[j].t0) << "ops " << i << " and " << j;
+  }
+}
+
+// --- 3. overflow drop accounting ---------------------------------------------
 
 TEST(LaneTraceTest, OverflowDropsWithCountNeverBlocks) {
   tel::StoreTrace trace;
   tel::LaneTrace* lt = trace.lane(0);
   constexpr uint64_t kExtra = 7;
-  for (uint64_t i = 0; i < tel::LaneTrace::kCap + kExtra; ++i) {
+  // Each point event takes two slots (its tick, then itself).
+  uint64_t events = 0;
+  while (lt->dropped() < kExtra) {
     trace.record_event(lt, tel::TraceOp::kCounterRead, /*key=*/1, /*arg=*/0,
-                       /*result=*/static_cast<int64_t>(i), /*witness=*/-1,
-                       /*epoch=*/-1);
+                       /*result=*/static_cast<int64_t>(events++),
+                       /*witness=*/-1, /*epoch=*/-1);
   }
+  static_assert(tel::LaneTrace::kCap % 2 == 0);
   EXPECT_EQ(lt->published(), tel::LaneTrace::kCap);
-  EXPECT_EQ(lt->dropped(), kExtra);
+  EXPECT_EQ(events, tel::LaneTrace::kCap / 2 + kExtra);
   tel::LaneTraceDump ld;
   lt->drain_into(ld);
-  EXPECT_EQ(ld.records.size(), tel::LaneTrace::kCap);
+  EXPECT_EQ(ld.records.size(), tel::LaneTrace::kCap / 2);
   EXPECT_EQ(ld.dropped, kExtra);
-  // The retained prefix is the FIRST kCap records, untorn.
+  // The retained prefix is the FIRST records, untorn.
   EXPECT_EQ(ld.records.front().result, 0);
   EXPECT_EQ(ld.records.back().result,
-            static_cast<int64_t>(tel::LaneTrace::kCap) - 1);
+            static_cast<int64_t>(tel::LaneTrace::kCap / 2) - 1);
 
   // The store-level dump carries the drop through to the exporters.
   tel::TraceDump d = trace.dump(/*max_lanes=*/1, /*initial_shards=*/16);
   ASSERT_EQ(d.lanes.size(), 1u);
   EXPECT_EQ(d.lanes[0].dropped, kExtra);
   std::string json = tel::trace_to_json(d, "trace_test");
-  EXPECT_NE(json.find("\"dropped_total\":7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dropped_total\":7"), std::string::npos);
 }
 
-// --- 3. drain while writing (the TSAN certificate) ---------------------------
+// --- 4. drain while writing (the TSAN certificate) ---------------------------
 
 TEST(LaneTraceTest, ConcurrentDrainSeesOnlyPublishedRecords) {
   tel::StoreTrace trace;
@@ -135,12 +224,11 @@ TEST(LaneTraceTest, ConcurrentDrainSeesOnlyPublishedRecords) {
       tel::TraceScope tr(lt, tel::TraceOp::kCounterInc, /*key=*/2, /*arg=*/1);
       tr.set_witness(i);
       tr.set_result(i);
-    }
-    lt->flush();  // commit the last pending record before signalling done
+    }  // each scope publishes at destruction: nothing left to flush
     done.store(true, std::memory_order_release);
   });
 
-  uint64_t last_seen = 0;
+  size_t last_seen = 0;
   while (!done.load(std::memory_order_acquire)) {
     tel::LaneTraceDump ld;
     lt->drain_into(ld);
@@ -152,28 +240,46 @@ TEST(LaneTraceTest, ConcurrentDrainSeesOnlyPublishedRecords) {
       ASSERT_EQ(ld.records[i].witness, static_cast<int64_t>(i));
       ASSERT_GE(ld.records[i].t1, ld.records[i].t0);
     }
-    // The post-mortem reads: a tail-only drain starts at the right index,
-    // and the pending record, when one is staged, is the op after the last
-    // published one (witness == lane index here).
-    tel::LaneTraceDump tail;
-    uint64_t first = lt->drain_into(tail, /*tail=*/8);
-    ASSERT_LE(tail.records.size(), 8u);
-    for (size_t i = 0; i < tail.records.size(); ++i) {
-      ASSERT_EQ(tail.records[i].witness, static_cast<int64_t>(first + i));
-    }
-    tel::TraceRecord p;
-    int64_t at = lt->pending(p);
-    if (at >= 0) {
-      ASSERT_EQ(p.witness, at);
-      ASSERT_EQ(p.result, at);
+    // The post-mortem read: a raw tail starts at the right index and holds
+    // consecutive ops between its tick slots.
+    std::vector<tel::TraceSlot> tail;
+    uint64_t first = lt->copy_slots(tail, /*tail=*/8);
+    ASSERT_LE(tail.size(), 8u);
+    ASSERT_LE(first + tail.size(), lt->published());
+    int64_t prev = -1;
+    for (const tel::TraceSlot& s : tail) {
+      if (s.op() == tel::TraceSlot::kTick) continue;
+      ASSERT_EQ(s.op(), static_cast<uint32_t>(tel::TraceOp::kCounterInc));
+      ASSERT_EQ(s.result, s.witness);
+      if (prev >= 0) {
+        ASSERT_EQ(s.witness, prev + 1);
+      }
+      prev = s.witness;
     }
   }
   writer.join();
-  EXPECT_EQ(lt->published(), static_cast<uint64_t>(kWrites));
+  constexpr int64_t kTicks =
+      (kWrites + tel::LaneTrace::kTickPeriod - 1) / tel::LaneTrace::kTickPeriod;
+  EXPECT_EQ(lt->published(), static_cast<uint64_t>(kWrites + kTicks))
+      << "one tick slot per kTickPeriod ops, the first op included";
   EXPECT_EQ(lt->dropped(), 0u);
+  tel::LaneTraceDump ld;
+  lt->drain_into(ld);
+  EXPECT_EQ(ld.records.size(), static_cast<size_t>(kWrites));
 }
 
-// --- 4. witness plumbing on a live store -------------------------------------
+/// The epoch slots of lane 0, in order.
+std::vector<int64_t> epoch_events(const svc::C2Store& store) {
+  std::vector<tel::TraceSlot> slots;
+  store.trace().peek_lane(0)->copy_slots(slots);
+  std::vector<int64_t> epochs;
+  for (const tel::TraceSlot& s : slots) {
+    if (s.op() == tel::TraceSlot::kEpoch) epochs.push_back(s.arg);
+  }
+  return epochs;
+}
+
+// --- 5. witness plumbing on a live store -------------------------------------
 
 struct StoreTraceFixture {
   svc::C2StoreConfig cfg;
@@ -186,13 +292,18 @@ struct StoreTraceFixture {
 TEST(StoreTraceTest, JournalOpsCarryStrictlyIncreasingWitnessesPerLane) {
   StoreTraceFixture f;
   svc::C2Store store(f.cfg);
+  int64_t resize_epoch = -1;
   {
     svc::C2Session s = store.open_session();
     svc::CounterRef c = s.counter(uint64_t{1});
     svc::MaxRef m = s.max(uint64_t{2});
-    for (int i = 0; i < 8; ++i) {
+    // Eight rounds under epoch 0, a resize on this lane, eight rounds after.
+    for (int i = 0; i < 16; ++i) {
+      if (i == 8) {
+        ASSERT_EQ(s.resize(8), svc::ResizeStatus::kInstalled);
+      }
       c.inc();
-      m.write(i);
+      m.write(i / 2);  // within the fixture's max_value
       c.read();  // unwitnessed read between journal ops
       m.read();
     }
@@ -205,22 +316,34 @@ TEST(StoreTraceTest, JournalOpsCarryStrictlyIncreasingWitnessesPerLane) {
   int journal_ops = 0;
   for (const tel::TraceRecord& r : d.lanes[0].records) {
     auto op = static_cast<tel::TraceOp>(r.op);
-    if (op == tel::TraceOp::kCounterInc || op == tel::TraceOp::kMaxWrite) {
+    if (op == tel::TraceOp::kResize) {
+      resize_epoch = r.epoch;
+      EXPECT_GT(r.witness, prev_witness) << "the resize marker's ticket";
+      prev_witness = r.witness;
+    } else if (op == tel::TraceOp::kCounterInc ||
+               op == tel::TraceOp::kMaxWrite) {
       EXPECT_GE(r.witness, 0) << "journal op without a witness";
       EXPECT_GT(r.witness, prev_witness)
           << "per-lane witness order must be strict: program order on one "
              "lane IS real-time order";
       prev_witness = r.witness;
-      EXPECT_GE(r.epoch, 0);
+      // Writes before the resize decode epoch 0, the ones after it the
+      // epoch the resize published.
+      EXPECT_EQ(r.epoch, journal_ops < 16 ? 0 : resize_epoch);
       ++journal_ops;
     } else if (op == tel::TraceOp::kCounterRead ||
                op == tel::TraceOp::kMaxRead) {
       EXPECT_EQ(r.witness, -1) << "plain reads are deliberately unwitnessed";
+      EXPECT_EQ(r.epoch, -1) << "reads carry no epoch";
     }
   }
-  EXPECT_EQ(journal_ops, 16);
-  // The journal issued exactly the tickets the trace shows: 0..15 dense.
-  EXPECT_EQ(prev_witness, 15);
+  EXPECT_GT(resize_epoch, 0);
+  EXPECT_EQ(journal_ops, 32);
+  // The journal issued exactly the tickets the trace shows: 0..32 dense, the
+  // resize marker's among them.
+  EXPECT_EQ(prev_witness, 32);
+  // One epoch event per change: 0 at the first write, then the resize's.
+  EXPECT_EQ(epoch_events(store), (std::vector<int64_t>{0, resize_epoch}));
 }
 
 TEST(StoreTraceTest, TransfersCarryBothBucketsAndTheirOwnTicket) {
@@ -283,13 +406,16 @@ TEST(StoreTraceTest, SessionLifecycleAndResizeAreTracedAsEvents) {
     svc::C2Session s = store.open_session();
     svc::CounterRef c = s.counter(uint64_t{1});
     c.inc();
+    c.inc();
     EXPECT_EQ(s.resize(8), svc::ResizeStatus::kInstalled);
+    c.inc();
     c.inc();
     s.close();
   }
   tel::TraceDump d = store.trace_dump();
   ASSERT_EQ(d.lanes.size(), 1u);
   int opens = 0, closes = 0, resizes = 0;
+  int64_t epoch = 0;  // the epoch the next inc must decode
   for (const tel::TraceRecord& r : d.lanes[0].records) {
     switch (static_cast<tel::TraceOp>(r.op)) {
       case tel::TraceOp::kSessionOpen:
@@ -298,12 +424,18 @@ TEST(StoreTraceTest, SessionLifecycleAndResizeAreTracedAsEvents) {
         break;
       case tel::TraceOp::kSessionClose:
         ++closes;
+        EXPECT_EQ(r.t0, r.t1) << "lifecycle records are point events";
         break;
       case tel::TraceOp::kResize:
         ++resizes;
+        EXPECT_EQ(r.t0, r.t1) << "a resize is a point event";
         EXPECT_EQ(r.arg, 8) << "new shard count";
         EXPECT_GE(r.witness, 0) << "the kResize journal marker is the witness";
         EXPECT_GT(r.epoch, 0) << "the freshly published epoch";
+        epoch = r.epoch;
+        break;
+      case tel::TraceOp::kCounterInc:
+        EXPECT_EQ(r.epoch, epoch) << "0 before the resize, its epoch after";
         break;
       default:
         break;
@@ -312,6 +444,9 @@ TEST(StoreTraceTest, SessionLifecycleAndResizeAreTracedAsEvents) {
   EXPECT_EQ(opens, 1);
   EXPECT_EQ(closes, 1);
   EXPECT_EQ(resizes, 1);
+  // Exactly one epoch event per change: the first inc's 0, then the
+  // resize's; open, close and the incs after the resize emit none.
+  EXPECT_EQ(epoch_events(store), (std::vector<int64_t>{0, epoch}));
 }
 
 TEST(StoreTraceTest, AggregateReadsWitnessTheDigestValue) {
