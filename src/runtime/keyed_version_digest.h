@@ -54,8 +54,15 @@
 // each deposit is one store, not an RMW, so the contended word is the tail.
 //
 // Growth: the journal is unbounded (one cell per keyed write, two per wide
-// transfer). Truncation below the slowest session cursor is the ROADMAP
-// follow-up; sessions keep replay cursors so that becomes a local change.
+// transfer). A cell is a plain word reached through Mem::ref, so a native
+// segment is calloc'd zero pages: publishing one costs one allocation, and
+// only the pages under written cells are resident. The appender that takes
+// the first ticket of an 8192-cell chunk prefaults the chunk two ahead after
+// its deposit (SegmentedArray::populate; no value changes, so the checker
+// has no step for it), which keeps first-touch page faults off the tickets
+// that replayers wait on. Truncation below the slowest session cursor is the
+// ROADMAP follow-up; sessions keep replay cursors so that becomes a local
+// change.
 #pragma once
 
 #include <cstdint>
@@ -187,7 +194,13 @@ template <typename Mem>
 class BasicKeyedVersionDigest : public JournalCodec {
  public:
   /// One journal cell: an entry's packed word, or a wide transfer's amount.
-  using Cell = typename Mem::template Word<uint64_t>;
+  /// A RefWord (a plain word natively), so a journal segment is zero pages
+  /// until its cells are written.
+  using Cell = typename Mem::template RefWord<uint64_t>;
+  /// Tickets per prefault chunk (64 KiB of cells), and how many chunks
+  /// ahead of the tail the prefault runs (header comment).
+  static constexpr int64_t kPrefaultChunk = 8192;
+  static constexpr int64_t kPrefaultAhead = 2;
 
   BasicKeyedVersionDigest() = default;
 
@@ -204,6 +217,14 @@ class BasicKeyedVersionDigest : public JournalCodec {
     const int64_t t = tail_.fetch_add(e.cells, std::memory_order_seq_cst);
     if (e.cells == 2) deposit(t + 1, static_cast<uint64_t>(v));  // never 0
     deposit(t, e.header);
+    // The entry that holds a chunk's first ticket prefaults the chunk
+    // kPrefaultAhead further on, after its own deposit, so appenders (and
+    // the replayers waiting on their tickets) rarely take a page fault.
+    const int64_t last = t + e.cells - 1;
+    if (last % kPrefaultChunk < e.cells) {
+      const int64_t ahead = last / kPrefaultChunk + kPrefaultAhead;
+      cells_.populate(static_cast<size_t>(ahead * kPrefaultChunk), kPrefaultChunk);
+    }
     return t;
   }
 
@@ -237,7 +258,8 @@ class BasicKeyedVersionDigest : public JournalCodec {
   void deposit(int64_t ticket, uint64_t w) {
     // c2sl-atomic: store release — entry publish: a replayer's acquire load
     // of the header carries visibility of everything the entry holds
-    cells_.cell(static_cast<size_t>(ticket)).store(w, std::memory_order_release);
+    Mem::ref(cells_.cell(static_cast<size_t>(ticket)))
+        .store(w, std::memory_order_release);
   }
 
   uint64_t await(int64_t ticket) {
@@ -245,13 +267,13 @@ class BasicKeyedVersionDigest : public JournalCodec {
     uint64_t m;
     // c2sl-atomic: load acquire — deposit-publication spin; pairs with the
     // release store in deposit
-    while ((m = c.load(std::memory_order_acquire)) == 0) {
+    while ((m = Mem::ref(c).load(std::memory_order_acquire)) == 0) {
     }
     return m;
   }
 
-  /// Cells start at 0 (not deposited): SegmentedArray value-initialises
-  /// every segment.
+  /// Cells start at 0 (not deposited): a native segment is calloc'd zero
+  /// pages, a SimMem cell a word constructed at 0.
   typename Mem::template Array<Cell> cells_;
   typename Mem::template Word<int64_t> tail_{0};
 };

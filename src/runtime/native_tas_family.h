@@ -213,8 +213,9 @@ class BasicFetchIncrement {
 using NativeFetchIncrement = BasicFetchIncrement<NativeMem>;
 
 namespace detail {
-/// The set's item cell with the right initial state for value-initialised
-/// segment construction (SegmentedArray news segments with `new T[n]()`).
+/// The set's item cell. Its initial state is kEmpty (INT64_MIN), not zero
+/// bytes, so its segments are not zero pages: SegmentedArray value-initialises
+/// them with `new T[n]()`, and each segment is resident in full.
 template <typename Mem>
 struct SetItemCell {
   typename Mem::template Word<int64_t> v{INT64_MIN};  // kEmpty

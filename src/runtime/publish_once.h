@@ -13,11 +13,11 @@
 //         claim → construct → publish → (on throw) poison; losers spin
 //
 //     The claim winner CONSTRUCTS FIRST and PUBLISHES SECOND with a release
-//     pointer store; losers spin on the pointer (the winner is at most a few
-//     stores away). Readers that must not allocate call peek(): one acquire
-//     load, never constructs, nullptr until the publish. It is written once
-//     over a memory policy `Mem` (runtime/native_mem.h); PublishOnce<T> is
-//     the NativeMem instantiation.
+//     pointer store; losers spin on the pointer for as long as `make` runs.
+//     Readers that must not allocate call peek(): one acquire load, never
+//     constructs, nullptr until the publish. It is written once over a
+//     memory policy `Mem` (runtime/native_mem.h); PublishOnce<T> is the
+//     NativeMem instantiation.
 //
 // The init-before-publish order is load-bearing, not style: publishing first
 // would let a concurrent reader observe uninitialised state (garbage that can
@@ -77,9 +77,11 @@ static_assert(std::atomic<uint8_t>::is_always_lock_free,
               "the one-byte cell needs a lock-free hardware exchange");
 
 /// A T (or, for T = U[], an array of U) created once on first use and owned
-/// by the cell. `Align` pads the cell so neighbouring cells in an array do not
-/// share a cache line (the publication writes stay private to one line).
-template <typename Mem, typename T, size_t Align = 64>
+/// by the cell, which frees it with `Delete`. `Align` pads the cell so
+/// neighbouring cells in an array do not share a cache line (the publication
+/// writes stay private to one line).
+template <typename Mem, typename T, size_t Align = 64,
+          typename Delete = std::default_delete<T>>
 class alignas(Align) BasicPublishOnce {
  public:
   using Elem = std::remove_extent_t<T>;
@@ -89,7 +91,7 @@ class alignas(Align) BasicPublishOnce {
   BasicPublishOnce& operator=(const BasicPublishOnce&) = delete;
   ~BasicPublishOnce() {
     // c2sl-atomic: load relaxed — destructor runs single-threaded by contract
-    std::default_delete<T>{}(obj_.load(std::memory_order_relaxed));
+    Delete{}(obj_.load(std::memory_order_relaxed));
   }
 
   /// The published object, or nullptr. Never constructs. A nullptr means
@@ -102,8 +104,8 @@ class alignas(Align) BasicPublishOnce {
   }
 
   /// The published object, constructed by `make` (returning
-  /// std::unique_ptr<T>) if this call wins the claim. Only the winner runs
-  /// `make`; losers spin until it publishes.
+  /// std::unique_ptr<T, Delete>) if this call wins the claim. Only the winner
+  /// runs `make`; losers spin until it publishes.
   template <typename Make>
   Elem* get(Make&& make) {
     if (Elem* p = peek()) return p;
@@ -116,7 +118,7 @@ class alignas(Align) BasicPublishOnce {
     if (claim_.test_and_set() == 0) {
       // Claim won: construct, THEN publish. Swapping these two steps is the
       // pinned-broken variant — see the header comment.
-      std::unique_ptr<T> built;
+      std::unique_ptr<T, Delete> built;
       try {
         built = make();
       } catch (...) {
@@ -148,7 +150,7 @@ class alignas(Align) BasicPublishOnce {
   Word<Elem*> obj_{nullptr};     // owning; published by a register write
 };
 
-template <typename T, size_t Align = 64>
-using PublishOnce = BasicPublishOnce<NativeMem, T, Align>;
+template <typename T, size_t Align = 64, typename Delete = std::default_delete<T>>
+using PublishOnce = BasicPublishOnce<NativeMem, T, Align, Delete>;
 
 }  // namespace c2sl::rt

@@ -8,8 +8,12 @@
 //     scheduled fiber (a scenario's setup) takes no step. wait(old) is one
 //     step the scheduler offers only once the word differs from `old`
 //     (futex semantics); notify_one() is none, the change itself unblocks.
+//   * RefWord<T>: the same SimWord, and ref(w) returns it, so code written
+//     as Mem::ref(w).load(order) runs each access as one step here.
 //   * Array<T>: the paper's infinite array. cell(i) and peek(i) take no step
-//     (there is no spine), cells start value-initialised, peek is never null.
+//     (there is no spine), cells start in their initial state (a SimWord
+//     cell at 0), peek is never null. populate() is nothing: the native
+//     prefault changes no cell's value.
 //
 // A word's value lives in the word, not in a World: the explorer replays each
 // configuration from the scenario's start, so a word needs only its gate.
@@ -102,6 +106,7 @@ class SimArray {
     while (cells_.size() <= i) cells_.emplace_back();  // no reallocation
     return &cells_[i];
   }
+  void populate(size_t, size_t) {}
 
  private:
   mutable std::deque<T> cells_;
@@ -110,6 +115,12 @@ class SimArray {
 struct SimMem {
   template <typename T>
   using Word = SimWord<T>;
+  template <typename T>
+  using RefWord = SimWord<T>;
+  template <typename T>
+  static SimWord<T>& ref(SimWord<T>& w) {
+    return w;
+  }
   template <typename T>
   using Array = SimArray<T>;
 };

@@ -3,6 +3,7 @@
 // histories and semantic invariant checks at higher volume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -577,6 +578,126 @@ TEST(KeyedVersionDigest, ConcurrentWideTransfersReplayConsistently) {
   EXPECT_EQ(got, total);
   EXPECT_EQ(j.tickets_issued(), cursor);
   EXPECT_GT(cursor, int64_t{appenders} * per_thread);  // some were wide
+}
+
+// Three appenders mix increments, max writes and inline and wide transfers
+// across several prefault chunks and a segment boundary, so appenders
+// prefault chunks while others deposit into them and a replayer follows the
+// tail. Every replayed entry decodes to an appended kind between real
+// buckets, at every tail the balances sum to the increments replayed, and
+// the final replay equals the appended per-bucket totals.
+TEST(KeyedVersionDigest, ConcurrentAppendsAcrossPrefaultChunksReplayConsistently) {
+  using Arr = rt::SegmentedArray<Journal::Cell>;
+  const int appenders = 3;
+  const int per_thread = 12000;
+  const int buckets = 32;
+  const int segment = 9;  // starts at ticket 32,704, inside chunk 3
+  Journal j;
+  struct Totals {
+    std::vector<int64_t> balance = std::vector<int64_t>(buckets, 0);
+    std::vector<int64_t> max = std::vector<int64_t>(buckets, 0);
+    int64_t incs = 0;
+  };
+  std::vector<Totals> want(appenders);
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < appenders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9300 + static_cast<uint64_t>(t));
+      Totals& w = want[static_cast<size_t>(t)];
+      for (int i = 0; i < per_thread; ++i) {
+        const int a = static_cast<int>(rng.next_below(buckets));
+        const int b = static_cast<int>(rng.next_below(buckets));
+        const size_t ua = static_cast<size_t>(a);
+        switch (rng.next_below(4)) {
+          case 0:
+            j.append(JKind::kCounterInc, a, 0, 1);
+            ++w.balance[ua];
+            ++w.incs;
+            break;
+          case 1: {
+            const int64_t v = rng.next_in(int64_t{0}, Journal::kMaxValue);
+            j.append(JKind::kMaxWrite, a, 0, v);
+            w.max[ua] = std::max(w.max[ua], v);
+            break;
+          }
+          default: {
+            const int64_t v =
+                rng.next_bool(0.5)
+                    ? rng.next_in(Journal::kInlineMin, Journal::kInlineMax)
+                    : rng.next_in(int64_t{4097}, int64_t{1} << 40);
+            j.append(JKind::kTransfer, a, b, v);
+            w.balance[ua] -= v;
+            w.balance[static_cast<size_t>(b)] += v;
+          }
+        }
+      }
+      done.fetch_add(1);
+    });
+  }
+  Totals got;
+  int64_t cursor = 0;
+  // Returns the first violation; the appenders are joined before reporting.
+  auto replay = [&]() -> std::string {
+    bool last = false;
+    while (!last) {
+      last = done.load() == appenders;  // read before the tail: final pass
+      const int64_t tail = j.version();
+      Journal::EntryView e{};
+      for (int64_t c = cursor; c < tail; c += e.cells) {
+        e = j.entry(c);
+        if (e.shard_a >= buckets || e.shard_b >= buckets) {
+          return "ticket " + std::to_string(c) + " names no real bucket";
+        }
+        const size_t ua = static_cast<size_t>(e.shard_a);
+        switch (e.kind) {
+          case JKind::kCounterInc:
+            ++got.balance[ua];
+            ++got.incs;
+            break;
+          case JKind::kMaxWrite:
+            got.max[ua] = std::max(got.max[ua], e.v);
+            break;
+          case JKind::kTransfer:
+            got.balance[ua] -= e.v;
+            got.balance[static_cast<size_t>(e.shard_b)] += e.v;
+            break;
+          default:
+            return "ticket " + std::to_string(c) + " is not an appended kind";
+        }
+        cursor = c + e.cells;
+      }
+      if (cursor != tail) {
+        return "a wide entry straddled tail " + std::to_string(tail);
+      }
+      int64_t sum = 0;
+      for (int64_t x : got.balance) sum += x;
+      if (sum != got.incs) {
+        return "balances sum to " + std::to_string(sum) + " after " +
+               std::to_string(got.incs) + " increments";
+      }
+    }
+    return "";
+  };
+  std::string err = replay();
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(err, "");
+  Totals total;
+  for (const Totals& w : want) {
+    for (size_t k = 0; k < static_cast<size_t>(buckets); ++k) {
+      total.balance[k] += w.balance[k];
+      total.max[k] = std::max(total.max[k], w.max[k]);
+    }
+    total.incs += w.incs;
+  }
+  EXPECT_EQ(got.balance, total.balance);
+  EXPECT_EQ(got.max, total.max);
+  EXPECT_EQ(got.incs, total.incs);
+  EXPECT_EQ(j.tickets_issued(), cursor);
+  // The run crossed the chunks and the segment boundary it is meant to.
+  EXPECT_GT(cursor, 4 * Journal::kPrefaultChunk);
+  EXPECT_GT(cursor, static_cast<int64_t>(Arr::segment_start(segment)));
+  EXPECT_LT(Arr::segment_start(segment), size_t{4} * Journal::kPrefaultChunk);
 }
 
 }  // namespace

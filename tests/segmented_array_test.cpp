@@ -22,9 +22,18 @@
 //     releases than any retired recycle capacity allowed — the acceptance
 //     criterion for deleting `lane_recycle_capacity` — and stays fast doing
 //     it (the verified-taken-prefix hint keeps each cycle O(1) amortized).
+//  6. Zero pages: a segment of plain word cells comes from calloc, so
+//     publishing a large one by writing one cell leaves its other pages
+//     non-resident, every cell still reads 0, and populate() prefaults
+//     pages without changing a value or publishing a segment.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -245,6 +254,102 @@ TEST(C2Session, StoreSurvivesUnboundedSessionChurn) {
   }
   svc::C2Session s = store.open_session();
   EXPECT_EQ(s.counter("churn").read(), (cycles + 1023) / 1024);
+}
+
+// --- 6. zero pages -----------------------------------------------------------
+
+// The sanitizers replace glibc's allocator, so where a large calloc lands
+// (and what it makes resident) is theirs to decide: the tests below keep
+// their value checks there and drop only the resident-memory assertions.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kGlibcAllocator = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kGlibcAllocator = false;
+#else
+constexpr bool kGlibcAllocator = true;
+#endif
+#else
+constexpr bool kGlibcAllocator = true;
+#endif
+
+/// Resident bytes of this process (the second field of /proc/self/statm).
+int64_t resident_bytes() {
+  long pages = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr || std::fscanf(f, "%*s %ld", &pages) != 1) pages = -1;
+  if (f != nullptr) std::fclose(f);
+  return static_cast<int64_t>(pages) * sysconf(_SC_PAGESIZE);
+}
+
+using Words = rt::SegmentedArray<uint64_t>;
+static_assert(Words::kZeroPages, "a plain word segment is zero pages");
+static_assert(!rt::SegmentedArray<rt::NativeReadableTAS>::kZeroPages &&
+                  !rt::SegmentedArray<ThrowingCell>::kZeroPages,
+              "cells with a constructor stay value-initialised");
+
+// Segment 17 is 64 MiB of words, above glibc's 32 MiB maximum mmap
+// threshold, so its calloc is always fresh zero-fill-on-demand pages.
+constexpr int kBigSegment = 17;
+static_assert(Words::segment_size(kBigSegment) * sizeof(uint64_t) >
+                  (size_t{32} << 20),
+              "the segment must be mmap'd whatever the malloc threshold");
+
+TEST(SegmentedArray, UnwrittenZeroPageSegmentCostsNoMemory) {
+  Words arr;
+  const size_t first = Words::segment_start(kBigSegment);
+  const size_t last = Words::segment_last(kBigSegment);
+  const size_t middle = first + (last - first) / 2;
+  const int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  arr.cell(first + 4097) = 7;  // publishes the segment
+  const int64_t grown = resident_bytes() - before;
+  if (kGlibcAllocator) {
+    EXPECT_LT(grown, int64_t{4} << 20)
+        << "publishing a 64 MiB segment made " << grown << " bytes resident";
+  }
+  EXPECT_EQ(arr.segments_published(), 1);
+  for (size_t i : {first, middle, last}) {
+    ASSERT_NE(arr.peek(i), nullptr) << i;
+    EXPECT_EQ(*arr.peek(i), 0u) << i;
+    EXPECT_EQ(arr.cell(i), 0u) << i;
+  }
+  EXPECT_EQ(arr.cell(first + 4097), 7u);
+}
+
+/// Whether this kernel prefaults with MADV_POPULATE_WRITE (Linux 5.14+).
+bool kernel_populates() {
+  const long page = sysconf(_SC_PAGESIZE);
+  void* p = mmap(nullptr, static_cast<size_t>(page), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return false;
+  const bool ok = madvise(p, static_cast<size_t>(page), MADV_POPULATE_WRITE) == 0;
+  munmap(p, static_cast<size_t>(page));
+  return ok;
+}
+
+TEST(SegmentedArray, PopulatePrefaultsWithoutWritingOrPublishing) {
+  Words arr;
+  const size_t first = Words::segment_start(kBigSegment);
+  arr.cell(first + 1) = 11;
+  arr.cell(first + 9000) = 12;
+  const size_t cells = size_t{1} << 20;  // 8 MiB of cells
+  const int64_t before = resident_bytes();
+  arr.populate(first, cells);
+  const int64_t grown = resident_bytes() - before;
+  if (kGlibcAllocator && kernel_populates()) {
+    EXPECT_GT(grown, int64_t{6} << 20)
+        << "populate made only " << grown << " bytes resident";
+  }
+  EXPECT_EQ(arr.cell(first), 0u);
+  EXPECT_EQ(arr.cell(first + 1), 11u);
+  EXPECT_EQ(arr.cell(first + 9000), 12u);
+  EXPECT_EQ(arr.cell(first + cells - 1), 0u);
+  // A range that runs into unpublished segments leaves them unpublished.
+  arr.populate(Words::segment_last(kBigSegment) - 10, 1000);
+  arr.populate(0, 1000);
+  EXPECT_EQ(arr.segments_published(), 1);
+  EXPECT_EQ(arr.peek(0), nullptr);
 }
 
 }  // namespace

@@ -248,6 +248,57 @@ class RepoRulesTest(unittest.TestCase):
             "}\n")
         self.assertEqual(self._findings("annotation"), [])
 
+    def test_forwarded_memory_order_fails(self):
+        # An order-forwarding wrapper: the audit cannot read `o`, so the site
+        # is a finding whatever its annotation claims, also where annotations
+        # are optional. A ternary over two literals is not a literal either.
+        self.repo.write(
+            "src/runtime/fwd.h",
+            "template <typename W>\n"
+            "uint64_t load_with(W& w, std::memory_order o) {\n"
+            "  // c2sl-atomic: load acquire — forwarded order\n"
+            "  return w.load(o);\n"
+            "}\n"
+            "void put(W& w, uint64_t v, bool fast) {\n"
+            "  // c2sl-atomic: store release — chosen order\n"
+            "  w.store(v, fast ? std::memory_order_relaxed\n"
+            "                  : std::memory_order_release);\n"
+            "}\n")
+        self.repo.write("src/util/fwd.h",
+                        "void bump(W& w, std::memory_order o) {\n"
+                        "  w.fetch_add(1, o);\n"
+                        "}\n")
+        findings = self._findings("annotation")
+        self.assertEqual(sorted((f.file, f.line) for f in findings),
+                         [("src/runtime/fwd.h", 4), ("src/runtime/fwd.h", 8),
+                          ("src/util/fwd.h", 2)])
+        for f in findings:
+            self.assertIn("not a std::memory_order literal", f.message)
+
+    def test_literal_orders_through_atomic_ref_pass(self):
+        # The journal's shape: a plain cell reached through a Mem accessor,
+        # each access with its literal order.
+        self.repo.write(
+            "src/runtime/ref.h",
+            "void deposit(uint64_t& c, uint64_t w) {\n"
+            "  // c2sl-atomic: store release — publish\n"
+            "  Mem::ref(c).store(w, std::memory_order::release);\n"
+            "  // c2sl-atomic: load acquire — spin\n"
+            "  while (Mem::ref(c).load(memory_order_acquire) == 0) {}\n"
+            "}\n")
+        self.assertEqual(self._findings("annotation"), [])
+
+    def test_cas_through_atomic_ref_fails(self):
+        self.repo.write(
+            "src/runtime/ref_cas.h",
+            "bool claim(uint64_t& w, uint64_t e) {\n"
+            "  return std::atomic_ref<uint64_t>(w).compare_exchange_strong(\n"
+            "      e, 1, std::memory_order_acq_rel);\n"
+            "}\n")
+        findings = self._findings("no-cas")
+        self.assertEqual([(f.line, f.message.split("'")[1]) for f in findings],
+                         [(2, "compare_exchange_strong")])
+
     def test_overclaiming_annotation_fails(self):
         self.repo.write("src/runtime/over.h",
                         "// c2sl-atomic: load seq_cst, load seq_cst — two?\n"
@@ -393,6 +444,26 @@ class ScannerDetailTest(unittest.TestCase):
                 [(s.symbol, s.op, s.order) for s in sites],
                 [("c2sl::rt::HandoffQueue::enqueue", "fetch_add", "seq_cst"),
                  ("c2sl::rt::HandoffQueue::peek", "load", "acquire")])
+        finally:
+            repo.cleanup()
+
+    def test_order_extraction_reads_only_literals_in_order_position(self):
+        repo = TempRepo()
+        try:
+            path = repo.write(
+                "src/runtime/ord.h",
+                "a.load(o);\n"
+                "b.store(f(std::memory_order_relaxed));\n"
+                "c.exchange(1, std::memory_order_acq_rel);\n"
+                "d.compare_exchange_weak(e, 1, std::memory_order_release,\n"
+                "                        std::memory_order_relaxed);\n"
+                "g.compare_exchange_weak(e, 1, std::memory_order_release, o);\n")
+            sites, _, _, _, _ = scan_file(path, repo.root)
+            self.assertEqual([(s.op, s.order) for s in sites],
+                             [("load", "non-literal"), ("store", "seq_cst"),
+                              ("exchange", "acq_rel"),
+                              ("compare_exchange", "release"),
+                              ("compare_exchange", "non-literal")])
         finally:
             repo.cleanup()
 

@@ -19,6 +19,9 @@ Rule 2 — annotation audit: every atomic site under src/runtime/,
          tas/swap ⇔ exchange, ...) and whose claimed order equals the memory
          order the code actually passes (C++ default seq_cst when absent).
          Annotations anywhere else are optional but validated when present.
+         Anywhere under src/, an order argument that is not a
+         std::memory_order literal (a forwarded parameter, a ternary) is a
+         finding: the audit could only guess such an order.
 
 Rule 3 — inventory drift: the machine-generated atomics inventory
          (tools/atomics_inventory.json) must match a fresh scan exactly;
@@ -38,7 +41,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .scanner import ASM_SUFFIXES, OP_TO_KINDS, RMW_OPS, scan_tree
+from .scanner import ASM_SUFFIXES, NON_LITERAL, OP_TO_KINDS, RMW_OPS, scan_tree
 
 INVENTORY_SCHEMA = "c2sl-atomics-v1"
 
@@ -135,6 +138,12 @@ def check_annotations(scans, annotated_dirs=ANNOTATED_DIRS):
                     "(only fetch_add / exchange / load / store / wait-notify "
                     "are allowed on decision paths)"))
                 continue
+            if s.order == NON_LITERAL:
+                findings.append(Finding(
+                    "annotation", rel, s.line,
+                    f"atomic site '{s.op}' in {s.symbol or '<file scope>'} "
+                    "passes a memory order that is not a std::memory_order "
+                    "literal; write the order at the call site"))
             if not s.kind:
                 if must_annotate:
                     findings.append(Finding(
@@ -148,7 +157,7 @@ def check_annotations(scans, annotated_dirs=ANNOTATED_DIRS):
                     "annotation", rel, s.line,
                     f"annotation claims kind '{s.kind}' but the code performs "
                     f"'{s.op}' (allowed kinds: {', '.join(allowed)})"))
-            if s.ann_order != s.order:
+            if s.ann_order != s.order and s.order != NON_LITERAL:
                 findings.append(Finding(
                     "annotation", rel, s.line,
                     f"annotation claims memory order '{s.ann_order}' but the "

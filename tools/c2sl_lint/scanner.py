@@ -8,7 +8,10 @@ site the scanner records:
   * file / line / enclosing symbol (namespace::Class::method, best effort via
     a brace-matching scope tracker — exact for this codebase's style);
   * the operation name and the memory order actually passed (C++ default
-    `seq_cst` when the argument list carries no `std::memory_order_*`);
+    `seq_cst` when the call passes no order argument, and `non-literal` when
+    it passes one that is not a `std::memory_order` literal, such as a
+    forwarded parameter: the audit can only read an order written at the
+    call site, so rule 2 reports such a site);
   * the `// c2sl-atomic:` annotation that covers it, if any.
 
 Annotation grammar (docs/ARCHITECTURE.md "Atomics inventory"):
@@ -75,6 +78,17 @@ OP_TO_KINDS = {
     "notify_one": ("wait-notify",),
     "notify_all": ("wait-notify",),
 }
+
+# Arguments each op takes before its memory order(s): a call with more than
+# this many arguments passes an order.
+VALUE_ARGS = {
+    "fetch_add": 1, "fetch_sub": 1, "fetch_and": 1, "fetch_or": 1,
+    "fetch_xor": 1, "exchange": 1, "compare_exchange": 2, "load": 0,
+    "store": 1, "wait": 1,
+}
+
+# The order recorded for a site whose order argument is not a literal.
+NON_LITERAL = "non-literal"
 
 RMW_OPS = frozenset(("fetch_add", "fetch_sub", "fetch_and", "fetch_or",
                      "fetch_xor", "exchange", "compare_exchange"))
@@ -289,32 +303,55 @@ class _ScopeTracker:
             i += 1
 
 
-def _extract_order(tokens, open_paren_idx):
-    """Memory order passed inside the balanced parens starting at
-    open_paren_idx; C++ defaults to seq_cst when absent."""
+def _call_args(tokens, open_paren_idx):
+    """Top-level arguments of the balanced parens starting at open_paren_idx,
+    each as a list of tokens."""
+    args = [[]]
     depth = 0
-    i = open_paren_idx
-    n = len(tokens)
-    order = None
-    while i < n:
-        t = tokens[i]
-        if t.text == "(":
+    for t in tokens[open_paren_idx:]:
+        if t.text in ("(", "[", "{"):
             depth += 1
-        elif t.text == ")":
+            if depth == 1:
+                continue
+        elif t.text in (")", "]", "}"):
             depth -= 1
             if depth == 0:
                 break
-        elif t.kind == "ident" and t.text.startswith("memory_order"):
-            # std::memory_order_seq_cst or std::memory_order::seq_cst
-            if t.text == "memory_order" and i + 2 < n and \
-                    tokens[i + 1].text == "::":
-                order = tokens[i + 2].text
-            elif t.text.startswith("memory_order_"):
-                order = t.text[len("memory_order_"):]
-        i += 1
-    if order is not None:
-        return order
-    return "seq_cst"
+        elif t.text == "," and depth == 1:
+            args.append([])
+            continue
+        args[-1].append(t)
+    return [a for a in args if a]
+
+
+def _order_literal(arg):
+    """The order an argument names if it is exactly a memory_order literal
+    (`std::memory_order_acquire`, `std::memory_order::acquire`, with or
+    without `std::`), else None."""
+    words = [t.text for t in arg]
+    if words[:2] == ["std", "::"]:
+        words = words[2:]
+    if len(words) == 1 and words[0].startswith("memory_order_"):
+        order = words[0][len("memory_order_"):]
+    elif len(words) == 3 and words[:2] == ["memory_order", "::"]:
+        order = words[2]
+    else:
+        return None
+    return order if order in MEMORY_ORDERS else None
+
+
+def _extract_order(tokens, open_paren_idx, op):
+    """Memory order passed in the call whose argument list opens at
+    open_paren_idx: C++ defaults to seq_cst when the call passes none, and
+    NON_LITERAL when an order argument is not a memory_order literal. A CAS
+    reports its success order."""
+    orders = _call_args(tokens, open_paren_idx)[VALUE_ARGS[op]:]
+    if not orders:
+        return "seq_cst"
+    found = [_order_literal(a) for a in orders]
+    if None in found:
+        return NON_LITERAL
+    return found[0]
 
 
 def scan_file(path, repo_root, text=None):
@@ -381,7 +418,7 @@ def scan_file(path, repo_root, text=None):
             if op in ("notify_one", "notify_all"):
                 order = "n/a"
             else:
-                order = _extract_order(toks, i + 1)
+                order = _extract_order(toks, i + 1, op)
             sites.append(AtomicSite(
                 file=rel, line=t.line, col=t.col,
                 symbol=tracker.symbol(), op=op, order=order))
